@@ -32,7 +32,7 @@ class InfeasibleTargetError(CalibrationError):
 
 
 class UnsupportedOrderError(ValueError):
-    """The Renyi accountant only supports integer orders >= 2."""
+    """The Renyi accountant only supports the integer orders in RDP_ORDERS."""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -103,33 +103,38 @@ class DpSgdConfig:
 RDP_ORDERS = tuple(range(2, 65))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdpCurve:
     """Renyi divergence bounds of one mechanism at a grid of orders."""
 
-    orders: tuple
-    eps_at_order: tuple
+    orders: np.ndarray
+    eps_at_order: np.ndarray
 
     def __post_init__(self):
-        if len(self.orders) != len(self.eps_at_order):
-            raise ValueError("orders and eps_at_order must have equal length")
-        if any(o <= 1 for o in self.orders):
+        orders = np.asarray(self.orders, dtype=np.float64)
+        eps_at_order = np.asarray(self.eps_at_order, dtype=np.float64)
+        if orders.shape != eps_at_order.shape or orders.ndim != 1:
+            raise ValueError("orders and eps_at_order must be 1-D and of equal length")
+        if (orders <= 1).any():
             raise ValueError("Renyi orders must exceed 1")
-        if any(e < 0 for e in self.eps_at_order):
+        if (eps_at_order < 0).any():
             raise ValueError("Renyi bounds must be nonnegative")
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "eps_at_order", eps_at_order)
 
     def compose(self, n_steps: int) -> "RdpCurve":
-        return RdpCurve(self.orders, tuple(n_steps * e for e in self.eps_at_order))
+        return RdpCurve(self.orders, n_steps * self.eps_at_order)
 
     def to_dp(self, delta: float) -> tuple[float, int]:
-        """Convert to (epsilon, delta)-DP; returns (epsilon, best order)."""
+        """Convert to (epsilon, delta)-DP; returns (epsilon, best order).
+
+        Ties go to the smallest order.
+        """
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        candidates = [
-            (e + math.log(1.0 / delta) / (o - 1), o)
-            for o, e in zip(self.orders, self.eps_at_order)
-        ]
-        return min(candidates)
+        candidates = self.eps_at_order + math.log(1.0 / delta) / (self.orders - 1)
+        best = candidates.min()
+        return float(best), int(self.orders[candidates == best].min())
 
 
 # ---------------------------------------------------------------------------
@@ -334,39 +339,63 @@ def subsample_beta(spec: PrivacySpec) -> float:
 # Renyi accountant for DP-SGD
 # ---------------------------------------------------------------------------
 
-def rdp_subsampled_gaussian(q: float, sigma: float, order) -> float:
-    """Renyi divergence bound of one subsampled Gaussian step at an integer order.
+def _log_binomial_table() -> np.ndarray:
+    """log C(a, k) with row a - 2 for each order a in RDP_ORDERS; -inf where k > a."""
+    a = np.array(RDP_ORDERS)[:, None]
+    ks = np.arange(RDP_ORDERS[-1] + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = gammaln(a + 1) - gammaln(ks + 1) - gammaln(a - ks + 1)
+    return np.where(ks <= a, table, -np.inf)
 
-    For q = 1 this is the exact Gaussian value order / (2 sigma^2). For q < 1
-    it is the binomial-expansion bound
+
+_LOG_BINOMIAL = _log_binomial_table()
+
+
+def rdp_subsampled_gaussian(q: float, sigma: float, order):
+    """Renyi divergence bound of one subsampled Gaussian step at integer orders.
+
+    `order` is one integer order (a float is returned) or an array of them (an
+    array of the same shape is returned); every order must lie in RDP_ORDERS.
+    For q = 1 the bound is the exact Gaussian value order / (2 sigma^2). For
+    q < 1 it is the binomial-expansion bound
 
         log( sum_k C(a,k) (1-q)^(a-k) q^k exp((k^2 - k)/(2 sigma^2)) ) / (a-1),
 
-    accumulated in log space for numerical stability.
+    accumulated in log space for numerical stability, all orders in one pass
+    over a precomputed table of log C(a, k). The exact sum is >= 1, so the
+    bound is >= 0; values that round below zero (tiny q, large sigma) are
+    clamped to 0.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    a = float(order)
-    if a != int(a) or int(a) < 2:
-        raise UnsupportedOrderError(f"order must be an integer >= 2, got {order}")
-    a = int(a)
+    orders = np.asarray(order, dtype=np.float64)
+    a = orders.astype(np.int64).reshape(-1)
+    if (a.size == 0 or a.min() < RDP_ORDERS[0] or a.max() > RDP_ORDERS[-1]
+            or not np.array_equal(a, orders.reshape(-1))):
+        raise UnsupportedOrderError(
+            f"orders must be integers in [{RDP_ORDERS[0]}, {RDP_ORDERS[-1]}], got {order}")
     if q == 1.0:
-        return a / (2.0 * sigma * sigma)
-    ks = np.arange(a + 1)
-    log_terms = (
-        gammaln(a + 1) - gammaln(ks + 1) - gammaln(a - ks + 1)
-        + (a - ks) * math.log1p(-q)
-        + ks * math.log(q)
-        + (ks * ks - ks) / (2.0 * sigma * sigma)
-    )
-    return float(logsumexp(log_terms)) / (a - 1)
+        values = a / (2.0 * sigma * sigma)
+    else:
+        ks = np.arange(a.max() + 1)
+        a_col = a[:, None]
+        log_terms = (
+            _LOG_BINOMIAL.take(a - RDP_ORDERS[0], axis=0)[:, :ks.size]
+            + (a_col - ks) * math.log1p(-q)
+            + ks * math.log(q)
+            + (ks * ks - ks) / (2.0 * sigma * sigma)
+        )
+        values = np.maximum(logsumexp(log_terms, axis=1) / (a - 1), 0.0)
+    if orders.ndim == 0:
+        return float(values[0])
+    return values.reshape(orders.shape)
 
 
 def rdp_curve(q: float, sigma: float, orders=RDP_ORDERS) -> RdpCurve:
     """Per-step Renyi curve of the subsampled Gaussian over a grid of orders."""
-    return RdpCurve(tuple(orders), tuple(rdp_subsampled_gaussian(q, sigma, o) for o in orders))
+    return RdpCurve(orders, rdp_subsampled_gaussian(q, sigma, orders))
 
 
 def dpsgd_epsilon(sigma: float, cfg: DpSgdConfig, delta: float,
@@ -386,7 +415,10 @@ def dpsgd_sigma_for_target(spec: PrivacySpec, cfg: DpSgdConfig) -> float:
     Binary search over sigma in [0.01, 1e4] against dpsgd_epsilon; the
     accounted epsilon is continuous and decreasing in sigma, so the returned
     sigma reproduces the target through forward accounting to within the
-    search tolerance.
+    search tolerance. `hi` only ever holds a sigma that meets the target and
+    `lo` one that misses it, so once the midpoint is no longer strictly
+    between them neither bound can move again: the search stops there and
+    returns exactly what running all iterations would.
     """
     _require_approximate(spec, "dpsgd_sigma_for_target")
 
@@ -402,6 +434,8 @@ def dpsgd_sigma_for_target(spec: PrivacySpec, cfg: DpSgdConfig) -> float:
         return lo
     for _ in range(_SEARCH_ITERATIONS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if accounted(mid) <= spec.epsilon:
             hi = mid
         else:

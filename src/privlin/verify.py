@@ -1,6 +1,6 @@
 """Fast invariant suites behind the `verify` CLI subcommand: loss-constant
-bounds, calibration tightness, sampler sanity, budget enforcement, and the
-empirical minimizer-sensitivity bound."""
+bounds, calibration tightness, DP-SGD accountant tightness, sampler sanity,
+budget enforcement, and the empirical minimizer-sensitivity bound."""
 
 from __future__ import annotations
 
@@ -11,9 +11,12 @@ import numpy as np
 from .accounting import (
     BudgetExhaustedError,
     BudgetState,
+    DpSgdConfig,
     PrivacySpec,
     ProblemDims,
     analytic_gaussian_alpha,
+    dpsgd_epsilon,
+    dpsgd_sigma_for_target,
     gaussian_mechanism_delta,
     minimizer_sensitivity,
 )
@@ -52,6 +55,23 @@ def check_calibration_tightness():
                 return False, f"calibration loose at eps={eps}, delta={delta}"
             worst_slack = max(worst_slack, at - delta)
     return True, f"tight on the 3x3 grid (max slack {worst_slack:.2e})"
+
+
+def check_dpsgd_accountant():
+    """DP-SGD sigma meets its epsilon by forward accounting; 0.999 sigma breaks it."""
+    n_train, n_steps, delta = 1000, 100, 1e-5
+    worst_at, least_below = 0.0, math.inf
+    for eps in (0.5, 1.0, 4.0):
+        for batch in (10, 100, n_train):
+            cfg = DpSgdConfig.for_dataset(n_train, batch, n_steps, clip=1.0)
+            sigma = dpsgd_sigma_for_target(PrivacySpec(eps, delta), cfg)
+            at = dpsgd_epsilon(sigma, cfg, delta)
+            below = dpsgd_epsilon(0.999 * sigma, cfg, delta)
+            if at > eps or below <= eps:
+                return False, f"accountant loose at eps={eps}, q={cfg.sample_rate}"
+            worst_at, least_below = max(worst_at, at / eps), min(least_below, below / eps)
+    return True, (f"tight on the 3x3 grid (spent/target {worst_at:.12f} at sigma, "
+                  f">= {least_below:.6f} at 0.999 sigma)")
 
 
 def check_samplers(seed: int = 1):
@@ -119,6 +139,7 @@ def check_sensitivity(pairs: int = 10, seed: int = 3):
 SUITES = (
     ("loss-constant bounds", check_loss_bounds),
     ("calibration tightness", check_calibration_tightness),
+    ("DP-SGD accountant", check_dpsgd_accountant),
     ("noise samplers", check_samplers),
     ("budget enforcement", check_budget),
     ("empirical sensitivity", check_sensitivity),

@@ -13,6 +13,7 @@ from privlin import (
     InfeasibleTargetError,
     PrivacySpec,
     ProblemDims,
+    RdpCurve,
     UnsupportedOrderError,
     WrongVariantError,
     analytic_gaussian_alpha,
@@ -28,9 +29,11 @@ from privlin import (
     minimizer_sensitivity,
     model_sensitivity_beta,
     prediction_sensitivity_beta,
+    rdp_curve,
     rdp_subsampled_gaussian,
     subsample_beta,
 )
+from privlin.accounting import _SIGMA_LO, RDP_ORDERS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -284,8 +287,87 @@ class TestRdpSubsampledGaussian:
         with pytest.raises(UnsupportedOrderError):
             rdp_subsampled_gaussian(0.1, 1.0, 1)
 
+    def test_rejects_orders_outside_the_grid(self):
+        with pytest.raises(UnsupportedOrderError):
+            rdp_subsampled_gaussian(0.1, 1.0, RDP_ORDERS[-1] + 1)
+        with pytest.raises(UnsupportedOrderError):
+            rdp_subsampled_gaussian(0.1, 1.0, np.array([2, 3, 1]))
+        with pytest.raises(UnsupportedOrderError):
+            rdp_subsampled_gaussian(0.1, 1.0, np.array([], dtype=int))
+
+    def test_order_array_matches_single_orders(self):
+        orders = np.array([2, 7, 16, 64])
+        values = rdp_subsampled_gaussian(0.03, 0.9, orders)
+        assert values.shape == orders.shape
+        for order, value in zip(orders, values):
+            assert value == pytest.approx(rdp_subsampled_gaussian(0.03, 0.9, int(order)),
+                                          rel=1e-13)
+
+    def test_whole_curve_matches_mpmath_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        ks = range(RDP_ORDERS[-1] + 1)
+        with mpmath.workdps(50):
+            for q in (1e-7, 0.0128, 0.5, 1.0):
+                for sigma in (0.5, 1.4, 1e4):
+                    mq, ms = mpmath.mpf(q), mpmath.mpf(sigma)
+                    pow_q = [mq ** k for k in ks]
+                    pow_rest = [(1 - mq) ** k for k in ks]
+                    growth = [mpmath.exp((k * k - k) / (2 * ms * ms)) for k in ks]
+                    curve = rdp_curve(q, sigma)
+                    assert np.all(curve.eps_at_order >= 0.0)
+                    for a, value in zip(RDP_ORDERS, curve.eps_at_order):
+                        total = mpmath.fsum(
+                            math.comb(a, k) * pow_rest[a - k] * pow_q[k] * growth[k]
+                            for k in range(a + 1))
+                        oracle = float(mpmath.log(total) / (a - 1))
+                        assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15), (q, sigma, a)
+
+    def test_tiny_sample_rate_never_rounds_negative(self):
+        # The exact bound is >= 0; float rounding at tiny q must not push it below.
+        curve = rdp_curve(1e-9, 1e3)
+        assert np.all(curve.eps_at_order >= 0.0)
+        for n_train in (10_000_000, 100_000_000):
+            cfg = DpSgdConfig.for_dataset(n_train, 1, 100, 1.0)
+            sigma = dpsgd_sigma_for_target(PrivacySpec(1.0, 1e-5), cfg)
+            assert dpsgd_epsilon(sigma, cfg, 1e-5) <= 1.0
+
+
+class TestRdpCurve:
+    def test_to_dp_ties_go_to_the_smallest_order(self):
+        log_term = math.log(1.0 / 0.5)
+        curve = RdpCurve((5, 3), (log_term / 2, log_term / 4))
+        assert curve.to_dp(0.5) == (log_term / 2 + log_term / 4, 3)
+
+    def test_rejects_negative_bounds(self):
+        with pytest.raises(ValueError):
+            RdpCurve((2, 3), (0.1, -1e-17))
+
+
+# dpsgd_sigma_for_target before the accountant was vectorised, keyed by
+# ((n_train, batch_size, n_steps), (epsilon, delta)); clip 1.0.
+SIGMA_GOLDEN = {
+    ((5000, 64, 200), (1.0, 1e-05)): 1.3856870504307517,
+    ((5000, 64, 200), (0.5, 1e-05)): 2.092607795515645,
+    ((5000, 64, 200), (2.0, 1e-05)): 1.0002146843942283,
+    ((5000, 64, 200), (1.0, 1e-06)): 1.4983516994916786,
+    ((10000, 64, 2000), (1.0, 1e-05)): 1.6139104752217666,
+    ((10000, 64, 2000), (0.5, 1e-05)): 2.9157365726039464,
+    ((10000, 64, 2000), (2.0, 1e-05)): 1.049366171332281,
+    ((10000, 64, 2000), (1.0, 1e-06)): 1.7364055038978787,
+}
+
 
 class TestDpSgdSigma:
+    @pytest.mark.parametrize("loop,target", sorted(SIGMA_GOLDEN))
+    def test_golden_values(self, loop, target):
+        eps, delta = target
+        cfg = DpSgdConfig.for_dataset(*loop, clip=1.0)
+        sigma = dpsgd_sigma_for_target(PrivacySpec(eps, delta), cfg)
+        assert sigma == pytest.approx(SIGMA_GOLDEN[loop, target], rel=1e-13)
+        assert dpsgd_epsilon(sigma, cfg, delta) <= eps
+        if sigma > _SIGMA_LO:
+            assert dpsgd_epsilon(sigma * (1 - 1e-9), cfg, delta) > eps
+
     def test_full_batch_matches_closed_form_grid_minimum(self):
         eps, delta = 1.0, 1e-5
         cfg = DpSgdConfig(clip=1.0, batch_size=100, n_steps=1, sample_rate=1.0)
