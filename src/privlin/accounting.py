@@ -448,10 +448,12 @@ def dpsgd_sigma_for_target(spec: PrivacySpec, cfg: DpSgdConfig) -> float:
 # ---------------------------------------------------------------------------
 
 class BudgetState:
-    """Strict query counter: exactly `budget` consumptions, then refusals.
+    """Strict query counter: exactly `budget` units spent, then refusals.
 
-    consume() is atomic; a refusal raises BudgetExhaustedError and leaves the
-    counter untouched, so the query is never answered.
+    reserve(k) spends k units at once under the lock, all or nothing: if
+    fewer than k remain it raises BudgetExhaustedError and leaves the
+    counter untouched, so none of the k queries is answered. consume() is
+    reserve(1), the spend of one single query.
     """
 
     def __init__(self, budget: int, used: int = 0):
@@ -467,12 +469,18 @@ class BudgetState:
     def remaining(self) -> int:
         return self.budget - self.used
 
-    def consume(self):
+    def reserve(self, k: int):
+        if k < 0:
+            raise ValueError(f"cannot reserve a negative number of queries, got {k}")
         with self._lock:
-            if self.used >= self.budget:
+            if self.used + k > self.budget:
                 raise BudgetExhaustedError(
-                    f"inference budget of {self.budget} queries is exhausted")
-            self.used += 1
+                    f"inference budget of {self.budget} queries is exhausted: "
+                    f"{k} requested, {self.budget - self.used} left")
+            self.used += k
+
+    def consume(self):
+        self.reserve(1)
 
     def __repr__(self):
         return f"BudgetState(budget={self.budget}, used={self.used})"

@@ -9,12 +9,13 @@ import sys
 
 import numpy as np
 
-from .accounting import BudgetExhaustedError, DpSgdConfig, PrivacySpec, calibration_report
+from .accounting import DpSgdConfig, PrivacySpec, calibration_report
 from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
 from .data import load_csv, load_idx, normalize_unit_ball, synth_blobs_raw
 from .mechanisms import (
     PREDICTION_SIDE,
     MechanismSpec,
+    answer_queries,
     fit_predictor,
     load_predictor,
     save_predictor,
@@ -93,23 +94,22 @@ def _cmd_predict(args) -> int:
     if np.any(excess):
         queries[excess] /= norms[excess, None]
 
+    # Answer the rows the budget covers and refuse the rest.
+    n_answered = len(queries) if predictor.budget is None else min(
+        len(queries), predictor.budget.remaining)
+    labels = answer_queries(predictor, queries[:n_answered])
+    if predictor.kind in PREDICTION_SIDE:
+        # Record the spend and noise-stream position before any answer leaves.
+        save_predictor(args.model, predictor)
     lines = ["index,status,label"]
-    for i, row in enumerate(queries):
-        try:
-            answer = predictor.predict(row)
-            label = int(answer) if np.ndim(answer) == 0 else int(np.argmax(answer))
-            lines.append(f"{i},answered,{label}")
-        except BudgetExhaustedError:
-            lines.append(f"{i},refused,")
+    lines += [f"{i},answered,{label}" for i, label in enumerate(labels)]
+    lines += [f"{i},refused," for i in range(n_answered, len(queries))]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    if predictor.kind in PREDICTION_SIDE:
-        # Persist the spent budget and noise-stream position.
-        save_predictor(args.model, predictor)
     return 0
 
 

@@ -117,13 +117,31 @@ class PrivatePredictor:
         return predict_logits(self.theta, x)
 
 
+def _check_rows(rows: np.ndarray) -> np.ndarray:
+    """The one query-row validator: every row finite and inside the unit L2 ball."""
+    sq_norms = (rows * rows).sum(axis=1)
+    # A row with a NaN or infinite entry has a NaN or infinite norm and fails too.
+    if not sq_norms.max(initial=0.0) <= (1.0 + 1e-9) ** 2:
+        if not np.isfinite(rows).all():
+            raise ValueError("query must be finite")
+        raise ValueError("query must lie in the unit L2 ball")
+    return rows
+
+
 def _check_query(x, n_features: int) -> np.ndarray:
+    """One validated query as a (1, n_features) row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n_features,):
         raise ValueError(f"query must be a length-{n_features} vector, got shape {x.shape}")
-    if np.linalg.norm(x) > 1.0 + 1e-9:
-        raise ValueError("query must lie in the unit L2 ball")
-    return x
+    return _check_rows(x[None, :])
+
+
+def _check_queries(queries, n_features: int) -> np.ndarray:
+    """A validated (k, n_features) batch of query rows."""
+    rows = np.asarray(queries, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n_features:
+        raise ValueError(f"queries must be rows of length {n_features}, got shape {rows.shape}")
+    return _check_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +263,24 @@ def build_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec, rng,
         budget=BudgetState(spec.privacy.budget), rng=rng)
 
 
+def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
+    """(k, C) noisy logits for k validated, paid-for rows.
+
+    Draws the noise in the order k single queries would: one (k, C) Gaussian
+    block is k consecutive C-vector draws; the radial sampler draws a radius
+    after each direction, so it runs once per row.
+    """
+    logits = predict_logits(predictor.theta, rows)
+    k, c = logits.shape
+    if predictor.noise_family == "gaussian":
+        logits = logits + sample_gaussian((k, c), predictor.noise_scale, predictor.rng)
+    elif predictor.noise_family == "radial_exponential":
+        noise = [sample_radial_exponential((1, c), predictor.noise_scale, predictor.rng)
+                 for _ in range(k)]
+        logits = logits + np.concatenate(noise)
+    return logits
+
+
 def predict_prediction_sensitivity(predictor: PrivatePredictor, x) -> np.ndarray:
     """Answer one query with fresh noisy logits, consuming one budget unit.
 
@@ -252,17 +288,9 @@ def predict_prediction_sensitivity(predictor: PrivatePredictor, x) -> np.ndarray
     post-process freely. A refusal raises BudgetExhaustedError before any
     computation touches the model.
     """
-    x = _check_query(x, predictor.theta.shape[0])
+    row = _check_query(x, predictor.theta.shape[0])
     predictor.budget.consume()
-    logits = predict_logits(predictor.theta, x)
-    c = logits.shape[0]
-    if predictor.noise_family == "radial_exponential":
-        logits = logits + sample_radial_exponential((c, 1), predictor.noise_scale,
-                                                    predictor.rng).ravel()
-    elif predictor.noise_family == "gaussian":
-        logits = logits + sample_gaussian((c, 1), predictor.noise_scale,
-                                          predictor.rng).ravel()
-    return logits
+    return _noisy_logits(predictor, row)[0]
 
 
 def partition_indices(n: int, t: int, rng) -> np.ndarray:
@@ -288,6 +316,10 @@ def build_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
     A seeded shuffle precedes the split into n_models disjoint subsets of
     size floor(N / n_models); leftover examples are discarded. Changing one
     training example can change at most one sub-model.
+
+    The sub-models are stored in (D, T, C) memory and `ensemble` is that
+    buffer's (T, D, C) transposed view, so ensemble_vote_counts can treat
+    them as one (D, T*C) matrix without a copy.
     """
     rng = as_generator(rng)
     parts = partition_indices(data.n_examples, spec.n_models, rng)
@@ -296,9 +328,10 @@ def build_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
         minimize_erm(LabeledDataset(features=data.features[part],
                                     labels=data.labels[part]), cfg)
         for part in parts
-    ])
+    ], axis=1)
     return PrivatePredictor(
-        kind="subsample_aggregate", privacy=spec.privacy, ensemble=thetas,
+        kind="subsample_aggregate", privacy=spec.privacy,
+        ensemble=thetas.transpose(1, 0, 2),
         vote_beta=subsample_beta(spec.privacy),
         budget=BudgetState(spec.privacy.budget), rng=rng)
 
@@ -308,16 +341,25 @@ def ensemble_vote_counts(ensemble: np.ndarray, x) -> np.ndarray:
 
     Accepts one query vector or a batch of rows; returns (C,) or (n, C)
     integer counts summing to the ensemble size.
+
+    All T sub-models score the rows in one matrix product against the
+    (D, T*C) matrix of their parameters; that reshape is free for the
+    (D, T, C) memory of build_subsample_ensemble and copies any other layout
+    once per call. The product is a stack of (1, D) @ (D, T*C) products, so
+    every row, alone or in a batch, goes through the same BLAS matrix-vector
+    call and rounds the same way: a sub-model that never saw two classes
+    scores them equal up to rounding, and a GEMM would break that near-tie
+    differently from a single query's GEMV.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
-    t, _, c = ensemble.shape
-    logits = np.einsum("nd,tdc->tnc", rows, ensemble)
-    winners = logits.argmax(axis=2)  # (t, n)
-    offsets = winners + c * np.arange(rows.shape[0])[None, :]
-    counts = np.bincount(offsets.ravel(), minlength=rows.shape[0] * c)
-    counts = counts.reshape(rows.shape[0], c)
+    n = rows.shape[0]
+    t, d, c = ensemble.shape
+    weights = ensemble.transpose(1, 0, 2).reshape(d, t * c)
+    winners = (rows[:, None, :] @ weights).reshape(n, t, c).argmax(axis=2)  # (n, t)
+    offsets = winners + c * np.arange(n)[:, None]
+    counts = np.bincount(offsets.ravel(), minlength=n * c).reshape(n, c)
     return counts[0] if single else counts
 
 
@@ -326,13 +368,24 @@ def vote_distribution(counts, beta: float) -> np.ndarray:
     return softmax(beta * np.asarray(counts, dtype=np.float64))
 
 
+def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
+    """One sampled label per validated, paid-for row.
+
+    Inverse-CDF sampling with one uniform per row, in row order: the same
+    arithmetic and draws as rng.choice(C, p=probs) called row by row.
+    """
+    counts = ensemble_vote_counts(predictor.ensemble, rows)
+    cdf = np.cumsum(vote_distribution(counts, predictor.vote_beta), axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = predictor.rng.random(rows.shape[0])
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
 def predict_subsample_aggregate(predictor: PrivatePredictor, x) -> int:
     """Sample one label from the exponentiated vote histogram; spend one unit."""
-    x = _check_query(x, predictor.ensemble.shape[1])
+    row = _check_query(x, predictor.ensemble.shape[1])
     predictor.budget.consume()
-    counts = ensemble_vote_counts(predictor.ensemble, x)
-    probs = vote_distribution(counts, predictor.vote_beta)
-    return int(predictor.rng.choice(counts.shape[0], p=probs))
+    return int(_vote_labels(predictor, row)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +413,23 @@ def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng,
 def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
     """Predicted labels for a batch of query rows.
 
-    Prediction-side predictors answer query by query (consuming budget and
-    drawing fresh noise); training-side predictors score the whole batch by
-    argmax of their frozen logits.
+    Training-side predictors score the batch by argmax of their frozen
+    logits. Prediction-side predictors validate every row, spend k budget
+    units at once (all or nothing: a refused or invalid batch spends none),
+    and answer the batch in one pass whose labels and noise-stream position
+    equal those of k single predict calls in row order.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    if predictor.kind not in PREDICTION_SIDE:
+        return predict_logits(predictor.theta, queries).argmax(axis=1)
+    n_features = (predictor.theta.shape[0] if predictor.ensemble is None
+                  else predictor.ensemble.shape[1])
+    rows = _check_queries(queries, n_features)
+    predictor.budget.reserve(rows.shape[0])
+    if rows.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp)
     if predictor.kind == "prediction_sensitivity":
-        return np.array([
-            int(np.argmax(predict_prediction_sensitivity(predictor, row)))
-            for row in queries
-        ])
-    if predictor.kind == "subsample_aggregate":
-        return np.array([predict_subsample_aggregate(predictor, row) for row in queries])
-    return predict_logits(predictor.theta, queries).argmax(axis=1)
+        return _noisy_logits(predictor, rows).argmax(axis=1)
+    return _vote_labels(predictor, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +470,15 @@ def load_predictor(path) -> PrivatePredictor:
         if "rng_state" in archive:
             rng = np.random.default_rng()
             rng.bit_generator.state = json.loads(str(archive["rng_state"]))
+        ensemble = None
+        if "ensemble" in archive:  # back into the (D, T, C) memory of the vote kernel
+            ensemble = np.ascontiguousarray(
+                archive["ensemble"].transpose(1, 0, 2)).transpose(1, 0, 2)
         return PrivatePredictor(
             kind=str(archive["kind"]),
             privacy=privacy,
             theta=archive["theta"] if "theta" in archive else None,
-            ensemble=archive["ensemble"] if "ensemble" in archive else None,
+            ensemble=ensemble,
             noise_family=str(archive["noise_family"]),
             noise_scale=float(archive["noise_scale"]),
             vote_beta=float(archive["vote_beta"]),

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -487,6 +488,55 @@ class TestBudgetState:
             t.join()
         assert sum(successes) == 500
         assert state.used == 500
+
+    def test_reserve_is_all_or_nothing(self):
+        state = BudgetState(5)
+        state.reserve(3)
+        with pytest.raises(BudgetExhaustedError):
+            state.reserve(3)
+        assert state.used == 3
+        state.reserve(2)
+        state.reserve(0)
+        with pytest.raises(BudgetExhaustedError):
+            state.consume()
+        assert state.used == 5
+
+    def test_reserve_rejects_negative(self):
+        state = BudgetState(5, used=2)
+        with pytest.raises(ValueError):
+            state.reserve(-1)
+        assert state.used == 2
+
+    def test_concurrent_mixed_reservations_never_overspend(self):
+        state = BudgetState(1000)
+        granted = []
+        lock = threading.Lock()
+
+        def worker(k):
+            total = 0
+            for _ in range(200):
+                try:
+                    state.reserve(k)
+                    total += k
+                except BudgetExhaustedError:
+                    pass
+            with lock:
+                granted.append(total)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in (1, 2, 3, 7) * 3]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(granted) == state.used
+        assert state.budget - 6 <= state.used <= state.budget  # only k > remaining refused
 
 
 class TestCalibrationReport:

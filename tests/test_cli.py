@@ -1,6 +1,10 @@
+import csv
 import json
 
-from privlin import DpSgdConfig, PrivacySpec, cli, dpsgd_sigma_for_target
+import numpy as np
+import pytest
+
+from privlin import DpSgdConfig, PrivacySpec, cli, dpsgd_sigma_for_target, load_predictor
 
 
 def test_verify_passes(capsys):
@@ -23,3 +27,47 @@ def test_train_dpsgd_reports_the_calibrated_sigma(tmp_path, capsys):
     assert report["sample_rate"] == cfg.sample_rate
     assert report["scale"] == dpsgd_sigma_for_target(PrivacySpec(1.0, 1e-5, 100), cfg)
     assert model.exists()
+
+
+def read_answers(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+@pytest.mark.parametrize("mechanism", ["prediction_sensitivity", "subsample_aggregate"])
+def test_predict_answers_the_budget_then_refuses(tmp_path, mechanism):
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", mechanism, "--budget", "3", "--models", "4",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    inputs = tmp_path / "queries.csv"
+    rows = np.random.default_rng(0).standard_normal((5, 5)) / 4
+    np.savetxt(inputs, rows, delimiter=",")
+
+    first = tmp_path / "first.csv"
+    assert cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
+                     "--out", str(first)]) == 0
+    answers = read_answers(first)
+    assert [a["status"] for a in answers] == ["answered"] * 3 + ["refused"] * 2
+    assert all(0 <= int(a["label"]) < 3 for a in answers[:3])
+    assert [a["label"] for a in answers[3:]] == ["", ""]
+    assert load_predictor(model).budget.used == 3
+
+    second = tmp_path / "second.csv"
+    assert cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
+                     "--out", str(second)]) == 0
+    assert [a["status"] for a in read_answers(second)] == ["refused"] * 5
+    assert load_predictor(model).budget.used == 3
+
+
+def test_predict_records_the_spend_before_writing_answers(tmp_path):
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    inputs = tmp_path / "queries.csv"
+    np.savetxt(inputs, np.full((2, 5), 0.1), delimiter=",")
+    with pytest.raises(FileNotFoundError):
+        cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
+                  "--out", str(tmp_path / "missing" / "answers.csv")])
+    assert load_predictor(model).budget.used == 2

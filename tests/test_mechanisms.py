@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +271,9 @@ class TestPredictionSensitivity:
             predict_prediction_sensitivity(predictor, np.zeros(train.n_features + 1))
         with pytest.raises(ValueError):
             predict_prediction_sensitivity(predictor, np.full(train.n_features, 1.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                predict_prediction_sensitivity(predictor, np.full(train.n_features, bad))
         assert predictor.budget.used == 0  # refused before consuming
 
 
@@ -418,3 +423,105 @@ class TestSerialization:
         a = predict_subsample_aggregate(predictor, test.features[0])
         b = predict_subsample_aggregate(loaded, test.features[0])
         assert a == b  # identical rng state resumes identically
+
+
+def twin(predictor, budget):
+    """A copy with a fresh budget and the same noise-stream position."""
+    return dataclasses.replace(predictor, budget=BudgetState(budget),
+                               rng=copy.deepcopy(predictor.rng))
+
+
+def degenerate_ensemble(seed, n_models=40):
+    """Sub-models of ~5 examples over 10 classes: most never see several
+    classes and score those classes equal up to rounding."""
+    train, test = blob_splits(seed, n_train_per_class=20, n_test_per_class=20,
+                              c=10, d=20, sep=1.0)
+    spec = spec_for("subsample_aggregate", eps=50.0, budget=200, n_models=n_models)
+    return build_subsample_ensemble(train, spec, RngStream(seed, 1)), test
+
+
+class TestBatchAnswering:
+    @pytest.mark.parametrize("kind", ["prediction_sensitivity", "subsample_aggregate"])
+    def test_rejected_batch_spends_nothing(self, kind):
+        train, test = blob_splits(30)
+        predictor = fit_predictor(train, spec_for(kind, budget=5, n_models=8), RngStream(31))
+        state = copy.deepcopy(predictor.rng.bit_generator.state)
+        with pytest.raises(BudgetExhaustedError):
+            answer_queries(predictor, test.features[:10])
+        outside = test.features[:5].copy()
+        outside[3] = np.full(train.n_features, 1.0)
+        with pytest.raises(ValueError, match="unit L2 ball"):
+            answer_queries(predictor, outside)
+        for bad in (np.nan, np.inf):
+            rows = test.features[:5].copy()
+            rows[2, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                answer_queries(predictor, rows)
+            with pytest.raises(ValueError, match="finite"):
+                predictor.predict(rows[2])
+        with pytest.raises(ValueError):
+            answer_queries(predictor, test.features[:5, :-1])
+        assert predictor.budget.used == 0
+        assert predictor.rng.bit_generator.state == state
+        answer_queries(predictor, test.features[:2])
+        with pytest.raises(BudgetExhaustedError):
+            answer_queries(predictor, test.features[:4])
+        assert predictor.budget.used == 2
+        assert answer_queries(predictor, test.features[:0]).shape == (0,)
+        assert len(answer_queries(predictor, test.features[:3])) == 3
+        assert predictor.budget.remaining == 0
+
+    @pytest.mark.parametrize("case", ["gaussian", "radial", "subsample", "subsample_reloaded"])
+    def test_batch_equals_one_by_one(self, case, tmp_path):
+        if case.startswith("subsample"):
+            predictor, test = degenerate_ensemble(32)
+        else:
+            train, test = blob_splits(32)
+            delta = 1e-5 if case == "gaussian" else 0.0
+            spec = spec_for("prediction_sensitivity", delta=delta, budget=200)
+            predictor = build_prediction_sensitivity(train, spec, RngStream(33))
+        rows = test.features[:120]
+        single = twin(predictor, 200)
+        if case == "subsample_reloaded":
+            save_predictor(tmp_path / "ens.npz", predictor)
+            predictor = load_predictor(tmp_path / "ens.npz")
+        batch = twin(predictor, 200)
+        labels = np.concatenate([answer_queries(batch, rows[:70]),
+                                 answer_queries(batch, rows[70:])])
+        expected = [single.predict(row) for row in rows]
+        if single.kind == "prediction_sensitivity":
+            expected = [int(np.argmax(logits)) for logits in expected]
+        np.testing.assert_array_equal(labels, expected)
+        assert len(set(expected)) > 1
+        assert batch.budget.used == single.budget.used == len(rows)
+        assert batch.rng.bit_generator.state == single.rng.bit_generator.state
+
+    def test_vote_counts_match_per_model_loop(self):
+        train, test = blob_splits(34, n_train_per_class=150, c=4, d=8)
+        spec = spec_for("subsample_aggregate", n_models=9)
+        built = build_subsample_ensemble(train, spec, RngStream(35)).ensemble
+        plain = np.ascontiguousarray(built)
+        rows = test.features
+        expected = np.zeros((len(rows), train.n_classes), dtype=int)
+        for theta in plain:
+            expected[np.arange(len(rows)), np.argmax(rows @ theta, axis=1)] += 1
+        for ensemble in (built, plain):
+            np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows), expected)
+            for i in (0, 17):
+                np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows[i]),
+                                              expected[i])
+
+    def test_near_tied_votes_agree_between_one_row_and_batch(self):
+        predictor, test = degenerate_ensemble(36)
+        batch = ensemble_vote_counts(predictor.ensemble, test.features)
+        single = np.array([ensemble_vote_counts(predictor.ensemble, x)
+                           for x in test.features])
+        np.testing.assert_array_equal(batch, single)
+
+    def test_ensemble_is_stored_feature_major(self, tmp_path):
+        predictor, _ = degenerate_ensemble(37, n_models=6)
+        path = tmp_path / "ens.npz"
+        save_predictor(path, predictor)
+        for ensemble in (predictor.ensemble, load_predictor(path).ensemble):
+            assert ensemble.shape == (6, 20, 10)
+            assert ensemble.transpose(1, 0, 2).flags.c_contiguous
