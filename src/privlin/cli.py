@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--steps", type=int, default=200, help="dpsgd update count")
     train.add_argument("--lr", type=float, default=1.0, help="dpsgd learning rate")
     train.add_argument("--grad-tol", type=float, default=1e-8)
-    train.add_argument("--max-iter", type=int, default=500)
+    train.add_argument("--max-iter", type=int, default=500, help="Newton iterations")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
     train.set_defaults(func=_cmd_train)

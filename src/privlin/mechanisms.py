@@ -33,7 +33,7 @@ from .accounting import (
 from .data import LabeledDataset
 from .losses import softmax
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
-from .trainer import TrainConfig, minimize_erm, predict_logits
+from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
 MECHANISM_KINDS = (
     "model_sensitivity",
@@ -114,34 +114,37 @@ class PrivatePredictor:
             return predict_prediction_sensitivity(self, x)
         if self.kind == "subsample_aggregate":
             return predict_subsample_aggregate(self, x)
-        return predict_logits(self.theta, x)
+        row = _check_query(x, self.theta.shape[0], in_ball=False)
+        return predict_logits(self.theta, row[0])
 
 
-def _check_rows(rows: np.ndarray) -> np.ndarray:
-    """The one query-row validator: every row finite and inside the unit L2 ball."""
-    sq_norms = (rows * rows).sum(axis=1)
+def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
+    """The one query-row validator: every row finite and, with in_ball, inside
+    the unit L2 ball that prediction-side sensitivity bounds assume."""
     # A row with a NaN or infinite entry has a NaN or infinite norm and fails too.
-    if not sq_norms.max(initial=0.0) <= (1.0 + 1e-9) ** 2:
-        if not np.isfinite(rows).all():
-            raise ValueError("query must be finite")
+    if in_ball and (rows * rows).sum(axis=1).max(initial=0.0) <= (1.0 + 1e-9) ** 2:
+        return rows
+    if not np.isfinite(rows).all():
+        raise ValueError("query must be finite")
+    if in_ball:
         raise ValueError("query must lie in the unit L2 ball")
     return rows
 
 
-def _check_query(x, n_features: int) -> np.ndarray:
+def _check_query(x, n_features: int, in_ball: bool = True) -> np.ndarray:
     """One validated query as a (1, n_features) row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n_features,):
         raise ValueError(f"query must be a length-{n_features} vector, got shape {x.shape}")
-    return _check_rows(x[None, :])
+    return _check_rows(x[None, :], in_ball)
 
 
-def _check_queries(queries, n_features: int) -> np.ndarray:
+def _check_queries(queries, n_features: int, in_ball: bool) -> np.ndarray:
     """A validated (k, n_features) batch of query rows."""
     rows = np.asarray(queries, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != n_features:
         raise ValueError(f"queries must be rows of length {n_features}, got shape {rows.shape}")
-    return _check_rows(rows)
+    return _check_rows(rows, in_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +314,7 @@ def partition_indices(n: int, t: int, rng) -> np.ndarray:
 
 def build_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
                              rng) -> PrivatePredictor:
-    """Partition, train one sub-model per part, and gate the noisy vote.
+    """Partition, train all sub-models in one stacked solve, and gate the noisy vote.
 
     A seeded shuffle precedes the split into n_models disjoint subsets of
     size floor(N / n_models); leftover examples are discarded. Changing one
@@ -323,17 +326,18 @@ def build_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
     """
     rng = as_generator(rng)
     parts = partition_indices(data.n_examples, spec.n_models, rng)
-    cfg = spec.train_config()
-    thetas = np.stack([
-        minimize_erm(LabeledDataset(features=data.features[part],
-                                    labels=data.labels[part]), cfg)
-        for part in parts
-    ], axis=1)
+    thetas = minimize_erm_stack(data.features[parts], data.labels[parts],
+                                spec.train_config())
     return PrivatePredictor(
         kind="subsample_aggregate", privacy=spec.privacy,
-        ensemble=thetas.transpose(1, 0, 2),
+        ensemble=_feature_major(thetas),
         vote_beta=subsample_beta(spec.privacy),
         budget=BudgetState(spec.privacy.budget), rng=rng)
+
+
+def _feature_major(ensemble: np.ndarray) -> np.ndarray:
+    """The (T, D, C) view of a copy of ensemble stored in (D, T, C) memory."""
+    return np.ascontiguousarray(ensemble.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def ensemble_vote_counts(ensemble: np.ndarray, x) -> np.ndarray:
@@ -364,8 +368,11 @@ def ensemble_vote_counts(ensemble: np.ndarray, x) -> np.ndarray:
 
 
 def vote_distribution(counts, beta: float) -> np.ndarray:
-    """Exponential-mechanism label distribution: proportional to exp(beta * counts)."""
-    return softmax(beta * np.asarray(counts, dtype=np.float64))
+    """Exponential-mechanism label distribution: proportional to exp(beta * counts).
+    softmax's arithmetic without its finiteness check; vote counts are integers."""
+    scores = beta * np.asarray(counts, dtype=np.float64)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
@@ -413,17 +420,19 @@ def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng,
 def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
     """Predicted labels for a batch of query rows.
 
-    Training-side predictors score the batch by argmax of their frozen
-    logits. Prediction-side predictors validate every row, spend k budget
-    units at once (all or nothing: a refused or invalid batch spends none),
-    and answer the batch in one pass whose labels and noise-stream position
-    equal those of k single predict calls in row order.
+    Every row must be finite. Training-side predictors score the batch by
+    argmax of their frozen logits. Prediction-side predictors also need every
+    row in the unit ball, spend k budget units at once (all or nothing: a
+    refused or invalid batch spends none), and answer the batch in one pass
+    whose labels and noise-stream position equal those of k single predict
+    calls in row order.
     """
-    if predictor.kind not in PREDICTION_SIDE:
-        return predict_logits(predictor.theta, queries).argmax(axis=1)
     n_features = (predictor.theta.shape[0] if predictor.ensemble is None
                   else predictor.ensemble.shape[1])
-    rows = _check_queries(queries, n_features)
+    prediction_side = predictor.kind in PREDICTION_SIDE
+    rows = _check_queries(queries, n_features, in_ball=prediction_side)
+    if not prediction_side:
+        return predict_logits(predictor.theta, rows).argmax(axis=1)
     predictor.budget.reserve(rows.shape[0])
     if rows.shape[0] == 0:
         return np.zeros(0, dtype=np.intp)
@@ -471,9 +480,8 @@ def load_predictor(path) -> PrivatePredictor:
             rng = np.random.default_rng()
             rng.bit_generator.state = json.loads(str(archive["rng_state"]))
         ensemble = None
-        if "ensemble" in archive:  # back into the (D, T, C) memory of the vote kernel
-            ensemble = np.ascontiguousarray(
-                archive["ensemble"].transpose(1, 0, 2)).transpose(1, 0, 2)
+        if "ensemble" in archive:
+            ensemble = _feature_major(archive["ensemble"])
         return PrivatePredictor(
             kind=str(archive["kind"]),
             privacy=privacy,

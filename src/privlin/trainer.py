@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .data import LabeledDataset
-from .losses import erm_objective, mc_logistic_hessian, perturbed_objective
+# erm_objective, perturbed_objective and mc_logistic_hessian: profilers patch them here.
+from .losses import erm_objective, mc_logistic_hessian, perturbed_objective  # noqa: F401
+from .losses import loss_remainder, objective_hvp, regularized_objective
 
 
 class ConvergenceError(RuntimeError):
@@ -45,95 +45,99 @@ class TrainConfig:
             raise ValueError("rho must be nonnegative")
 
 
-# Newton polishing assembles the (DC x DC) Hessian; keep it to small problems.
-_POLISH_MAX_PARAMS = 1200
-_POLISH_MAX_WORK = 2e9
-
-
-def _objective(data: LabeledDataset, cfg: TrainConfig):
-    x, y = data.features, data.labels
-    d, c = data.n_features, data.n_classes
-    if cfg.noise_b is None:
-        def value_and_grad(w):
-            value, grad = erm_objective(w.reshape(d, c), x, y, cfg.lam)
-            return value, grad.ravel()
-        ridge = cfg.lam
-    else:
-        noise_b = np.asarray(cfg.noise_b, dtype=np.float64)
-        if noise_b.shape != (d, c):
-            raise ValueError(f"noise_b shape {noise_b.shape} does not match ({d}, {c})")
-
-        def value_and_grad(w):
-            value, grad = perturbed_objective(
-                w.reshape(d, c), x, y, cfg.lam, noise_b, cfg.rho)
-            return value, grad.ravel()
-        ridge = (cfg.lam + cfg.rho) / data.n_examples
-    return value_and_grad, ridge
-
-
-def _newton_polish(w, value_and_grad, ridge, data, cfg):
-    """Exact damped Newton steps; quadratic convergence near the minimizer."""
-    x = data.features
-    n, d, c = data.n_examples, data.n_features, data.n_classes
-    theta_like = (d, c)
-    for _ in range(40):
-        grad = value_and_grad(w)[1]
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.grad_tolerance:
-            return w
-        logits = x @ w.reshape(theta_like)
-        per_example = mc_logistic_hessian(logits)  # (n, c, c)
-        hess = np.einsum("nab,ni,nj->iajb", per_example, x, x).reshape(d * c, d * c) / n
-        hess[np.diag_indices_from(hess)] += ridge
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
+def _newton_direction(x, probs, ridge, grad, norms):
+    """Conjugate gradient on H d = -g per problem, each stopped at its forcing
+    tolerance min(0.5, sqrt||g||) ||g|| or after D*C iterations."""
+    forcing_sq = (np.minimum(0.5, np.sqrt(norms)) * norms) ** 2
+    direction, residual = np.zeros_like(grad), -grad
+    search, rs = residual.copy(), norms * norms
+    running = rs > forcing_sq
+    for _ in range(grad.shape[1] * grad.shape[2]):
+        h_search = objective_hvp(x, probs, ridge, search)
+        alpha = np.divide(rs, (search * h_search).sum(axis=(1, 2)),
+                          out=np.zeros_like(rs), where=running)
+        direction += alpha[:, None, None] * search
+        residual -= alpha[:, None, None] * h_search
+        rs_new = (residual * residual).sum(axis=(1, 2))
+        running &= rs_new > forcing_sq
+        if not running.any():
             break
-        scale = 1.0
-        for _ in range(40):
-            candidate = w - scale * step
-            if np.linalg.norm(value_and_grad(candidate)[1]) < grad_norm:
-                break
-            scale *= 0.5
-        else:
+        beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=running)
+        search = residual + beta[:, None, None] * search
+        rs = rs_new
+    return direction
+
+
+def _armijo_steps(x, probs, grad, direction, ridge, fraction=1e-4, halvings=60):
+    """Backtrack from the full step until f(theta + s d) - f(theta) <=
+    fraction * s <g, d>, per problem; 0 where no halving passes. The change
+    is s <g, d> + s^2 ridge ||d||^2 / 2 + loss_remainder, exact to rounding,
+    so the test still decides near the minimizer."""
+    slope = (1.0 - fraction) * (grad * direction).sum(axis=(1, 2))
+    quad = 0.5 * ridge * (direction * direction).sum(axis=(1, 2))
+    v = x @ direction
+    steps, pending, step = np.zeros(len(grad)), np.arange(len(grad)), 1.0
+    for _ in range(halvings):
+        ok = (step * slope[pending] + step * step * quad[pending]
+              + loss_remainder(probs[pending], v[pending], step)) <= 0.0
+        steps[pending[ok]] = step
+        pending, step = pending[~ok], 0.5 * step
+        if pending.size == 0:
             break
-        w = w - scale * step
-    return w
+    return steps
+
+
+def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
+    """The (T, D, C) minimizers of T problems given as (T, n, D) features and
+    (T, n, C) labels. Truncated Newton from theta = 0, per problem: conjugate
+    gradient on the closed-form Hessian-vector product and an Armijo line
+    search, until ||grad||_F <= grad_tolerance. A problem's iterates depend on
+    its own data only, so results are deterministic and a slice does not
+    change when the others do. Raises ConvergenceError with the worst gradient
+    norm when a problem is above tolerance after max_iterations Newton
+    iterations or its line search finds no decrease. With noise_b set, the
+    loss-perturbation objective has ridge (lam + rho) / n and linear term
+    noise_b / n."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if x.ndim != 3 or y.ndim != 3 or x.shape[:2] != y.shape[:2] or x.shape[1] == 0:
+        raise ValueError(f"features {x.shape} and labels {y.shape} must be nonempty "
+                         "(T, n, D) and (T, n, C) stacks")
+    t, n, d = x.shape
+    ridge, linear = cfg.lam, None
+    if cfg.noise_b is not None:
+        ridge, linear = (cfg.lam + cfg.rho) / n, np.asarray(cfg.noise_b, dtype=np.float64) / n
+        if linear.shape != (d, y.shape[2]):
+            raise ValueError(f"noise_b shape {linear.shape} does not match ({d}, {y.shape[2]})")
+
+    solved = np.zeros((t, d, y.shape[2]))
+    active, theta, xs, ys = np.arange(t), solved.copy(), x, y
+    _, grad, probs = regularized_objective(theta, xs, ys, ridge, linear)
+    for iteration in range(cfg.max_iterations + 1):
+        norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
+        done = norms <= cfg.grad_tolerance
+        if done.any():  # drop converged problems from the stack
+            solved[active[done]] = theta[done]
+            if done.all():
+                return solved
+            active, theta, grad, probs, norms = (
+                a[~done] for a in (active, theta, grad, probs, norms))
+            xs, ys = x[active], y[active]
+        if iteration == cfg.max_iterations:
+            break
+        direction = _newton_direction(xs, probs, ridge, grad, norms)
+        steps = _armijo_steps(xs, probs, grad, direction, ridge)
+        if not steps.all():
+            raise ConvergenceError("line search found no decrease", float(norms.max()))
+        theta = theta + steps[:, None, None] * direction
+        _, grad, probs = regularized_objective(theta, xs, ys, ridge, linear)
+    raise ConvergenceError(f"failed to reach gradient tolerance {cfg.grad_tolerance:g} "
+                           f"within {cfg.max_iterations} Newton iterations", float(norms.max()))
 
 
 def minimize_erm(data: LabeledDataset, cfg: TrainConfig) -> np.ndarray:
-    """Minimize the configured objective to ||grad||_F <= grad_tolerance.
-
-    Limited-memory quasi-Newton (Wolfe line search) from theta = 0, followed
-    by Newton polishing when the quasi-Newton floor is above the requested
-    tolerance on a small problem. Deterministic given (data, cfg); raises
-    ConvergenceError, carrying the last gradient norm, if the tolerance is
-    not met within the iteration caps.
-    """
-    value_and_grad, ridge = _objective(data, cfg)
-    d, c = data.n_features, data.n_classes
-    w0 = np.zeros(d * c)
-
-    result = _scipy_minimize(
-        value_and_grad, w0, jac=True, method="L-BFGS-B",
-        options={
-            "maxiter": cfg.max_iterations,
-            "ftol": 0.0,
-            "gtol": 0.5 * cfg.grad_tolerance / np.sqrt(d * c),
-            "maxls": 100,
-        },
-    )
-    w = result.x
-    grad_norm = float(np.linalg.norm(value_and_grad(w)[1]))
-    if grad_norm > cfg.grad_tolerance:
-        if d * c <= _POLISH_MAX_PARAMS and data.n_examples * (d * c) ** 2 <= _POLISH_MAX_WORK:
-            w = _newton_polish(w, value_and_grad, ridge, data, cfg)
-            grad_norm = float(np.linalg.norm(value_and_grad(w)[1]))
-        if grad_norm > cfg.grad_tolerance:
-            raise ConvergenceError(
-                f"failed to reach gradient tolerance {cfg.grad_tolerance:g} "
-                f"within {cfg.max_iterations} iterations", grad_norm)
-    return w.reshape(d, c)
+    """The T = 1 case of minimize_erm_stack: theta (D, C) for one dataset."""
+    return minimize_erm_stack(data.features[None], data.labels[None], cfg)[0]
 
 
 def predict_logits(theta, x) -> np.ndarray:
@@ -149,37 +153,3 @@ def predict_logits(theta, x) -> np.ndarray:
             raise ValueError(f"input has {x.shape[1]} features, model expects {theta.shape[0]}")
         return x @ theta
     raise ValueError("x must be a vector or a matrix of rows")
-
-
-# ---------------------------------------------------------------------------
-# Parameter file format: magic, endianness tag, D, C, then D*C float64 values.
-# ---------------------------------------------------------------------------
-
-_PARAMS_MAGIC = b"PLTH"
-
-
-def save_params(path, theta):
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2:
-        raise ValueError("theta must be a (D, C) matrix")
-    d, c = theta.shape
-    with open(path, "wb") as handle:
-        handle.write(_PARAMS_MAGIC)
-        handle.write(b"<")
-        handle.write(struct.pack("<II", d, c))
-        handle.write(np.ascontiguousarray(theta, dtype="<f8").tobytes())
-
-
-def load_params(path) -> np.ndarray:
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    if raw[:4] != _PARAMS_MAGIC:
-        raise ValueError(f"{path}: not a parameter file (bad magic)")
-    endian = raw[4:5].decode()
-    if endian not in "<>":
-        raise ValueError(f"{path}: unknown endianness tag {endian!r}")
-    d, c = struct.unpack(f"{endian}II", raw[5:13])
-    payload = np.frombuffer(raw, dtype=f"{endian}f8", count=d * c, offset=13)
-    if payload.size != d * c:
-        raise ValueError(f"{path}: truncated parameter payload")
-    return payload.reshape(d, c).astype(np.float64)

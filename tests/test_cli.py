@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from privlin import DpSgdConfig, PrivacySpec, cli, dpsgd_sigma_for_target, load_predictor
+from privlin import (DpSgdConfig, PrivacySpec, SweepConfig, cli, dpsgd_sigma_for_target,
+                     load_predictor)
+from privlin.bench import RECORD_HEADER
 
 
 def test_verify_passes(capsys):
@@ -71,3 +73,30 @@ def test_predict_records_the_spend_before_writing_answers(tmp_path):
         cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
                   "--out", str(tmp_path / "missing" / "answers.csv")])
     assert load_predictor(model).budget.used == 2
+
+
+def test_sweep_writes_trials_and_summary(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(SweepConfig(
+        mechanisms=("nonprivate", "subsample_aggregate"), budgets=(5,), n_models=(4,),
+        trials=2, base_seed=3,
+        synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0,
+               "n_test_per_class": 10}).to_json())
+    trials, summary = tmp_path / "trials.csv", tmp_path / "summary.csv"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(trials),
+                     "--summary-out", str(summary)]) == 0
+    assert "wrote 4 trial records" in capsys.readouterr().out
+    with open(trials, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert ",".join(rows[0]) == RECORD_HEADER
+    assert sorted((r["mechanism"], r["trial"]) for r in rows) == [
+        ("nonprivate", "0"), ("nonprivate", "1"),
+        ("subsample_aggregate", "0"), ("subsample_aggregate", "1")]
+    assert all(0.0 <= float(r["accuracy"]) <= 1.0 for r in rows)
+    with open(summary, newline="") as handle:
+        means = {r["mechanism"]: r for r in csv.DictReader(handle)}
+    assert set(means) == {"nonprivate", "subsample_aggregate"}
+    for mechanism, row in means.items():
+        accuracies = [float(r["accuracy"]) for r in rows if r["mechanism"] == mechanism]
+        assert float(row["mean_accuracy"]) == pytest.approx(np.mean(accuracies))
+        assert row["n_trials"] == "2"

@@ -325,6 +325,26 @@ class TestSubsampleAggregate:
         probs = vote_distribution([2, 1, 0], math.log(2.0))
         np.testing.assert_allclose(probs, [4 / 7, 2 / 7, 1 / 7], rtol=1e-12)
 
+    def test_vote_distribution_is_softmax_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        counts = rng.integers(0, 256, size=(50, 10))
+        for beta in (0.0, 1e-3, 0.37, 5.0, 1e3):
+            expected = softmax(beta * counts.astype(np.float64))
+            np.testing.assert_array_equal(vote_distribution(counts, beta), expected)
+            np.testing.assert_array_equal(vote_distribution(counts[3], beta), expected[3])
+
+    def test_sampled_labels_follow_the_softmax_vote(self):
+        predictor, test = degenerate_ensemble(41)
+        reference = twin(predictor, 200)
+        labels = answer_queries(twin(predictor, 200), test.features[:150])
+        expected = []
+        for x in test.features[:150]:
+            probs = softmax(predictor.vote_beta
+                            * ensemble_vote_counts(predictor.ensemble, x).astype(np.float64))
+            expected.append(reference.rng.choice(len(probs), p=probs))
+        np.testing.assert_array_equal(labels, expected)
+        assert len(set(expected)) > 1
+
     def test_zero_beta_is_uniform(self):
         probs = vote_distribution([7, 1, 0, 4], 0.0)
         np.testing.assert_allclose(probs, 0.25, rtol=1e-12)
@@ -371,6 +391,28 @@ class TestDispatchAndBudgets:
             assert answers.shape == (test.n_examples,)
             repeat = answer_queries(predictor, test.features)
             assert np.array_equal(answers, repeat)  # frozen parameters
+
+    @pytest.mark.parametrize("kind", ["nonprivate", "model_sensitivity", "loss_perturbation"])
+    def test_training_side_queries_are_validated(self, kind):
+        train, test = blob_splits(38)
+        predictor = fit_predictor(train, spec_for(kind), RngStream(39))
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = test.features[:4].copy()
+            rows[1, 2] = bad
+            with pytest.raises(ValueError, match="query must be finite"):
+                answer_queries(predictor, rows)
+            with pytest.raises(ValueError, match="query must be finite"):
+                predictor.predict(rows[1])
+        with pytest.raises(ValueError):
+            answer_queries(predictor, test.features[:4, :-1])
+        with pytest.raises(ValueError):
+            predictor.predict(test.features[0, :-1])
+        # Answers are post-processing: rows outside the unit ball are scored.
+        outside = 3.0 * test.features[:4]
+        np.testing.assert_array_equal(answer_queries(predictor, outside),
+                                      np.argmax(outside @ predictor.theta, axis=1))
+        np.testing.assert_array_equal(predictor.predict(outside[0]),
+                                      predict_logits(predictor.theta, outside[0]))
 
     def test_prediction_side_budget_is_exact(self):
         train, test = blob_splits(23)

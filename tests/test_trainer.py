@@ -9,13 +9,12 @@ from privlin import (
     RngStream,
     TrainConfig,
     erm_objective,
-    load_params,
     minimize_erm,
+    minimize_erm_stack,
     minimizer_sensitivity,
     predict_logits,
     perturbed_objective,
     ProblemDims,
-    save_params,
     synth_blobs,
 )
 
@@ -91,7 +90,7 @@ class TestMinimizeErm:
         assert np.linalg.norm(grad) <= 1e-10
 
     def test_convergence_error_carries_grad_norm(self):
-        # Wide problem (no Newton polish) with a one-iteration cap.
+        # Wide problem (D * C = 1400) with a one-Newton-iteration cap.
         rng = np.random.default_rng(6)
         features = rng.normal(size=(50, 700))
         features /= np.linalg.norm(features, axis=1, keepdims=True) * 1.01
@@ -105,6 +104,92 @@ class TestMinimizeErm:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             TrainConfig(lam=0.0)
+
+
+def mixed_stack(seed=12, n=30, d=20, c=4):
+    """Three problems of n rows: one that saw a single class, one with random
+    labels, and one of separated blobs; n < D * C for all three."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(3, n, d))
+    features /= np.linalg.norm(features, axis=2, keepdims=True) * 1.01
+    classes = np.stack([np.zeros(n, dtype=int), rng.integers(0, c, n),
+                        np.arange(n) % c])
+    features[2] += 0.3 * np.eye(d)[classes[2]]
+    features[2] /= np.linalg.norm(features[2], axis=1, keepdims=True) * 1.01
+    return features, np.eye(c)[classes]
+
+
+def stack_configs(d=20, c=4, tol=1e-9):
+    """The ERM objective, and loss perturbation with a ridge of 1e-6. The
+    rows are separable, so a larger linear term would put the minimizer
+    deep where every softmax saturates."""
+    noise = np.random.default_rng(13).normal(scale=0.01, size=(d, c))
+    return {
+        "erm": TrainConfig(lam=0.05, grad_tolerance=tol),
+        "loss_perturbation": TrainConfig(lam=1e-5, rho=2e-5, noise_b=noise,
+                                         grad_tolerance=tol),
+    }
+
+
+def objective_grad(theta, features, labels, cfg):
+    if cfg.noise_b is None:
+        return erm_objective(theta, features, labels, cfg.lam)[1]
+    return perturbed_objective(theta, features, labels, cfg.lam, cfg.noise_b, cfg.rho)[1]
+
+
+def ridge_of(cfg, n):
+    return cfg.lam if cfg.noise_b is None else (cfg.lam + cfg.rho) / n
+
+
+class TestMinimizeErmStack:
+    @pytest.mark.parametrize("objective", ["erm", "loss_perturbation"])
+    def test_every_problem_meets_the_tolerance(self, objective):
+        features, labels = mixed_stack()
+        cfg = stack_configs()[objective]
+        thetas = minimize_erm_stack(features, labels, cfg)
+        assert thetas.shape == (3, 20, 4)
+        for theta, x, y in zip(thetas, features, labels):
+            assert np.linalg.norm(objective_grad(theta, x, y, cfg)) <= cfg.grad_tolerance
+
+    @pytest.mark.parametrize("objective", ["erm", "loss_perturbation"])
+    def test_slices_match_single_solves(self, objective):
+        features, labels = mixed_stack()
+        cfg = stack_configs()[objective]
+        bound = 2 * cfg.grad_tolerance / ridge_of(cfg, features.shape[1])
+        thetas = minimize_erm_stack(features, labels, cfg)
+        for theta, x, y in zip(thetas, features, labels):
+            single = minimize_erm(LabeledDataset(x, y), cfg)
+            assert np.linalg.norm(theta - single) <= bound
+
+    def test_iteration_cap_reports_the_worst_gradient(self):
+        features, labels = mixed_stack()
+        cfg = TrainConfig(lam=0.05, max_iterations=1, grad_tolerance=1e-14)
+        singles = []
+        for x, y in zip(features, labels):
+            with pytest.raises(ConvergenceError) as err:
+                minimize_erm(LabeledDataset(x, y), cfg)
+            singles.append(err.value.grad_norm)
+        with pytest.raises(ConvergenceError, match="1 Newton iterations") as err:
+            minimize_erm_stack(features, labels, cfg)
+        assert err.value.grad_norm > 1e-14
+        assert err.value.grad_norm == pytest.approx(max(singles), rel=1e-9)
+
+    def test_deterministic(self):
+        features, labels = mixed_stack()
+        for cfg in stack_configs().values():
+            a = minimize_erm_stack(features, labels, cfg)
+            b = minimize_erm_stack(features, labels, cfg)
+            assert np.array_equal(a, b)
+
+    def test_shape_validation(self):
+        features, labels = mixed_stack()
+        cfg = TrainConfig(lam=0.1)
+        with pytest.raises(ValueError):
+            minimize_erm_stack(features[0], labels[0], cfg)
+        with pytest.raises(ValueError):
+            minimize_erm_stack(features[:2], labels, cfg)
+        with pytest.raises(ValueError):
+            minimize_erm_stack(features, labels, TrainConfig(lam=0.1, noise_b=np.zeros((4, 20))))
 
 
 class TestSensitivityBound:
@@ -159,27 +244,3 @@ class TestPredictLogits:
             predict_logits(np.zeros((4, 3)), np.zeros(5))
         with pytest.raises(ValueError):
             predict_logits(np.zeros((4, 3)), np.zeros((2, 5)))
-
-
-class TestParamsFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        theta = rng.normal(size=(6, 4))
-        path = tmp_path / "model.params"
-        save_params(path, theta)
-        np.testing.assert_array_equal(load_params(path), theta)
-
-    def test_big_endian_payload_readable(self, tmp_path):
-        theta = np.arange(6.0).reshape(2, 3)
-        path = tmp_path / "big.params"
-        with open(path, "wb") as handle:
-            handle.write(b"PLTH>")
-            handle.write(np.array([2, 3], dtype=">u4").tobytes())
-            handle.write(theta.astype(">f8").tobytes())
-        np.testing.assert_array_equal(load_params(path), theta)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.params"
-        path.write_bytes(b"nope" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_params(path)
