@@ -1,10 +1,11 @@
 """Noise-scale calibrations, composition accounting, and budget tracking.
 
-Every derived noise scale in the toolkit comes from here: the closed-form
+Every noise-scale formula in the toolkit lives here: the closed-form
 beta/sigma formulas for the sensitivity and perturbation mechanisms, the
 analytic Gaussian calibration, the advanced-composition search for per-query
 Gaussian noise, the vote inverse temperature for ensemble aggregation, and
-the Renyi accountant behind DP-SGD.
+the Renyi accountant behind DP-SGD. mechanisms.calibrate picks the formula
+each mechanism uses.
 """
 
 from __future__ import annotations
@@ -484,55 +485,3 @@ class BudgetState:
 
     def __repr__(self):
         return f"BudgetState(budget={self.budget}, used={self.used})"
-
-
-# ---------------------------------------------------------------------------
-# Audit report
-# ---------------------------------------------------------------------------
-
-def calibration_report(kind: str, dims: ProblemDims, spec: PrivacySpec,
-                       dpsgd: DpSgdConfig | None = None) -> dict:
-    """Structured audit record: mechanism, targets, and every derived scale."""
-    report = {
-        "mechanism": kind,
-        "epsilon": spec.epsilon,
-        "delta": spec.delta,
-        "budget": spec.budget,
-        "n_train": dims.n_train,
-        "lambda": dims.lam,
-        "n_classes": dims.n_classes,
-    }
-    if kind == "model_sensitivity":
-        if spec.delta == 0.0:
-            report.update(noise_family="radial_exponential",
-                          scale=model_sensitivity_beta(dims, spec))
-        else:
-            report.update(noise_family="gaussian", scale=gaussian_model_sigma(dims, spec))
-    elif kind == "loss_perturbation":
-        if spec.delta == 0.0:
-            beta, rho = loss_perturbation_params(dims, spec)
-            report.update(noise_family="radial_exponential", scale=beta, rho=rho)
-        else:
-            report.update(noise_family="gaussian", scale=gaussian_loss_sigma(dims, spec),
-                          rho=loss_perturbation_rho(dims, spec))
-    elif kind == "prediction_sensitivity":
-        if spec.delta == 0.0:
-            report.update(noise_family="radial_exponential",
-                          scale=prediction_sensitivity_beta(dims, spec))
-        else:
-            report.update(noise_family="gaussian",
-                          scale=gaussian_prediction_sigma(dims, spec))
-    elif kind == "subsample_aggregate":
-        report.update(noise_family="exponential_mechanism", scale=subsample_beta(spec))
-    elif kind == "dpsgd":
-        if dpsgd is None:
-            raise ValueError("dpsgd report requires a DpSgdConfig")
-        report.update(noise_family="gaussian",
-                      scale=dpsgd_sigma_for_target(spec, dpsgd),
-                      clip=dpsgd.clip, n_steps=dpsgd.n_steps,
-                      sample_rate=dpsgd.sample_rate)
-    elif kind == "nonprivate":
-        report.update(noise_family="none", scale=0.0)
-    else:
-        raise ValueError(f"unknown mechanism kind: {kind!r}")
-    return report

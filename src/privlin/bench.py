@@ -23,7 +23,7 @@ from .data import (
     synth_blob_pair,
     train_test_split,
 )
-from .mechanisms import PREDICTION_SIDE, BudgetState, MechanismSpec, answer_queries, fit_predictor
+from .mechanisms import KINDS, BudgetState, MechanismSpec, answer_queries, fit_predictor
 from .noise import RngStream
 
 RECORD_HEADER = ("mechanism,epsilon,delta,budget,n_train,dim,classes,lambda,"
@@ -223,7 +223,8 @@ def _run_trial(cfg, prep, config_index, config, trial):
         predictor = fit_predictor(train, spec, rng)
 
         truth = test.label_ints()
-        if predictor.kind in PREDICTION_SIDE and not cfg.score_on_full_test:
+        prediction_side = KINDS[predictor.kind].prediction_side
+        if prediction_side and not cfg.score_on_full_test:
             query_stream = RngStream(
                 cfg.base_seed, ((config_index + 1) << _TRIAL_SHIFT) + _QUERY_BIT)
             query_rng = query_stream.generator()
@@ -232,7 +233,7 @@ def _run_trial(cfg, prep, config_index, config, trial):
             answers = answer_queries(predictor, test.features[index])
             accuracy = float(np.mean(answers == truth[index]))
         else:
-            if predictor.kind in PREDICTION_SIDE:
+            if prediction_side:
                 # Alternative protocol: noise stays calibrated for B, but the
                 # gate is widened so the whole test set can be scored.
                 predictor.budget = BudgetState(test.n_examples)

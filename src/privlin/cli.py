@@ -6,14 +6,15 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .accounting import DpSgdConfig, PrivacySpec, calibration_report
+from .accounting import DpSgdConfig, PrivacySpec
 from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
 from .data import load_csv, load_idx, normalize_unit_ball, synth_blobs_raw
 from .mechanisms import (
-    PREDICTION_SIDE,
+    KINDS,
     MechanismSpec,
     answer_queries,
     fit_predictor,
@@ -63,7 +64,10 @@ def _cmd_train(args) -> int:
                          grad_tolerance=args.grad_tol, max_iterations=args.max_iter)
     predictor = fit_predictor(data, spec, RngStream(args.seed, 0))
     save_predictor(args.out, predictor)
-    report = calibration_report(args.mechanism, spec.dims(data), privacy, dpsgd)
+    # The targets, then the noise the predictor was built with.
+    report = {"mechanism": spec.kind, **asdict(privacy), "lambda": spec.lam,
+              "n_train": data.n_examples, "n_classes": data.n_classes,
+              **(asdict(dpsgd) if dpsgd else {}), **asdict(predictor.calibration)}
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"saved predictor to {args.out}")
     return 0
@@ -98,7 +102,7 @@ def _cmd_predict(args) -> int:
     n_answered = len(queries) if predictor.budget is None else min(
         len(queries), predictor.budget.remaining)
     labels = answer_queries(predictor, queries[:n_answered])
-    if predictor.kind in PREDICTION_SIDE:
+    if KINDS[predictor.kind].prediction_side:
         # Record the spend and noise-stream position before any answer leaves.
         save_predictor(args.model, predictor)
     lines = ["index,status,label"]
@@ -146,10 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="train one private predictor and serialize it")
-    train.add_argument("--mechanism", required=True,
-                       choices=["model_sensitivity", "loss_perturbation", "dpsgd",
-                                "prediction_sensitivity", "subsample_aggregate",
-                                "nonprivate"])
+    train.add_argument("--mechanism", required=True, choices=list(KINDS))
     train.add_argument("--synth", help="synthetic blobs, e.g. "
                                        "n_per_class=200,n_classes=4,dim=12,separation=3.0")
     train.add_argument("--idx-images")

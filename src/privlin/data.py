@@ -77,7 +77,10 @@ class LabeledDataset:
         if self.features.shape[0] < 1:
             raise ValueError("dataset must contain at least one example")
         norms = np.linalg.norm(self.features, axis=1)
-        if norms.max() > 1.0 + NORM_TOLERANCE:
+        # A NaN norm fails this test too, and an infinite entry gives an infinite norm.
+        if not norms.max() <= 1.0 + NORM_TOLERANCE:
+            if not np.isfinite(self.features).all():
+                raise ValueError("features must be finite")
             raise ValueError(
                 f"inputs must lie in the unit L2 ball; max norm {norms.max():.6g}")
         is_unit = (self.labels == 1.0).sum(axis=1) == 1
@@ -213,9 +216,6 @@ class UnitBallScaler:
         if np.any(excess):
             scaled[excess] /= norms[excess, None]
         return scaled
-
-    def fit_transform(self, features) -> np.ndarray:
-        return self.fit(features).transform(features)
 
 
 def normalize_unit_ball(data: RawDataset) -> LabeledDataset:

@@ -1,16 +1,22 @@
-"""The five private prediction pipelines, each yielding a budget-guarded predictor.
+"""The five private prediction pipelines and the non-private baseline.
 
 Training-side mechanisms (model sensitivity, loss perturbation, DP-SGD)
 release privatized parameters and answer unlimited queries by
 post-processing. Prediction-side mechanisms (prediction sensitivity,
 subsample-and-aggregate) keep non-private state and spend one unit of the
 inference budget per answered query.
+
+calibrate(spec, data) alone chooses a mechanism's noise as a Calibration
+(family, scale, rho); the fit applies exactly that record and the predictor
+keeps it. KINDS maps each kind to its fit function, its answer function and
+whether it is prediction-side; every kind dispatch reads that table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,16 +41,6 @@ from .losses import softmax
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
-MECHANISM_KINDS = (
-    "model_sensitivity",
-    "loss_perturbation",
-    "dpsgd",
-    "prediction_sensitivity",
-    "subsample_aggregate",
-)
-TRAINING_SIDE = ("model_sensitivity", "loss_perturbation", "dpsgd", "nonprivate")
-PREDICTION_SIDE = ("prediction_sensitivity", "subsample_aggregate")
-
 
 @dataclass
 class MechanismSpec:
@@ -59,7 +55,7 @@ class MechanismSpec:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.kind not in MECHANISM_KINDS and self.kind != "nonprivate":
+        if self.kind not in KINDS:
             raise ValueError(f"unknown mechanism kind: {self.kind!r}")
         if self.kind == "dpsgd":
             if self.privacy.delta == 0.0:
@@ -73,15 +69,26 @@ class MechanismSpec:
         if self.n_models < 1:
             raise ValueError("n_models must be at least 1")
 
-    def dims(self, data: LabeledDataset) -> ProblemDims:
-        return ProblemDims(n_train=data.n_examples, lam=self.lam,
-                           n_classes=data.n_classes)
-
     def train_config(self, **overrides) -> TrainConfig:
         kwargs = dict(lam=self.lam, max_iterations=self.max_iterations,
                       grad_tolerance=self.grad_tolerance)
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The noise a predictor applies, and loss perturbation's extra ridge rho.
+
+    family is "gaussian" (scale is sigma), "radial_exponential" (scale is
+    beta of the density exp(-beta ||b||)), "exponential_mechanism" (scale is
+    the vote inverse temperature) or "none": a fit given Calibration() adds
+    no noise.
+    """
+
+    family: str = "none"
+    scale: float = 0.0
+    rho: float = 0.0
 
 
 @dataclass
@@ -95,11 +102,9 @@ class PrivatePredictor:
 
     kind: str
     privacy: PrivacySpec
+    calibration: Calibration
     theta: np.ndarray | None = None
     ensemble: np.ndarray | None = None
-    noise_family: str = "none"
-    noise_scale: float = 0.0
-    vote_beta: float = 0.0
     budget: BudgetState | None = None
     rng: np.random.Generator | None = field(default=None, repr=False)
 
@@ -107,15 +112,27 @@ class PrivatePredictor:
     def remaining_budget(self):
         return None if self.budget is None else self.budget.remaining
 
+    @property
+    def n_features(self) -> int:
+        return self.theta.shape[0] if self.ensemble is None else self.ensemble.shape[1]
+
     def predict(self, x):
-        """Dispatch one query: logits for logit-valued kinds, an int label
-        for subsample-and-aggregate."""
-        if self.kind == "prediction_sensitivity":
-            return predict_prediction_sensitivity(self, x)
-        if self.kind == "subsample_aggregate":
-            return predict_subsample_aggregate(self, x)
-        row = _check_query(x, self.theta.shape[0], in_ball=False)
-        return predict_logits(self.theta, row[0])
+        """Answer one query: (C,) logits, or an integer label for
+        subsample-and-aggregate.
+
+        A prediction-side query must lie in the unit ball and spends one
+        budget unit; a refusal raises BudgetExhaustedError before any
+        computation touches the model.
+        """
+        kind = KINDS[self.kind]
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n_features,):
+            raise ValueError(f"query must be a length-{self.n_features} vector, "
+                             f"got shape {x.shape}")
+        row = _check_rows(x[None, :], kind.prediction_side)
+        if kind.prediction_side:
+            self.budget.consume()
+        return kind.answer(self, row)[0]
 
 
 def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
@@ -131,82 +148,86 @@ def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
     return rows
 
 
-def _check_query(x, n_features: int, in_ball: bool = True) -> np.ndarray:
-    """One validated query as a (1, n_features) row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n_features,):
-        raise ValueError(f"query must be a length-{n_features} vector, got shape {x.shape}")
-    return _check_rows(x[None, :], in_ball)
+# ---------------------------------------------------------------------------
+# Calibration
+# ---------------------------------------------------------------------------
+
+def calibrate(spec: MechanismSpec, data: LabeledDataset) -> Calibration:
+    """The noise spec.kind applies at spec.privacy when trained on data.
+
+    delta = 0 selects the radial-exponential variants, delta > 0 the Gaussian
+    ones. Kinds whose noise does not depend on (N, lam, C) build no
+    ProblemDims, which rejects the lam = 0 that DP-SGD allows.
+    """
+    kind, privacy = spec.kind, spec.privacy
+    if kind == "nonprivate":
+        return Calibration()
+    if kind == "dpsgd":
+        return Calibration("gaussian", dpsgd_sigma_for_target(privacy, spec.dpsgd))
+    if kind == "subsample_aggregate":
+        return Calibration("exponential_mechanism", subsample_beta(privacy))
+    dims = ProblemDims(n_train=data.n_examples, lam=spec.lam, n_classes=data.n_classes)
+    pure = privacy.delta == 0.0
+    if kind == "model_sensitivity":
+        if pure:
+            return Calibration("radial_exponential", model_sensitivity_beta(dims, privacy))
+        return Calibration("gaussian", gaussian_model_sigma(dims, privacy))
+    if kind == "loss_perturbation":
+        if pure:
+            beta, rho = loss_perturbation_params(dims, privacy)
+            return Calibration("radial_exponential", beta, rho)
+        return Calibration("gaussian", gaussian_loss_sigma(dims, privacy),
+                           loss_perturbation_rho(dims, privacy))
+    if kind == "prediction_sensitivity":
+        if pure:
+            return Calibration("radial_exponential", prediction_sensitivity_beta(dims, privacy))
+        return Calibration("gaussian", gaussian_prediction_sigma(dims, privacy))
+    raise ValueError(f"unknown mechanism kind: {kind!r}")
 
 
-def _check_queries(queries, n_features: int, in_ball: bool) -> np.ndarray:
-    """A validated (k, n_features) batch of query rows."""
-    rows = np.asarray(queries, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != n_features:
-        raise ValueError(f"queries must be rows of length {n_features}, got shape {rows.shape}")
-    return _check_rows(rows, in_ball)
+def _sample_noise(shape, calibration: Calibration, rng) -> np.ndarray:
+    """One draw of the calibration's additive noise; zeros for family "none"."""
+    if calibration.family == "radial_exponential":
+        return sample_radial_exponential(shape, calibration.scale, rng)
+    if calibration.family == "gaussian":
+        return sample_gaussian(shape, calibration.scale, rng)
+    return np.zeros(shape)
 
 
 # ---------------------------------------------------------------------------
 # Training-side mechanisms
 # ---------------------------------------------------------------------------
 
-def train_nonprivate(data: LabeledDataset, spec: MechanismSpec) -> PrivatePredictor:
-    """Plain regularized training; the no-noise baseline for sweeps."""
+def _fit_output_perturbation(data: LabeledDataset, spec: MechanismSpec,
+                             calibration: Calibration, rng) -> PrivatePredictor:
+    """Add calibrated noise to the regularized minimizer; release the result.
+    Model sensitivity, and with Calibration() the non-private baseline."""
     theta = minimize_erm(data, spec.train_config())
-    return PrivatePredictor(kind="nonprivate", privacy=spec.privacy, theta=theta)
+    theta = theta + _sample_noise(theta.shape, calibration, rng)
+    return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
+                            calibration=calibration, theta=theta)
 
 
-def train_model_sensitivity(data: LabeledDataset, spec: MechanismSpec, rng,
-                            unsafe_disable_noise: bool = False) -> PrivatePredictor:
-    """Add calibrated noise to the regularized minimizer; release the result."""
-    rng = as_generator(rng)
-    dims = spec.dims(data)
-    theta = minimize_erm(data, spec.train_config())
-    shape = (data.n_features, data.n_classes)
-    if not unsafe_disable_noise:
-        if spec.privacy.delta == 0.0:
-            beta = model_sensitivity_beta(dims, spec.privacy)
-            theta = theta + sample_radial_exponential(shape, beta, rng)
-        else:
-            sigma = gaussian_model_sigma(dims, spec.privacy)
-            theta = theta + sample_gaussian(shape, sigma, rng)
-    return PrivatePredictor(kind="model_sensitivity", privacy=spec.privacy, theta=theta)
-
-
-def train_loss_perturbation(data: LabeledDataset, spec: MechanismSpec, rng,
-                            unsafe_disable_noise: bool = False) -> PrivatePredictor:
+def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec,
+                           calibration: Calibration, rng) -> PrivatePredictor:
     """Minimize the objective with a random linear term plus extra ridge."""
-    rng = as_generator(rng)
-    dims = spec.dims(data)
-    shape = (data.n_features, data.n_classes)
-    if unsafe_disable_noise:
-        noise_b, rho = np.zeros(shape), 0.0
-    elif spec.privacy.delta == 0.0:
-        beta, rho = loss_perturbation_params(dims, spec.privacy)
-        noise_b = sample_radial_exponential(shape, beta, rng)
-    else:
-        sigma = gaussian_loss_sigma(dims, spec.privacy)
-        rho = loss_perturbation_rho(dims, spec.privacy)
-        noise_b = sample_gaussian(shape, sigma, rng)
-    theta = minimize_erm(data, spec.train_config(noise_b=noise_b, rho=rho))
-    return PrivatePredictor(kind="loss_perturbation", privacy=spec.privacy, theta=theta)
+    noise_b = _sample_noise((data.n_features, data.n_classes), calibration, rng)
+    theta = minimize_erm(data, spec.train_config(noise_b=noise_b, rho=calibration.rho))
+    return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
+                            calibration=calibration, theta=theta)
 
 
-def train_dpsgd(data: LabeledDataset, spec: MechanismSpec, rng,
-                unsafe_disable_noise: bool = False) -> PrivatePredictor:
+def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec,
+               calibration: Calibration, rng) -> PrivatePredictor:
     """Private SGD: per-example clipping, summed batch gradient, Gaussian noise.
 
     Each step draws a uniform without-replacement batch, clips every
     per-example gradient to norm at most clip, adds N(0, (sigma * clip)^2)
     noise to the sum, divides by the batch size, and applies the step. The
     per-example gradient of the singleton objective is x (p - y)^T + lam * theta.
+    sigma is the calibration's scale; family "none" adds no noise.
     """
-    if spec.privacy.delta == 0.0:
-        raise WrongVariantError("dpsgd does not support delta = 0")
     cfg = spec.dpsgd
-    if cfg is None:
-        raise ValueError("dpsgd requires a DpSgdConfig")
     n = data.n_examples
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
@@ -214,7 +235,7 @@ def train_dpsgd(data: LabeledDataset, spec: MechanismSpec, rng,
         raise ValueError(
             f"sample_rate {cfg.sample_rate} must equal batch_size / N = {cfg.batch_size / n}")
     rng = as_generator(rng)
-    sigma = 0.0 if unsafe_disable_noise else dpsgd_sigma_for_target(spec.privacy, cfg)
+    noisy = calibration.family == "gaussian"
 
     x, y = data.features, data.labels
     d, c = data.n_features, data.n_classes
@@ -237,63 +258,51 @@ def train_dpsgd(data: LabeledDataset, spec: MechanismSpec, rng,
         summed = xb.T @ (scales[:, None] * residual)
         if lam > 0.0:
             summed += lam * float(scales.sum()) * theta
-        if not unsafe_disable_noise:
-            summed = summed + sigma * cfg.clip * rng.standard_normal((d, c))
+        if noisy:
+            summed = summed + calibration.scale * cfg.clip * rng.standard_normal((d, c))
         theta = theta - cfg.learning_rate * (summed / cfg.batch_size)
 
-    return PrivatePredictor(kind="dpsgd", privacy=spec.privacy, theta=theta)
+    return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
+                            calibration=calibration, theta=theta)
+
+
+def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
+    """(k, C) logits of the released parameters; answering is post-processing."""
+    return predict_logits(predictor.theta, rows)
 
 
 # ---------------------------------------------------------------------------
 # Prediction-side mechanisms
 # ---------------------------------------------------------------------------
 
-def build_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec, rng,
-                                 unsafe_disable_noise: bool = False) -> PrivatePredictor:
+def _fit_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec,
+                                calibration: Calibration, rng) -> PrivatePredictor:
     """Non-private parameters plus a per-query noise scale and a budget gate."""
-    rng = as_generator(rng)
-    dims = spec.dims(data)
     theta = minimize_erm(data, spec.train_config())
-    if unsafe_disable_noise:
-        family, scale = "none", 0.0
-    elif spec.privacy.delta == 0.0:
-        family, scale = "radial_exponential", prediction_sensitivity_beta(dims, spec.privacy)
-    else:
-        family, scale = "gaussian", gaussian_prediction_sigma(dims, spec.privacy)
     return PrivatePredictor(
-        kind="prediction_sensitivity", privacy=spec.privacy, theta=theta,
-        noise_family=family, noise_scale=scale,
-        budget=BudgetState(spec.privacy.budget), rng=rng)
+        kind=spec.kind, privacy=spec.privacy, calibration=calibration, theta=theta,
+        budget=BudgetState(spec.privacy.budget), rng=as_generator(rng))
 
 
 def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     """(k, C) noisy logits for k validated, paid-for rows.
 
-    Draws the noise in the order k single queries would: one (k, C) Gaussian
-    block is k consecutive C-vector draws; the radial sampler draws a radius
-    after each direction, so it runs once per row.
+    Raw noisy logits are returned (not probabilities); consumers may
+    post-process freely. Draws the noise in the order k single queries
+    would: one (k, C) Gaussian block is k consecutive C-vector draws; the
+    radial sampler draws a radius after each direction, so it runs once per
+    row.
     """
     logits = predict_logits(predictor.theta, rows)
     k, c = logits.shape
-    if predictor.noise_family == "gaussian":
-        logits = logits + sample_gaussian((k, c), predictor.noise_scale, predictor.rng)
-    elif predictor.noise_family == "radial_exponential":
-        noise = [sample_radial_exponential((1, c), predictor.noise_scale, predictor.rng)
+    calibration = predictor.calibration
+    if calibration.family == "gaussian":
+        logits = logits + sample_gaussian((k, c), calibration.scale, predictor.rng)
+    elif calibration.family == "radial_exponential":
+        noise = [sample_radial_exponential((1, c), calibration.scale, predictor.rng)
                  for _ in range(k)]
         logits = logits + np.concatenate(noise)
     return logits
-
-
-def predict_prediction_sensitivity(predictor: PrivatePredictor, x) -> np.ndarray:
-    """Answer one query with fresh noisy logits, consuming one budget unit.
-
-    Raw noisy logits are returned (not probabilities); consumers may
-    post-process freely. A refusal raises BudgetExhaustedError before any
-    computation touches the model.
-    """
-    row = _check_query(x, predictor.theta.shape[0])
-    predictor.budget.consume()
-    return _noisy_logits(predictor, row)[0]
 
 
 def partition_indices(n: int, t: int, rng) -> np.ndarray:
@@ -312,13 +321,14 @@ def partition_indices(n: int, t: int, rng) -> np.ndarray:
     return perm[: t * subset_size].reshape(t, subset_size)
 
 
-def build_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
-                             rng) -> PrivatePredictor:
+def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
+                            calibration: Calibration, rng) -> PrivatePredictor:
     """Partition, train all sub-models in one stacked solve, and gate the noisy vote.
 
     A seeded shuffle precedes the split into n_models disjoint subsets of
     size floor(N / n_models); leftover examples are discarded. Changing one
-    training example can change at most one sub-model.
+    training example can change at most one sub-model. The calibration's
+    scale is the vote inverse temperature.
 
     The sub-models are stored in (D, T, C) memory and `ensemble` is that
     buffer's (T, D, C) transposed view, so ensemble_vote_counts can treat
@@ -329,9 +339,8 @@ def build_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
     thetas = minimize_erm_stack(data.features[parts], data.labels[parts],
                                 spec.train_config())
     return PrivatePredictor(
-        kind="subsample_aggregate", privacy=spec.privacy,
+        kind=spec.kind, privacy=spec.privacy, calibration=calibration,
         ensemble=_feature_major(thetas),
-        vote_beta=subsample_beta(spec.privacy),
         budget=BudgetState(spec.privacy.budget), rng=rng)
 
 
@@ -348,12 +357,12 @@ def ensemble_vote_counts(ensemble: np.ndarray, x) -> np.ndarray:
 
     All T sub-models score the rows in one matrix product against the
     (D, T*C) matrix of their parameters; that reshape is free for the
-    (D, T, C) memory of build_subsample_ensemble and copies any other layout
-    once per call. The product is a stack of (1, D) @ (D, T*C) products, so
-    every row, alone or in a batch, goes through the same BLAS matrix-vector
-    call and rounds the same way: a sub-model that never saw two classes
-    scores them equal up to rounding, and a GEMM would break that near-tie
-    differently from a single query's GEMV.
+    (D, T, C) memory of the subsample-and-aggregate fit and copies any other
+    layout once per call. The product is a stack of (1, D) @ (D, T*C)
+    products, so every row, alone or in a batch, goes through the same BLAS
+    matrix-vector call and rounds the same way: a sub-model that never saw
+    two classes scores them equal up to rounding, and a GEMM would break
+    that near-tie differently from a single query's GEMV.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -382,39 +391,41 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     arithmetic and draws as rng.choice(C, p=probs) called row by row.
     """
     counts = ensemble_vote_counts(predictor.ensemble, rows)
-    cdf = np.cumsum(vote_distribution(counts, predictor.vote_beta), axis=1)
+    cdf = np.cumsum(vote_distribution(counts, predictor.calibration.scale), axis=1)
     cdf /= cdf[:, -1:]
     uniforms = predictor.rng.random(rows.shape[0])
     return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
-def predict_subsample_aggregate(predictor: PrivatePredictor, x) -> int:
-    """Sample one label from the exponentiated vote histogram; spend one unit."""
-    row = _check_query(x, predictor.ensemble.shape[1])
-    predictor.budget.consume()
-    return int(_vote_labels(predictor, row)[0])
-
-
 # ---------------------------------------------------------------------------
-# Dispatch and batch scoring
+# The kind table, dispatch and batch scoring
 # ---------------------------------------------------------------------------
 
-def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng,
-                  unsafe_disable_noise: bool = False) -> PrivatePredictor:
-    """Train/build the predictor for spec.kind."""
-    if spec.kind == "nonprivate":
-        return train_nonprivate(data, spec)
-    if spec.kind == "model_sensitivity":
-        return train_model_sensitivity(data, spec, rng, unsafe_disable_noise)
-    if spec.kind == "loss_perturbation":
-        return train_loss_perturbation(data, spec, rng, unsafe_disable_noise)
-    if spec.kind == "dpsgd":
-        return train_dpsgd(data, spec, rng, unsafe_disable_noise)
-    if spec.kind == "prediction_sensitivity":
-        return build_prediction_sensitivity(data, spec, rng, unsafe_disable_noise)
-    if spec.kind == "subsample_aggregate":
-        return build_subsample_ensemble(data, spec, rng)
-    raise ValueError(f"unknown mechanism kind: {spec.kind!r}")
+@dataclass(frozen=True)
+class Kind:
+    """fit(data, spec, calibration, rng) -> PrivatePredictor; answer(predictor,
+    validated paid-for rows) -> (k, C) logits or (k,) labels."""
+
+    fit: Callable
+    answer: Callable
+    prediction_side: bool = False
+
+
+KINDS: dict[str, Kind] = {
+    "nonprivate": Kind(_fit_output_perturbation, _released_logits),
+    "model_sensitivity": Kind(_fit_output_perturbation, _released_logits),
+    "loss_perturbation": Kind(_fit_loss_perturbation, _released_logits),
+    "dpsgd": Kind(_fit_dpsgd, _released_logits),
+    "prediction_sensitivity": Kind(_fit_prediction_sensitivity, _noisy_logits,
+                                   prediction_side=True),
+    "subsample_aggregate": Kind(_fit_subsample_ensemble, _vote_labels,
+                                prediction_side=True),
+}
+
+
+def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng) -> PrivatePredictor:
+    """Calibrate spec's noise, then train/build spec.kind's predictor with it."""
+    return KINDS[spec.kind].fit(data, spec, calibrate(spec, data), rng)
 
 
 def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
@@ -427,22 +438,22 @@ def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
     whose labels and noise-stream position equal those of k single predict
     calls in row order.
     """
-    n_features = (predictor.theta.shape[0] if predictor.ensemble is None
-                  else predictor.ensemble.shape[1])
-    prediction_side = predictor.kind in PREDICTION_SIDE
-    rows = _check_queries(queries, n_features, in_ball=prediction_side)
-    if not prediction_side:
-        return predict_logits(predictor.theta, rows).argmax(axis=1)
-    predictor.budget.reserve(rows.shape[0])
+    kind = KINDS[predictor.kind]
+    rows = np.asarray(queries, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != predictor.n_features:
+        raise ValueError(f"queries must be rows of length {predictor.n_features}, "
+                         f"got shape {rows.shape}")
+    rows = _check_rows(rows, kind.prediction_side)
+    if kind.prediction_side:
+        predictor.budget.reserve(rows.shape[0])
     if rows.shape[0] == 0:
         return np.zeros(0, dtype=np.intp)
-    if predictor.kind == "prediction_sensitivity":
-        return _noisy_logits(predictor, rows).argmax(axis=1)
-    return _vote_labels(predictor, rows)
+    answers = kind.answer(predictor, rows)
+    return answers.argmax(axis=1) if answers.ndim == 2 else answers
 
 
 # ---------------------------------------------------------------------------
-# Serialization (kind, parameters, remaining budget, privacy spec, rng state)
+# Serialization (kind, calibration, parameters, budget, privacy spec, rng state)
 # ---------------------------------------------------------------------------
 
 def save_predictor(path, predictor: PrivatePredictor):
@@ -451,9 +462,7 @@ def save_predictor(path, predictor: PrivatePredictor):
         "epsilon": np.array(predictor.privacy.epsilon),
         "delta": np.array(predictor.privacy.delta),
         "spec_budget": np.array(predictor.privacy.budget),
-        "noise_family": np.array(predictor.noise_family),
-        "noise_scale": np.array(predictor.noise_scale),
-        "vote_beta": np.array(predictor.vote_beta),
+        "calibration": np.array(json.dumps(asdict(predictor.calibration))),
     }
     if predictor.theta is not None:
         payload["theta"] = predictor.theta
@@ -468,7 +477,16 @@ def save_predictor(path, predictor: PrivatePredictor):
 
 
 def load_predictor(path) -> PrivatePredictor:
+    """The predictor save_predictor wrote; ValueError for a file of an unknown
+    kind or without a calibration record (the older layout of three noise
+    fields, whose training-side files did not record their noise)."""
     with np.load(path, allow_pickle=False) as archive:
+        kind = str(archive["kind"])
+        if kind not in KINDS:
+            raise ValueError(f"{path}: unknown mechanism kind {kind!r}")
+        if "calibration" not in archive:
+            raise ValueError(f"{path}: no calibration record; this layout cannot be "
+                             "loaded faithfully, so train the predictor again")
         privacy = PrivacySpec(epsilon=float(archive["epsilon"]),
                               delta=float(archive["delta"]),
                               budget=int(archive["spec_budget"]))
@@ -483,13 +501,11 @@ def load_predictor(path) -> PrivatePredictor:
         if "ensemble" in archive:
             ensemble = _feature_major(archive["ensemble"])
         return PrivatePredictor(
-            kind=str(archive["kind"]),
+            kind=kind,
             privacy=privacy,
+            calibration=Calibration(**json.loads(str(archive["calibration"]))),
             theta=archive["theta"] if "theta" in archive else None,
             ensemble=ensemble,
-            noise_family=str(archive["noise_family"]),
-            noise_scale=float(archive["noise_scale"]),
-            vote_beta=float(archive["vote_beta"]),
             budget=budget,
             rng=rng,
         )

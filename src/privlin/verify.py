@@ -22,7 +22,7 @@ from .accounting import (
 )
 from .data import LabeledDataset, synth_blobs
 from .losses import LIPSCHITZ_K, mc_logistic_grad, mc_logistic_hessian
-from .mechanisms import MechanismSpec, build_prediction_sensitivity, predict_prediction_sensitivity
+from .mechanisms import MechanismSpec, fit_predictor
 from .noise import RngStream, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm
 
@@ -100,13 +100,13 @@ def check_budget(seed: int = 2):
     budget = 4
     spec = MechanismSpec(kind="prediction_sensitivity",
                          privacy=PrivacySpec(1.0, 0.0, budget), lam=0.1)
-    predictor = build_prediction_sensitivity(data, spec, RngStream(seed, 1))
+    predictor = fit_predictor(data, spec, RngStream(seed, 1))
     for _ in range(budget):
-        predict_prediction_sensitivity(predictor, data.features[0])
+        predictor.predict(data.features[0])
     refused = 0
     for _ in range(3):
         try:
-            predict_prediction_sensitivity(predictor, data.features[0])
+            predictor.predict(data.features[0])
         except BudgetExhaustedError:
             refused += 1
     ok = refused == 3 and predictor.budget.used == budget

@@ -19,7 +19,6 @@ from privlin import (
     WrongVariantError,
     analytic_gaussian_alpha,
     calibrate_gaussian_sigma,
-    calibration_report,
     dpsgd_epsilon,
     dpsgd_sigma_for_target,
     gaussian_loss_sigma,
@@ -537,21 +536,3 @@ class TestBudgetState:
         assert not any(t.is_alive() for t in threads)
         assert sum(granted) == state.used
         assert state.budget - 6 <= state.used <= state.budget  # only k > remaining refused
-
-
-class TestCalibrationReport:
-    def test_reports_cover_all_mechanisms(self):
-        d = dims(1000, 0.1, 3)
-        for kind, delta in [("model_sensitivity", 0.0), ("model_sensitivity", 1e-5),
-                            ("loss_perturbation", 0.0), ("loss_perturbation", 1e-5),
-                            ("prediction_sensitivity", 0.0),
-                            ("subsample_aggregate", 0.0), ("nonprivate", 0.0)]:
-            report = calibration_report(kind, d, PrivacySpec(1.0, delta, 10))
-            assert report["mechanism"] == kind
-            assert report["epsilon"] == 1.0
-            assert report["budget"] == 10
-            assert "scale" in report and "noise_family" in report
-        cfg = DpSgdConfig(clip=0.1, batch_size=100, n_steps=50, sample_rate=0.1)
-        report = calibration_report("dpsgd", d, PrivacySpec(1.0, 1e-5, 10), cfg)
-        assert report["noise_family"] == "gaussian"
-        assert report["scale"] > 0

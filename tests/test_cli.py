@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from privlin import (DpSgdConfig, PrivacySpec, SweepConfig, cli, dpsgd_sigma_for_target,
+import privlin
+from privlin import (KINDS, DpSgdConfig, PrivacySpec, SweepConfig, cli, dpsgd_sigma_for_target,
                      load_predictor)
 from privlin.bench import RECORD_HEADER
 
@@ -29,6 +30,45 @@ def test_train_dpsgd_reports_the_calibrated_sigma(tmp_path, capsys):
     assert report["sample_rate"] == cfg.sample_rate
     assert report["scale"] == dpsgd_sigma_for_target(PrivacySpec(1.0, 1e-5, 100), cfg)
     assert model.exists()
+
+
+def test_train_dpsgd_at_zero_lambda_reports_the_saved_calibration(tmp_path, capsys):
+    model = tmp_path / "dpsgd.npz"
+    assert cli.main(["train", "--mechanism", "dpsgd", "--lam", "0", "--delta", "1e-5",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--batch", "10", "--steps", "5", "--out", str(model)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[:out.rindex("saved predictor to")])
+    calibration = load_predictor(model).calibration
+    assert report["lambda"] == 0.0
+    assert report["family"] == calibration.family == "gaussian"
+    assert report["scale"] == calibration.scale
+    assert report["rho"] == calibration.rho == 0.0
+
+
+def test_train_dpsgd_searches_sigma_once(tmp_path, monkeypatch):
+    calls = []
+    search = privlin.mechanisms.dpsgd_sigma_for_target
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    # Both names, so a search reached through either module is counted.
+    monkeypatch.setattr(privlin.mechanisms, "dpsgd_sigma_for_target", counted)
+    monkeypatch.setattr(privlin.accounting, "dpsgd_sigma_for_target", counted)
+    assert cli.main(["train", "--mechanism", "dpsgd", "--delta", "1e-5",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--batch", "10", "--steps", "5",
+                     "--out", str(tmp_path / "dpsgd.npz")]) == 0
+    assert len(calls) == 1
+
+
+def test_mechanism_choices_are_the_kind_table():
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    mechanism = next(a for a in subcommands["train"]._actions if a.dest == "mechanism")
+    assert mechanism.choices == list(KINDS)
 
 
 def read_answers(path):

@@ -14,6 +14,7 @@ from privlin import (
     UnitBallScaler,
     answer_queries,
     filter_classes,
+    fit_predictor,
     load_csv,
     load_idx,
     normalize_unit_ball,
@@ -25,7 +26,6 @@ from privlin import (
     synth_blob_pair,
     synth_blobs,
     synth_blobs_raw,
-    train_nonprivate,
     train_test_split,
 )
 
@@ -260,7 +260,7 @@ class TestSynthBlobs:
         ds = synth_blobs(40, 3, 6, 50.0, RngStream(20))
         spec = MechanismSpec(kind="nonprivate", privacy=PrivacySpec(1.0), lam=1e-4,
                              grad_tolerance=1e-8)
-        predictor = train_nonprivate(ds, spec)
+        predictor = fit_predictor(ds, spec, 0)
         train_acc = float(np.mean(answer_queries(predictor, ds.features)
                                   == ds.label_ints()))
         assert train_acc == 1.0
@@ -270,7 +270,7 @@ class TestSynthBlobs:
         train, test, _, _ = preprocess_pair(raw_train, raw_test)
         spec = MechanismSpec(kind="nonprivate", privacy=PrivacySpec(1.0), lam=0.01,
                              grad_tolerance=1e-8)
-        predictor = train_nonprivate(train, spec)
+        predictor = fit_predictor(train, spec, 0)
         acc = float(np.mean(answer_queries(predictor, test.features)
                             == test.label_ints()))
         assert abs(acc - 1 / 3) < 0.12
@@ -285,7 +285,7 @@ class TestSynthBlobs:
         train, test, _, _ = preprocess_pair(raw_train, raw_test)
         spec = MechanismSpec(kind="nonprivate", privacy=PrivacySpec(1.0), lam=0.01,
                              grad_tolerance=1e-8)
-        predictor = train_nonprivate(train, spec)
+        predictor = fit_predictor(train, spec, 0)
         acc = float(np.mean(answer_queries(predictor, test.features)
                             == test.label_ints()))
         assert acc > 0.9
@@ -319,6 +319,14 @@ class TestLabeledDatasetValidation:
     def test_rejects_norm_violation(self):
         with pytest.raises(ValueError):
             LabeledDataset(features=np.array([[2.0, 0.0]]), labels=np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        # One non-finite entry in an otherwise valid dataset.
+        features = np.full((4, 3), 0.1)
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            LabeledDataset(features=features, labels=one_hot([0, 1, 0, 1], 2))
 
     def test_rejects_soft_labels(self):
         with pytest.raises(ValueError):

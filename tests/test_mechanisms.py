@@ -6,33 +6,41 @@ import numpy as np
 import pytest
 
 from privlin import (
+    KINDS,
     BudgetExhaustedError,
     BudgetState,
+    Calibration,
     DpSgdConfig,
     LabeledDataset,
     MechanismSpec,
     PrivacySpec,
     PrivatePredictor,
+    ProblemDims,
     RngStream,
     TrainConfig,
     WrongVariantError,
     answer_queries,
-    build_prediction_sensitivity,
-    build_subsample_ensemble,
+    calibrate,
+    dpsgd_sigma_for_target,
     ensemble_vote_counts,
     fit_predictor,
+    gaussian_loss_sigma,
+    gaussian_model_sigma,
+    gaussian_prediction_sigma,
     load_predictor,
+    loss_perturbation_params,
+    loss_perturbation_rho,
     minimize_erm,
+    model_sensitivity_beta,
+    one_hot,
     predict_logits,
-    predict_prediction_sensitivity,
-    predict_subsample_aggregate,
+    prediction_sensitivity_beta,
+    sample_gaussian,
+    sample_radial_exponential,
     save_predictor,
     softmax,
+    subsample_beta,
     synth_blob_pair,
-    train_dpsgd,
-    train_loss_perturbation,
-    train_model_sensitivity,
-    train_nonprivate,
     vote_distribution,
 )
 from privlin.data import preprocess_pair
@@ -57,6 +65,16 @@ def spec_for(kind, eps=1.0, delta=0.0, budget=100, lam=0.1, n_models=16, dpsgd=N
                          grad_tolerance=1e-9)
 
 
+def fit_noise_free(data, spec, rng):
+    """spec.kind's fit given the noise-free Calibration()."""
+    return KINDS[spec.kind].fit(data, spec, Calibration(), rng)
+
+
+def fit_nonprivate(data, spec):
+    """The non-private baseline at spec's lam and tolerances."""
+    return fit_predictor(data, dataclasses.replace(spec, kind="nonprivate"), 0)
+
+
 class TestMechanismSpec:
     def test_dpsgd_requires_positive_delta(self):
         cfg = DpSgdConfig(clip=0.1, batch_size=10, n_steps=5, sample_rate=0.1)
@@ -72,36 +90,95 @@ class TestMechanismSpec:
             MechanismSpec(kind="laplace", privacy=PrivacySpec(1.0))
 
 
+class TestCalibrate:
+    def test_calibrations_cover_all_mechanisms(self):
+        # N = 1000, C = 3: calibrate reads only the row and class counts.
+        data = LabeledDataset(np.zeros((1000, 2)), one_hot(np.arange(1000) % 3, 3))
+        d = ProblemDims(1000, 0.1, 3)
+        pure, approx = PrivacySpec(1.0, 0.0, 10), PrivacySpec(1.0, 1e-5, 10)
+        expected = {
+            ("model_sensitivity", 0.0): ("radial_exponential",
+                                         model_sensitivity_beta(d, pure), 0.0),
+            ("model_sensitivity", 1e-5): ("gaussian", gaussian_model_sigma(d, approx), 0.0),
+            ("loss_perturbation", 0.0): ("radial_exponential",
+                                         *loss_perturbation_params(d, pure)),
+            ("loss_perturbation", 1e-5): ("gaussian", gaussian_loss_sigma(d, approx),
+                                          loss_perturbation_rho(d, approx)),
+            ("prediction_sensitivity", 0.0): ("radial_exponential",
+                                              prediction_sensitivity_beta(d, pure), 0.0),
+            ("prediction_sensitivity", 1e-5): ("gaussian",
+                                               gaussian_prediction_sigma(d, approx), 0.0),
+            ("subsample_aggregate", 0.0): ("exponential_mechanism", subsample_beta(pure), 0.0),
+            ("subsample_aggregate", 1e-5): ("exponential_mechanism",
+                                            subsample_beta(approx), 0.0),
+            ("nonprivate", 0.0): ("none", 0.0, 0.0),
+        }
+        for (kind, delta), (family, scale, rho) in expected.items():
+            spec = spec_for(kind, delta=delta, budget=10)
+            calibration = calibrate(spec, data)
+            assert calibration == Calibration(family, scale, rho), (kind, delta)
+            assert (calibration.rho > 0) == (kind == "loss_perturbation")
+        # DP-SGD at lam = 0, which the problem constants of the other kinds reject.
+        cfg = DpSgdConfig(clip=0.1, batch_size=100, n_steps=50, sample_rate=0.1)
+        spec = spec_for("dpsgd", delta=1e-5, budget=10, lam=0.0, dpsgd=cfg)
+        assert calibrate(spec, data) == Calibration(
+            "gaussian", dpsgd_sigma_for_target(approx, cfg))
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_fit_records_its_calibration(self, kind, tmp_path):
+        train, _ = blob_splits(42, n_train_per_class=20)
+        dpsgd = DpSgdConfig.for_dataset(train.n_examples, 20, 5, 0.1)
+        for delta in (0.0, 1e-5):
+            if kind == "dpsgd" and delta == 0.0:
+                continue
+            spec = spec_for(kind, delta=delta, budget=10, n_models=4, dpsgd=dpsgd)
+            predictor = fit_predictor(train, spec, RngStream(43))
+            assert predictor.calibration == calibrate(spec, train)
+            save_predictor(tmp_path / "model.npz", predictor)
+            assert load_predictor(tmp_path / "model.npz").calibration == predictor.calibration
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-5])
+    def test_recorded_calibration_is_the_applied_noise(self, delta):
+        train, _ = blob_splits(44)
+        spec = spec_for("model_sensitivity", delta=delta)
+        predictor = fit_predictor(train, spec, RngStream(45))
+        calibration = predictor.calibration
+        base = fit_nonprivate(train, spec).theta
+        sampler = sample_gaussian if delta else sample_radial_exponential
+        assert calibration.family == ("gaussian" if delta else "radial_exponential")
+        noise = sampler(base.shape, calibration.scale, RngStream(45))
+        np.testing.assert_array_equal(predictor.theta, base + noise)
+
+
 class TestModelSensitivity:
     def test_disabled_noise_reduces_to_nonprivate(self):
         train, test = blob_splits(1)
         spec = spec_for("model_sensitivity")
-        noisy_off = train_model_sensitivity(train, spec, RngStream(5),
-                                            unsafe_disable_noise=True)
-        baseline = train_nonprivate(train, spec)
+        noisy_off = fit_noise_free(train, spec, RngStream(5))
+        baseline = fit_nonprivate(train, spec)
         np.testing.assert_array_equal(noisy_off.theta, baseline.theta)
 
     def test_huge_epsilon_recovers_nonprivate_predictions(self):
         train, test = blob_splits(2)
         spec = spec_for("model_sensitivity", eps=1e8)
-        predictor = train_model_sensitivity(train, spec, RngStream(6))
-        baseline = train_nonprivate(train, spec)
+        predictor = fit_predictor(train, spec, RngStream(6))
+        baseline = fit_nonprivate(train, spec)
         assert np.array_equal(answer_queries(predictor, test.features),
                               answer_queries(baseline, test.features))
 
     def test_gaussian_variant_uses_gaussian_noise(self):
         train, _ = blob_splits(3)
         spec = spec_for("model_sensitivity", delta=1e-5)
-        predictor = train_model_sensitivity(train, spec, RngStream(7))
+        predictor = fit_predictor(train, spec, RngStream(7))
         assert predictor.kind == "model_sensitivity"
         assert predictor.remaining_budget is None
 
     def test_accuracy_between_chance_and_nonprivate(self):
         train, test = blob_splits(4, n_train_per_class=67, c=3, d=6)
         spec = spec_for("model_sensitivity", eps=1.0, lam=0.1)
-        baseline_acc = accuracy(train_nonprivate(train, spec), test)
+        baseline_acc = accuracy(fit_nonprivate(train, spec), test)
         accs = [
-            accuracy(train_model_sensitivity(train, spec, RngStream(100, t)), test)
+            accuracy(fit_predictor(train, spec, RngStream(100, t)), test)
             for t in range(50)
         ]
         mean_acc = float(np.mean(accs))
@@ -113,8 +190,7 @@ class TestLossPerturbation:
         train, _ = blob_splits(5)
         lam = 0.5
         spec = spec_for("loss_perturbation", lam=lam)
-        hook = train_loss_perturbation(train, spec, RngStream(8),
-                                       unsafe_disable_noise=True)
+        hook = fit_noise_free(train, spec, RngStream(8))
         plain = minimize_erm(train, TrainConfig(lam=lam / train.n_examples,
                                                 grad_tolerance=1e-9))
         assert np.linalg.norm(hook.theta - plain) < 1e-6
@@ -125,7 +201,7 @@ class TestLossPerturbation:
         for eps in (10.0, 1.0, 0.1):
             spec = spec_for("loss_perturbation", eps=eps, lam=0.1)
             accs = [
-                accuracy(train_loss_perturbation(train, spec, RngStream(200, t)), test)
+                accuracy(fit_predictor(train, spec, RngStream(200, t)), test)
                 for t in range(30)
             ]
             means[eps] = float(np.mean(accs))
@@ -157,15 +233,14 @@ class TestDpSgd:
                              dpsgd=cfg)
         spec.kind = "dpsgd"  # bypass constructor validation to hit the runtime check
         with pytest.raises(WrongVariantError):
-            train_dpsgd(train, spec, RngStream(1))
+            fit_predictor(train, spec, RngStream(1))
 
     def test_disabled_noise_and_clip_match_plain_sgd(self):
         train, _ = blob_splits(9)
         n, d, c = train.n_examples, train.n_features, train.n_classes
         cfg = DpSgdConfig.for_dataset(n, 40, 25, clip=1e9, learning_rate=0.7)
         spec = spec_for("dpsgd", delta=1e-5, lam=0.0, dpsgd=cfg)
-        predictor = train_dpsgd(train, spec, RngStream(10, 3),
-                                unsafe_disable_noise=True)
+        predictor = fit_noise_free(train, spec, RngStream(10, 3))
 
         rng = RngStream(10, 3).generator()
         theta = np.zeros((d, c))
@@ -185,7 +260,7 @@ class TestDpSgd:
         nu = 0.5
         cfg = DpSgdConfig.for_dataset(n, n, 1, clip=nu, learning_rate=1.0)
         spec = spec_for("dpsgd", delta=1e-5, lam=0.0, dpsgd=cfg)
-        predictor = train_dpsgd(train, spec, RngStream(11), unsafe_disable_noise=True)
+        predictor = fit_noise_free(train, spec, RngStream(11))
 
         residual = softmax(train.features @ np.zeros((d, c))) - train.labels
         grads = train.features[:, :, None] * residual[:, None, :]
@@ -209,7 +284,7 @@ class TestDpSgd:
         # One step from zero: theta = -lr (clipped_sum + sigma nu z) / n, so
         # Var(theta entries) across streams = (lr sigma nu / n)^2.
         thetas = np.stack([
-            train_dpsgd(train, spec, RngStream(12, t)).theta for t in range(400)
+            fit_predictor(train, spec, RngStream(12, t)).theta for t in range(400)
         ])
         from privlin import dpsgd_sigma_for_target
         sigma = dpsgd_sigma_for_target(spec.privacy, cfg)
@@ -223,57 +298,57 @@ class TestDpSgd:
                           sample_rate=1.0)
         spec = spec_for("dpsgd", delta=1e-5, dpsgd=cfg)
         with pytest.raises(ValueError):
-            train_dpsgd(train, spec, RngStream(1))
+            fit_predictor(train, spec, RngStream(1))
 
 
 class TestPredictionSensitivity:
     def test_fresh_noise_per_query(self):
         train, test = blob_splits(13)
         spec = spec_for("prediction_sensitivity", budget=10)
-        predictor = build_prediction_sensitivity(train, spec, RngStream(14))
+        predictor = fit_predictor(train, spec, RngStream(14))
         x = test.features[0]
-        first = predict_prediction_sensitivity(predictor, x)
-        second = predict_prediction_sensitivity(predictor, x)
+        first = predictor.predict(x)
+        second = predictor.predict(x)
         assert not np.array_equal(first, second)
 
     def test_vanishing_noise_recovers_logits(self):
         train, test = blob_splits(14)
         spec = spec_for("prediction_sensitivity", eps=1e9, budget=5)
-        predictor = build_prediction_sensitivity(train, spec, RngStream(15))
+        predictor = fit_predictor(train, spec, RngStream(15))
         x = test.features[0]
-        noisy = predict_prediction_sensitivity(predictor, x)
+        noisy = predictor.predict(x)
         exact = predict_logits(predictor.theta, x)
         np.testing.assert_allclose(noisy, exact, atol=1e-6)
 
     def test_noise_scale_inverse_in_budget(self):
         train, _ = blob_splits(15)
-        one = build_prediction_sensitivity(
+        one = fit_predictor(
             train, spec_for("prediction_sensitivity", budget=1), RngStream(16))
-        hundred = build_prediction_sensitivity(
+        hundred = fit_predictor(
             train, spec_for("prediction_sensitivity", budget=100), RngStream(16))
-        assert hundred.noise_scale == pytest.approx(one.noise_scale / 100, rel=1e-12)
+        assert hundred.calibration.scale == pytest.approx(one.calibration.scale / 100, rel=1e-12)
 
     def test_budget_refusal(self):
         train, test = blob_splits(16)
         spec = spec_for("prediction_sensitivity", budget=3)
-        predictor = build_prediction_sensitivity(train, spec, RngStream(17))
+        predictor = fit_predictor(train, spec, RngStream(17))
         for i in range(3):
-            predict_prediction_sensitivity(predictor, test.features[i])
+            predictor.predict(test.features[i])
         with pytest.raises(BudgetExhaustedError):
-            predict_prediction_sensitivity(predictor, test.features[3])
+            predictor.predict(test.features[3])
         assert predictor.budget.used == 3
 
     def test_query_validation(self):
         train, _ = blob_splits(17)
         spec = spec_for("prediction_sensitivity", budget=5)
-        predictor = build_prediction_sensitivity(train, spec, RngStream(18))
+        predictor = fit_predictor(train, spec, RngStream(18))
         with pytest.raises(ValueError):
-            predict_prediction_sensitivity(predictor, np.zeros(train.n_features + 1))
+            predictor.predict(np.zeros(train.n_features + 1))
         with pytest.raises(ValueError):
-            predict_prediction_sensitivity(predictor, np.full(train.n_features, 1.0))
+            predictor.predict(np.full(train.n_features, 1.0))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                predict_prediction_sensitivity(predictor, np.full(train.n_features, bad))
+                predictor.predict(np.full(train.n_features, bad))
         assert predictor.budget.used == 0  # refused before consuming
 
 
@@ -288,14 +363,14 @@ class TestSubsampleAggregate:
     def test_too_many_models(self):
         train, _ = blob_splits(18)
         with pytest.raises(ValueError):
-            build_subsample_ensemble(train, spec_for("subsample_aggregate",
-                                                     n_models=train.n_examples + 1),
-                                     RngStream(20))
+            fit_predictor(train, spec_for("subsample_aggregate",
+                                          n_models=train.n_examples + 1),
+                          RngStream(20))
 
     def test_votes_sum_to_ensemble_size(self):
         train, test = blob_splits(19)
         spec = spec_for("subsample_aggregate", n_models=12)
-        predictor = build_subsample_ensemble(train, spec, RngStream(21))
+        predictor = fit_predictor(train, spec, RngStream(21))
         counts = ensemble_vote_counts(predictor.ensemble, test.features)
         assert counts.shape == (test.n_examples, train.n_classes)
         assert np.all(counts.sum(axis=1) == 12)
@@ -305,12 +380,12 @@ class TestSubsampleAggregate:
     def test_one_changed_example_touches_at_most_one_submodel(self):
         train, test = blob_splits(20, n_train_per_class=40, c=3, d=5)
         spec = spec_for("subsample_aggregate", n_models=10, lam=0.1)
-        ensemble_a = build_subsample_ensemble(train, spec, RngStream(22)).ensemble
+        ensemble_a = fit_predictor(train, spec, RngStream(22)).ensemble
 
         swapped = LabeledDataset(train.features.copy(), train.labels.copy())
         swapped.features[17] = swapped.features[17] * 0.5
         swapped.labels[17] = np.roll(swapped.labels[17], 1)
-        ensemble_b = build_subsample_ensemble(swapped, spec, RngStream(22)).ensemble
+        ensemble_b = fit_predictor(swapped, spec, RngStream(22)).ensemble
 
         differing = sum(
             0 if np.array_equal(a, b) else 1
@@ -339,7 +414,7 @@ class TestSubsampleAggregate:
         labels = answer_queries(twin(predictor, 200), test.features[:150])
         expected = []
         for x in test.features[:150]:
-            probs = softmax(predictor.vote_beta
+            probs = softmax(predictor.calibration.scale
                             * ensemble_vote_counts(predictor.ensemble, x).astype(np.float64))
             expected.append(reference.rng.choice(len(probs), p=probs))
         np.testing.assert_array_equal(labels, expected)
@@ -360,11 +435,11 @@ class TestSubsampleAggregate:
         draws = 20000
         predictor = PrivatePredictor(
             kind="subsample_aggregate", privacy=PrivacySpec(1.0, 0.0, draws),
-            ensemble=ensemble, vote_beta=math.log(2.0),
+            calibration=Calibration("exponential_mechanism", math.log(2.0)), ensemble=ensemble,
             budget=BudgetState(draws), rng=RngStream(23).generator())
         x = np.array([1.0, 0.0])
         np.testing.assert_array_equal(ensemble_vote_counts(ensemble, x), [2, 1, 0])
-        labels = np.array([predict_subsample_aggregate(predictor, x)
+        labels = np.array([predictor.predict(x)
                            for _ in range(draws)])
         freqs = np.bincount(labels, minlength=3) / draws
         expected = np.array([4 / 7, 2 / 7, 1 / 7])
@@ -374,11 +449,11 @@ class TestSubsampleAggregate:
     def test_budget_refusal(self):
         train, test = blob_splits(21)
         spec = spec_for("subsample_aggregate", budget=2, n_models=8)
-        predictor = build_subsample_ensemble(train, spec, RngStream(24))
-        predict_subsample_aggregate(predictor, test.features[0])
-        predict_subsample_aggregate(predictor, test.features[1])
+        predictor = fit_predictor(train, spec, RngStream(24))
+        predictor.predict(test.features[0])
+        predictor.predict(test.features[1])
         with pytest.raises(BudgetExhaustedError):
-            predict_subsample_aggregate(predictor, test.features[2])
+            predictor.predict(test.features[2])
 
 
 class TestDispatchAndBudgets:
@@ -441,29 +516,57 @@ class TestSerialization:
     def test_round_trip_resumes_noise_stream(self, tmp_path):
         train, test = blob_splits(25)
         spec = spec_for("prediction_sensitivity", budget=10)
-        predictor = build_prediction_sensitivity(train, spec, RngStream(28))
-        predict_prediction_sensitivity(predictor, test.features[0])
-        predict_prediction_sensitivity(predictor, test.features[1])
+        predictor = fit_predictor(train, spec, RngStream(28))
+        predictor.predict(test.features[0])
+        predictor.predict(test.features[1])
         path = tmp_path / "pred.npz"
         save_predictor(path, predictor)
 
-        original_next = predict_prediction_sensitivity(predictor, test.features[2])
+        original_next = predictor.predict(test.features[2])
         loaded = load_predictor(path)
         assert loaded.budget.used == 2
-        loaded_next = predict_prediction_sensitivity(loaded, test.features[2])
+        loaded_next = loaded.predict(test.features[2])
         np.testing.assert_array_equal(loaded_next, original_next)
+
+    def test_unknown_kind_is_refused(self, tmp_path):
+        train, _ = blob_splits(46)
+        save_predictor(tmp_path / "model.npz",
+                       fit_predictor(train, spec_for("model_sensitivity"), RngStream(47)))
+        with np.load(tmp_path / "model.npz") as archive:
+            payload = dict(archive)
+        payload["kind"] = np.array("laplace")
+        np.savez(tmp_path / "unknown.npz", **payload)
+        with pytest.raises(ValueError, match="unknown mechanism kind 'laplace'"):
+            load_predictor(tmp_path / "unknown.npz")
+
+    @pytest.mark.parametrize("kind", ["model_sensitivity", "subsample_aggregate"])
+    def test_file_without_calibration_record_is_refused(self, kind, tmp_path):
+        # The older layout: three noise fields, where training-side kinds
+        # recorded "none" even after adding noise.
+        payload = {"kind": np.array(kind), "epsilon": np.array(1.0),
+                   "delta": np.array(0.0), "spec_budget": np.array(5),
+                   "noise_family": np.array("none"), "noise_scale": np.array(0.0),
+                   "vote_beta": np.array(0.0 if kind == "model_sensitivity" else 0.2)}
+        if kind == "model_sensitivity":
+            payload["theta"] = np.zeros((3, 2))
+        else:
+            payload.update(ensemble=np.zeros((4, 3, 2)), budget_total=np.array(5),
+                           budget_used=np.array(0))
+        np.savez(tmp_path / "old.npz", **payload)
+        with pytest.raises(ValueError, match="no calibration record"):
+            load_predictor(tmp_path / "old.npz")
 
     def test_round_trip_ensemble(self, tmp_path):
         train, test = blob_splits(26)
         spec = spec_for("subsample_aggregate", budget=5, n_models=6)
-        predictor = build_subsample_ensemble(train, spec, RngStream(29))
+        predictor = fit_predictor(train, spec, RngStream(29))
         path = tmp_path / "ens.npz"
         save_predictor(path, predictor)
         loaded = load_predictor(path)
         assert np.array_equal(loaded.ensemble, predictor.ensemble)
-        assert loaded.vote_beta == predictor.vote_beta
-        a = predict_subsample_aggregate(predictor, test.features[0])
-        b = predict_subsample_aggregate(loaded, test.features[0])
+        assert loaded.calibration == predictor.calibration
+        a = predictor.predict(test.features[0])
+        b = loaded.predict(test.features[0])
         assert a == b  # identical rng state resumes identically
 
 
@@ -479,7 +582,7 @@ def degenerate_ensemble(seed, n_models=40):
     train, test = blob_splits(seed, n_train_per_class=20, n_test_per_class=20,
                               c=10, d=20, sep=1.0)
     spec = spec_for("subsample_aggregate", eps=50.0, budget=200, n_models=n_models)
-    return build_subsample_ensemble(train, spec, RngStream(seed, 1)), test
+    return fit_predictor(train, spec, RngStream(seed, 1)), test
 
 
 class TestBatchAnswering:
@@ -521,7 +624,7 @@ class TestBatchAnswering:
             train, test = blob_splits(32)
             delta = 1e-5 if case == "gaussian" else 0.0
             spec = spec_for("prediction_sensitivity", delta=delta, budget=200)
-            predictor = build_prediction_sensitivity(train, spec, RngStream(33))
+            predictor = fit_predictor(train, spec, RngStream(33))
         rows = test.features[:120]
         single = twin(predictor, 200)
         if case == "subsample_reloaded":
@@ -541,7 +644,7 @@ class TestBatchAnswering:
     def test_vote_counts_match_per_model_loop(self):
         train, test = blob_splits(34, n_train_per_class=150, c=4, d=8)
         spec = spec_for("subsample_aggregate", n_models=9)
-        built = build_subsample_ensemble(train, spec, RngStream(35)).ensemble
+        built = fit_predictor(train, spec, RngStream(35)).ensemble
         plain = np.ascontiguousarray(built)
         rows = test.features
         expected = np.zeros((len(rows), train.n_classes), dtype=int)

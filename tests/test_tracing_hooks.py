@@ -1,7 +1,8 @@
-"""The names the benchmark tracer patches must exist on privlin.
+"""The names the benchmark tracer patches must exist on privlin and be called.
 
 perfbench/tracing.py wraps privlin functions by (module, attribute); a
-rename or removal on the privlin side would crash every traced run. The
+rename or removal on the privlin side would crash every traced run, and a
+call that moves to another module would silently report 0 for its span. The
 table is read from the file's source, not imported or executed.
 """
 
@@ -10,6 +11,7 @@ import importlib
 from pathlib import Path
 
 import privlin
+from privlin import KINDS, MechanismSpec, PrivacySpec, RngStream, SweepConfig, synth_blobs
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +40,40 @@ def test_every_patched_name_resolves():
 def test_patched_methods_exist():
     assert callable(privlin.mechanisms.PrivatePredictor.predict)
     assert callable(privlin.accounting.BudgetState.consume)
+
+
+# Spans whose patch sites no privlin code calls: the solver reaches the
+# objective through losses.regularized_objective, and no dense Hessian is built.
+DEAD_SPANS = {"losses.objective", "losses.mc_logistic_hessian"}
+
+
+def test_every_patched_name_is_called(monkeypatch):
+    calls = {}
+
+    def counted(span, fn):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for span, targets in patch_table():
+        calls[span] = 0
+        for module_name, attr in targets:
+            module = importlib.import_module(f"privlin.{module_name}")
+            monkeypatch.setattr(module, attr, counted(span, getattr(module, attr)))
+
+    cfg = SweepConfig(mechanisms=tuple(KINDS), deltas=(0.0, 1e-5), budgets=(3,),
+                      n_models=(4,), trials=1, base_seed=5, dpsgd_batch=8, dpsgd_steps=5,
+                      synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0,
+                             "n_test_per_class": 5})
+    records = privlin.bench.run_sweep(cfg)
+    failed = {(r.mechanism, r.delta) for r in records if r.error is not None}
+    assert failed == {("dpsgd", 0.0)}  # DP-SGD has no delta = 0 variant
+    data = synth_blobs(20, 3, 5, 3.0, RngStream(6))
+    for kind in (kind for kind, entry in KINDS.items() if entry.prediction_side):
+        spec = MechanismSpec(kind=kind, privacy=PrivacySpec(1.0, 1e-5, 4), lam=0.1,
+                             n_models=4)
+        predictor = privlin.mechanisms.fit_predictor(data, spec, RngStream(7))
+        predictor.predict(data.features[0])
+        privlin.mechanisms.answer_queries(predictor, data.features[1:3])
+    assert {span for span, n in calls.items() if n == 0} == DEAD_SPANS
