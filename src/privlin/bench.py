@@ -8,7 +8,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,11 +26,6 @@ from .data import (
 from .mechanisms import KINDS, BudgetState, MechanismSpec, answer_queries, fit_predictor
 from .noise import RngStream
 
-RECORD_HEADER = ("mechanism,epsilon,delta,budget,n_train,dim,classes,lambda,"
-                 "ensemble,trial,seed,accuracy,wall_time_s")
-SUMMARY_HEADER = ("mechanism,epsilon,delta,budget,n_train,dim,classes,lambda,"
-                  "ensemble,mean_accuracy,std_accuracy,n_trials")
-
 # Stream-id layout: trial streams occupy (config_index + 1) << 24 | trial,
 # per-configuration query streams add the half-range bit, and preprocessing
 # streams sit below 1 << 24. Keeps all streams disjoint for trials < 2^23.
@@ -38,14 +33,18 @@ _TRIAL_SHIFT = 24
 _QUERY_BIT = 1 << 23
 _MAX_TRIALS = _QUERY_BIT
 
+# The SweepConfig grid axes, one per SweepCell field and in the same order.
+_AXES = ("mechanisms", "epsilons", "deltas", "budgets", "n_train", "dims", "classes",
+         "lambdas", "n_models")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Grids, trial count, and data source of one sweep.
 
-    Grid axes that a mechanism ignores (e.g. the clip grid outside dpsgd)
-    still multiply the configuration count; configure them with single
-    values unless the sweep is about them.
+    Every grid axis is a CSV column and multiplies the configuration count,
+    even for mechanisms that ignore it. The DP-SGD clip norm has no column,
+    so `clips` takes exactly one value.
     """
 
     mechanisms: tuple = ("model_sensitivity",)
@@ -60,7 +59,7 @@ class SweepConfig:
     clips: tuple = (0.1,)
     trials: int = 100
     base_seed: int = 0
-    # data source: exactly one of synth / idx paths / csv_path
+    # data source: exactly one of synth / all four idx paths / csv_path
     synth: dict | None = None
     idx_train_images: str | None = None
     idx_train_labels: str | None = None
@@ -79,18 +78,21 @@ class SweepConfig:
     score_on_full_test: bool = False
 
     def __post_init__(self):
-        for name in ("mechanisms", "epsilons", "deltas", "budgets", "n_train",
-                     "dims", "classes", "lambdas", "n_models", "clips"):
+        for name in _AXES + ("clips",):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"grid {name} must be nonempty")
+        if len(self.clips) != 1:
+            raise ValueError(f"clips takes exactly one value, got {self.clips}")
         if self.trials < 1 or self.trials >= _MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}), got {self.trials}")
-        sources = [self.synth is not None, self.idx_train_images is not None,
-                   self.csv_path is not None]
-        if sum(sources) != 1:
+        idx = [path is not None for path in (self.idx_train_images, self.idx_train_labels,
+                                             self.idx_test_images, self.idx_test_labels)]
+        if any(idx) and not all(idx):
+            raise ValueError("an idx source needs all four idx_* paths")
+        if sum([self.synth is not None, all(idx), self.csv_path is not None]) != 1:
             raise ValueError("configure exactly one data source (synth, idx, or csv)")
 
     def to_json(self) -> str:
@@ -107,7 +109,13 @@ class SweepConfig:
 
 
 @dataclass
-class TrialRecord:
+class SweepCell:
+    """The nine configuration columns that open both CSVs, in column order.
+
+    In a grid cell, n_train, dim and classes may be None (keep all); a record
+    holds the resolved sizes, or 0 if preparing the split failed.
+    """
+
     mechanism: str
     epsilon: float
     delta: float
@@ -117,28 +125,22 @@ class TrialRecord:
     classes: int
     lam: float
     n_models: int
+
+    def config_key(self):
+        return tuple(getattr(self, f.name) for f in fields(SweepCell))
+
+
+@dataclass
+class TrialRecord(SweepCell):
     trial: int
     seed: int
     accuracy: float
     wall_time_s: float
     error: str | None = None
 
-    def config_key(self):
-        return (self.mechanism, self.epsilon, self.delta, self.budget, self.n_train,
-                self.dim, self.classes, self.lam, self.n_models)
-
 
 @dataclass
-class SummaryRecord:
-    mechanism: str
-    epsilon: float
-    delta: float
-    budget: int
-    n_train: int
-    dim: int
-    classes: int
-    lam: float
-    n_models: int
+class SummaryRecord(SweepCell):
     mean_accuracy: float
     std_accuracy: float
     n_trials: int
@@ -146,22 +148,17 @@ class SummaryRecord:
 
 def _load_source(cfg: SweepConfig) -> tuple[RawDataset, RawDataset]:
     if cfg.synth is not None:
-        params = dict(cfg.synth)
-        n_test_per_class = params.pop("n_test_per_class", None)
-        base = dict(n_per_class=int(params["n_per_class"]),
-                    n_classes=int(params["n_classes"]),
-                    dim=int(params["dim"]),
-                    separation=float(params["separation"]))
-        extra = set(params) - {"n_per_class", "n_classes", "dim", "separation"}
+        params = cfg.synth
+        n_per_class, n_test = int(params["n_per_class"]), params.get("n_test_per_class")
+        extra = set(params) - {"n_per_class", "n_test_per_class", "n_classes", "dim",
+                               "separation"}
         if extra:
             raise ValueError(f"unknown synth keys: {sorted(extra)}")
-        if n_test_per_class is None:
-            n_test_per_class = max(1, base["n_per_class"] // 4)
         return synth_blob_pair(
-            n_train_per_class=base["n_per_class"],
-            n_test_per_class=int(n_test_per_class),
-            n_classes=base["n_classes"], dim=base["dim"],
-            separation=base["separation"], rng=RngStream(cfg.base_seed, 1))
+            n_train_per_class=n_per_class,
+            n_test_per_class=max(1, n_per_class // 4) if n_test is None else int(n_test),
+            n_classes=int(params["n_classes"]), dim=int(params["dim"]),
+            separation=float(params["separation"]), rng=RngStream(cfg.base_seed, 1))
     if cfg.idx_train_images is not None:
         train = load_idx(cfg.idx_train_images, cfg.idx_train_labels)
         test = load_idx(cfg.idx_test_images, cfg.idx_test_labels)
@@ -170,53 +167,50 @@ def _load_source(cfg: SweepConfig) -> tuple[RawDataset, RawDataset]:
     return train_test_split(full, cfg.test_fraction, RngStream(cfg.base_seed, 3))
 
 
-def _grid(cfg: SweepConfig):
-    return list(itertools.product(
-        cfg.mechanisms, cfg.epsilons, cfg.deltas, cfg.budgets, cfg.n_train,
-        cfg.dims, cfg.classes, cfg.lambdas, cfg.n_models, cfg.clips))
+def _prepare_splits(cfg: SweepConfig) -> dict:
+    """Map each (n_train, dim, classes) key to its preprocessed (train, test)
+    splits, or to the exception that preparing them raised.
 
-
-class _PrepCache:
-    """Preprocessed (train, test) splits per (classes, n_train, dim) key."""
-
-    def __init__(self, cfg, raw_train, raw_test):
-        self.cfg = cfg
-        self.raw_train = raw_train
-        self.raw_test = raw_test
-        self.cache = {}
-
-    def get(self, keep_classes, n_train, dim):
-        key = (keep_classes, n_train, dim)
-        if key not in self.cache:
-            train, test = self.raw_train, self.raw_test
-            if keep_classes is not None and keep_classes < train.n_classes:
-                train = filter_classes(train, keep_classes)
-                test = filter_classes(test, keep_classes)
+    Keys are prepared once, in grid order; the k-th successful subsample
+    draws from stream (base_seed, 1000 + k).
+    """
+    raw_train, raw_test = _load_source(cfg)
+    splits, prepared = {}, 0
+    for key in dict.fromkeys(itertools.product(cfg.n_train, cfg.dims, cfg.classes)):
+        n_train, dim, classes = key
+        try:
+            train, test = raw_train, raw_test
+            if classes is not None and classes < train.n_classes:
+                train, test = filter_classes(train, classes), filter_classes(test, classes)
             if n_train is not None and n_train < train.n_examples:
-                stream = RngStream(self.cfg.base_seed, 1000 + len(self.cache))
-                train = subsample_train(train, n_train, stream)
-            prepared_train, prepared_test, _, _ = preprocess_pair(train, test, dim)
-            self.cache[key] = (prepared_train, prepared_test)
-        return self.cache[key]
+                train = subsample_train(train, n_train,
+                                        RngStream(cfg.base_seed, 1000 + prepared))
+            splits[key] = preprocess_pair(train, test, dim)[:2]
+            prepared += 1
+        except Exception as exc:  # noqa: BLE001 - every trial of the key records it
+            splits[key] = exc
+    return splits
 
 
-def _run_trial(cfg, prep, config_index, config, trial):
-    mechanism, eps, delta, budget, n_train, dim, classes, lam, n_models, clip = config
+def _run_trial(cfg, splits, config_index, cell, trial):
     stream_id = ((config_index + 1) << _TRIAL_SHIFT) + trial
     start = time.perf_counter()
     resolved = dict(n_train=0, dim=0, classes=0)
     try:
-        train, test = prep.get(classes, n_train, dim)
+        split = splits[(cell.n_train, cell.dim, cell.classes)]
+        if isinstance(split, Exception):
+            raise split.with_traceback(None)
+        train, test = split
         resolved = dict(n_train=train.n_examples, dim=train.n_features,
                         classes=train.n_classes)
-        privacy = PrivacySpec(epsilon=eps, delta=delta, budget=budget)
+        privacy = PrivacySpec(epsilon=cell.epsilon, delta=cell.delta, budget=cell.budget)
         dpsgd = None
-        if mechanism == "dpsgd":
+        if cell.mechanism == "dpsgd":
             dpsgd = DpSgdConfig.for_dataset(
                 train.n_examples, min(cfg.dpsgd_batch, train.n_examples),
-                cfg.dpsgd_steps, clip, cfg.dpsgd_learning_rate)
-        spec = MechanismSpec(kind=mechanism, privacy=privacy, lam=lam,
-                             n_models=n_models, dpsgd=dpsgd,
+                cfg.dpsgd_steps, cfg.clips[0], cfg.dpsgd_learning_rate)
+        spec = MechanismSpec(kind=cell.mechanism, privacy=privacy, lam=cell.lam,
+                             n_models=cell.n_models, dpsgd=dpsgd,
                              grad_tolerance=cfg.grad_tolerance,
                              max_iterations=cfg.max_iterations)
         rng = RngStream(cfg.base_seed, stream_id).generator()
@@ -225,11 +219,10 @@ def _run_trial(cfg, prep, config_index, config, trial):
         truth = test.label_ints()
         prediction_side = KINDS[predictor.kind].prediction_side
         if prediction_side and not cfg.score_on_full_test:
-            query_stream = RngStream(
-                cfg.base_seed, ((config_index + 1) << _TRIAL_SHIFT) + _QUERY_BIT)
-            query_rng = query_stream.generator()
-            index = query_rng.choice(test.n_examples, size=budget,
-                                     replace=budget > test.n_examples)
+            query_rng = RngStream(
+                cfg.base_seed, ((config_index + 1) << _TRIAL_SHIFT) + _QUERY_BIT).generator()
+            index = query_rng.choice(test.n_examples, size=cell.budget,
+                                     replace=cell.budget > test.n_examples)
             answers = answer_queries(predictor, test.features[index])
             accuracy = float(np.mean(answers == truth[index]))
         else:
@@ -243,11 +236,8 @@ def _run_trial(cfg, prep, config_index, config, trial):
     except Exception as exc:  # noqa: BLE001 - sweep must continue past bad rows
         accuracy, error = float("nan"), f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start
-    return TrialRecord(
-        mechanism=mechanism, epsilon=eps, delta=delta, budget=budget,
-        n_train=resolved["n_train"], dim=resolved["dim"], classes=resolved["classes"],
-        lam=lam, n_models=n_models, trial=trial, seed=stream_id,
-        accuracy=accuracy, wall_time_s=wall, error=error)
+    return TrialRecord(**{**vars(cell), **resolved}, trial=trial, seed=stream_id,
+                       accuracy=accuracy, wall_time_s=wall, error=error)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
@@ -259,29 +249,15 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
     the sweep continues. Records are deterministic given the config except
     for wall_time_s.
     """
-    raw_train, raw_test = _load_source(cfg)
-    prep = _PrepCache(cfg, raw_train, raw_test)
-    grid = _grid(cfg)
-
-    # Preprocessing cache keys must be created in deterministic order even
-    # when trials run on a pool, so touch them up front.
-    for config in grid:
-        _, _, _, _, n_train, dim, classes, _, _, _ = config
-        try:
-            prep.get(classes, n_train, dim)
-        except Exception:  # noqa: BLE001 - the trial will record the failure
-            pass
-
-    tasks = [(index, config, trial)
-             for index, config in enumerate(grid)
+    splits = _prepare_splits(cfg)
+    grid = itertools.product(*(getattr(cfg, axis) for axis in _AXES))
+    tasks = [(index, SweepCell(*values), trial)
+             for index, values in enumerate(grid)
              for trial in range(cfg.trials)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda task: _run_trial(cfg, prep, *task), tasks))
-    else:
-        records = [_run_trial(cfg, prep, *task) for task in tasks]
-    return records
+            return list(pool.map(lambda task: _run_trial(cfg, splits, *task), tasks))
+    return [_run_trial(cfg, splits, *task) for task in tasks]
 
 
 def summarize(records) -> list[SummaryRecord]:
@@ -306,35 +282,43 @@ def summarize(records) -> list[SummaryRecord]:
     return summaries
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# CSV header names that differ from the field names.
+_COLUMN_NAMES = {"lam": "lambda", "n_models": "ensemble"}
+# Every field whose type has a cast is a CSV column (`error` is not); types are
+# annotation strings because of `from __future__ import annotations`. The cast
+# normalises a value before it is written and parses it when read back;
+# str() of a float is its shortest round-trip repr.
+_CASTS = {"str": str, "int": int, "float": float}
+
+
+def _columns(cls) -> list:
+    return [f for f in fields(cls) if f.type in _CASTS]
+
+
+def _header(cls) -> str:
+    return ",".join(_COLUMN_NAMES.get(f.name, f.name) for f in _columns(cls))
+
+
+RECORD_HEADER = _header(TrialRecord)
+SUMMARY_HEADER = _header(SummaryRecord)
+
+
+def _write_csv(cls, rows, path):
+    columns = _columns(cls)
+    lines = [_header(cls)]
+    lines += [",".join(str(_CASTS[f.type](getattr(row, f.name))) for f in columns)
+              for row in rows]
+    with open(path, "w", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def emit_csv(records, path):
     """Write trial records with the exact canonical header, one row per trial."""
-    lines = [RECORD_HEADER]
-    for r in records:
-        lines.append(",".join(_format(v) for v in (
-            r.mechanism, float(r.epsilon), float(r.delta), int(r.budget),
-            int(r.n_train), int(r.dim), int(r.classes), float(r.lam),
-            int(r.n_models), int(r.trial), int(r.seed), float(r.accuracy),
-            float(r.wall_time_s))))
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(TrialRecord, records, path)
 
 
 def emit_summary_csv(summaries, path):
-    lines = [SUMMARY_HEADER]
-    for s in summaries:
-        lines.append(",".join(_format(v) for v in (
-            s.mechanism, float(s.epsilon), float(s.delta), int(s.budget),
-            int(s.n_train), int(s.dim), int(s.classes), float(s.lam),
-            int(s.n_models), float(s.mean_accuracy), float(s.std_accuracy),
-            int(s.n_trials))))
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(SummaryRecord, summaries, path)
 
 
 def read_records_csv(path) -> list[TrialRecord]:
@@ -343,13 +327,7 @@ def read_records_csv(path) -> list[TrialRecord]:
         lines = handle.read().splitlines()
     if not lines or lines[0] != RECORD_HEADER:
         raise ValueError(f"{path}: unexpected header")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        records.append(TrialRecord(
-            mechanism=parts[0], epsilon=float(parts[1]), delta=float(parts[2]),
-            budget=int(parts[3]), n_train=int(parts[4]), dim=int(parts[5]),
-            classes=int(parts[6]), lam=float(parts[7]), n_models=int(parts[8]),
-            trial=int(parts[9]), seed=int(parts[10]), accuracy=float(parts[11]),
-            wall_time_s=float(parts[12])))
-    return records
+    columns = _columns(TrialRecord)
+    return [TrialRecord(**{f.name: _CASTS[f.type](part)
+                           for f, part in zip(columns, line.split(","), strict=True)})
+            for line in lines[1:]]

@@ -6,7 +6,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def _cmd_sweep(args) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    if overrides:
-        cfg = SweepConfig.from_json(json.dumps({**json.loads(cfg.to_json()), **overrides}))
+    cfg = replace(cfg, **overrides)
     records = run_sweep(cfg, threads=args.threads)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} trial records to {args.out}")

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,11 +12,17 @@ from privlin import (
     emit_summary_csv,
     run_sweep,
     summarize,
+    synth_blobs_raw,
 )
+from privlin import bench
 from privlin.bench import RECORD_HEADER, SUMMARY_HEADER, read_records_csv
 
 SYNTH = {"n_per_class": 60, "n_classes": 3, "dim": 5, "separation": 3.0,
          "n_test_per_class": 30}
+TRIAL_COLUMNS = ("mechanism,epsilon,delta,budget,n_train,dim,classes,lambda,ensemble,"
+                 "trial,seed,accuracy,wall_time_s")
+SUMMARY_COLUMNS = ("mechanism,epsilon,delta,budget,n_train,dim,classes,lambda,ensemble,"
+                   "mean_accuracy,std_accuracy,n_trials")
 
 
 def tiny_config(**overrides):
@@ -53,6 +60,18 @@ class TestConfig:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(epsilons=())
+
+    def test_more_than_one_clip_rejected(self):
+        # No CSV column tells clips apart, so summarize would merge the cells.
+        with pytest.raises(ValueError, match="clips"):
+            tiny_config(mechanisms=("dpsgd",), deltas=(1e-5,), clips=(0.01, 10.0))
+        assert tiny_config(clips=[0.5]).clips == (0.5,)
+
+    def test_partial_idx_source_rejected(self):
+        with pytest.raises(ValueError, match="idx"):
+            SweepConfig(idx_train_images="train-images.idx")
+        with pytest.raises(ValueError, match="idx"):
+            SweepConfig(idx_train_images="a", idx_train_labels="b", idx_test_images="c")
 
 
 class TestRunSweep:
@@ -115,12 +134,72 @@ class TestRunSweep:
         combos = {(r.classes, r.dim, r.n_train) for r in records}
         assert (2, 3, 50) in combos and (3, 5, 180) in combos
 
+    def test_each_split_prepared_once_before_the_trials(self, monkeypatch):
+        dims_prepared = []
+        preprocess_pair = bench.preprocess_pair
+
+        def counted(train, test, dim):
+            dims_prepared.append(dim)
+            return preprocess_pair(train, test, dim)
+
+        monkeypatch.setattr(bench, "preprocess_pair", counted)
+        cfg = tiny_config(mechanisms=("nonprivate", "model_sensitivity"), dims=(50, None),
+                          trials=3, synth={**SYNTH, "dim": 4})
+        records = run_sweep(cfg)
+        assert dims_prepared == [50, None]
+        failed = [r for r in records if r.error is not None]
+        assert len(failed) == 6
+        assert all(r.error == "ValueError: target_dim must lie in [1, 4], got 50"
+                   and r.dim == 0 and math.isnan(r.accuracy) for r in failed)
+        assert all(r.dim == 4 for r in records if r.error is None)
+
     def test_score_on_full_test_protocol(self):
         cfg = tiny_config(mechanisms=("prediction_sensitivity",), budgets=(5,),
                           trials=1, score_on_full_test=True)
         records = run_sweep(cfg)
         assert records[0].error is None
         assert (records[0].accuracy * 90) == pytest.approx(round(records[0].accuracy * 90))
+
+
+def write_idx(path, array):
+    """Minimal IDX writer: ubyte type code, big-endian dimensions, raw bytes."""
+    array = np.asarray(array, dtype=np.uint8)
+    header = struct.pack(">BBBB", 0, 0, 0x08, array.ndim)
+    path.write_bytes(header + struct.pack(f">{array.ndim}I", *array.shape) + array.tobytes())
+
+
+class TestSources:
+    KINDS = ("nonprivate", "model_sensitivity")
+
+    def check(self, records, n_train, dim):
+        assert [r.mechanism for r in records] == list(self.KINDS)
+        assert all(r.error is None for r in records)
+        assert all((r.n_train, r.dim, r.classes) == (n_train, dim, 3) for r in records)
+        assert all(r.accuracy > 0.5 for r in records)
+
+    def test_csv_source(self, tmp_path):
+        raw = synth_blobs_raw(40, 3, 4, 4.0, 11)
+        path = tmp_path / "features.csv"
+        rows = [",".join(map(repr, x)) + f",{y}" for x, y in zip(raw.features.tolist(),
+                                                                  raw.labels)]
+        path.write_text("\n".join(["f0,f1,f2,f3,label", *rows]) + "\n")
+        cfg = SweepConfig(mechanisms=self.KINDS, lambdas=(0.1,), trials=1, csv_path=str(path))
+        self.check(run_sweep(cfg), 90, 4)
+
+    def test_idx_source(self, tmp_path):
+        rng = np.random.default_rng(5)
+        paths = {}
+        for split, n in (("train", 60), ("test", 30)):
+            labels = np.arange(n) % 3
+            pixels = rng.integers(0, 50, size=(n, 4))
+            pixels[np.arange(n), labels] += 200
+            paths[f"idx_{split}_images"] = tmp_path / f"{split}-images.idx"
+            paths[f"idx_{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            write_idx(paths[f"idx_{split}_images"], pixels.reshape(n, 2, 2))
+            write_idx(paths[f"idx_{split}_labels"], labels)
+        cfg = SweepConfig(mechanisms=self.KINDS, lambdas=(0.1,), trials=1,
+                          **{key: str(path) for key, path in paths.items()})
+        self.check(run_sweep(cfg), 60, 4)
 
 
 class TestSummarize:
@@ -168,7 +247,7 @@ class TestCsv:
         path = tmp_path / "records.csv"
         emit_csv(records, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == RECORD_HEADER
+        assert lines[0] == RECORD_HEADER == TRIAL_COLUMNS
         assert all(line.count(",") == 12 for line in lines)
         parsed = read_records_csv(path)
         assert strip_wall_time_no_error(parsed) == strip_wall_time_no_error(records)
@@ -177,7 +256,7 @@ class TestCsv:
     def test_zero_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)
-        assert path.read_text() == RECORD_HEADER + "\n"
+        assert path.read_text() == TRIAL_COLUMNS + "\n"
 
     def test_nan_accuracy_round_trips(self, tmp_path):
         record = TrialRecord(mechanism="dpsgd", epsilon=1.0, delta=0.0, budget=1,
@@ -194,8 +273,22 @@ class TestCsv:
         path = tmp_path / "summary.csv"
         emit_summary_csv(summarize(records), path)
         lines = path.read_text().splitlines()
-        assert lines[0] == SUMMARY_HEADER
+        assert lines[0] == SUMMARY_HEADER == SUMMARY_COLUMNS
         assert len(lines) == 2
+
+    def test_reader_rejects_wrong_header_and_ragged_rows(self, tmp_path):
+        record = TrialRecord(mechanism="nonprivate", epsilon=1.0, delta=0.0, budget=1,
+                             n_train=10, dim=2, classes=2, lam=0.1, n_models=1,
+                             trial=0, seed=0, accuracy=0.5, wall_time_s=0.1)
+        path = tmp_path / "records.csv"
+        emit_csv([record], path)
+        header, row = path.read_text().splitlines()
+        path.write_text(SUMMARY_COLUMNS + "\n" + row + "\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            read_records_csv(path)
+        path.write_text(header + "\n" + row + ",extra\n")
+        with pytest.raises(ValueError):
+            read_records_csv(path)
 
     def test_same_config_same_file_modulo_wall_time(self, tmp_path):
         cfg = tiny_config(trials=2)

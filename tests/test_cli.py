@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,3 +141,19 @@ def test_sweep_writes_trials_and_summary(tmp_path, capsys):
         accuracies = [float(r["accuracy"]) for r in rows if r["mechanism"] == mechanism]
         assert float(row["mean_accuracy"]) == pytest.approx(np.mean(accuracies))
         assert row["n_trials"] == "2"
+
+
+def test_sweep_trials_and_seed_overrides_are_validated(tmp_path, capsys):
+    cfg = SweepConfig(mechanisms=("nonprivate",), budgets=(5,), trials=4, base_seed=3,
+                      synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0})
+    config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
+    config.write_text(cfg.to_json())
+    assert cli.main(["sweep", "--config", str(config), "--out", str(trials),
+                     "--trials", "1", "--seed", "8"]) == 0
+    assert "wrote 1 trial records" in capsys.readouterr().out
+    expected = tmp_path / "expected.csv"
+    privlin.emit_csv(privlin.run_sweep(replace(cfg, trials=1, base_seed=8)), expected)
+    strip = [line.rsplit(",", 1)[0] for line in trials.read_text().splitlines()]
+    assert strip == [line.rsplit(",", 1)[0] for line in expected.read_text().splitlines()]
+    with pytest.raises(ValueError, match="trials"):
+        cli.main(["sweep", "--config", str(config), "--out", str(trials), "--trials", "0"])
