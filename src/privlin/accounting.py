@@ -64,11 +64,9 @@ class ProblemDims:
     n_train: int
     lam: float
     n_classes: int
-    lipschitz: float = LIPSCHITZ_K
-    hessian_bound: float = HESSIAN_EIG_BOUND
 
     def __post_init__(self):
-        for name in ("n_train", "lam", "n_classes", "lipschitz", "hessian_bound"):
+        for name in ("n_train", "lam", "n_classes"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -222,7 +220,7 @@ def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -
 
 def minimizer_sensitivity(dims: ProblemDims) -> float:
     """Worst-case Frobenius movement of the regularized minimizer: 2K / (N lam)."""
-    return 2.0 * dims.lipschitz / (dims.n_train * dims.lam)
+    return 2.0 * LIPSCHITZ_K / (dims.n_train * dims.lam)
 
 
 def _require_pure(spec: PrivacySpec, what: str):
@@ -240,7 +238,7 @@ def _require_approximate(spec: PrivacySpec, what: str):
 def model_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Noise rate for parameter perturbation at delta = 0: N lam eps / (2K)."""
     _require_pure(spec, "model_sensitivity_beta")
-    return dims.n_train * dims.lam * spec.epsilon / (2.0 * dims.lipschitz)
+    return dims.n_train * dims.lam * spec.epsilon / (2.0 * LIPSCHITZ_K)
 
 
 def gaussian_model_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
@@ -251,20 +249,20 @@ def gaussian_model_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
 
 def loss_perturbation_rho(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Extra ridge coefficient 2 L C / eps (the minimum the guarantee permits)."""
-    return 2.0 * dims.hessian_bound * dims.n_classes / spec.epsilon
+    return 2.0 * HESSIAN_EIG_BOUND * dims.n_classes / spec.epsilon
 
 
 def loss_perturbation_params(dims: ProblemDims, spec: PrivacySpec) -> tuple[float, float]:
     """(beta, rho) for objective perturbation at delta = 0: eps/(2K) and 2LC/eps."""
     _require_pure(spec, "loss_perturbation_params")
-    return spec.epsilon / (2.0 * dims.lipschitz), loss_perturbation_rho(dims, spec)
+    return spec.epsilon / (2.0 * LIPSCHITZ_K), loss_perturbation_rho(dims, spec)
 
 
 def gaussian_loss_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Gaussian objective-perturbation scale: (K/eps) sqrt(8 ln(2/delta) + 4 eps)."""
     _require_approximate(spec, "gaussian_loss_sigma")
-    k = dims.lipschitz
-    return k / spec.epsilon * math.sqrt(8.0 * math.log(2.0 / spec.delta) + 4.0 * spec.epsilon)
+    return LIPSCHITZ_K / spec.epsilon * math.sqrt(
+        8.0 * math.log(2.0 / spec.delta) + 4.0 * spec.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def gaussian_loss_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
 def prediction_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Per-query logit-noise rate at delta = 0: N lam eps / (2 K B)."""
     _require_pure(spec, "prediction_sensitivity_beta")
-    return dims.n_train * dims.lam * spec.epsilon / (2.0 * dims.lipschitz * spec.budget)
+    return dims.n_train * dims.lam * spec.epsilon / (2.0 * LIPSCHITZ_K * spec.budget)
 
 
 # Resolution of the linear search over the composition split delta'.

@@ -12,7 +12,7 @@ import numpy as np
 
 from .accounting import DpSgdConfig, PrivacySpec
 from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
-from .data import load_csv, load_idx, normalize_unit_ball, synth_blobs_raw
+from .data import load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw
 from .mechanisms import (
     KINDS,
     MechanismSpec,
@@ -35,19 +35,28 @@ def _parse_synth(text: str) -> dict:
     return out
 
 
+_SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
+
+
 def _load_training_data(args):
+    idx = args.idx_images or args.idx_labels
+    if sum(map(bool, (args.synth, idx, args.csv))) != 1:
+        raise ValueError("provide exactly one of --synth, --idx-images/--idx-labels, or --csv")
     if args.synth:
         params = _parse_synth(args.synth)
+        if set(params) != set(_SYNTH_KEYS):
+            raise ValueError(f"--synth needs exactly the keys {', '.join(_SYNTH_KEYS)}; "
+                             f"got {', '.join(params)}")
         raw = synth_blobs_raw(
             n_per_class=int(params["n_per_class"]), n_classes=int(params["n_classes"]),
             dim=int(params["dim"]), separation=float(params["separation"]),
             rng=RngStream(args.seed, 1))
-    elif args.idx_images:
+    elif idx:
+        if not (args.idx_images and args.idx_labels):
+            raise ValueError("--idx-images and --idx-labels must be given together")
         raw = load_idx(args.idx_images, args.idx_labels)
-    elif args.csv:
-        raw = load_csv(args.csv)
     else:
-        raise ValueError("provide one of --synth, --idx-images/--idx-labels, or --csv")
+        raw = load_csv(args.csv)
     return normalize_unit_ball(raw)
 
 
@@ -91,12 +100,8 @@ def _read_query_rows(path) -> np.ndarray:
 
 def _cmd_predict(args) -> int:
     predictor = load_predictor(args.model)
-    queries = _read_query_rows(args.inputs)
     # Queries must lie in the unit ball; project any that do not.
-    norms = np.linalg.norm(queries, axis=1)
-    excess = norms > 1.0
-    if np.any(excess):
-        queries[excess] /= norms[excess, None]
+    queries = project_to_unit_ball(_read_query_rows(args.inputs))
 
     # Answer the rows the budget covers and refuse the rest.
     n_answered = len(queries) if predictor.budget is None else min(

@@ -29,7 +29,9 @@ class RawDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels, self.labels = self.labels, np.asarray(self.labels).astype(np.int64, copy=False)
+        if not np.array_equal(self.labels, labels):
+            raise ValueError("labels must be integers")
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if self.labels.shape != (self.features.shape[0],):
@@ -167,7 +169,7 @@ def load_idx(images_path, labels_path) -> RawDataset:
     features = images.reshape(images.shape[0], -1).astype(np.float64)
     if images.dtype == np.dtype(">u1"):
         features /= 255.0
-    return RawDataset(features=features, labels=labels.astype(np.int64))
+    return RawDataset(features=features, labels=labels)
 
 
 def load_csv(path) -> RawDataset:
@@ -181,50 +183,44 @@ def load_csv(path) -> RawDataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=np.float64)
-    return RawDataset(features=table[:, :-1], labels=table[:, -1].astype(np.int64))
+    return RawDataset(features=table[:, :-1], labels=table[:, -1])
 
 
 # ---------------------------------------------------------------------------
 # Preprocessing transforms (fit on train, applied to test)
 # ---------------------------------------------------------------------------
 
-class UnitBallScaler:
-    """Single global scale fit on the training split: 1 / max ||x||_2.
+def unit_ball_scale(features) -> float:
+    """The one global scale fit on a training split: 1 / max ||x||_2."""
+    max_norm = float(np.linalg.norm(np.asarray(features, dtype=np.float64), axis=1).max())
+    if max_norm == 0.0:
+        raise ValueError("cannot normalize an all-zero dataset")
+    return 1.0 / max_norm
 
-    Transformed training rows land inside the unit ball by construction;
-    other rows that still exceed norm 1 are hard-projected onto the sphere,
-    since the unit-ball assumption must hold at query time too.
+
+def project_to_unit_ball(rows: np.ndarray) -> np.ndarray:
+    """Divide, in place, every row of norm above 1 by its norm; returns rows.
+
+    Every sensitivity bound assumes ||x||_2 <= 1 for training rows and for
+    prediction-side queries, so rows a fitted scale leaves outside the ball
+    (test rows, queries) are hard-projected onto the sphere.
     """
+    norms = np.linalg.norm(rows, axis=1)
+    excess = norms > 1.0
+    if np.any(excess):
+        rows[excess] /= norms[excess, None]
+    return rows
 
-    def __init__(self):
-        self.scale_ = None
 
-    def fit(self, features) -> "UnitBallScaler":
-        features = np.asarray(features, dtype=np.float64)
-        max_norm = float(np.linalg.norm(features, axis=1).max())
-        if max_norm == 0.0:
-            raise ValueError("cannot normalize an all-zero dataset")
-        self.scale_ = 1.0 / max_norm
-        return self
-
-    def transform(self, features) -> np.ndarray:
-        if self.scale_ is None:
-            raise ValueError("scaler has not been fit")
-        scaled = np.asarray(features, dtype=np.float64) * self.scale_
-        norms = np.linalg.norm(scaled, axis=1)
-        excess = norms > 1.0
-        if np.any(excess):
-            scaled[excess] /= norms[excess, None]
-        return scaled
+def _labeled(features: np.ndarray, raw: RawDataset) -> LabeledDataset:
+    """Scaled feature rows projected into the unit ball, with raw's one-hot labels."""
+    return LabeledDataset(features=project_to_unit_ball(features),
+                          labels=one_hot(raw.labels, raw.n_classes))
 
 
 def normalize_unit_ball(data: RawDataset) -> LabeledDataset:
     """Scale a raw dataset into the unit ball and attach one-hot labels."""
-    scaler = UnitBallScaler().fit(data.features)
-    return LabeledDataset(
-        features=scaler.transform(data.features),
-        labels=one_hot(data.labels, data.n_classes),
-    )
+    return _labeled(data.features * unit_ball_scale(data.features), data)
 
 
 @dataclass
@@ -238,11 +234,7 @@ class PcaModel:
     def transform(self, features) -> np.ndarray:
         projected = (np.asarray(features, dtype=np.float64) - self.mean) @ self.components
         projected *= self.rescale
-        norms = np.linalg.norm(projected, axis=1)
-        excess = norms > 1.0
-        if np.any(excess):
-            projected[excess] /= norms[excess, None]
-        return projected
+        return project_to_unit_ball(projected)
 
 
 def pca_fit(features, target_dim: int) -> PcaModel:
@@ -272,41 +264,27 @@ def pca_fit(features, target_dim: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, rescale=rescale)
 
 
-def pca_fit_transform(data: LabeledDataset, target_dim: int) -> tuple[PcaModel, LabeledDataset]:
-    """Fit PCA on a dataset and return (model, projected unit-ball dataset)."""
-    model = pca_fit(data.features, target_dim)
-    return model, LabeledDataset(features=model.transform(data.features), labels=data.labels)
-
-
 # ---------------------------------------------------------------------------
 # Subset operations
 # ---------------------------------------------------------------------------
 
-def _take(data, index):
-    if isinstance(data, RawDataset):
-        return RawDataset(features=data.features[index], labels=data.labels[index],
-                          n_classes=data.n_classes)
-    return LabeledDataset(features=data.features[index], labels=data.labels[index])
+def _take(data: RawDataset, index) -> RawDataset:
+    return RawDataset(features=data.features[index], labels=data.labels[index],
+                      n_classes=data.n_classes)
 
 
-def filter_classes(data, keep_classes: int):
+def filter_classes(data: RawDataset, keep_classes: int) -> RawDataset:
     """Retain the examples of the first keep_classes labels (relabeled space)."""
-    n_classes = data.n_classes
-    if not 1 < keep_classes <= n_classes:
-        raise ValueError(f"keep_classes must lie in (1, {n_classes}], got {keep_classes}")
-    labels = data.labels if isinstance(data, RawDataset) else data.label_ints()
-    mask = labels < keep_classes
-    counts = np.bincount(labels[mask], minlength=keep_classes)
-    if np.any(counts[:keep_classes] == 0):
+    if not 1 < keep_classes <= data.n_classes:
+        raise ValueError(f"keep_classes must lie in (1, {data.n_classes}], got {keep_classes}")
+    mask = data.labels < keep_classes
+    if np.any(np.bincount(data.labels[mask], minlength=keep_classes) == 0):
         raise ValueError(f"class filter to {keep_classes} classes leaves an empty class")
-    if isinstance(data, RawDataset):
-        return RawDataset(features=data.features[mask], labels=labels[mask],
-                          n_classes=keep_classes)
-    return LabeledDataset(features=data.features[mask],
-                          labels=one_hot(labels[mask], keep_classes))
+    return RawDataset(features=data.features[mask], labels=data.labels[mask],
+                      n_classes=keep_classes)
 
 
-def subsample_train(data, target_n: int, rng):
+def subsample_train(data: RawDataset, target_n: int, rng) -> RawDataset:
     """Uniform without-replacement subset of size target_n (seeded)."""
     if not 1 <= target_n <= data.n_examples:
         raise ValueError(f"target_n must lie in [1, {data.n_examples}], got {target_n}")
@@ -315,7 +293,7 @@ def subsample_train(data, target_n: int, rng):
     return _take(data, index)
 
 
-def train_test_split(data, test_fraction: float, rng):
+def train_test_split(data: RawDataset, test_fraction: float, rng) -> tuple[RawDataset, RawDataset]:
     """Seeded shuffle-and-split; returns (train, test)."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
@@ -376,9 +354,9 @@ def synth_blob_pair(n_train_per_class: int, n_test_per_class: int, n_classes: in
 
 def preprocess_pair(raw_train: RawDataset, raw_test: RawDataset,
                     target_dim: int | None = None):
-    """Fit PCA (optional) and unit-ball scaling on train; apply both to test.
+    """Fit PCA (optional) and the unit-ball scale on train; apply both to test.
 
-    Returns (train, test, pca_model, scaler) with LabeledDataset splits. All
+    Returns (train, test, pca_model, scale) with LabeledDataset splits. All
     statistics come from the training split only.
     """
     if raw_train.n_classes != raw_test.n_classes:
@@ -389,9 +367,6 @@ def preprocess_pair(raw_train: RawDataset, raw_test: RawDataset,
         pca = pca_fit(train_feats, target_dim)
         train_feats = pca.transform(train_feats)
         test_feats = pca.transform(test_feats)
-    scaler = UnitBallScaler().fit(train_feats)
-    train = LabeledDataset(features=scaler.transform(train_feats),
-                           labels=one_hot(raw_train.labels, raw_train.n_classes))
-    test = LabeledDataset(features=scaler.transform(test_feats),
-                          labels=one_hot(raw_test.labels, raw_test.n_classes))
-    return train, test, pca, scaler
+    scale = unit_ball_scale(train_feats)
+    return (_labeled(train_feats * scale, raw_train), _labeled(test_feats * scale, raw_test),
+            pca, scale)

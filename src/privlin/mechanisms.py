@@ -36,7 +36,7 @@ from .accounting import (
     prediction_sensitivity_beta,
     subsample_beta,
 )
-from .data import LabeledDataset
+from .data import NORM_TOLERANCE, LabeledDataset
 from .losses import softmax
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
@@ -139,7 +139,7 @@ def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
     """The one query-row validator: every row finite and, with in_ball, inside
     the unit L2 ball that prediction-side sensitivity bounds assume."""
     # A row with a NaN or infinite entry has a NaN or infinite norm and fails too.
-    if in_ball and (rows * rows).sum(axis=1).max(initial=0.0) <= (1.0 + 1e-9) ** 2:
+    if in_ball and (rows * rows).sum(axis=1).max(initial=0.0) <= (1.0 + NORM_TOLERANCE) ** 2:
         return rows
     if not np.isfinite(rows).all():
         raise ValueError("query must be finite")

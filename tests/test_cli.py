@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import privlin
-from privlin import (KINDS, DpSgdConfig, PrivacySpec, SweepConfig, cli, dpsgd_sigma_for_target,
-                     load_predictor)
+from privlin import (KINDS, DpSgdConfig, PrivacySpec, SweepConfig, answer_queries, cli,
+                     dpsgd_sigma_for_target, load_predictor)
 from privlin.bench import RECORD_HEADER
 
 
@@ -114,6 +114,42 @@ def test_predict_records_the_spend_before_writing_answers(tmp_path):
         cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
                   "--out", str(tmp_path / "missing" / "answers.csv")])
     assert load_predictor(model).budget.used == 2
+
+
+def test_predict_projects_queries_outside_the_ball(tmp_path):
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    rows = np.full((2, 5), 0.1)
+    rows[1] = [0.0, 3.0, 0.0, 0.0, 0.0]
+    inputs, answers = tmp_path / "queries.csv", tmp_path / "answers.csv"
+    np.savetxt(inputs, rows, delimiter=",")
+    twin = load_predictor(model)
+    assert cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
+                     "--out", str(answers)]) == 0
+    rows[1] /= 3.0
+    expected = answer_queries(twin, rows)
+    answered = read_answers(answers)
+    assert [a["status"] for a in answered] == ["answered"] * 2
+    assert [int(a["label"]) for a in answered] == expected.tolist()
+    assert load_predictor(model).budget.used == 2
+
+
+SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
+
+
+@pytest.mark.parametrize("source, message", [
+    (["--synth", SYNTH.replace("separation", "seperation")], "exactly the keys"),
+    (["--synth", SYNTH + ",sep=4"], "exactly the keys"),
+    (["--idx-images", "images.idx"], "given together"),
+    (["--synth", SYNTH, "--idx-images", "images.idx", "--idx-labels", "labels.idx"],
+     "exactly one"),
+])
+def test_train_validates_its_data_source(tmp_path, source, message):
+    with pytest.raises(ValueError, match=message):
+        cli.main(["train", "--mechanism", "nonprivate", *source,
+                  "--out", str(tmp_path / "model.npz")])
 
 
 def test_sweep_writes_trials_and_summary(tmp_path, capsys):

@@ -616,6 +616,22 @@ class TestBatchAnswering:
         assert len(answer_queries(predictor, test.features[:3])) == 3
         assert predictor.budget.remaining == 0
 
+    @pytest.mark.parametrize("norm, inside", [(1.0 + 5e-10, True), (1.0 + 2e-9, False)])
+    def test_training_rows_and_queries_share_the_norm_tolerance(self, norm, inside):
+        train, _ = blob_splits(32)
+        predictor = fit_predictor(train, spec_for("prediction_sensitivity", budget=5),
+                                  RngStream(33))
+        row = np.zeros((1, train.n_features))
+        row[0, 0] = norm
+        if inside:
+            LabeledDataset(features=row, labels=one_hot([0], 3))
+            assert answer_queries(predictor, row).shape == (1,)
+            return
+        with pytest.raises(ValueError, match="unit L2 ball"):
+            LabeledDataset(features=row, labels=one_hot([0], 3))
+        with pytest.raises(ValueError, match="unit L2 ball"):
+            answer_queries(predictor, row)
+
     @pytest.mark.parametrize("case", ["gaussian", "radial", "subsample", "subsample_reloaded"])
     def test_batch_equals_one_by_one(self, case, tmp_path):
         if case.startswith("subsample"):
