@@ -8,6 +8,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -23,7 +24,9 @@ from .data import (
     synth_blob_pair,
     train_test_split,
 )
-from .mechanisms import KINDS, BudgetState, MechanismSpec, answer_queries, fit_predictor
+from .mechanisms import KINDS, BudgetState, MechanismSpec, answer_queries, calibrate, solve
+# Re-exported: profilers patch fit_predictor here as well as in mechanisms.
+from .mechanisms import fit_predictor  # noqa: F401
 from .noise import RngStream
 
 # Stream-id layout: trial streams occupy (config_index + 1) << 24 | trial,
@@ -36,6 +39,10 @@ _MAX_TRIALS = _QUERY_BIT
 # The SweepConfig grid axes, one per SweepCell field and in the same order.
 _AXES = ("mechanisms", "epsilons", "deltas", "budgets", "n_train", "dims", "classes",
          "lambdas", "n_models")
+
+# The synthetic-blob parameters a synth source (and `privlin train --synth`)
+# must give; a sweep may also give n_test_per_class.
+SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,13 @@ class SweepConfig:
             raise ValueError("an idx source needs all four idx_* paths")
         if sum([self.synth is not None, all(idx), self.csv_path is not None]) != 1:
             raise ValueError("configure exactly one data source (synth, idx, or csv)")
+        if self.synth is not None:
+            missing = [key for key in SYNTH_KEYS if key not in self.synth]
+            if missing:
+                raise ValueError(f"missing synth keys: {missing}")
+            unknown = sorted(set(self.synth) - {*SYNTH_KEYS, "n_test_per_class"})
+            if unknown:
+                raise ValueError(f"unknown synth keys: {unknown}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -150,10 +164,6 @@ def _load_source(cfg: SweepConfig) -> tuple[RawDataset, RawDataset]:
     if cfg.synth is not None:
         params = cfg.synth
         n_per_class, n_test = int(params["n_per_class"]), params.get("n_test_per_class")
-        extra = set(params) - {"n_per_class", "n_test_per_class", "n_classes", "dim",
-                               "separation"}
-        if extra:
-            raise ValueError(f"unknown synth keys: {sorted(extra)}")
         return synth_blob_pair(
             n_train_per_class=n_per_class,
             n_test_per_class=max(1, n_per_class // 4) if n_test is None else int(n_test),
@@ -167,6 +177,36 @@ def _load_source(cfg: SweepConfig) -> tuple[RawDataset, RawDataset]:
     return train_test_split(full, cfg.test_fraction, RngStream(cfg.base_seed, 3))
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised: a shared stage that fails is
+    stored, and every trial that depends on it records its error text."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - every dependent trial records it
+        return exc
+
+
+def _ready(stage):
+    """A stored stage's value; raises the exception it stored instead."""
+    if isinstance(stage, Exception):
+        raise stage.with_traceback(None)
+    return stage
+
+
+def _split_key(cell: SweepCell) -> tuple:
+    return cell.n_train, cell.dim, cell.classes
+
+
+def _prepare_split(raw_train, raw_test, key, subsample_rng):
+    n_train, dim, classes = key
+    train, test = raw_train, raw_test
+    if classes is not None and classes < train.n_classes:
+        train, test = filter_classes(train, classes), filter_classes(test, classes)
+    if n_train is not None and n_train < train.n_examples:
+        train = subsample_train(train, n_train, subsample_rng)
+    return preprocess_pair(train, test, dim)[:2]
+
+
 def _prepare_splits(cfg: SweepConfig) -> dict:
     """Map each (n_train, dim, classes) key to its preprocessed (train, test)
     splits, or to the exception that preparing them raised.
@@ -177,48 +217,55 @@ def _prepare_splits(cfg: SweepConfig) -> dict:
     raw_train, raw_test = _load_source(cfg)
     splits, prepared = {}, 0
     for key in dict.fromkeys(itertools.product(cfg.n_train, cfg.dims, cfg.classes)):
-        n_train, dim, classes = key
-        try:
-            train, test = raw_train, raw_test
-            if classes is not None and classes < train.n_classes:
-                train, test = filter_classes(train, classes), filter_classes(test, classes)
-            if n_train is not None and n_train < train.n_examples:
-                train = subsample_train(train, n_train,
-                                        RngStream(cfg.base_seed, 1000 + prepared))
-            splits[key] = preprocess_pair(train, test, dim)[:2]
-            prepared += 1
-        except Exception as exc:  # noqa: BLE001 - every trial of the key records it
-            splits[key] = exc
+        splits[key] = _attempt(_prepare_split, raw_train, raw_test, key,
+                               RngStream(cfg.base_seed, 1000 + prepared))
+        prepared += not isinstance(splits[key], Exception)
     return splits
 
 
-def _run_trial(cfg, splits, config_index, cell, trial):
+def _calibrated_spec(cfg: SweepConfig, split, cell: SweepCell):
+    """The MechanismSpec of one grid cell and its calibration on the cell's split."""
+    train, _ = _ready(split)
+    privacy = PrivacySpec(epsilon=cell.epsilon, delta=cell.delta, budget=cell.budget)
+    dpsgd = None
+    if cell.mechanism == "dpsgd":
+        dpsgd = DpSgdConfig.for_dataset(
+            train.n_examples, min(cfg.dpsgd_batch, train.n_examples),
+            cfg.dpsgd_steps, cfg.clips[0], cfg.dpsgd_learning_rate)
+    spec = MechanismSpec(kind=cell.mechanism, privacy=privacy, lam=cell.lam,
+                         n_models=cell.n_models, dpsgd=dpsgd,
+                         grad_tolerance=cfg.grad_tolerance,
+                         max_iterations=cfg.max_iterations)
+    return spec, calibrate(spec, train)
+
+
+def _group_key(cell: SweepCell, calibrated):
+    """The (split key, lambda) group whose minimiser the cell privatises, or
+    None: the cell's kind does not use one, or its spec or calibration failed."""
+    if isinstance(calibrated, Exception) or not KINDS[cell.mechanism].uses_minimiser:
+        return None
+    return _split_key(cell), cell.lam
+
+
+def _run_trial(cfg, stages, config_index, cell, trial):
+    """One trial: privatise the cell's shared stages with the trial's stream
+    and score the predictor. stages is (split, (spec, calibration), minimiser),
+    each stage a value or the exception that computing it raised."""
     stream_id = ((config_index + 1) << _TRIAL_SHIFT) + trial
     start = time.perf_counter()
     resolved = dict(n_train=0, dim=0, classes=0)
     try:
-        split = splits[(cell.n_train, cell.dim, cell.classes)]
-        if isinstance(split, Exception):
-            raise split.with_traceback(None)
-        train, test = split
+        split, calibrated, minimiser = stages
+        train, test = _ready(split)
         resolved = dict(n_train=train.n_examples, dim=train.n_features,
                         classes=train.n_classes)
-        privacy = PrivacySpec(epsilon=cell.epsilon, delta=cell.delta, budget=cell.budget)
-        dpsgd = None
-        if cell.mechanism == "dpsgd":
-            dpsgd = DpSgdConfig.for_dataset(
-                train.n_examples, min(cfg.dpsgd_batch, train.n_examples),
-                cfg.dpsgd_steps, cfg.clips[0], cfg.dpsgd_learning_rate)
-        spec = MechanismSpec(kind=cell.mechanism, privacy=privacy, lam=cell.lam,
-                             n_models=cell.n_models, dpsgd=dpsgd,
-                             grad_tolerance=cfg.grad_tolerance,
-                             max_iterations=cfg.max_iterations)
+        spec, calibration = _ready(calibrated)
         rng = RngStream(cfg.base_seed, stream_id).generator()
-        predictor = fit_predictor(train, spec, rng)
+        kind = KINDS[spec.kind]
+        predictor = kind.fit(train, spec, _ready(minimiser), calibration, rng)
 
         truth = test.label_ints()
-        prediction_side = KINDS[predictor.kind].prediction_side
-        if prediction_side and not cfg.score_on_full_test:
+        if kind.prediction_side and not cfg.score_on_full_test:
             query_rng = RngStream(
                 cfg.base_seed, ((config_index + 1) << _TRIAL_SHIFT) + _QUERY_BIT).generator()
             index = query_rng.choice(test.n_examples, size=cell.budget,
@@ -226,7 +273,7 @@ def _run_trial(cfg, splits, config_index, cell, trial):
             answers = answer_queries(predictor, test.features[index])
             accuracy = float(np.mean(answers == truth[index]))
         else:
-            if prediction_side:
+            if kind.prediction_side:
                 # Alternative protocol: noise stays calibrated for B, but the
                 # gate is widened so the whole test set can be scored.
                 predictor.budget = BudgetState(test.n_examples)
@@ -243,21 +290,42 @@ def _run_trial(cfg, splits, config_index, cell, trial):
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
     """Run every (configuration, trial) cell and return records in grid order.
 
-    One fixed train/test split (derived from base_seed) is shared by all
-    trials; each trial owns stream (base_seed, config << 24 | trial). Failed
-    cells become records with accuracy = nan and the error message attached;
-    the sweep continues. Records are deterministic given the config except
-    for wall_time_s.
+    One call computes each deterministic input once, before any trial, and
+    shares it: the split per (n_train, dim, classes) key, the MechanismSpec
+    and calibration per grid cell, and the ERM minimiser per (split key,
+    lambda) group, which nonprivate, model_sensitivity and
+    prediction_sensitivity privatise at every epsilon, delta, budget and
+    trial. Each trial privatises with its own stream (base_seed, config << 24
+    | trial) and is scored; its wall_time_s excludes the shared work. A
+    failed input is stored, and every trial that depends on it records its
+    error with accuracy = nan; the sweep continues. Records are deterministic
+    given the config except for wall_time_s. threads > 1 runs the
+    calibrations, the solves and the trials on a pool of that many threads.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     splits = _prepare_splits(cfg)
     grid = itertools.product(*(getattr(cfg, axis) for axis in _AXES))
-    tasks = [(index, SweepCell(*values), trial)
-             for index, values in enumerate(grid)
-             for trial in range(cfg.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda task: _run_trial(cfg, splits, *task), tasks))
-    return [_run_trial(cfg, splits, *task) for task in tasks]
+    cells = [SweepCell(*values) for values in grid]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        cell_splits = [splits[_split_key(cell)] for cell in cells]
+        calibrated = list(run(lambda split, cell: _attempt(_calibrated_spec, cfg, split, cell),
+                              cell_splits, cells))
+        # One solve per group, from the group's first cell; the solve's other
+        # inputs (tolerance, iteration cap) are sweep-wide.
+        group_keys = list(map(_group_key, cells, calibrated))
+        groups = {}
+        for key, split, stage in zip(group_keys, cell_splits, calibrated):
+            if key is not None:
+                groups.setdefault(key, (split[0], stage[0]))
+        solved = dict(zip(groups, run(lambda inputs: _attempt(solve, *inputs),
+                                      groups.values())))
+        stages = [(split, stage, solved.get(key))
+                  for key, split, stage in zip(group_keys, cell_splits, calibrated)]
+        tasks = [(index, cell, trial) for index, cell in enumerate(cells)
+                 for trial in range(cfg.trials)]
+        return list(run(lambda task: _run_trial(cfg, stages[task[0]], *task), tasks))
 
 
 def summarize(records) -> list[SummaryRecord]:

@@ -11,7 +11,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .accounting import DpSgdConfig, PrivacySpec
-from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
+from .bench import SYNTH_KEYS, SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
 from .data import load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw
 from .mechanisms import (
     KINDS,
@@ -31,11 +31,11 @@ def _parse_synth(text: str) -> dict:
         key, _, value = item.partition("=")
         if not value:
             raise ValueError(f"synth spec items must look like key=value, got {item!r}")
-        out[key.strip()] = float(value) if "." in value or "e" in value else int(value)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"synth key {key!r} is given more than once")
+        out[key] = float(value) if "." in value or "e" in value else int(value)
     return out
-
-
-_SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
 
 
 def _load_training_data(args):
@@ -44,8 +44,8 @@ def _load_training_data(args):
         raise ValueError("provide exactly one of --synth, --idx-images/--idx-labels, or --csv")
     if args.synth:
         params = _parse_synth(args.synth)
-        if set(params) != set(_SYNTH_KEYS):
-            raise ValueError(f"--synth needs exactly the keys {', '.join(_SYNTH_KEYS)}; "
+        if set(params) != set(SYNTH_KEYS):
+            raise ValueError(f"--synth needs exactly the keys {', '.join(SYNTH_KEYS)}; "
                              f"got {', '.join(params)}")
         raw = synth_blobs_raw(
             n_per_class=int(params["n_per_class"]), n_classes=int(params["n_classes"]),

@@ -19,6 +19,15 @@ class IdxFormatError(ValueError):
     """The file is not a well-formed IDX payload."""
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """labels as int64; ValueError unless every label is an integer."""
+    given = np.asarray(labels)
+    as_int = given.astype(np.int64, copy=False)
+    if not np.array_equal(as_int, given):
+        raise ValueError("labels must be integers")
+    return as_int
+
+
 @dataclass
 class RawDataset:
     """Feature rows with integer labels, before any privacy-related preprocessing."""
@@ -29,9 +38,7 @@ class RawDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        labels, self.labels = self.labels, np.asarray(self.labels).astype(np.int64, copy=False)
-        if not np.array_equal(self.labels, labels):
-            raise ValueError("labels must be integers")
+        self.labels = _integer_labels(self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if self.labels.shape != (self.features.shape[0],):
@@ -56,7 +63,9 @@ class RawDataset:
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
+    if labels.size == 0:
+        raise ValueError("labels must be nonempty")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError("labels out of range")
     return np.eye(n_classes)[labels]

@@ -6,10 +6,10 @@ post-processing. Prediction-side mechanisms (prediction sensitivity,
 subsample-and-aggregate) keep non-private state and spend one unit of the
 inference budget per answered query.
 
-calibrate(spec, data) alone chooses a mechanism's noise as a Calibration
-(family, scale, rho); the fit applies exactly that record and the predictor
-keeps it. KINDS maps each kind to its fit function, its answer function and
-whether it is prediction-side; every kind dispatch reads that table.
+A fit solves (the ERM minimizer, for kinds that privatise it) and calibrates
+(the one choice of noise, a Calibration) deterministically, then the kind's
+fit privatises with fresh randomness, applying exactly that noise. KINDS maps
+each kind to its fit and answer functions and flags; every dispatch reads it.
 """
 
 from __future__ import annotations
@@ -70,10 +70,8 @@ class MechanismSpec:
             raise ValueError("n_models must be at least 1")
 
     def train_config(self, **overrides) -> TrainConfig:
-        kwargs = dict(lam=self.lam, max_iterations=self.max_iterations,
-                      grad_tolerance=self.grad_tolerance)
-        kwargs.update(overrides)
-        return TrainConfig(**kwargs)
+        return TrainConfig(lam=self.lam, max_iterations=self.max_iterations,
+                           grad_tolerance=self.grad_tolerance, **overrides)
 
 
 @dataclass(frozen=True)
@@ -198,17 +196,24 @@ def _sample_noise(shape, calibration: Calibration, rng) -> np.ndarray:
 # Training-side mechanisms
 # ---------------------------------------------------------------------------
 
-def _fit_output_perturbation(data: LabeledDataset, spec: MechanismSpec,
+def solve(data: LabeledDataset, spec: MechanismSpec) -> np.ndarray:
+    """The ERM minimizer at spec's lam and tolerances; read-only, because one
+    solve serves every fit of the same data, lam and tolerances."""
+    theta = minimize_erm(data, spec.train_config())
+    theta.flags.writeable = False
+    return theta
+
+
+def _fit_output_perturbation(data: LabeledDataset, spec: MechanismSpec, minimiser,
                              calibration: Calibration, rng) -> PrivatePredictor:
     """Add calibrated noise to the regularized minimizer; release the result.
     Model sensitivity, and with Calibration() the non-private baseline."""
-    theta = minimize_erm(data, spec.train_config())
-    theta = theta + _sample_noise(theta.shape, calibration, rng)
+    theta = minimiser + _sample_noise(minimiser.shape, calibration, rng)
     return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
                             calibration=calibration, theta=theta)
 
 
-def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec,
+def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec, _minimiser,
                            calibration: Calibration, rng) -> PrivatePredictor:
     """Minimize the objective with a random linear term plus extra ridge."""
     noise_b = _sample_noise((data.n_features, data.n_classes), calibration, rng)
@@ -217,7 +222,7 @@ def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec,
                             calibration=calibration, theta=theta)
 
 
-def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec,
+def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
                calibration: Calibration, rng) -> PrivatePredictor:
     """Private SGD: per-example clipping, summed batch gradient, Gaussian noise.
 
@@ -275,12 +280,11 @@ def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarra
 # Prediction-side mechanisms
 # ---------------------------------------------------------------------------
 
-def _fit_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec,
+def _fit_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec, minimiser,
                                 calibration: Calibration, rng) -> PrivatePredictor:
-    """Non-private parameters plus a per-query noise scale and a budget gate."""
-    theta = minimize_erm(data, spec.train_config())
+    """The minimizer itself, a per-query noise scale and a budget gate."""
     return PrivatePredictor(
-        kind=spec.kind, privacy=spec.privacy, calibration=calibration, theta=theta,
+        kind=spec.kind, privacy=spec.privacy, calibration=calibration, theta=minimiser,
         budget=BudgetState(spec.privacy.budget), rng=as_generator(rng))
 
 
@@ -321,7 +325,7 @@ def partition_indices(n: int, t: int, rng) -> np.ndarray:
     return perm[: t * subset_size].reshape(t, subset_size)
 
 
-def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec,
+def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimiser,
                             calibration: Calibration, rng) -> PrivatePredictor:
     """Partition, train all sub-models in one stacked solve, and gate the noisy vote.
 
@@ -403,29 +407,33 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kind:
-    """fit(data, spec, calibration, rng) -> PrivatePredictor; answer(predictor,
-    validated paid-for rows) -> (k, C) logits or (k,) labels."""
+    """fit(data, spec, minimiser, calibration, rng) -> PrivatePredictor, where
+    minimiser is solve(data, spec) if uses_minimiser and None otherwise;
+    answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels."""
 
     fit: Callable
     answer: Callable
     prediction_side: bool = False
+    uses_minimiser: bool = False
 
 
 KINDS: dict[str, Kind] = {
-    "nonprivate": Kind(_fit_output_perturbation, _released_logits),
-    "model_sensitivity": Kind(_fit_output_perturbation, _released_logits),
+    "nonprivate": Kind(_fit_output_perturbation, _released_logits, uses_minimiser=True),
+    "model_sensitivity": Kind(_fit_output_perturbation, _released_logits, uses_minimiser=True),
     "loss_perturbation": Kind(_fit_loss_perturbation, _released_logits),
     "dpsgd": Kind(_fit_dpsgd, _released_logits),
     "prediction_sensitivity": Kind(_fit_prediction_sensitivity, _noisy_logits,
-                                   prediction_side=True),
+                                   prediction_side=True, uses_minimiser=True),
     "subsample_aggregate": Kind(_fit_subsample_ensemble, _vote_labels,
                                 prediction_side=True),
 }
 
 
 def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng) -> PrivatePredictor:
-    """Calibrate spec's noise, then train/build spec.kind's predictor with it."""
-    return KINDS[spec.kind].fit(data, spec, calibrate(spec, data), rng)
+    """Calibrate, solve if spec.kind privatises the minimizer, then privatise."""
+    kind, calibration = KINDS[spec.kind], calibrate(spec, data)
+    minimiser = solve(data, spec) if kind.uses_minimiser else None
+    return kind.fit(data, spec, minimiser, calibration, rng)
 
 
 def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
@@ -490,22 +498,14 @@ def load_predictor(path) -> PrivatePredictor:
         privacy = PrivacySpec(epsilon=float(archive["epsilon"]),
                               delta=float(archive["delta"]),
                               budget=int(archive["spec_budget"]))
-        budget = None
-        if "budget_total" in archive:
-            budget = BudgetState(int(archive["budget_total"]), int(archive["budget_used"]))
-        rng = None
-        if "rng_state" in archive:
-            rng = np.random.default_rng()
-            rng.bit_generator.state = json.loads(str(archive["rng_state"]))
-        ensemble = None
-        if "ensemble" in archive:
-            ensemble = _feature_major(archive["ensemble"])
-        return PrivatePredictor(
-            kind=kind,
-            privacy=privacy,
-            calibration=Calibration(**json.loads(str(archive["calibration"]))),
+        predictor = PrivatePredictor(
+            kind, privacy, Calibration(**json.loads(str(archive["calibration"]))),
             theta=archive["theta"] if "theta" in archive else None,
-            ensemble=ensemble,
-            budget=budget,
-            rng=rng,
-        )
+            ensemble=_feature_major(archive["ensemble"]) if "ensemble" in archive else None)
+        if "budget_total" in archive:
+            predictor.budget = BudgetState(int(archive["budget_total"]),
+                                           int(archive["budget_used"]))
+        if "rng_state" in archive:
+            predictor.rng = np.random.default_rng()
+            predictor.rng.bit_generator.state = json.loads(str(archive["rng_state"]))
+        return predictor

@@ -1,20 +1,31 @@
+import itertools
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from privlin import (
+    KINDS,
+    BudgetState,
+    ConvergenceError,
+    DpSgdConfig,
+    MechanismSpec,
+    PrivacySpec,
+    RngStream,
     SweepConfig,
     TrialRecord,
+    answer_queries,
     emit_csv,
     emit_summary_csv,
+    fit_predictor,
     run_sweep,
     summarize,
     synth_blobs_raw,
 )
-from privlin import bench
+from privlin import bench, mechanisms
 from privlin.bench import RECORD_HEADER, SUMMARY_HEADER, read_records_csv
 
 SYNTH = {"n_per_class": 60, "n_classes": 3, "dim": 5, "separation": 3.0,
@@ -67,6 +78,18 @@ class TestConfig:
             tiny_config(mechanisms=("dpsgd",), deltas=(1e-5,), clips=(0.01, 10.0))
         assert tiny_config(clips=[0.5]).clips == (0.5,)
 
+    def test_synth_keys_checked_at_construction(self):
+        with pytest.raises(ValueError, match=r"missing synth keys: \['separation'\]"):
+            tiny_config(synth={k: v for k, v in SYNTH.items() if k != "separation"})
+        with pytest.raises(ValueError, match=r"unknown synth keys: \['sep'\]"):
+            tiny_config(synth={**SYNTH, "sep": 3.0})
+        payload = json.loads(tiny_config().to_json())
+        del payload["synth"]["dim"]
+        with pytest.raises(ValueError, match="missing synth keys"):
+            SweepConfig.from_json(json.dumps(payload))
+        optional = {k: v for k, v in SYNTH.items() if k != "n_test_per_class"}
+        assert tiny_config(synth=optional).synth == optional
+
     def test_partial_idx_source_rejected(self):
         with pytest.raises(ValueError, match="idx"):
             SweepConfig(idx_train_images="train-images.idx")
@@ -111,6 +134,12 @@ class TestRunSweep:
         assert all(r.error is not None and math.isnan(r.accuracy) for r in dpsgd_rows)
         good_rows = [r for r in records if r.mechanism == "nonprivate"]
         assert all(r.error is None for r in good_rows)
+
+    def test_unknown_mechanism_recorded_and_sweep_continues(self):
+        records = run_sweep(tiny_config(mechanisms=("no_such_kind", "nonprivate")))
+        assert [r.error for r in records[:2]] == [
+            "ValueError: unknown mechanism kind: 'no_such_kind'"] * 2
+        assert all(r.error is None for r in records[2:]) and len(records) == 4
 
     def test_prediction_side_scores_on_budget_queries(self):
         cfg = tiny_config(mechanisms=("prediction_sensitivity",), budgets=(9,),
@@ -159,6 +188,148 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert records[0].error is None
         assert (records[0].accuracy * 90) == pytest.approx(round(records[0].accuracy * 90))
+
+
+def cell_spec(cfg, cell, train):
+    dpsgd = None
+    if cell.mechanism == "dpsgd":
+        dpsgd = DpSgdConfig.for_dataset(train.n_examples, min(cfg.dpsgd_batch, train.n_examples),
+                                        cfg.dpsgd_steps, cfg.clips[0], cfg.dpsgd_learning_rate)
+    return MechanismSpec(kind=cell.mechanism,
+                         privacy=PrivacySpec(cell.epsilon, cell.delta, cell.budget),
+                         lam=cell.lam, n_models=cell.n_models, dpsgd=dpsgd,
+                         grad_tolerance=cfg.grad_tolerance, max_iterations=cfg.max_iterations)
+
+
+def reference_sweep(cfg):
+    """Every trial fit on its own through fit_predictor, with run_sweep's
+    stream ids and scoring protocol."""
+    splits = bench._prepare_splits(cfg)
+    grid = itertools.product(*(getattr(cfg, axis) for axis in bench._AXES))
+    records = []
+    for index, values in enumerate(grid):
+        cell = bench.SweepCell(*values)
+        for trial in range(cfg.trials):
+            stream_id = ((index + 1) << bench._TRIAL_SHIFT) + trial
+            resolved = dict(n_train=0, dim=0, classes=0)
+            try:
+                split = splits[(cell.n_train, cell.dim, cell.classes)]
+                if isinstance(split, Exception):
+                    raise split
+                train, test = split
+                resolved = dict(n_train=train.n_examples, dim=train.n_features,
+                                classes=train.n_classes)
+                spec = cell_spec(cfg, cell, train)
+                predictor = fit_predictor(train, spec,
+                                          RngStream(cfg.base_seed, stream_id).generator())
+                truth = test.label_ints()
+                if KINDS[spec.kind].prediction_side and not cfg.score_on_full_test:
+                    query_rng = RngStream(cfg.base_seed, ((index + 1) << bench._TRIAL_SHIFT)
+                                          + bench._QUERY_BIT).generator()
+                    rows = query_rng.choice(test.n_examples, size=cell.budget,
+                                            replace=cell.budget > test.n_examples)
+                    answers = answer_queries(predictor, test.features[rows])
+                    accuracy = float(np.mean(answers == truth[rows]))
+                else:
+                    if KINDS[spec.kind].prediction_side:
+                        predictor.budget = BudgetState(test.n_examples)
+                    accuracy = float(np.mean(answer_queries(predictor, test.features) == truth))
+                error = None
+            except Exception as exc:  # noqa: BLE001 - mirrors the sweep's error records
+                accuracy, error = float("nan"), f"{type(exc).__name__}: {exc}"
+            records.append(TrialRecord(**{**vars(cell), **resolved}, trial=trial,
+                                       seed=stream_id, accuracy=accuracy, wall_time_s=0.0,
+                                       error=error))
+    return records
+
+
+def comparable(records):
+    """Every field but wall_time_s; accuracy by repr so that nan equals nan."""
+    return [{**asdict(r), "accuracy": repr(r.accuracy), "wall_time_s": None}
+            for r in records]
+
+
+ERM_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.uses_minimiser)
+
+
+class TestSharedStages:
+    """run_sweep solves and calibrates each distinct problem once and shares it."""
+
+    def six_kinds(self, **overrides):
+        return tiny_config(**{**dict(mechanisms=tuple(KINDS), deltas=(0.0, 1e-5),
+                                     budgets=(3, 40), n_models=(4,), dpsgd_batch=8,
+                                     dpsgd_steps=5), **overrides})
+
+    def test_kinds_that_privatise_the_minimiser(self):
+        assert ERM_KINDS == ("nonprivate", "model_sensitivity", "prediction_sensitivity")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_equal_per_trial_fits(self, threads):
+        cfg = self.six_kinds()
+        records = run_sweep(cfg, threads=threads)
+        assert len(records) == 6 * 2 * 2 * 2
+        # DP-SGD has no delta = 0 variant; every other trial succeeds.
+        assert {(r.mechanism, r.delta) for r in records if r.error} == {("dpsgd", 0.0)}
+        assert comparable(records) == comparable(reference_sweep(cfg))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_solve_per_group_and_one_calibration_per_cell(self, monkeypatch, threads):
+        solves, calibrations = [], []
+        minimize_erm, calibrate = mechanisms.minimize_erm, bench.calibrate
+
+        def counted_solve(data, cfg):
+            solves.append((data.n_features, cfg.lam, cfg.noise_b is None))
+            return minimize_erm(data, cfg)
+
+        def counted_calibrate(spec, data):
+            calibrations.append(spec)
+            return calibrate(spec, data)
+
+        monkeypatch.setattr(mechanisms, "minimize_erm", counted_solve)
+        monkeypatch.setattr(bench, "calibrate", counted_calibrate)
+        cfg = self.six_kinds(deltas=(1e-5,), dims=(3, None), lambdas=(0.1, 0.5))
+        records = run_sweep(cfg, threads=threads)
+        assert all(r.error is None for r in records)
+        groups = {(3, 0.1, True), (3, 0.5, True), (5, 0.1, True), (5, 0.5, True)}
+        shared = [call for call in solves if call[2]]
+        assert sorted(shared) == sorted(groups)
+        lp_trials = [r for r in records if r.mechanism == "loss_perturbation"]
+        assert len(solves) - len(shared) == len(lp_trials) == 2 * 2 * 2 * cfg.trials
+        assert len(calibrations) == len(records) // cfg.trials == 6 * 2 * 2 * 2
+
+    def test_failed_solve_is_recorded_by_every_trial_that_shares_it(self):
+        cfg = self.six_kinds(deltas=(1e-5,), max_iterations=1)
+        train, _ = bench._prepare_splits(cfg)[(None, None, None)]
+        spec = cell_spec(cfg, bench.SweepCell("nonprivate", 1.0, 1e-5, 3, 0, 0, 0, 0.1, 4),
+                         train)
+        with pytest.raises(ConvergenceError) as raised:
+            mechanisms.solve(train, spec)
+        shared_error = f"ConvergenceError: {raised.value}"
+        records = run_sweep(cfg)
+        erm = [r for r in records if r.mechanism in ERM_KINDS]
+        assert len(erm) == 3 * 2 * cfg.trials
+        assert all(r.error == shared_error and math.isnan(r.accuracy) for r in erm)
+        # Loss perturbation runs its own solve per trial and fails on its own
+        # gradient norm; DP-SGD runs no solver.
+        lp = [r for r in records if r.mechanism == "loss_perturbation"]
+        assert all(r.error.startswith("ConvergenceError") and r.error != shared_error
+                   for r in lp)
+        assert all(r.error is None for r in records if r.mechanism == "dpsgd")
+        assert comparable(records) == comparable(reference_sweep(cfg))
+
+    def test_shared_minimiser_is_read_only(self, monkeypatch):
+        solved = []
+        solve = bench.solve
+
+        def kept(data, spec):
+            solved.append(solve(data, spec))
+            return solved[-1]
+
+        monkeypatch.setattr(bench, "solve", kept)
+        run_sweep(tiny_config(mechanisms=ERM_KINDS, budgets=(3, 5)))
+        assert len(solved) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            solved[0][0, 0] = 1.0
 
 
 def write_idx(path, array):

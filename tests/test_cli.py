@@ -142,6 +142,7 @@ SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
 @pytest.mark.parametrize("source, message", [
     (["--synth", SYNTH.replace("separation", "seperation")], "exactly the keys"),
     (["--synth", SYNTH + ",sep=4"], "exactly the keys"),
+    (["--synth", SYNTH + ",dim=4"], "'dim' is given more than once"),
     (["--idx-images", "images.idx"], "given together"),
     (["--synth", SYNTH, "--idx-images", "images.idx", "--idx-labels", "labels.idx"],
      "exactly one"),
@@ -193,3 +194,15 @@ def test_sweep_trials_and_seed_overrides_are_validated(tmp_path, capsys):
     assert strip == [line.rsplit(",", 1)[0] for line in expected.read_text().splitlines()]
     with pytest.raises(ValueError, match="trials"):
         cli.main(["sweep", "--config", str(config), "--out", str(trials), "--trials", "0"])
+
+
+def test_sweep_rejects_fewer_than_one_thread(tmp_path):
+    cfg = SweepConfig(mechanisms=("nonprivate",), budgets=(5,), trials=1,
+                      synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0})
+    config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
+    config.write_text(cfg.to_json())
+    for threads in ("0", "-3"):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            cli.main(["sweep", "--config", str(config), "--out", str(trials),
+                      "--threads", threads])
+    assert not trials.exists()

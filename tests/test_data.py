@@ -339,3 +339,10 @@ class TestLabeledDatasetValidation:
     def test_one_hot_range_check(self):
         with pytest.raises(ValueError):
             one_hot([0, 3], 3)
+
+    def test_one_hot_rejects_fractional_and_empty_labels(self):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            one_hot([0.7, 1.2], 3)
+        with pytest.raises(ValueError, match="labels must be nonempty"):
+            one_hot(np.array([], dtype=np.int64), 3)
+        np.testing.assert_array_equal(one_hot([2.0, 0.0], 3), [[0, 0, 1], [1, 0, 0]])

@@ -44,7 +44,7 @@ from privlin import (
     vote_distribution,
 )
 from privlin.data import preprocess_pair
-from privlin.mechanisms import partition_indices
+from privlin.mechanisms import partition_indices, solve
 
 
 def blob_splits(seed=0, n_train_per_class=60, n_test_per_class=30, c=3, d=6, sep=3.5):
@@ -66,8 +66,10 @@ def spec_for(kind, eps=1.0, delta=0.0, budget=100, lam=0.1, n_models=16, dpsgd=N
 
 
 def fit_noise_free(data, spec, rng):
-    """spec.kind's fit given the noise-free Calibration()."""
-    return KINDS[spec.kind].fit(data, spec, Calibration(), rng)
+    """spec.kind's privatise stage given the noise-free Calibration()."""
+    kind = KINDS[spec.kind]
+    minimiser = solve(data, spec) if kind.uses_minimiser else None
+    return kind.fit(data, spec, minimiser, Calibration(), rng)
 
 
 def fit_nonprivate(data, spec):
