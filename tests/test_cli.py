@@ -142,10 +142,10 @@ SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
 @pytest.mark.parametrize("source, message", [
     (["--synth", SYNTH.replace("separation", "seperation")], "exactly the keys"),
     (["--synth", SYNTH + ",sep=4"], "exactly the keys"),
-    (["--synth", SYNTH + ",dim=4"], "'dim' is given more than once"),
     (["--idx-images", "images.idx"], "given together"),
     (["--synth", SYNTH, "--idx-images", "images.idx", "--idx-labels", "labels.idx"],
      "exactly one"),
+    (["--synth", SYNTH + ",dim=4"], "'dim' is given more than once"),
 ])
 def test_train_validates_its_data_source(tmp_path, source, message):
     with pytest.raises(ValueError, match=message):
