@@ -73,7 +73,9 @@ class ProblemDims:
 
 @dataclass(frozen=True)
 class DpSgdConfig:
-    """Knobs of the private SGD loop; sample_rate must equal batch_size / N."""
+    """Knobs of the private SGD loop. batch_size is the expected batch size:
+    each row joins each step independently with probability sample_rate,
+    which must equal batch_size / N."""
 
     clip: float
     batch_size: int

@@ -75,6 +75,7 @@ class SweepConfig:
     csv_path: str | None = None
     test_fraction: float = 0.25
     # fixed training knobs
+    # expected DP-SGD batch size; each row joins a step with probability dpsgd_batch / N
     dpsgd_batch: int = 64
     dpsgd_steps: int = 200
     dpsgd_learning_rate: float = 1.0

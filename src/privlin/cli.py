@@ -166,7 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lam", type=float, default=0.01)
     train.add_argument("--models", type=int, default=256, help="ensemble size T")
     train.add_argument("--clip", type=float, default=0.1, help="dpsgd gradient clip")
-    train.add_argument("--batch", type=int, default=64, help="dpsgd batch size")
+    train.add_argument("--batch", type=int, default=64,
+                       help="expected dpsgd batch size; each row joins a step "
+                            "with probability batch/N")
     train.add_argument("--steps", type=int, default=200, help="dpsgd update count")
     train.add_argument("--lr", type=float, default=1.0, help="dpsgd learning rate")
     train.add_argument("--grad-tol", type=float, default=1e-8)

@@ -37,7 +37,6 @@ from .accounting import (
     subsample_beta,
 )
 from .data import NORM_TOLERANCE, LabeledDataset
-from .losses import softmax
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
@@ -222,15 +221,48 @@ def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec, _minimiser
                             calibration=calibration, theta=theta)
 
 
+# Steps whose batches and noise one draw covers: memory stays
+# O(block (qN + D C)) however many steps a fit runs.
+_BLOCK_STEPS = 256
+
+
+def poisson_batches(n: int, q: float, n_steps: int, rng):
+    """Poisson-subsampled batches of n rows for n_steps steps: each row joins
+    each step independently with probability q.
+
+    Yields (rows, bounds) for consecutive blocks of at most _BLOCK_STEPS
+    steps; step j of a block uses rows[bounds[j]:bounds[j + 1]], ascending
+    and possibly empty. A block is one run of Bernoulli(q) coins over
+    steps * n positions, read through the geometric gaps between its
+    successes: position p is row p % n of step p // n.
+    """
+    rng = as_generator(rng)
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, n_steps - start)
+        total = steps * n
+        size = int(q * total + 5.0 * np.sqrt(q * total)) + 16
+        positions = np.cumsum(rng.geometric(q, size)) - 1
+        while positions[-1] < total:
+            more = positions[-1] + np.cumsum(rng.geometric(q, size))
+            positions = np.concatenate([positions, more])
+        positions = positions[:np.searchsorted(positions, total)]
+        yield positions % n, np.searchsorted(positions, n * np.arange(steps + 1))
+
+
 def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
                calibration: Calibration, rng) -> PrivatePredictor:
-    """Private SGD: per-example clipping, summed batch gradient, Gaussian noise.
+    """Private SGD: Poisson batches, per-example clipping, Gaussian noise.
 
-    Each step draws a uniform without-replacement batch, clips every
-    per-example gradient to norm at most clip, adds N(0, (sigma * clip)^2)
-    noise to the sum, divides by the batch size, and applies the step. The
-    per-example gradient of the singleton objective is x (p - y)^T + lam * theta.
-    sigma is the calibration's scale; family "none" adds no noise.
+    Each step takes a Poisson batch (every row joins independently with
+    probability q = sample_rate; poisson_batches), clips every per-example
+    gradient to norm at most clip, adds N(0, (sigma * clip)^2) noise to the
+    sum, divides by the expected batch size qN, which does not depend on the
+    data, and applies the step; an empty batch applies the noise alone. This
+    is the Poisson-subsampled Gaussian that rdp_subsampled_gaussian accounts
+    for, with add/remove neighbours: one row more or less moves the clipped
+    sum by at most clip. The per-example gradient of the singleton objective
+    is x (p - y)^T + lam * theta. sigma is the calibration's scale; family
+    "none" adds no noise. ValueError if theta is not finite at the end.
     """
     cfg = spec.dpsgd
     n = data.n_examples
@@ -245,28 +277,39 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
     x, y = data.features, data.labels
     d, c = data.n_features, data.n_classes
     lam = spec.lam
+    step_size = cfg.learning_rate / (cfg.sample_rate * n)
     theta = np.zeros((d, c))
     x_sq = np.einsum("nd,nd->n", x, x)
 
-    for _ in range(cfg.n_steps):
-        idx = rng.choice(n, size=cfg.batch_size, replace=False)
-        xb, yb = x[idx], y[idx]
-        logits = xb @ theta
-        residual = softmax(logits) - yb
-        # ||x r^T + lam theta||_F^2 without materializing per-example matrices
-        sq_norms = x_sq[idx] * np.einsum("nc,nc->n", residual, residual)
-        if lam > 0.0:
-            sq_norms = (sq_norms
-                        + 2.0 * lam * np.einsum("nc,nc->n", logits, residual)
-                        + lam * lam * float(np.sum(theta * theta)))
-        scales = 1.0 / np.maximum(1.0, np.sqrt(sq_norms) / cfg.clip)
-        summed = xb.T @ (scales[:, None] * residual)
-        if lam > 0.0:
-            summed += lam * float(scales.sum()) * theta
+    for rows, bounds in poisson_batches(n, cfg.sample_rate, cfg.n_steps, rng):
+        steps = len(bounds) - 1
         if noisy:
-            summed = summed + calibration.scale * cfg.clip * rng.standard_normal((d, c))
-        theta = theta - cfg.learning_rate * (summed / cfg.batch_size)
+            noise = (calibration.scale * cfg.clip) * rng.standard_normal((steps, d, c))
+        bounds = bounds.tolist()
+        for j in range(steps):
+            idx = rows[bounds[j]:bounds[j + 1]]
+            xb = x.take(idx, axis=0)
+            # Class-major (C, |batch|) arrays: the per-example reductions run
+            # over axis 0, which numpy does far faster than over short rows.
+            logits = theta.T @ xb.T
+            e = np.exp(logits - np.maximum.reduce(logits))
+            residual = e / np.add.reduce(e) - y.take(idx, axis=0).T  # softmax - y, unchecked
+            # ||x r^T + lam theta||_F^2 without materializing per-example matrices
+            sq_norms = x_sq[idx] * np.add.reduce(residual * residual)
+            if lam > 0.0:
+                sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
+                sq_norms += lam * lam * float(np.vdot(theta, theta))
+            scales = cfg.clip / np.maximum(cfg.clip, np.sqrt(sq_norms))
+            residual *= scales
+            summed = xb.T @ residual.T
+            if lam > 0.0:
+                summed += lam * float(scales.sum()) * theta
+            if noisy:
+                summed += noise[j]
+            theta -= step_size * summed
 
+    if not np.isfinite(theta).all():
+        raise ValueError("dpsgd diverged: theta is not finite")
     return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
                             calibration=calibration, theta=theta)
 

@@ -1,6 +1,7 @@
 """Fast invariant suites behind the `verify` CLI subcommand: loss-constant
-bounds, calibration tightness, DP-SGD accountant tightness, sampler sanity,
-budget enforcement, and the empirical minimizer-sensitivity bound."""
+bounds, calibration tightness, DP-SGD accountant tightness, the DP-SGD batch
+sampler, sampler sanity, budget enforcement, and the empirical
+minimizer-sensitivity bound."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .accounting import (
 )
 from .data import LabeledDataset, synth_blobs
 from .losses import LIPSCHITZ_K, mc_logistic_grad, mc_logistic_hessian
-from .mechanisms import MechanismSpec, fit_predictor
+from .mechanisms import MechanismSpec, fit_predictor, poisson_batches
 from .noise import RngStream, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm
 
@@ -72,6 +73,19 @@ def check_dpsgd_accountant():
             worst_at, least_below = max(worst_at, at / eps), min(least_below, below / eps)
     return True, (f"tight on the 3x3 grid (spent/target {worst_at:.12f} at sigma, "
                   f">= {least_below:.6f} at 0.999 sigma)")
+
+
+def check_dpsgd_sampler(seed: int = 4):
+    """Poisson batch sizes have the Binomial(N, q) mean Nq and variance Nq(1 - q)."""
+    n, q, steps = 1000, 0.05, 5000
+    sizes = np.concatenate([np.diff(bounds) for _, bounds in
+                            poisson_batches(n, q, steps, RngStream(seed))])
+    var = n * q * (1 - q)
+    mu4 = var * (1 + 3 * (n - 2) * q * (1 - q))
+    ok = (abs(sizes.mean() - n * q) < 5 * math.sqrt(var / steps)
+          and abs(sizes.var(ddof=1) - var) < 5 * math.sqrt((mu4 - var**2) / steps))
+    return ok, (f"batch size mean {sizes.mean():.3f} (target {n * q:g}), "
+                f"variance {sizes.var(ddof=1):.3f} (target {var:g})")
 
 
 def check_samplers(seed: int = 1):
@@ -140,6 +154,7 @@ SUITES = (
     ("loss-constant bounds", check_loss_bounds),
     ("calibration tightness", check_calibration_tightness),
     ("DP-SGD accountant", check_dpsgd_accountant),
+    ("DP-SGD sampler", check_dpsgd_sampler),
     ("noise samplers", check_samplers),
     ("budget enforcement", check_budget),
     ("empirical sensitivity", check_sensitivity),

@@ -44,7 +44,7 @@ from privlin import (
     vote_distribution,
 )
 from privlin.data import preprocess_pair
-from privlin.mechanisms import partition_indices, solve
+from privlin.mechanisms import partition_indices, poisson_batches, solve
 
 
 def blob_splits(seed=0, n_train_per_class=60, n_test_per_class=30, c=3, d=6, sep=3.5):
@@ -240,20 +240,21 @@ class TestDpSgd:
     def test_disabled_noise_and_clip_match_plain_sgd(self):
         train, _ = blob_splits(9)
         n, d, c = train.n_examples, train.n_features, train.n_classes
-        cfg = DpSgdConfig.for_dataset(n, 40, 25, clip=1e9, learning_rate=0.7)
+        # 300 steps span two sampler blocks.
+        cfg = DpSgdConfig.for_dataset(n, 40, 300, clip=1e9, learning_rate=0.7)
         spec = spec_for("dpsgd", delta=1e-5, lam=0.0, dpsgd=cfg)
         predictor = fit_noise_free(train, spec, RngStream(10, 3))
 
-        rng = RngStream(10, 3).generator()
+        # Without noise the fit draws only its batches, so the same stream
+        # replays them; the step divides by the expected batch size qN.
         theta = np.zeros((d, c))
-        for _ in range(cfg.n_steps):
-            idx = rng.choice(n, size=cfg.batch_size, replace=False)
-            xb, yb = train.features[idx], train.labels[idx]
-            residual = softmax(xb @ theta) - yb
-            scales = np.ones(cfg.batch_size)
-            summed = xb.T @ (scales[:, None] * residual)
-            theta = theta - cfg.learning_rate * (summed / cfg.batch_size)
-        assert np.array_equal(predictor.theta, theta)
+        for rows, bounds in poisson_batches(n, cfg.sample_rate, cfg.n_steps,
+                                            RngStream(10, 3)):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                xb, yb = train.features[rows[lo:hi]], train.labels[rows[lo:hi]]
+                residual = softmax(xb @ theta) - yb
+                theta = theta - cfg.learning_rate * (xb.T @ residual) / (cfg.sample_rate * n)
+        np.testing.assert_allclose(predictor.theta, theta, rtol=1e-12)
 
     def test_clip_definition(self):
         train, _ = blob_splits(10)
@@ -301,6 +302,93 @@ class TestDpSgd:
         spec = spec_for("dpsgd", delta=1e-5, dpsgd=cfg)
         with pytest.raises(ValueError):
             fit_predictor(train, spec, RngStream(1))
+
+    def test_noise_normalised_by_expected_batch(self):
+        # All-zero features and lam = 0 make every clipped gradient zero, so one
+        # step gives theta = -lr sigma clip z / (qN) whatever batch it drew.
+        n, d, c = 200, 4, 3
+        data = LabeledDataset(np.zeros((n, d)), np.eye(c)[np.arange(n) % c])
+        nu, lr = 0.3, 0.5
+        cfg = DpSgdConfig.for_dataset(n, 20, 1, clip=nu, learning_rate=lr)
+        spec = spec_for("dpsgd", delta=1e-5, lam=0.0, dpsgd=cfg)
+        calibration = calibrate(spec, data)
+        scale = lr * calibration.scale * nu / (cfg.sample_rate * n)
+        thetas, sizes = [], set()
+        for t in range(400):
+            theta = KINDS["dpsgd"].fit(data, spec, None, calibration, RngStream(41, t)).theta
+            rng = RngStream(41, t).generator()
+            (_, bounds), = poisson_batches(n, cfg.sample_rate, 1, rng)
+            sizes.add(int(bounds[1]))
+            z = rng.standard_normal((1, d, c))[0]
+            np.testing.assert_allclose(theta, -scale * z, rtol=1e-12)
+            thetas.append(theta)
+        assert len(sizes) > 5  # the realised batch size varied
+        observed = np.stack(thetas).var(axis=0, ddof=1)
+        assert np.mean(observed) == pytest.approx(scale ** 2, rel=0.15)
+
+    def test_tiny_rate_with_empty_batches_finishes(self):
+        train, _ = blob_splits(13)
+        n = train.n_examples
+        cfg = DpSgdConfig.for_dataset(n, 1, 60, clip=0.1)
+        sizes = np.concatenate([np.diff(bounds) for _, bounds in
+                                poisson_batches(n, cfg.sample_rate, cfg.n_steps,
+                                                RngStream(42))])
+        assert (sizes == 0).sum() > 5
+        predictor = fit_predictor(train, spec_for("dpsgd", delta=1e-5, dpsgd=cfg),
+                                  RngStream(42))
+        assert np.isfinite(predictor.theta).all()
+
+    def test_diverged_fit_fails_loudly(self):
+        train, _ = blob_splits(14)
+        cfg = DpSgdConfig.for_dataset(train.n_examples, 1, 50, clip=1.0, learning_rate=1e308)
+        spec = spec_for("dpsgd", delta=1e-5, dpsgd=cfg)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            fit_predictor(train, spec, RngStream(46))
+
+
+class TestPoissonBatches:
+    N, Q, STEPS = 1000, 0.05, 20_000
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        return list(poisson_batches(self.N, self.Q, self.STEPS, RngStream(43)))
+
+    def test_batch_size_mean_and_variance(self, blocks):
+        sizes = np.concatenate([np.diff(bounds) for _, bounds in blocks])
+        assert len(blocks) > 50 and sizes.size == self.STEPS
+        n, q, k = self.N, self.Q, self.STEPS
+        var = n * q * (1 - q)
+        # Binomial(n, q): fourth central moment var (1 + 3 (n - 2) q (1 - q)).
+        mu4 = var * (1 + 3 * (n - 2) * q * (1 - q))
+        assert abs(sizes.mean() - n * q) < 5 * math.sqrt(var / k)
+        assert abs(sizes.var(ddof=1) - var) < 5 * math.sqrt((mu4 - var ** 2) / k)
+
+    def test_every_row_joins_at_rate_q(self, blocks):
+        counts = sum(np.bincount(rows, minlength=self.N) for rows, _ in blocks)
+        rates = counts / self.STEPS
+        se = math.sqrt(self.Q * (1 - self.Q) / self.STEPS)
+        assert np.abs(rates - self.Q).max() < 5 * se
+
+    def test_steps_hold_distinct_ascending_rows(self, blocks):
+        for rows, bounds in blocks:
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                assert np.all(np.diff(rows[lo:hi]) > 0)
+            assert rows.min() >= 0 and rows.max() < self.N
+
+    def test_rate_one_takes_every_row_every_step(self):
+        blocks = list(poisson_batches(7, 1.0, 300, RngStream(44)))
+        assert len(blocks) == 2
+        for rows, bounds in blocks:
+            steps = len(bounds) - 1
+            np.testing.assert_array_equal(rows, np.tile(np.arange(7), steps))
+            np.testing.assert_array_equal(bounds, 7 * np.arange(steps + 1))
+
+    def test_deterministic_per_stream(self):
+        def draw(stream):
+            return [(rows.tolist(), bounds.tolist())
+                    for rows, bounds in poisson_batches(50, 0.1, 600, stream)]
+        assert draw(RngStream(45, 1)) == draw(RngStream(45, 1))
+        assert draw(RngStream(45, 1)) != draw(RngStream(45, 2))
 
 
 class TestPredictionSensitivity:
