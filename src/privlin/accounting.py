@@ -2,20 +2,23 @@
 
 Every noise-scale formula in the toolkit lives here: the closed-form
 beta/sigma formulas for the sensitivity and perturbation mechanisms, the
-analytic Gaussian calibration, the advanced-composition search for per-query
+exact Gaussian calibration, the advanced-composition search for per-query
 Gaussian noise, the vote inverse temperature for ensemble aggregation, and
 the Renyi accountant behind DP-SGD. mechanisms.calibrate picks the formula
-each mechanism uses.
+each mechanism uses. Every searched sigma comes from one bisection (_bisect)
+over an exact, monotone condition: the Gaussian mechanism's delta curve or
+the Renyi accountant's epsilon.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+from scipy.special import gammaln, logsumexp
 
 from .losses import HESSIAN_EIG_BOUND, LIPSCHITZ_K
 
@@ -53,8 +56,8 @@ class PrivacySpec:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
+            raise ValueError(f"budget must be an integer at least 1, got {self.budget!r}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,11 @@ class ProblemDims:
 
 @dataclass(frozen=True)
 class DpSgdConfig:
-    """Knobs of the private SGD loop. batch_size is the expected batch size:
-    each row joins each step independently with probability sample_rate,
-    which must equal batch_size / N."""
+    """Knobs of the private SGD loop. Each row joins each step independently
+    with probability sample_rate, so the expected batch size is sample_rate * N;
+    for_dataset builds the config from N and that expected batch size."""
 
     clip: float
-    batch_size: int
     n_steps: int
     sample_rate: float
     learning_rate: float = 1.0
@@ -86,8 +88,8 @@ class DpSgdConfig:
     def __post_init__(self):
         if not self.clip > 0:
             raise ValueError(f"clip must be positive, got {self.clip}")
-        if self.batch_size < 1 or self.n_steps < 1:
-            raise ValueError("batch_size and n_steps must be at least 1")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
         if not self.learning_rate > 0:
@@ -96,54 +98,46 @@ class DpSgdConfig:
     @classmethod
     def for_dataset(cls, n_train: int, batch_size: int, n_steps: int, clip: float,
                     learning_rate: float = 1.0) -> "DpSgdConfig":
-        return cls(clip=clip, batch_size=batch_size, n_steps=n_steps,
-                   sample_rate=batch_size / n_train, learning_rate=learning_rate)
+        return cls(clip=clip, n_steps=n_steps, sample_rate=batch_size / n_train,
+                   learning_rate=learning_rate)
 
 
 # Integer Renyi orders the DP-SGD accountant optimizes over.
 RDP_ORDERS = tuple(range(2, 65))
 
 
-@dataclass(frozen=True, eq=False)
-class RdpCurve:
-    """Renyi divergence bounds of one mechanism at a grid of orders."""
-
-    orders: np.ndarray
-    eps_at_order: np.ndarray
-
-    def __post_init__(self):
-        orders = np.asarray(self.orders, dtype=np.float64)
-        eps_at_order = np.asarray(self.eps_at_order, dtype=np.float64)
-        if orders.shape != eps_at_order.shape or orders.ndim != 1:
-            raise ValueError("orders and eps_at_order must be 1-D and of equal length")
-        if (orders <= 1).any():
-            raise ValueError("Renyi orders must exceed 1")
-        if (eps_at_order < 0).any():
-            raise ValueError("Renyi bounds must be nonnegative")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "eps_at_order", eps_at_order)
-
-    def compose(self, n_steps: int) -> "RdpCurve":
-        return RdpCurve(self.orders, n_steps * self.eps_at_order)
-
-    def to_dp(self, delta: float) -> tuple[float, int]:
-        """Convert to (epsilon, delta)-DP; returns (epsilon, best order).
-
-        Ties go to the smallest order.
-        """
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        candidates = self.eps_at_order + math.log(1.0 / delta) / (self.orders - 1)
-        best = candidates.min()
-        return float(best), int(self.orders[candidates == best].min())
-
-
 # ---------------------------------------------------------------------------
-# Analytic Gaussian calibration
+# Bisection and the exact Gaussian calibration
 # ---------------------------------------------------------------------------
 
 _SEARCH_ITERATIONS = 80
-_SEARCH_HI = 1e12
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _bisect(meets, lo: float, hi: float) -> float:
+    """Smallest float in (lo, hi] where the monotone predicate `meets` holds.
+
+    `hi` always meets and `lo` never does, so once no float lies strictly
+    between them neither can move again, and the search stops there."""
+    for _ in range(_SEARCH_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _gaussian_delta(ratio: float, epsilon: float) -> tuple[float, float]:
+    """delta(ratio) and a bound on its float rounding. The two terms nearly
+    cancel at small eps and delta; Phi(x) = erfc(-x / sqrt 2) / 2 is within
+    (5 + 3x^2) ulps (measured against mpmath), and rounding x adds as much."""
+    b = -0.5 * ratio - epsilon / ratio
+    upper = 0.5 * math.erfc((epsilon / ratio - 0.5 * ratio) * _SQRT_HALF)
+    lower = 0.5 * math.exp(epsilon) * math.erfc(-b * _SQRT_HALF)
+    return upper - lower, (10.0 + 6.0 * b * b) * 2.0**-53 * (upper + lower)
 
 
 def gaussian_mechanism_delta(sensitivity: float, sigma: float, epsilon: float) -> float:
@@ -154,66 +148,32 @@ def gaussian_mechanism_delta(sensitivity: float, sigma: float, epsilon: float) -
     """
     if not (sensitivity > 0 and sigma > 0 and epsilon > 0):
         raise ValueError("sensitivity, sigma, and epsilon must be positive")
-    ratio = sensitivity / sigma
-    return float(ndtr(0.5 * ratio - epsilon / ratio)
-                 - math.exp(epsilon) * ndtr(-0.5 * ratio - epsilon / ratio))
-
-
-def analytic_gaussian_alpha(epsilon: float, delta: float) -> float:
-    """Scale factor alpha of the analytic Gaussian mechanism.
-
-    sigma = alpha * sensitivity / sqrt(2 * epsilon) is the smallest standard
-    deviation for which the mechanism is (epsilon, delta)-DP. The threshold
-    delta_0 = Phi(0) - e^eps Phi(-sqrt(2 eps)) picks between two monotone
-    characteristic curves; each is inverted by bisection.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-    delta0 = float(ndtr(0.0) - math.exp(epsilon) * ndtr(-math.sqrt(2.0 * epsilon)))
-    if delta >= delta0:
-        # B+(v) climbs from delta0 toward 1; v* is the largest v with B+ <= delta.
-        def b_plus(v):
-            return float(ndtr(math.sqrt(epsilon * v))
-                         - math.exp(epsilon) * ndtr(-math.sqrt(epsilon * (v + 2.0))))
-
-        lo, hi = 0.0, _SEARCH_HI
-        if not b_plus(hi) > delta:
-            raise CalibrationError("upper characteristic curve never exceeds delta")
-        for _ in range(_SEARCH_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if b_plus(mid) <= delta:
-                lo = mid
-            else:
-                hi = mid
-        v_star = lo
-        # Equivalent to sqrt(1 + v/2) - sqrt(v/2) without cancellation.
-        return 1.0 / (math.sqrt(1.0 + 0.5 * v_star) + math.sqrt(0.5 * v_star))
-
-    # B-(u) decays from delta0 toward 0; u* is the smallest u with B- <= delta.
-    def b_minus(u):
-        return float(ndtr(-math.sqrt(epsilon * u))
-                     - math.exp(epsilon) * ndtr(-math.sqrt(epsilon * (u + 2.0))))
-
-    lo, hi = 0.0, _SEARCH_HI
-    if not b_minus(hi) <= delta:
-        raise CalibrationError("lower characteristic curve never reaches delta")
-    for _ in range(_SEARCH_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if b_minus(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    u_star = hi
-    return math.sqrt(1.0 + 0.5 * u_star) + math.sqrt(0.5 * u_star)
+    return _gaussian_delta(sensitivity / sigma, epsilon)[0]
 
 
 def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
-    """Smallest sigma making the Gaussian mechanism (epsilon, delta)-DP."""
-    alpha = analytic_gaussian_alpha(epsilon, delta)
-    return alpha * sensitivity / math.sqrt(2.0 * epsilon)
+    """Smallest sigma making the Gaussian mechanism (epsilon, delta)-DP.
+
+    Bisects sigma on the exact condition gaussian_mechanism_delta <= delta
+    (Balle & Wang 2018), whose left side falls as sigma grows, in a bracket
+    that starts at sigma = sensitivity and doubles or halves. The condition
+    must hold with its float rounding added, so sigma meets delta exactly too.
+    """
+    if not (sensitivity > 0 and epsilon > 0 and 0.0 < delta < 1.0):
+        raise ValueError("sensitivity and epsilon must be positive and delta in (0, 1); "
+                         f"got {sensitivity}, {epsilon}, {delta}")
+
+    def meets(sigma):
+        value, rounding = _gaussian_delta(sensitivity / sigma, epsilon)
+        return value + rounding <= delta
+
+    hi = sensitivity
+    while not meets(hi):
+        hi *= 2.0
+    lo = 0.5 * hi
+    while meets(lo):
+        hi, lo = lo, 0.5 * lo
+    return _bisect(meets, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +204,7 @@ def model_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
 
 
 def gaussian_model_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
-    """Gaussian parameter-perturbation scale: 2 K alpha / (N lam sqrt(2 eps))."""
+    """Gaussian parameter-perturbation scale, exact at sensitivity 2K / (N lam)."""
     _require_approximate(spec, "gaussian_model_sigma")
     return calibrate_gaussian_sigma(minimizer_sensitivity(dims), spec.epsilon, spec.delta)
 
@@ -394,16 +354,15 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order):
     return values.reshape(orders.shape)
 
 
-def rdp_curve(q: float, sigma: float, orders=RDP_ORDERS) -> RdpCurve:
-    """Per-step Renyi curve of the subsampled Gaussian over a grid of orders."""
-    return RdpCurve(orders, rdp_subsampled_gaussian(q, sigma, orders))
-
-
 def dpsgd_epsilon(sigma: float, cfg: DpSgdConfig, delta: float,
                   orders=RDP_ORDERS) -> float:
-    """Forward accounting: epsilon spent by n_steps subsampled Gaussian steps."""
-    curve = rdp_curve(cfg.sample_rate, sigma, orders).compose(cfg.n_steps)
-    return curve.to_dp(delta)[0]
+    """Forward accounting: epsilon spent by n_steps subsampled Gaussian steps,
+    the minimum over orders a of n_steps * rdp(a) + log(1/delta) / (a - 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    orders = np.asarray(orders, dtype=np.float64)
+    rdp = cfg.n_steps * rdp_subsampled_gaussian(cfg.sample_rate, sigma, orders)
+    return float((rdp + math.log(1.0 / delta) / (orders - 1)).min())
 
 
 _SIGMA_LO = 0.01
@@ -411,37 +370,20 @@ _SIGMA_HI = 1e4
 
 
 def dpsgd_sigma_for_target(spec: PrivacySpec, cfg: DpSgdConfig) -> float:
-    """Smallest noise multiplier whose accounted epsilon meets the target.
-
-    Binary search over sigma in [0.01, 1e4] against dpsgd_epsilon; the
-    accounted epsilon is continuous and decreasing in sigma, so the returned
-    sigma reproduces the target through forward accounting to within the
-    search tolerance. `hi` only ever holds a sigma that meets the target and
-    `lo` one that misses it, so once the midpoint is no longer strictly
-    between them neither bound can move again: the search stops there and
-    returns exactly what running all iterations would.
-    """
+    """Smallest noise multiplier in [0.01, 1e4] whose accounted epsilon
+    (dpsgd_epsilon, decreasing in sigma) meets the target, by bisection."""
     _require_approximate(spec, "dpsgd_sigma_for_target")
 
-    def accounted(sigma):
-        return dpsgd_epsilon(sigma, cfg, spec.delta)
+    def meets(sigma):
+        return dpsgd_epsilon(sigma, cfg, spec.delta) <= spec.epsilon
 
-    lo, hi = _SIGMA_LO, _SIGMA_HI
-    if accounted(hi) > spec.epsilon:
+    if not meets(_SIGMA_HI):
         raise InfeasibleTargetError(
-            f"epsilon = {spec.epsilon} unreachable with sigma <= {hi} "
-            f"(accounted epsilon {accounted(hi):.4g})")
-    if accounted(lo) <= spec.epsilon:
-        return lo
-    for _ in range(_SEARCH_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if accounted(mid) <= spec.epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"epsilon = {spec.epsilon} unreachable with sigma <= {_SIGMA_HI} "
+            f"(accounted epsilon {dpsgd_epsilon(_SIGMA_HI, cfg, spec.delta):.4g})")
+    if meets(_SIGMA_LO):
+        return _SIGMA_LO
+    return _bisect(meets, _SIGMA_LO, _SIGMA_HI)
 
 
 # ---------------------------------------------------------------------------

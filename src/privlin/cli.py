@@ -85,13 +85,14 @@ def _cmd_train(args) -> int:
 def _read_query_rows(path) -> np.ndarray:
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
+    header = None
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            header, rows = rows[0], rows[1:]
     if not rows:
         raise ValueError(f"{path}: no rows")
-    try:
-        float(rows[0][0])
-        header = None
-    except ValueError:
-        header, rows = rows[0], rows[1:]
     table = np.asarray(rows, dtype=np.float64)
     if header is not None and header[-1] == "label":
         table = table[:, :-1]

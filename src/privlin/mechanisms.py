@@ -15,6 +15,7 @@ each kind to its fit and answer functions and flags; every dispatch reads it.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -86,6 +87,16 @@ class Calibration:
     family: str = "none"
     scale: float = 0.0
     rho: float = 0.0
+
+    def __post_init__(self):
+        noisy = self.family in ("gaussian", "radial_exponential", "exponential_mechanism")
+        if not noisy and self.family != "none":
+            raise ValueError(f"unknown noise family {self.family!r}")
+        if not (math.isfinite(self.scale) and (self.scale > 0 if noisy else self.scale == 0)
+                and self.rho >= 0):
+            raise ValueError(f"{self.family} calibration needs a finite "
+                             f"{'positive' if noisy else 'zero'} scale and rho >= 0; "
+                             f"got scale {self.scale!r}, rho {self.rho!r}")
 
 
 @dataclass
@@ -266,11 +277,6 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
     """
     cfg = spec.dpsgd
     n = data.n_examples
-    if cfg.batch_size > n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    if abs(cfg.sample_rate - cfg.batch_size / n) > 1e-12:
-        raise ValueError(
-            f"sample_rate {cfg.sample_rate} must equal batch_size / N = {cfg.batch_size / n}")
     rng = as_generator(rng)
     noisy = calibration.family == "gaussian"
 
@@ -529,8 +535,8 @@ def save_predictor(path, predictor: PrivatePredictor):
 
 def load_predictor(path) -> PrivatePredictor:
     """The predictor save_predictor wrote; ValueError for a file of an unknown
-    kind or without a calibration record (the older layout of three noise
-    fields, whose training-side files did not record their noise)."""
+    kind, with a malformed calibration record or none (the older layout of
+    three noise fields, whose training-side files did not record their noise)."""
     with np.load(path, allow_pickle=False) as archive:
         kind = str(archive["kind"])
         if kind not in KINDS:
@@ -538,11 +544,15 @@ def load_predictor(path) -> PrivatePredictor:
         if "calibration" not in archive:
             raise ValueError(f"{path}: no calibration record; this layout cannot be "
                              "loaded faithfully, so train the predictor again")
+        try:
+            calibration = Calibration(**json.loads(str(archive["calibration"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed calibration record: {exc}") from exc
         privacy = PrivacySpec(epsilon=float(archive["epsilon"]),
                               delta=float(archive["delta"]),
                               budget=int(archive["spec_budget"]))
         predictor = PrivatePredictor(
-            kind, privacy, Calibration(**json.loads(str(archive["calibration"]))),
+            kind, privacy, calibration,
             theta=archive["theta"] if "theta" in archive else None,
             ensemble=_feature_major(archive["ensemble"]) if "ensemble" in archive else None)
         if "budget_total" in archive:

@@ -14,10 +14,8 @@ from privlin import (
     InfeasibleTargetError,
     PrivacySpec,
     ProblemDims,
-    RdpCurve,
     UnsupportedOrderError,
     WrongVariantError,
-    analytic_gaussian_alpha,
     calibrate_gaussian_sigma,
     dpsgd_epsilon,
     dpsgd_sigma_for_target,
@@ -29,7 +27,6 @@ from privlin import (
     minimizer_sensitivity,
     model_sensitivity_beta,
     prediction_sensitivity_beta,
-    rdp_curve,
     rdp_subsampled_gaussian,
     subsample_beta,
 )
@@ -52,6 +49,9 @@ class TestSpecsValidation:
             PrivacySpec(epsilon=1.0, delta=2.0)
         with pytest.raises(ValueError):
             PrivacySpec(epsilon=1.0, budget=0)
+        with pytest.raises(ValueError, match="integer"):
+            PrivacySpec(1.0, 0.0, 2.5)
+        assert PrivacySpec(1.0, 0.0, np.int64(3)).budget == 3
 
     def test_dims_positive(self):
         with pytest.raises(ValueError):
@@ -61,11 +61,15 @@ class TestSpecsValidation:
 
     def test_dpsgd_config(self):
         with pytest.raises(ValueError):
-            DpSgdConfig(clip=0.0, batch_size=10, n_steps=5, sample_rate=0.1)
+            DpSgdConfig(clip=0.0, n_steps=5, sample_rate=0.1)
         with pytest.raises(ValueError):
-            DpSgdConfig(clip=0.1, batch_size=10, n_steps=5, sample_rate=1.5)
+            DpSgdConfig(clip=0.1, n_steps=5, sample_rate=1.5)
+        with pytest.raises(ValueError):
+            DpSgdConfig(clip=0.1, n_steps=0, sample_rate=0.1)
         cfg = DpSgdConfig.for_dataset(n_train=200, batch_size=50, n_steps=5, clip=0.1)
-        assert cfg.sample_rate == pytest.approx(0.25)
+        assert cfg == DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.25)
+        with pytest.raises(ValueError, match="sample_rate"):
+            DpSgdConfig.for_dataset(n_train=200, batch_size=0, n_steps=5, clip=0.1)
 
 
 class TestModelSensitivityBeta:
@@ -88,18 +92,37 @@ class TestModelSensitivityBeta:
             model_sensitivity_beta(dims(), PrivacySpec(1.0, delta=1e-5))
 
 
+# Per-query targets gaussian_prediction_sigma asks calibrate_gaussian_sigma for.
+PER_QUERY_EPSILONS = (1e-4, 1e-3, 0.1, 1.0)
+PER_QUERY_DELTAS = (1e-12, 1e-8, 1e-5, 0.3)
+
+
+def mp_gaussian_delta(mpmath, sensitivity, sigma, eps):
+    """gaussian_mechanism_delta evaluated in mpmath at the working precision."""
+    r, e = mpmath.mpf(sensitivity) / mpmath.mpf(sigma), mpmath.mpf(eps)
+    return mpmath.ncdf(r / 2 - e / r) - mpmath.exp(e) * mpmath.ncdf(-r / 2 - e / r)
+
+
 class TestAnalyticGaussianAlpha:
+    """The analytic Gaussian mechanism's scale factor
+    alpha = sigma sqrt(2 eps) / sensitivity, read through
+    calibrate_gaussian_sigma. Balle & Wang's two characteristic curves,
+    scanned on a grid, serve as an independent oracle."""
+
     def test_delta_threshold_value(self):
-        # delta_0(eps=1) = Phi(0) - e Phi(-sqrt(2)), 50-digit evaluation.
+        # delta_0(eps=1) = Phi(0) - e Phi(-sqrt(2)), 50-digit evaluation; at
+        # delta_0 the two curves meet and alpha = 1.
         delta0 = float(ndtr(0.0) - math.e * ndtr(-SQRT2))
         assert delta0 == pytest.approx(0.2862082119220965, rel=1e-12)
+        assert calibrate_gaussian_sigma(1.0, 1.0, delta0) * SQRT2 == pytest.approx(
+            1.0, rel=1e-9)
 
     def test_tightness_on_grid(self):
         for eps in (0.1, 1.0, 5.0):
             for delta in (1e-6, 1e-3, 0.3):
                 sigma = calibrate_gaussian_sigma(1.0, eps, delta)
-                assert gaussian_mechanism_delta(1.0, sigma, eps) <= delta + 1e-9
-                assert gaussian_mechanism_delta(1.0, 0.99 * sigma, eps) > delta
+                assert gaussian_mechanism_delta(1.0, sigma, eps) <= delta
+                assert gaussian_mechanism_delta(1.0, sigma * (1 - 1e-9), eps) > delta
 
     def test_upper_branch_against_grid_scan(self):
         # eps=1, delta=0.5 lands above delta_0; scan B+ on a fine grid.
@@ -108,7 +131,8 @@ class TestAnalyticGaussianAlpha:
         values = ndtr(np.sqrt(eps * vs)) - math.exp(eps) * ndtr(-np.sqrt(eps * (vs + 2)))
         v_star = vs[values <= delta].max()
         expected = 1.0 / (math.sqrt(1 + v_star / 2) + math.sqrt(v_star / 2))
-        assert analytic_gaussian_alpha(eps, delta) == pytest.approx(expected, abs=2e-6)
+        alpha = calibrate_gaussian_sigma(1.0, eps, delta) * math.sqrt(2 * eps)
+        assert alpha == pytest.approx(expected, abs=2e-6)
 
     def test_lower_branch_against_grid_scan(self):
         eps, delta = 1.0, 0.01
@@ -116,13 +140,30 @@ class TestAnalyticGaussianAlpha:
         values = ndtr(-np.sqrt(eps * us)) - math.exp(eps) * ndtr(-np.sqrt(eps * (us + 2)))
         u_star = us[values <= delta].min()
         expected = math.sqrt(1 + u_star / 2) + math.sqrt(u_star / 2)
-        assert analytic_gaussian_alpha(eps, delta) == pytest.approx(expected, abs=2e-5)
+        alpha = calibrate_gaussian_sigma(1.0, eps, delta) * math.sqrt(2 * eps)
+        assert alpha == pytest.approx(expected, abs=2e-5)
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
-            analytic_gaussian_alpha(1.0, 0.0)
+            calibrate_gaussian_sigma(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            analytic_gaussian_alpha(1.0, 1.0)
+            calibrate_gaussian_sigma(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("eps", PER_QUERY_EPSILONS)
+    def test_per_query_targets_against_mpmath_oracle(self, eps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for delta in PER_QUERY_DELTAS:
+                sigma = calibrate_gaussian_sigma(1.0, eps, delta)
+                assert mp_gaussian_delta(mpmath, 1.0, sigma, eps) <= delta, (eps, delta)
+                assert mp_gaussian_delta(mpmath, 1.0, sigma * (1 - 1e-9), eps) > delta
+
+    def test_bracket_grows_and_shrinks_with_the_sensitivity(self):
+        unit = calibrate_gaussian_sigma(1.0, 1e-3, 1e-8)
+        for sensitivity in (1e-9, 1e9):
+            sigma = calibrate_gaussian_sigma(sensitivity, 1e-3, 1e-8)
+            assert sigma == pytest.approx(unit * sensitivity, rel=1e-10)
+            assert gaussian_mechanism_delta(sensitivity, sigma, 1e-3) <= 1e-8
 
 
 class TestGaussianModelSigma:
@@ -135,8 +176,7 @@ class TestGaussianModelSigma:
     def test_value_composes_alpha_and_sensitivity(self):
         spec = PrivacySpec(1.0, 1e-5)
         d = dims(1000, 0.01)
-        expected = (analytic_gaussian_alpha(1.0, 1e-5) * minimizer_sensitivity(d)
-                    / math.sqrt(2.0))
+        expected = minimizer_sensitivity(d) * calibrate_gaussian_sigma(1.0, 1.0, 1e-5)
         assert gaussian_model_sigma(d, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_delta(self):
@@ -313,9 +353,9 @@ class TestRdpSubsampledGaussian:
                     pow_q = [mq ** k for k in ks]
                     pow_rest = [(1 - mq) ** k for k in ks]
                     growth = [mpmath.exp((k * k - k) / (2 * ms * ms)) for k in ks]
-                    curve = rdp_curve(q, sigma)
-                    assert np.all(curve.eps_at_order >= 0.0)
-                    for a, value in zip(RDP_ORDERS, curve.eps_at_order):
+                    curve = rdp_subsampled_gaussian(q, sigma, np.array(RDP_ORDERS))
+                    assert np.all(curve >= 0.0)
+                    for a, value in zip(RDP_ORDERS, curve):
                         total = mpmath.fsum(
                             math.comb(a, k) * pow_rest[a - k] * pow_q[k] * growth[k]
                             for k in range(a + 1))
@@ -324,23 +364,11 @@ class TestRdpSubsampledGaussian:
 
     def test_tiny_sample_rate_never_rounds_negative(self):
         # The exact bound is >= 0; float rounding at tiny q must not push it below.
-        curve = rdp_curve(1e-9, 1e3)
-        assert np.all(curve.eps_at_order >= 0.0)
+        assert np.all(rdp_subsampled_gaussian(1e-9, 1e3, np.array(RDP_ORDERS)) >= 0.0)
         for n_train in (10_000_000, 100_000_000):
             cfg = DpSgdConfig.for_dataset(n_train, 1, 100, 1.0)
             sigma = dpsgd_sigma_for_target(PrivacySpec(1.0, 1e-5), cfg)
             assert dpsgd_epsilon(sigma, cfg, 1e-5) <= 1.0
-
-
-class TestRdpCurve:
-    def test_to_dp_ties_go_to_the_smallest_order(self):
-        log_term = math.log(1.0 / 0.5)
-        curve = RdpCurve((5, 3), (log_term / 2, log_term / 4))
-        assert curve.to_dp(0.5) == (log_term / 2 + log_term / 4, 3)
-
-    def test_rejects_negative_bounds(self):
-        with pytest.raises(ValueError):
-            RdpCurve((2, 3), (0.1, -1e-17))
 
 
 # dpsgd_sigma_for_target before the accountant was vectorised, keyed by
@@ -370,7 +398,7 @@ class TestDpSgdSigma:
 
     def test_full_batch_matches_closed_form_grid_minimum(self):
         eps, delta = 1.0, 1e-5
-        cfg = DpSgdConfig(clip=1.0, batch_size=100, n_steps=1, sample_rate=1.0)
+        cfg = DpSgdConfig(clip=1.0, n_steps=1, sample_rate=1.0)
         sigma = dpsgd_sigma_for_target(PrivacySpec(eps, delta), cfg)
         # Per integer order a: smallest sigma with a/(2 s^2) + ln(1/delta)/(a-1) <= eps.
         candidates = []
@@ -381,15 +409,14 @@ class TestDpSgdSigma:
         assert sigma == pytest.approx(min(candidates), rel=1e-9)
 
     def test_close_to_classical_gaussian_formula(self):
-        cfg = DpSgdConfig(clip=1.0, batch_size=100, n_steps=1, sample_rate=1.0)
+        cfg = DpSgdConfig(clip=1.0, n_steps=1, sample_rate=1.0)
         sigma = dpsgd_sigma_for_target(PrivacySpec(1.0, 1e-5), cfg)
         classical = math.sqrt(2 * math.log(1.25 / 1e-5))
         assert sigma <= classical * 1.02
 
     def test_round_trip(self):
         for eps, q, steps in [(1.0, 1.0, 1), (1.0, 0.01, 1000), (0.3, 0.05, 400)]:
-            cfg = DpSgdConfig(clip=0.1, batch_size=int(q * 1000), n_steps=steps,
-                              sample_rate=q)
+            cfg = DpSgdConfig(clip=0.1, n_steps=steps, sample_rate=q)
             sigma = dpsgd_sigma_for_target(PrivacySpec(eps, 1e-5), cfg)
             assert dpsgd_epsilon(sigma, cfg, 1e-5) == pytest.approx(eps, rel=1e-6)
 
@@ -397,8 +424,7 @@ class TestDpSgdSigma:
         delta = 1e-5
 
         def sigma_of(eps, q, steps):
-            cfg = DpSgdConfig(clip=0.1, batch_size=max(1, int(q * 1000)),
-                              n_steps=steps, sample_rate=q)
+            cfg = DpSgdConfig(clip=0.1, n_steps=steps, sample_rate=q)
             return dpsgd_sigma_for_target(PrivacySpec(eps, delta), cfg)
 
         assert sigma_of(1.0, 0.1, 100) <= sigma_of(1.0, 0.1, 400)
@@ -406,17 +432,28 @@ class TestDpSgdSigma:
         assert sigma_of(2.0, 0.1, 200) <= sigma_of(0.5, 0.1, 200)
 
     def test_forward_accounting_monotone_in_sigma(self):
-        cfg = DpSgdConfig(clip=0.1, batch_size=100, n_steps=300, sample_rate=0.1)
+        cfg = DpSgdConfig(clip=0.1, n_steps=300, sample_rate=0.1)
         values = [dpsgd_epsilon(s, cfg, 1e-5) for s in (0.7, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_forward_epsilon_is_the_minimum_over_orders(self):
+        # n_steps * rdp(a) + log(1/delta) / (a - 1), minimised order by order.
+        for q in (1.0, 0.03):
+            cfg = DpSgdConfig(clip=0.1, n_steps=250, sample_rate=q)
+            expected = min(250 * rdp_subsampled_gaussian(q, 1.3, a)
+                           + math.log(1 / 1e-5) / (a - 1) for a in RDP_ORDERS)
+            assert dpsgd_epsilon(1.3, cfg, 1e-5) == pytest.approx(expected, rel=1e-13)
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                dpsgd_epsilon(1.3, cfg, delta)
+
     def test_infeasible_target(self):
-        cfg = DpSgdConfig(clip=0.1, batch_size=1000, n_steps=10_000_000, sample_rate=1.0)
+        cfg = DpSgdConfig(clip=0.1, n_steps=10_000_000, sample_rate=1.0)
         with pytest.raises(InfeasibleTargetError):
             dpsgd_sigma_for_target(PrivacySpec(1e-6, 1e-9), cfg)
 
     def test_wrong_variant(self):
-        cfg = DpSgdConfig(clip=0.1, batch_size=10, n_steps=10, sample_rate=0.1)
+        cfg = DpSgdConfig(clip=0.1, n_steps=10, sample_rate=0.1)
         with pytest.raises(WrongVariantError):
             dpsgd_sigma_for_target(PrivacySpec(1.0, 0.0), cfg)
 

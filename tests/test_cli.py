@@ -29,6 +29,7 @@ def test_train_dpsgd_reports_the_calibrated_sigma(tmp_path, capsys):
     cfg = DpSgdConfig.for_dataset(120, 16, 30, clip=0.1)
     assert report["mechanism"] == "dpsgd"
     assert report["sample_rate"] == cfg.sample_rate
+    assert "batch_size" not in report  # the config stores q = batch / N only
     assert report["scale"] == dpsgd_sigma_for_target(PrivacySpec(1.0, 1e-5, 100), cfg)
     assert model.exists()
 
@@ -114,6 +115,19 @@ def test_predict_records_the_spend_before_writing_answers(tmp_path):
         cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
                   "--out", str(tmp_path / "missing" / "answers.csv")])
     assert load_predictor(model).budget.used == 2
+
+
+@pytest.mark.parametrize("text", ["", "f0,f1,f2,f3,f4\n"])
+def test_predict_refuses_a_query_file_without_rows(tmp_path, text):
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    inputs = tmp_path / "queries.csv"
+    inputs.write_text(text)
+    with pytest.raises(ValueError, match="no rows"):
+        cli.main(["predict", "--model", str(model), "--inputs", str(inputs)])
+    assert load_predictor(model).budget.used == 0
 
 
 def test_predict_projects_queries_outside_the_ball(tmp_path):

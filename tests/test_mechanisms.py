@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -41,6 +42,7 @@ from privlin import (
     softmax,
     subsample_beta,
     synth_blob_pair,
+    synth_blobs,
     vote_distribution,
 )
 from privlin.data import preprocess_pair
@@ -79,7 +81,7 @@ def fit_nonprivate(data, spec):
 
 class TestMechanismSpec:
     def test_dpsgd_requires_positive_delta(self):
-        cfg = DpSgdConfig(clip=0.1, batch_size=10, n_steps=5, sample_rate=0.1)
+        cfg = DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1)
         with pytest.raises(WrongVariantError):
             MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 0.0), dpsgd=cfg)
 
@@ -90,6 +92,21 @@ class TestMechanismSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MechanismSpec(kind="laplace", privacy=PrivacySpec(1.0))
+
+
+CALIBRATION_GOLDEN = {
+    ("nonprivate", 0.0): ("none", 0.0, 0.0),
+    ("model_sensitivity", 0.0): ("radial_exponential", 2.82842712474619, 0.0),
+    ("loss_perturbation", 0.0): ("radial_exponential", 0.35355339059327373, 4.0),
+    ("prediction_sensitivity", 0.0): ("radial_exponential", 0.1414213562373095, 0.0),
+    ("subsample_aggregate", 0.0): ("exponential_mechanism", 0.05, 0.0),
+    ("nonprivate", 1e-05): ("none", 0.0, 0.0),
+    ("model_sensitivity", 1e-05): ("gaussian", 1.3189774635437135, 0.0),
+    ("loss_perturbation", 1e-05): ("gaussian", 14.258231388516698, 4.0),
+    ("dpsgd", 1e-05): ("gaussian", 3.8170366509820663, 0.0),
+    ("prediction_sensitivity", 1e-05): ("gaussian", 25.630932251427883, 0.0),
+    ("subsample_aggregate", 1e-05): ("exponential_mechanism", 0.05, 0.0),
+}
 
 
 class TestCalibrate:
@@ -121,10 +138,23 @@ class TestCalibrate:
             assert calibration == Calibration(family, scale, rho), (kind, delta)
             assert (calibration.rho > 0) == (kind == "loss_perturbation")
         # DP-SGD at lam = 0, which the problem constants of the other kinds reject.
-        cfg = DpSgdConfig(clip=0.1, batch_size=100, n_steps=50, sample_rate=0.1)
+        cfg = DpSgdConfig(clip=0.1, n_steps=50, sample_rate=0.1)
         spec = spec_for("dpsgd", delta=1e-5, budget=10, lam=0.0, dpsgd=cfg)
         assert calibrate(spec, data) == Calibration(
             "gaussian", dpsgd_sigma_for_target(approx, cfg))
+
+    def test_calibrations_match_recorded_values(self):
+        # Every kind at delta = 0 and 1e-5, recorded before the Gaussian sigma
+        # search moved onto the exact delta curve.
+        data = synth_blobs(40, 4, 6, 3.0, RngStream(11))
+        dpsgd = DpSgdConfig.for_dataset(data.n_examples, 16, 50, 0.1)
+        for (kind, delta), recorded in CALIBRATION_GOLDEN.items():
+            spec = MechanismSpec(kind=kind, privacy=PrivacySpec(1.0, delta, 20), lam=0.05,
+                                 n_models=8, dpsgd=dpsgd if kind == "dpsgd" else None)
+            calibration = calibrate(spec, data)
+            assert calibration.family == recorded[0], (kind, delta)
+            assert [calibration.scale, calibration.rho] == pytest.approx(
+                recorded[1:], rel=1e-10), (kind, delta)
 
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_fit_records_its_calibration(self, kind, tmp_path):
@@ -296,12 +326,9 @@ class TestDpSgd:
         assert np.mean(observed) == pytest.approx(target, rel=0.15)
 
     def test_batch_size_validation(self):
-        train, _ = blob_splits(12)
-        cfg = DpSgdConfig(clip=0.1, batch_size=10 * train.n_examples, n_steps=2,
-                          sample_rate=1.0)
-        spec = spec_for("dpsgd", delta=1e-5, dpsgd=cfg)
-        with pytest.raises(ValueError):
-            fit_predictor(train, spec, RngStream(1))
+        n = blob_splits(12)[0].n_examples
+        with pytest.raises(ValueError, match="sample_rate"):
+            DpSgdConfig.for_dataset(n, 10 * n, 2, clip=0.1)
 
     def test_noise_normalised_by_expected_batch(self):
         # All-zero features and lam = 0 make every clipped gradient zero, so one
@@ -645,6 +672,31 @@ class TestSerialization:
         np.savez(tmp_path / "old.npz", **payload)
         with pytest.raises(ValueError, match="no calibration record"):
             load_predictor(tmp_path / "old.npz")
+
+    @pytest.mark.parametrize("record", [
+        {"family": "laplace", "scale": 1.0, "rho": 0.0},
+        {"family": "gaussian", "sigma": 1.0},
+        {"family": "gaussian", "scale": 0.0},
+        {"family": "radial_exponential", "scale": float("inf")},
+        {"family": "exponential_mechanism", "scale": float("nan")},
+        {"family": "none", "scale": 0.5},
+        {"family": "gaussian", "scale": 1.0, "rho": -1.0},
+        {"family": "gaussian", "scale": "1.0"},
+    ])
+    def test_malformed_calibration_record_is_refused(self, record, tmp_path):
+        train, _ = blob_splits(31, n_train_per_class=20)
+        predictor = fit_predictor(train, spec_for("prediction_sensitivity", budget=5),
+                                  RngStream(32))
+        path = tmp_path / "tampered.npz"
+        save_predictor(path, predictor)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["calibration"] = np.array(json.dumps(record))
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="malformed calibration record"):
+            load_predictor(path)
+        with pytest.raises((TypeError, ValueError)):
+            Calibration(**record)
 
     def test_round_trip_ensemble(self, tmp_path):
         train, test = blob_splits(26)
