@@ -141,10 +141,14 @@ def _gaussian_delta(ratio: float, epsilon: float) -> tuple[float, float]:
 
 
 def gaussian_mechanism_delta(sensitivity: float, sigma: float, epsilon: float) -> float:
-    """Exact privacy failure probability of the Gaussian mechanism.
+    """Exact privacy failure probability of the Gaussian mechanism, up to
+    float rounding.
 
     Phi(D/(2s) - eps*s/D) - e^eps * Phi(-D/(2s) - eps*s/D), where D is the L2
     sensitivity. The mechanism is (epsilon, delta)-DP iff this value is <= delta.
+    The two terms nearly cancel at small eps and delta, so the float can read
+    below the exact value; a check against delta adds _gaussian_delta's
+    rounding bound, as calibrate_gaussian_sigma does.
     """
     if not (sensitivity > 0 and sigma > 0 and epsilon > 0):
         raise ValueError("sensitivity, sigma, and epsilon must be positive")

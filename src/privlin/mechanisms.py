@@ -105,7 +105,10 @@ class PrivatePredictor:
 
     budget is None for model-releasing mechanisms (post-processing answers
     unlimited queries); prediction-side mechanisms consume one unit per query
-    and refuse afterwards. rng drives the fresh per-query noise.
+    and refuse afterwards. rng drives the fresh per-query noise. ties is the
+    ensemble's tie_table, built when a predictor is made with an ensemble and
+    no table, and None without an ensemble; dataclasses.replace keeps it, so
+    a replace that swaps the ensemble passes ties=None.
     """
 
     kind: str
@@ -115,6 +118,11 @@ class PrivatePredictor:
     ensemble: np.ndarray | None = None
     budget: BudgetState | None = None
     rng: np.random.Generator | None = field(default=None, repr=False)
+    ties: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.ensemble is not None and self.ties is None:
+            self.ties = tie_table(self.ensemble)
 
     @property
     def remaining_budget(self):
@@ -383,14 +391,20 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     training example can change at most one sub-model. The calibration's
     scale is the vote inverse temperature.
 
-    The sub-models are stored in (D, T, C) memory and `ensemble` is that
-    buffer's (T, D, C) transposed view, so ensemble_vote_counts can treat
-    them as one (D, T*C) matrix without a copy.
+    A sub-model's classes that none of its examples carry enter its
+    objective symmetrically, so its exact minimiser has their columns equal;
+    they are set to their mean, which makes them equal bit for bit, and
+    tie_table groups them. The sub-models are stored in (D, T, C) memory and
+    `ensemble` is that buffer's (T, D, C) transposed view, so
+    ensemble_vote_counts can treat them as one (D, T*C) matrix without a copy.
     """
     rng = as_generator(rng)
     parts = partition_indices(data.n_examples, spec.n_models, rng)
-    thetas = minimize_erm_stack(data.features[parts], data.labels[parts],
-                                spec.train_config())
+    labels = data.labels[parts]
+    thetas = minimize_erm_stack(data.features[parts], labels, spec.train_config())
+    absent = ~labels.any(axis=1)  # (T, C): classes a sub-model never saw
+    mean = thetas @ (absent / np.maximum(absent.sum(axis=1, keepdims=True), 1))[:, :, None]
+    np.copyto(thetas, mean, where=absent[:, None, :])
     return PrivatePredictor(
         kind=spec.kind, privacy=spec.privacy, calibration=calibration,
         ensemble=_feature_major(thetas),
@@ -402,30 +416,50 @@ def _feature_major(ensemble: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ensemble.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def ensemble_vote_counts(ensemble: np.ndarray, x) -> np.ndarray:
+def tie_table(ensemble: np.ndarray) -> np.ndarray:
+    """(T, C) table: for each sub-model and class, the lowest class whose
+    parameter column in that sub-model is bitwise equal to the class's own.
+    Only column pairs equal in their first entry are compared in full."""
+    bits = np.asarray(ensemble, dtype=np.float64).view(np.uint64)  # (T, D, C)
+    t, _, c = bits.shape
+    first = bits[:, 0, :]
+    model, low, high = np.nonzero(np.triu(first[:, :, None] == first[:, None, :], 1))
+    same = (bits[model, :, low] == bits[model, :, high]).all(axis=1)
+    table = np.tile(np.arange(c), (t, 1))
+    np.minimum.at(table, (model[same], high[same]), low[same])
+    return table
+
+
+def ensemble_vote_counts(ensemble: np.ndarray, x, ties: np.ndarray | None = None) -> np.ndarray:
     """Votes per class: each sub-model casts its argmax (ties to the lowest index).
 
     Accepts one query vector or a batch of rows; returns (C,) or (n, C)
-    integer counts summing to the ensemble size.
+    integer counts summing to the ensemble size. ties is tie_table(ensemble),
+    built here if not given.
 
     All T sub-models score the rows in one matrix product against the
     (D, T*C) matrix of their parameters; that reshape is free for the
     (D, T, C) memory of the subsample-and-aggregate fit and copies any other
-    layout once per call. The product is a stack of (1, D) @ (D, T*C)
-    products, so every row, alone or in a batch, goes through the same BLAS
-    matrix-vector call and rounds the same way: a sub-model that never saw
-    two classes scores them equal up to rounding, and a GEMM would break
-    that near-tie differently from a single query's GEMV.
+    layout once per call. A single row goes through a matrix-vector product
+    and a batch through one matrix-matrix product, and the two can round a
+    sub-model's equal columns apart differently. Each winner is therefore
+    mapped to the lowest class of its tie group, so equal columns tie
+    exactly and a batch answers as its rows would one by one.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
     n = rows.shape[0]
     t, d, c = ensemble.shape
+    if ties is None:
+        ties = tie_table(ensemble)
     weights = ensemble.transpose(1, 0, 2).reshape(d, t * c)
-    winners = (rows[:, None, :] @ weights).reshape(n, t, c).argmax(axis=2)  # (n, t)
-    offsets = winners + c * np.arange(n)[:, None]
-    counts = np.bincount(offsets.ravel(), minlength=n * c).reshape(n, c)
+    winners = (rows @ weights).reshape(n, t, c).argmax(axis=2)  # (n, t)
+    winners += np.arange(0, t * c, c)  # flat indices into ties
+    votes = ties.take(winners)
+    if n > 1:  # offset each row's votes into its own C bins
+        votes += np.arange(0, n * c, c)[:, None]
+    counts = np.bincount(votes.ravel(), minlength=n * c).reshape(n, c)
     return counts[0] if single else counts
 
 
@@ -443,7 +477,7 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     Inverse-CDF sampling with one uniform per row, in row order: the same
     arithmetic and draws as rng.choice(C, p=probs) called row by row.
     """
-    counts = ensemble_vote_counts(predictor.ensemble, rows)
+    counts = ensemble_vote_counts(predictor.ensemble, rows, predictor.ties)
     cdf = np.cumsum(vote_distribution(counts, predictor.calibration.scale), axis=1)
     cdf /= cdf[:, -1:]
     uniforms = predictor.rng.random(rows.shape[0])
@@ -536,7 +570,13 @@ def save_predictor(path, predictor: PrivatePredictor):
 def load_predictor(path) -> PrivatePredictor:
     """The predictor save_predictor wrote; ValueError for a file of an unknown
     kind, with a malformed calibration record or none (the older layout of
-    three noise fields, whose training-side files did not record their noise)."""
+    three noise fields, whose training-side files did not record their noise).
+
+    An ensemble's tie_table is rebuilt from the stored parameters. Ensembles
+    saved before absent-class columns were made equal have those columns
+    equal only up to rounding, so they form no tie groups: their near-ties go
+    to whichever column rounds higher, and a batch may break one differently
+    from a single query."""
     with np.load(path, allow_pickle=False) as archive:
         kind = str(archive["kind"])
         if kind not in KINDS:

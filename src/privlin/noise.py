@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,10 @@ def sample_radial_exponential(shape, beta: float, rng) -> np.ndarray:
     rng = as_generator(rng)
     n = rows * cols
     direction = rng.standard_normal(n)
-    norm = np.linalg.norm(direction)
+    norm = math.sqrt(direction @ direction)
     while norm == 0.0:
         direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction @ direction)
     radius = rng.gamma(shape=n, scale=1.0 / beta)
     return (radius / norm * direction).reshape(rows, cols)
 

@@ -1,7 +1,7 @@
 """Fast invariant suites behind the `verify` CLI subcommand: loss-constant
 bounds, calibration tightness, DP-SGD accountant tightness, the DP-SGD batch
-sampler, sampler sanity, budget enforcement, and the empirical
-minimizer-sensitivity bound."""
+sampler, sampler sanity, budget enforcement, exact ensemble vote ties, and the
+empirical minimizer-sensitivity bound."""
 
 from __future__ import annotations
 
@@ -15,15 +15,15 @@ from .accounting import (
     DpSgdConfig,
     PrivacySpec,
     ProblemDims,
+    _gaussian_delta,
     calibrate_gaussian_sigma,
     dpsgd_epsilon,
     dpsgd_sigma_for_target,
-    gaussian_mechanism_delta,
     minimizer_sensitivity,
 )
 from .data import LabeledDataset, synth_blobs
 from .losses import LIPSCHITZ_K, mc_logistic_grad, mc_logistic_hessian
-from .mechanisms import MechanismSpec, fit_predictor, poisson_batches
+from .mechanisms import MechanismSpec, ensemble_vote_counts, fit_predictor, poisson_batches
 from .noise import RngStream, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm
 
@@ -44,15 +44,18 @@ def check_loss_bounds(n_samples: int = 20000, seed: int = 0):
 
 
 def check_calibration_tightness():
-    """Gaussian sigma meets the exact inequality; 0.99 sigma breaks it. The grid
-    adds the per-query corner eps = 1e-3, delta = 1e-8 of a large budget."""
+    """Gaussian sigma meets the exact inequality even with the float rounding
+    of delta added; at 0.99 sigma it fails even with the rounding taken off.
+    The grid adds the per-query corner eps = 1e-3, delta = 1e-8 of a large
+    budget."""
     grid = [(eps, delta) for eps in (0.1, 1.0, 5.0) for delta in (1e-6, 1e-3, 0.3)]
     worst_slack = -math.inf
     for eps, delta in grid + [(1e-3, 1e-8)]:
         sigma = calibrate_gaussian_sigma(1.0, eps, delta)
-        at = gaussian_mechanism_delta(1.0, sigma, eps)
-        below = gaussian_mechanism_delta(1.0, 0.99 * sigma, eps)
-        if at > delta or below <= delta:
+        value, rounding = _gaussian_delta(1.0 / sigma, eps)
+        at = value + rounding
+        value, rounding = _gaussian_delta(1.0 / (0.99 * sigma), eps)
+        if at > delta or value - rounding <= delta:
             return False, f"calibration loose at eps={eps}, delta={delta}"
         worst_slack = max(worst_slack, at - delta)
     return True, f"tight on the 3x3 grid and the corner (max slack {worst_slack:.2e})"
@@ -127,6 +130,29 @@ def check_budget(seed: int = 2):
     return ok, f"{budget} answered, {refused}/3 refused, counter at {predictor.budget.used}"
 
 
+def check_vote_ties(seed: int = 5):
+    """A batch votes as its rows do one by one. T = 33 sub-models of ~5 rows
+    over C = 10 classes leave several classes unseen, whose equal columns this
+    BLAS build's matrix-matrix product may round apart from its matrix-vector
+    product; the tie table must keep every such tie exact."""
+    t, c = 33, 10
+    data = synth_blobs(17, c, 20, 1.0, RngStream(seed))
+    spec = MechanismSpec(kind="subsample_aggregate", privacy=PrivacySpec(1.0, 0.0, 1),
+                         lam=0.1, n_models=t)
+    predictor = fit_predictor(data, spec, RngStream(seed, 1))
+    ensemble, ties, rows = predictor.ensemble, predictor.ties, data.features
+    single = np.array([ensemble_vote_counts(ensemble, x, ties) for x in rows])
+    differing = 0
+    for size in (7, len(rows)):
+        batch = np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
+                                for i in range(0, len(rows), size)])
+        differing = max(differing, int((batch != single).any(axis=1).sum()))
+    tied = int((ties != np.arange(c)).any(axis=1).sum())
+    ok = tied > 0 and differing == 0
+    return ok, (f"{differing} of {len(rows)} rows differ between batch and one by one; "
+                f"{tied} of {t} sub-models hold tied classes")
+
+
 def check_sensitivity(pairs: int = 10, seed: int = 3):
     """Trained minimizers of neighboring datasets move less than 2K/(N lam)."""
     n, d, c, lam = 100, 10, 3, 0.1
@@ -157,6 +183,7 @@ SUITES = (
     ("DP-SGD sampler", check_dpsgd_sampler),
     ("noise samplers", check_samplers),
     ("budget enforcement", check_budget),
+    ("vote ties", check_vote_ties),
     ("empirical sensitivity", check_sensitivity),
 )
 

@@ -30,7 +30,7 @@ from privlin import (
     rdp_subsampled_gaussian,
     subsample_beta,
 )
-from privlin.accounting import _SIGMA_LO, RDP_ORDERS
+from privlin.accounting import _SIGMA_LO, RDP_ORDERS, _gaussian_delta
 
 SQRT2 = math.sqrt(2.0)
 
@@ -103,6 +103,14 @@ def mp_gaussian_delta(mpmath, sensitivity, sigma, eps):
     return mpmath.ncdf(r / 2 - e / r) - mpmath.exp(e) * mpmath.ncdf(-r / 2 - e / r)
 
 
+def delta_bounds(sensitivity, sigma, eps):
+    """The exact Gaussian-mechanism delta lies in [low, high]: the float value
+    gaussian_mechanism_delta returns, minus and plus its rounding bound."""
+    value, rounding = _gaussian_delta(sensitivity / sigma, eps)
+    assert value == gaussian_mechanism_delta(sensitivity, sigma, eps)
+    return value - rounding, value + rounding
+
+
 class TestAnalyticGaussianAlpha:
     """The analytic Gaussian mechanism's scale factor
     alpha = sigma sqrt(2 eps) / sensitivity, read through
@@ -121,8 +129,8 @@ class TestAnalyticGaussianAlpha:
         for eps in (0.1, 1.0, 5.0):
             for delta in (1e-6, 1e-3, 0.3):
                 sigma = calibrate_gaussian_sigma(1.0, eps, delta)
-                assert gaussian_mechanism_delta(1.0, sigma, eps) <= delta
-                assert gaussian_mechanism_delta(1.0, sigma * (1 - 1e-9), eps) > delta
+                assert delta_bounds(1.0, sigma, eps)[1] <= delta
+                assert delta_bounds(1.0, sigma * (1 - 1e-9), eps)[0] > delta
 
     def test_upper_branch_against_grid_scan(self):
         # eps=1, delta=0.5 lands above delta_0; scan B+ on a fine grid.
@@ -163,7 +171,7 @@ class TestAnalyticGaussianAlpha:
         for sensitivity in (1e-9, 1e9):
             sigma = calibrate_gaussian_sigma(sensitivity, 1e-3, 1e-8)
             assert sigma == pytest.approx(unit * sensitivity, rel=1e-10)
-            assert gaussian_mechanism_delta(sensitivity, sigma, 1e-3) <= 1e-8
+            assert delta_bounds(sensitivity, sigma, 1e-3)[1] <= 1e-8
 
 
 class TestGaussianModelSigma:

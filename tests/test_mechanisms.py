@@ -821,6 +821,65 @@ class TestBatchAnswering:
                            for x in test.features])
         np.testing.assert_array_equal(batch, single)
 
+    def test_absent_class_columns_are_bitwise_equal(self):
+        predictor, _ = degenerate_ensemble(38)
+        train, _ = blob_splits(38, n_train_per_class=20, n_test_per_class=20,
+                               c=10, d=20, sep=1.0)
+        parts = partition_indices(train.n_examples, 40, RngStream(38, 1).generator())
+        absent = ~train.labels[parts].any(axis=1)  # (T, C)
+        assert (absent.sum(axis=1) >= 2).sum() > 10
+        for theta, missing, ties in zip(predictor.ensemble, absent, predictor.ties):
+            columns = theta[:, missing]
+            assert (columns == columns[:, :1]).all()
+            lowest = np.flatnonzero(missing)[0]
+            np.testing.assert_array_equal(ties[missing], lowest)
+            np.testing.assert_array_equal(ties[~missing], np.flatnonzero(~missing))
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    @pytest.mark.parametrize("t, c, d", [(33, 10, 20), (11, 5, 9)])
+    def test_batch_votes_equal_one_by_one_at_odd_shapes(self, t, c, d, seed):
+        # ~5 rows per sub-model leave several classes unseen; at these T * C a
+        # matrix-matrix product rounds some equal columns apart.
+        train, test = blob_splits(seed, n_train_per_class=-(-5 * t // c),
+                                  n_test_per_class=40, c=c, d=d, sep=1.0)
+        spec = spec_for("subsample_aggregate", eps=50.0, budget=1000, n_models=t)
+        predictor = fit_predictor(train, spec, RngStream(seed, 1))
+        ensemble, ties, rows = predictor.ensemble, predictor.ties, test.features
+        assert (ties != np.arange(c)).any()
+        single = np.array([ensemble_vote_counts(ensemble, x, ties) for x in rows])
+        for size in (1, 7, len(rows)):
+            batch = np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
+                                    for i in range(0, len(rows), size)])
+            np.testing.assert_array_equal(batch, single)
+
+    def test_identical_columns_vote_for_the_lower_index(self):
+        rng = np.random.default_rng(39)
+        ensemble = rng.standard_normal((33, 20, 10))
+        # At this shape a matrix-matrix product can round the copies apart.
+        ensemble[:, :, 9] = ensemble[:, :, 2]
+        predictor = PrivatePredictor(
+            kind="subsample_aggregate", privacy=PrivacySpec(1.0, 0.0, 400),
+            calibration=Calibration("exponential_mechanism", 1.0), ensemble=ensemble,
+            budget=BudgetState(400), rng=RngStream(40).generator())
+        np.testing.assert_array_equal(predictor.ties[:, 9], 2)
+        rows = rng.standard_normal((200, 20))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        batch = ensemble_vote_counts(ensemble, rows)
+        single = np.array([ensemble_vote_counts(ensemble, x) for x in rows])
+        assert batch[:, 2].sum() > 100
+        assert batch[:, 9].sum() == single[:, 9].sum() == 0
+        np.testing.assert_array_equal(batch, single)
+        single_twin = twin(predictor, 200)
+        labels = answer_queries(twin(predictor, 200), rows)
+        np.testing.assert_array_equal(labels, [single_twin.predict(x) for x in rows])
+
+    def test_tie_table_survives_save_and_replace(self, tmp_path):
+        predictor, _ = degenerate_ensemble(42)
+        assert (predictor.ties != np.arange(10)).any()
+        save_predictor(tmp_path / "ens.npz", predictor)
+        np.testing.assert_array_equal(load_predictor(tmp_path / "ens.npz").ties, predictor.ties)
+        assert twin(predictor, 5).ties is predictor.ties
+
     def test_ensemble_is_stored_feature_major(self, tmp_path):
         predictor, _ = degenerate_ensemble(37, n_models=6)
         path = tmp_path / "ens.npz"

@@ -32,6 +32,17 @@ class TestRadialExponential:
         assert sample_radial_exponential((5, 7), 1.0, RngStream(0)).shape == (5, 7)
         assert sample_radial_exponential(6, 1.0, RngStream(0)).shape == (6, 1)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 10), (4, 3), (50, 10)])
+    def test_draws_equal_the_linalg_norm_formula(self, shape):
+        # The sampler normalises by sqrt(d @ d); np.linalg.norm is the same arithmetic.
+        rng, reference = RngStream(12).generator(), RngStream(12).generator()
+        n = shape[0] * shape[1]
+        for _ in range(300):
+            direction = reference.standard_normal(n)
+            radius = reference.gamma(shape=n, scale=1.0 / 1.5)
+            expected = (radius / np.linalg.norm(direction) * direction).reshape(shape)
+            np.testing.assert_array_equal(sample_radial_exponential(shape, 1.5, rng), expected)
+
     def test_norm_mean_matches_gamma(self):
         # ||B||_F is Gamma(n, beta) with mean n / beta = 5 here.
         rng = RngStream(1).generator()
