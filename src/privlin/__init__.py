@@ -58,12 +58,8 @@ from .losses import (
     HESSIAN_EIG_BOUND,
     LIPSCHITZ_K,
     erm_objective,
-    log_softmax,
-    mc_logistic_grad,
     mc_logistic_hessian,
-    mc_logistic_loss,
     perturbed_objective,
-    softmax,
 )
 from .mechanisms import (
     KINDS,

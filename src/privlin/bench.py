@@ -391,12 +391,17 @@ def emit_summary_csv(summaries, path):
 
 
 def read_records_csv(path) -> list[TrialRecord]:
-    """Round-trip reader for emit_csv output."""
+    """Round-trip reader for emit_csv output. The CSV keeps no error text, and
+    only a failed trial has accuracy nan, so those rows are read back failed."""
     with open(path) as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] != RECORD_HEADER:
         raise ValueError(f"{path}: unexpected header")
     columns = _columns(TrialRecord)
-    return [TrialRecord(**{f.name: _CASTS[f.type](part)
-                           for f, part in zip(columns, line.split(","), strict=True)})
-            for line in lines[1:]]
+    records = [TrialRecord(**{f.name: _CASTS[f.type](part)
+                              for f, part in zip(columns, line.split(","), strict=True)})
+               for line in lines[1:]]
+    for record in records:
+        if np.isnan(record.accuracy):
+            record.error = "failed (the trial CSV keeps no error text)"
+    return records

@@ -1,4 +1,7 @@
-"""Multi-class logistic loss, its derivatives, and the regularized objective."""
+"""The multi-class logistic loss has one implementation: the stacked
+regularized objective every fit runs. Per-row losses of logits a (n, C) are its
+one-feature case, whose parameters are the logits: regularized_objective(a[:,
+None, :], ones((n, 1, 1)), y[:, None, :], 0.0) gives l(a_i), p_i - y_i and p_i."""
 
 from __future__ import annotations
 
@@ -18,59 +21,6 @@ def _as_finite(a, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     return a
-
-
-def softmax(a, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis`, computed with max subtraction for overflow safety."""
-    a = _as_finite(a, "logits")
-    shifted = a - a.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(a, axis: int = -1) -> np.ndarray:
-    """log(softmax(a)) without forming intermediate exponentials of large logits."""
-    a = _as_finite(a, "logits")
-    shifted = a - a.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def _check_pair(a, y):
-    a = _as_finite(a, "logits")
-    y = np.asarray(y, dtype=np.float64)
-    if a.shape != y.shape:
-        raise ValueError(f"logits shape {a.shape} does not match labels shape {y.shape}")
-    return a, y
-
-
-def mc_logistic_loss(a, y):
-    """Negative log-likelihood of one-hot labels under softmax(a).
-
-    Accepts a single length-C vector or a batch (..., C); classes are the
-    last axis. Always nonnegative; equals ln C at a = 0.
-    """
-    a, y = _check_pair(a, y)
-    return -np.sum(y * log_softmax(a), axis=-1)
-
-
-def mc_logistic_grad(a, y):
-    """Gradient of the loss with respect to the logits: softmax(a) - y.
-
-    Its L2 norm is at most sqrt(2) for any logits and any one-hot label.
-    """
-    a, y = _check_pair(a, y)
-    return softmax(a) - y
-
-
-def mc_logistic_hessian(a):
-    """Hessian with respect to the logits: diag(p) - p p^T with p = softmax(a).
-
-    Symmetric positive semidefinite, rows sum to zero, eigenvalues in [0, 1/2].
-    Batched input (..., C) yields (..., C, C).
-    """
-    p = softmax(a)
-    c = p.shape[-1]
-    return p[..., :, None] * np.eye(c) - p[..., :, None] * p[..., None, :]
 
 
 def _check_data(theta, features, labels):
@@ -112,6 +62,19 @@ def regularized_objective(theta, x, y, ridge, linear=None):
         values = values + (linear * theta).sum(axis=(-2, -1))
         grads = grads + linear
     return values, grads, probs
+
+
+def mc_logistic_hessian(a):
+    """Hessian with respect to the logits: diag(p) - p p^T, p the probabilities
+    of regularized_objective on the one-feature model whose parameters are a.
+
+    Symmetric positive semidefinite, rows sum to zero, eigenvalues in [0, 1/2].
+    Batched input (..., C) yields (..., C, C).
+    """
+    a = _as_finite(a, "logits")[..., None, :]
+    _, _, p = regularized_objective(a, np.ones(a.shape[:-1] + (1,)), np.zeros_like(a), 0.0)
+    p = p[..., 0, :]
+    return p[..., :, None] * np.eye(a.shape[-1]) - p[..., :, None] * p[..., None, :]
 
 
 def objective_hvp(x, probs, ridge, delta):

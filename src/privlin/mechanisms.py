@@ -464,8 +464,8 @@ def ensemble_vote_counts(ensemble: np.ndarray, x, ties: np.ndarray | None = None
 
 
 def vote_distribution(counts, beta: float) -> np.ndarray:
-    """Exponential-mechanism label distribution: proportional to exp(beta * counts).
-    softmax's arithmetic without its finiteness check; vote counts are integers."""
+    """Exponential-mechanism label distribution: proportional to exp(beta * counts),
+    a max-shifted softmax with no finiteness check, since vote counts are integers."""
     scores = beta * np.asarray(counts, dtype=np.float64)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -564,7 +564,9 @@ def save_predictor(path, predictor: PrivatePredictor):
         payload["budget_used"] = np.array(predictor.budget.used)
     if predictor.rng is not None:
         payload["rng_state"] = np.array(json.dumps(predictor.rng.bit_generator.state))
-    np.savez(path, **payload)
+    # A handle writes exactly `path`; np.savez would add ".npz" to a bare path.
+    with open(path, "wb") as handle:
+        np.savez(handle, **payload)
 
 
 def load_predictor(path) -> PrivatePredictor:

@@ -43,6 +43,8 @@ class TestSpecsValidation:
     def test_privacy_spec_rejects_bad_values(self):
         with pytest.raises(ValueError):
             PrivacySpec(epsilon=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            PrivacySpec(epsilon=math.inf)
         with pytest.raises(ValueError):
             PrivacySpec(epsilon=1.0, delta=1.0)
         with pytest.raises(ValueError):

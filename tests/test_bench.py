@@ -439,6 +439,18 @@ class TestCsv:
         parsed = read_records_csv(path)
         assert math.isnan(parsed[0].accuracy)
 
+    def test_failed_cell_is_summarized_alike_after_a_round_trip(self, tmp_path):
+        records = run_sweep(tiny_config(mechanisms=("dpsgd", "nonprivate")))
+        assert any(r.error is not None for r in records)  # DP-SGD has no delta = 0
+        path = tmp_path / "records.csv"
+        emit_csv(records, path)
+        parsed = read_records_csv(path)
+        assert [r.error is None for r in parsed] == [r.error is None for r in records]
+        with pytest.warns(UserWarning, match="no successful trials"):
+            expected = summarize(records)
+        with pytest.warns(UserWarning, match="no successful trials"):
+            assert summarize(parsed) == expected
+
     def test_summary_header(self, tmp_path):
         records = run_sweep(tiny_config(trials=2))
         path = tmp_path / "summary.csv"

@@ -117,6 +117,24 @@ def test_predict_records_the_spend_before_writing_answers(tmp_path):
     assert load_predictor(model).budget.used == 2
 
 
+def test_predict_spends_the_budget_in_the_exact_model_path(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "2",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    assert f"saved predictor to {model}" in capsys.readouterr().out
+    inputs = tmp_path / "queries.csv"
+    np.savetxt(inputs, np.full((2, 5), 0.1), delimiter=",")
+    statuses = []
+    for run in ("first.csv", "second.csv"):
+        assert cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
+                         "--out", str(tmp_path / run)]) == 0
+        statuses.append([a["status"] for a in read_answers(tmp_path / run)])
+    assert statuses == [["answered"] * 2, ["refused"] * 2]
+    assert load_predictor(model).budget.used == 2
+    assert list(tmp_path.glob("*.npz")) == []
+
+
 @pytest.mark.parametrize("text", ["", "f0,f1,f2,f3,f4\n"])
 def test_predict_refuses_a_query_file_without_rows(tmp_path, text):
     model = tmp_path / "model.npz"

@@ -7,12 +7,31 @@ from privlin import (
     HESSIAN_EIG_BOUND,
     LIPSCHITZ_K,
     erm_objective,
-    mc_logistic_grad,
     mc_logistic_hessian,
-    mc_logistic_loss,
     perturbed_objective,
-    softmax,
 )
+from privlin.losses import regularized_objective
+
+
+def per_row(a, y):
+    """Losses, gradients and softmax probabilities of logits a (..., C) under
+    labels y: the objective on the one-feature model whose parameters are a."""
+    a, y = np.asarray(a, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    values, grads, probs = regularized_objective(
+        a[..., None, :], np.ones(a.shape[:-1] + (1, 1)), y[..., None, :], 0.0)
+    return values, grads[..., 0, :], probs[..., 0, :]
+
+
+def loss(a, y):
+    return per_row(a, y)[0]
+
+
+def grad(a, y):
+    return per_row(a, y)[1]
+
+
+def probs(a):
+    return per_row(a, np.zeros_like(a, dtype=np.float64))[2]
 
 
 def finite_difference_grad(f, x, h=1e-6):
@@ -25,44 +44,35 @@ def finite_difference_grad(f, x, h=1e-6):
 
 
 class TestSoftmax:
+    """The probabilities the objective returns, which its Hessian uses."""
+
     def test_symmetric_pair(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(probs([0.0, 0.0]), [0.5, 0.5])
 
     def test_constant_vector_is_uniform(self):
         for c in (-3.0, 0.0, 17.5):
-            np.testing.assert_allclose(softmax([c, c, c]), np.full(3, 1 / 3), atol=1e-15)
-
-    def test_large_logit_saturates_without_overflow(self):
-        p = softmax([1000.0, 0.0])
-        assert np.all(np.isfinite(p))
-        np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-300)
+            np.testing.assert_allclose(probs([c, c, c]), np.full(3, 1 / 3), atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             a = rng.normal(scale=10, size=rng.integers(2, 10))
             shift = rng.normal(scale=100)
-            np.testing.assert_allclose(softmax(a + shift), softmax(a), atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax([np.inf, 0.0])
-        with pytest.raises(ValueError):
-            softmax([np.nan, 0.0])
+            np.testing.assert_allclose(probs(a + shift), probs(a), atol=1e-12)
 
 
 class TestLoss:
     def test_uniform_softmax_gives_ln2(self):
-        assert mc_logistic_loss([0.0, 0.0], [1.0, 0.0]) == pytest.approx(math.log(2), rel=1e-12)
+        assert loss([0.0, 0.0], [1.0, 0.0]) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_perfect_confidence_vanishes(self):
-        assert mc_logistic_loss([40.0, 0.0], [1.0, 0.0]) < 1e-15
+        assert loss([40.0, 0.0], [1.0, 0.0]) < 1e-15
 
     def test_frozen_instance(self):
         # Oracle value computed with a 50-digit evaluation of the closed form.
         a = [0.3, -1.2, 2.7, 0.05, -0.8]
         y = [0.0, 0.0, 1.0, 0.0, 0.0]
-        assert mc_logistic_loss(a, y) == pytest.approx(0.19211383985952032, rel=1e-12)
+        assert loss(a, y) == pytest.approx(0.19211383985952032, rel=1e-12)
 
     def test_matches_extended_precision_oracle(self):
         mpmath = pytest.importorskip("mpmath")
@@ -74,22 +84,29 @@ class TestLoss:
             y = np.eye(5)[label]
             z = sum(mpmath.exp(mpmath.mpf(float(v))) for v in a)
             expected = float(-(mpmath.mpf(float(a[label])) - mpmath.log(z)))
-            assert mc_logistic_loss(a, y) == pytest.approx(expected, rel=1e-10)
+            assert loss(a, y) == pytest.approx(expected, rel=1e-10)
+
+    def test_large_logit_saturates_without_overflow(self):
+        for y, expected in (([1.0, 0.0], 0.0), ([0.0, 1.0], 1000.0)):
+            value, g, p = per_row([1000.0, 0.0], y)
+            assert value == expected
+            np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-300)
+            np.testing.assert_allclose(g, np.subtract([1.0, 0.0], y), atol=1e-300)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mc_logistic_loss([0.0, 0.0], [1.0, 0.0, 0.0])
+            loss([0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestGrad:
     def test_symmetric_two_class(self):
-        g = mc_logistic_grad([0.0, 0.0], [1.0, 0.0])
+        g = grad([0.0, 0.0], [1.0, 0.0])
         np.testing.assert_allclose(g, [-0.5, 0.5])
         assert np.linalg.norm(g) == pytest.approx(math.sqrt(0.5))
 
     def test_stationary_when_label_matches_softmax(self):
         a = np.array([0.7, -0.2, 1.5])
-        np.testing.assert_allclose(mc_logistic_grad(a, softmax(a)), 0.0, atol=1e-15)
+        np.testing.assert_allclose(grad(a, probs(a)), 0.0, atol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -97,8 +114,8 @@ class TestGrad:
             c = rng.integers(2, 8)
             a = rng.normal(scale=3, size=c)
             y = np.eye(c)[rng.integers(0, c)]
-            numeric = finite_difference_grad(lambda v: mc_logistic_loss(v, y), a)
-            analytic = mc_logistic_grad(a, y)
+            numeric = finite_difference_grad(lambda v: loss(v, y), a)
+            analytic = grad(a, y)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
     def test_norm_bound(self):
@@ -106,7 +123,7 @@ class TestGrad:
         for c in range(2, 11):
             a = rng.normal(scale=8, size=(2000, c))
             y = np.eye(c)[rng.integers(0, c, size=2000)]
-            norms = np.linalg.norm(mc_logistic_grad(a, y), axis=1)
+            norms = np.linalg.norm(grad(a, y), axis=1)
             assert norms.max() <= LIPSCHITZ_K + 1e-9
 
 
@@ -130,10 +147,15 @@ class TestHessian:
             assert np.linalg.eigvalsh(h).max() <= HESSIAN_EIG_BOUND + 1e-9
             numeric = np.stack([
                 finite_difference_grad(
-                    lambda v, i=i: mc_logistic_grad(v, y)[i], a)
+                    lambda v, i=i: grad(v, y)[i], a)
                 for i in range(4)
             ])
             np.testing.assert_allclose(h, numeric, rtol=1e-5, atol=1e-7)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                mc_logistic_hessian([bad, 0.0])
 
     def test_structure(self):
         rng = np.random.default_rng(4)

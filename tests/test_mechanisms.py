@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from privlin import (
     KINDS,
@@ -39,7 +40,6 @@ from privlin import (
     sample_gaussian,
     sample_radial_exponential,
     save_predictor,
-    softmax,
     subsample_beta,
     synth_blob_pair,
     synth_blobs,
@@ -282,7 +282,7 @@ class TestDpSgd:
                                             RngStream(10, 3)):
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 xb, yb = train.features[rows[lo:hi]], train.labels[rows[lo:hi]]
-                residual = softmax(xb @ theta) - yb
+                residual = softmax(xb @ theta, axis=-1) - yb
                 theta = theta - cfg.learning_rate * (xb.T @ residual) / (cfg.sample_rate * n)
         np.testing.assert_allclose(predictor.theta, theta, rtol=1e-12)
 
@@ -295,7 +295,7 @@ class TestDpSgd:
         spec = spec_for("dpsgd", delta=1e-5, lam=0.0, dpsgd=cfg)
         predictor = fit_noise_free(train, spec, RngStream(11))
 
-        residual = softmax(train.features @ np.zeros((d, c))) - train.labels
+        residual = softmax(train.features @ np.zeros((d, c)), axis=-1) - train.labels
         grads = train.features[:, :, None] * residual[:, None, :]
         norms = np.linalg.norm(grads.reshape(n, -1), axis=1)
         assert (norms > nu).any() and (norms < nu).any()  # both regimes present
@@ -521,7 +521,7 @@ class TestSubsampleAggregate:
         rng = np.random.default_rng(40)
         counts = rng.integers(0, 256, size=(50, 10))
         for beta in (0.0, 1e-3, 0.37, 5.0, 1e3):
-            expected = softmax(beta * counts.astype(np.float64))
+            expected = softmax(beta * counts.astype(np.float64), axis=-1)
             np.testing.assert_array_equal(vote_distribution(counts, beta), expected)
             np.testing.assert_array_equal(vote_distribution(counts[3], beta), expected[3])
 
@@ -532,7 +532,8 @@ class TestSubsampleAggregate:
         expected = []
         for x in test.features[:150]:
             probs = softmax(predictor.calibration.scale
-                            * ensemble_vote_counts(predictor.ensemble, x).astype(np.float64))
+                            * ensemble_vote_counts(predictor.ensemble, x).astype(np.float64),
+                            axis=-1)
             expected.append(reference.rng.choice(len(probs), p=probs))
         np.testing.assert_array_equal(labels, expected)
         assert len(set(expected)) > 1

@@ -1,13 +1,15 @@
-"""The names the benchmark tracer patches must exist on privlin and be called.
+"""The names the benchmark tracer patches must exist on privlin and be called,
+and every name the benchmark reads off privlin must resolve.
 
 perfbench/tracing.py wraps privlin functions by (module, attribute); a
 rename or removal on the privlin side would crash every traced run, and a
 call that moves to another module would silently report 0 for its span. The
-table is read from the file's source, not imported or executed.
+table and the names are read from the files' source, not imported or executed.
 """
 
 import ast
 import importlib
+import operator
 from pathlib import Path
 
 import privlin
@@ -34,6 +36,35 @@ def test_every_patched_name_resolves():
             module = importlib.import_module(f"privlin.{module_name}")
             if not callable(getattr(module, attr, None)):
                 missing.append(f"{span}: privlin.{module_name}.{attr}")
+    assert missing == []
+
+
+def privlin_chains():
+    """Every attribute chain that perfbench/*.py reads off privlin, as the name
+    `pl` or `privlin` or an attribute `.privlin`, with the files that read it."""
+    chains = {}
+    for path in sorted(TRACING.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            parts = []
+            while isinstance(node, ast.Attribute) and node.attr != "privlin":
+                parts.append(node.attr)
+                node = node.value
+            rooted = (isinstance(node, ast.Name) and node.id in ("pl", "privlin")
+                      or isinstance(node, ast.Attribute))
+            if parts and rooted:
+                chains.setdefault(".".join(reversed(parts)), set()).add(path.name)
+    return chains
+
+
+def test_every_name_perfbench_reads_resolves():
+    chains = privlin_chains()
+    assert len(chains) > 20 and "erm_objective" in chains
+    missing = []
+    for chain, files in chains.items():
+        try:
+            operator.attrgetter(chain)(privlin)
+        except AttributeError:
+            missing.append(f"privlin.{chain} ({', '.join(sorted(files))})")
     assert missing == []
 
 
