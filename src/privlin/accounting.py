@@ -245,6 +245,12 @@ def prediction_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
 _DELTA_SPLIT_GRID = 200
 
 
+def _advanced_composition_epsilon(epsilon: float, budget: int, delta: float) -> float:
+    """The advanced-composition rate sqrt(2/B) (sqrt(ln(1/delta) + eps) - sqrt(ln(1/delta)))."""
+    log_term = math.log(1.0 / delta)
+    return math.sqrt(2.0 / budget) * (math.sqrt(log_term + epsilon) - math.sqrt(log_term))
+
+
 def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Per-query Gaussian logit-noise scale for a budget of B queries.
 
@@ -254,9 +260,9 @@ def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     * sigma' spends the budget by standard composition, i.e. per-query targets
       (eps/B, delta/B);
     * sigma'' uses advanced composition: for a split delta' in (0, delta), the
-      per-query targets are eps* = sqrt(2/B) (sqrt(ln(1/delta') + eps)
-      - sqrt(ln(1/delta'))) and delta* = (delta - delta')/B, and delta' is
-      linearly searched on a geometric grid to minimize sigma''.
+      per-query targets are eps* = _advanced_composition_epsilon(eps, B,
+      delta') and delta* = (delta - delta')/B, and delta' is linearly
+      searched on a geometric grid to minimize sigma''.
 
     With B = 1 the advanced-composition interval is empty and sigma' is
     returned unchanged.
@@ -274,9 +280,7 @@ def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
 
     sigma_advanced = math.inf
     for delta_split in np.geomspace(lo, hi, _DELTA_SPLIT_GRID):
-        log_term = math.log(1.0 / delta_split)
-        eps_star = math.sqrt(2.0 / b) * (
-            math.sqrt(log_term + spec.epsilon) - math.sqrt(log_term))
+        eps_star = _advanced_composition_epsilon(spec.epsilon, b, delta_split)
         delta_star = (spec.delta - delta_split) / b
         sigma = calibrate_gaussian_sigma(sensitivity, eps_star, delta_star)
         sigma_advanced = min(sigma_advanced, sigma)
@@ -288,15 +292,13 @@ def subsample_beta(spec: PrivacySpec) -> float:
     """Vote inverse temperature for the aggregated ensemble.
 
     delta = 0 composes linearly (eps/B); delta > 0 may instead use the
-    advanced-composition rate sqrt(2/B)(sqrt(ln(1/delta) + eps)
-    - sqrt(ln(1/delta))), keeping whichever is larger (less noisy).
+    advanced-composition rate _advanced_composition_epsilon(eps, B, delta),
+    keeping whichever is larger (less noisy).
     """
     beta_linear = spec.epsilon / spec.budget
     if spec.delta == 0.0:
         return beta_linear
-    log_term = math.log(1.0 / spec.delta)
-    beta_advanced = math.sqrt(2.0 / spec.budget) * (
-        math.sqrt(log_term + spec.epsilon) - math.sqrt(log_term))
+    beta_advanced = _advanced_composition_epsilon(spec.epsilon, spec.budget, spec.delta)
     return max(beta_linear, beta_advanced)
 
 
@@ -358,13 +360,12 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order):
     return values.reshape(orders.shape)
 
 
-def dpsgd_epsilon(sigma: float, cfg: DpSgdConfig, delta: float,
-                  orders=RDP_ORDERS) -> float:
-    """Forward accounting: epsilon spent by n_steps subsampled Gaussian steps,
-    the minimum over orders a of n_steps * rdp(a) + log(1/delta) / (a - 1)."""
+def dpsgd_epsilon(sigma: float, cfg: DpSgdConfig, delta: float) -> float:
+    """Forward accounting: epsilon spent by n_steps subsampled Gaussian steps, the
+    minimum over orders a in RDP_ORDERS of n_steps * rdp(a) + log(1/delta) / (a - 1)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    orders = np.asarray(orders, dtype=np.float64)
+    orders = np.asarray(RDP_ORDERS, dtype=np.float64)
     rdp = cfg.n_steps * rdp_subsampled_gaussian(cfg.sample_rate, sigma, orders)
     return float((rdp + math.log(1.0 / delta) / (orders - 1)).min())
 

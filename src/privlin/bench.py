@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .accounting import DpSgdConfig, PrivacySpec
+from .accounting import BudgetState, DpSgdConfig, PrivacySpec
 from .data import (
     RawDataset,
     filter_classes,
@@ -24,7 +24,7 @@ from .data import (
     synth_blob_pair,
     train_test_split,
 )
-from .mechanisms import KINDS, BudgetState, MechanismSpec, answer_queries, calibrate, solve
+from .mechanisms import KINDS, MechanismSpec, answer_queries, calibrate, privatise, solve
 # Re-exported: profilers patch fit_predictor here as well as in mechanisms.
 from .mechanisms import fit_predictor  # noqa: F401
 from .noise import RngStream
@@ -263,7 +263,7 @@ def _run_trial(cfg, stages, config_index, cell, trial):
         spec, calibration = _ready(calibrated)
         rng = RngStream(cfg.base_seed, stream_id).generator()
         kind = KINDS[spec.kind]
-        predictor = kind.fit(train, spec, _ready(minimiser), calibration, rng)
+        predictor = privatise(train, spec, _ready(minimiser), calibration, rng)
 
         truth = test.label_ints()
         if kind.prediction_side and not cfg.score_on_full_test:

@@ -7,9 +7,10 @@ subsample-and-aggregate) keep non-private state and spend one unit of the
 inference budget per answered query.
 
 A fit solves (the ERM minimizer, for kinds that privatise it) and calibrates
-(the one choice of noise, a Calibration) deterministically, then the kind's
-fit privatises with fresh randomness, applying exactly that noise. KINDS maps
-each kind to its fit and answer functions and flags; every dispatch reads it.
+(the one choice of noise, a Calibration) deterministically. privatise then
+runs the kind's fit, which applies exactly that noise with fresh randomness
+and returns the released parameters, and builds the predictor, drawing
+nothing itself. KINDS maps each kind to its fit, answer and flags.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class Calibration:
     family is "gaussian" (scale is sigma), "radial_exponential" (scale is
     beta of the density exp(-beta ||b||)), "exponential_mechanism" (scale is
     the vote inverse temperature) or "none": a fit given Calibration() adds
-    no noise.
+    no noise, and its vote answers the plurality label without sampling.
     """
 
     family: str = "none"
@@ -201,13 +202,17 @@ def calibrate(spec: MechanismSpec, data: LabeledDataset) -> Calibration:
     raise ValueError(f"unknown mechanism kind: {kind!r}")
 
 
-def _sample_noise(shape, calibration: Calibration, rng) -> np.ndarray:
-    """One draw of the calibration's additive noise; zeros for family "none"."""
-    if calibration.family == "radial_exponential":
-        return sample_radial_exponential(shape, calibration.scale, rng)
+def _noise(calibration: Calibration, count: int, shape, rng) -> np.ndarray:
+    """count draws of the calibration's additive noise of shape (rows, cols),
+    stacked as (count * rows, cols) in the order single draws make them: one
+    Gaussian block, one radial draw per count, or zeros for family "none"."""
+    rows, cols = shape
     if calibration.family == "gaussian":
-        return sample_gaussian(shape, calibration.scale, rng)
-    return np.zeros(shape)
+        return sample_gaussian((count * rows, cols), calibration.scale, rng)
+    if calibration.family == "radial_exponential":
+        return np.concatenate([sample_radial_exponential(shape, calibration.scale, rng)
+                               for _ in range(count)])
+    return np.zeros((count * rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +228,18 @@ def solve(data: LabeledDataset, spec: MechanismSpec) -> np.ndarray:
 
 
 def _fit_output_perturbation(data: LabeledDataset, spec: MechanismSpec, minimiser,
-                             calibration: Calibration, rng) -> PrivatePredictor:
+                             calibration: Calibration, rng) -> dict:
     """Add calibrated noise to the regularized minimizer; release the result.
     Model sensitivity, and with Calibration() the non-private baseline."""
-    theta = minimiser + _sample_noise(minimiser.shape, calibration, rng)
-    return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
-                            calibration=calibration, theta=theta)
+    return {"theta": minimiser + _noise(calibration, 1, minimiser.shape, rng)}
 
 
 def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec, _minimiser,
-                           calibration: Calibration, rng) -> PrivatePredictor:
+                           calibration: Calibration, rng) -> dict:
     """Minimize the objective with a random linear term plus extra ridge."""
-    noise_b = _sample_noise((data.n_features, data.n_classes), calibration, rng)
-    theta = minimize_erm(data, spec.train_config(noise_b=noise_b, rho=calibration.rho))
-    return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
-                            calibration=calibration, theta=theta)
+    noise_b = _noise(calibration, 1, (data.n_features, data.n_classes), rng)
+    return {"theta": minimize_erm(data, spec.train_config(noise_b=noise_b,
+                                                          rho=calibration.rho))}
 
 
 # Steps whose batches and noise one draw covers: memory stays
@@ -269,7 +271,7 @@ def poisson_batches(n: int, q: float, n_steps: int, rng):
 
 
 def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
-               calibration: Calibration, rng) -> PrivatePredictor:
+               calibration: Calibration, rng) -> dict:
     """Private SGD: Poisson batches, per-example clipping, Gaussian noise.
 
     Each step takes a Poisson batch (every row joins independently with
@@ -281,12 +283,12 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
     for, with add/remove neighbours: one row more or less moves the clipped
     sum by at most clip. The per-example gradient of the singleton objective
     is x (p - y)^T + lam * theta. sigma is the calibration's scale; family
-    "none" adds no noise. ValueError if theta is not finite at the end.
+    "none" adds no noise. Each block's noise is one _noise draw, made after
+    its batches. Returns {"theta": ...}; ValueError if theta is not finite.
     """
     cfg = spec.dpsgd
     n = data.n_examples
-    rng = as_generator(rng)
-    noisy = calibration.family == "gaussian"
+    step_noise = replace(calibration, scale=calibration.scale * cfg.clip)
 
     x, y = data.features, data.labels
     d, c = data.n_features, data.n_classes
@@ -297,8 +299,7 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
 
     for rows, bounds in poisson_batches(n, cfg.sample_rate, cfg.n_steps, rng):
         steps = len(bounds) - 1
-        if noisy:
-            noise = (calibration.scale * cfg.clip) * rng.standard_normal((steps, d, c))
+        noise = _noise(step_noise, steps, (d, c), rng).reshape(steps, d, c)
         bounds = bounds.tolist()
         for j in range(steps):
             idx = rows[bounds[j]:bounds[j + 1]]
@@ -318,14 +319,12 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
             summed = xb.T @ residual.T
             if lam > 0.0:
                 summed += lam * float(scales.sum()) * theta
-            if noisy:
-                summed += noise[j]
+            summed += noise[j]
             theta -= step_size * summed
 
     if not np.isfinite(theta).all():
         raise ValueError("dpsgd diverged: theta is not finite")
-    return PrivatePredictor(kind=spec.kind, privacy=spec.privacy,
-                            calibration=calibration, theta=theta)
+    return {"theta": theta}
 
 
 def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
@@ -338,32 +337,20 @@ def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _fit_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec, minimiser,
-                                calibration: Calibration, rng) -> PrivatePredictor:
-    """The minimizer itself, a per-query noise scale and a budget gate."""
-    return PrivatePredictor(
-        kind=spec.kind, privacy=spec.privacy, calibration=calibration, theta=minimiser,
-        budget=BudgetState(spec.privacy.budget), rng=as_generator(rng))
+                                calibration: Calibration, rng) -> dict:
+    """The minimizer itself; the noise is drawn per query."""
+    return {"theta": minimiser}
 
 
 def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     """(k, C) noisy logits for k validated, paid-for rows.
 
-    Raw noisy logits are returned (not probabilities); consumers may
-    post-process freely. Draws the noise in the order k single queries
-    would: one (k, C) Gaussian block is k consecutive C-vector draws; the
-    radial sampler draws a radius after each direction, so it runs once per
-    row.
+    Raw noisy logits (not probabilities); consumers may post-process freely.
+    The noise is drawn in the order k single queries would draw it.
     """
     logits = predict_logits(predictor.theta, rows)
     k, c = logits.shape
-    calibration = predictor.calibration
-    if calibration.family == "gaussian":
-        logits = logits + sample_gaussian((k, c), calibration.scale, predictor.rng)
-    elif calibration.family == "radial_exponential":
-        noise = [sample_radial_exponential((1, c), calibration.scale, predictor.rng)
-                 for _ in range(k)]
-        logits = logits + np.concatenate(noise)
-    return logits
+    return logits + _noise(predictor.calibration, k, (1, c), predictor.rng)
 
 
 def partition_indices(n: int, t: int, rng) -> np.ndarray:
@@ -383,13 +370,12 @@ def partition_indices(n: int, t: int, rng) -> np.ndarray:
 
 
 def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimiser,
-                            calibration: Calibration, rng) -> PrivatePredictor:
-    """Partition, train all sub-models in one stacked solve, and gate the noisy vote.
+                            calibration: Calibration, rng) -> dict:
+    """Partition and train all sub-models in one stacked solve.
 
     A seeded shuffle precedes the split into n_models disjoint subsets of
     size floor(N / n_models); leftover examples are discarded. Changing one
-    training example can change at most one sub-model. The calibration's
-    scale is the vote inverse temperature.
+    training example can change at most one sub-model.
 
     A sub-model's classes that none of its examples carry enter its
     objective symmetrically, so its exact minimiser has their columns equal;
@@ -398,17 +384,13 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     `ensemble` is that buffer's (T, D, C) transposed view, so
     ensemble_vote_counts can treat them as one (D, T*C) matrix without a copy.
     """
-    rng = as_generator(rng)
     parts = partition_indices(data.n_examples, spec.n_models, rng)
     labels = data.labels[parts]
     thetas = minimize_erm_stack(data.features[parts], labels, spec.train_config())
     absent = ~labels.any(axis=1)  # (T, C): classes a sub-model never saw
     mean = thetas @ (absent / np.maximum(absent.sum(axis=1, keepdims=True), 1))[:, :, None]
     np.copyto(thetas, mean, where=absent[:, None, :])
-    return PrivatePredictor(
-        kind=spec.kind, privacy=spec.privacy, calibration=calibration,
-        ensemble=_feature_major(thetas),
-        budget=BudgetState(spec.privacy.budget), rng=rng)
+    return {"ensemble": _feature_major(thetas)}
 
 
 def _feature_major(ensemble: np.ndarray) -> np.ndarray:
@@ -475,9 +457,12 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     """One sampled label per validated, paid-for row.
 
     Inverse-CDF sampling with one uniform per row, in row order: the same
-    arithmetic and draws as rng.choice(C, p=probs) called row by row.
+    arithmetic and draws as rng.choice(C, p=probs) called row by row. Family
+    "none" answers the plurality vote (ties to the lowest class), drawing nothing.
     """
     counts = ensemble_vote_counts(predictor.ensemble, rows, predictor.ties)
+    if predictor.calibration.family == "none":
+        return counts.argmax(axis=1)
     cdf = np.cumsum(vote_distribution(counts, predictor.calibration.scale), axis=1)
     cdf /= cdf[:, -1:]
     uniforms = predictor.rng.random(rows.shape[0])
@@ -490,9 +475,9 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kind:
-    """fit(data, spec, minimiser, calibration, rng) -> PrivatePredictor, where
-    minimiser is solve(data, spec) if uses_minimiser and None otherwise;
-    answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels."""
+    """fit(data, spec, minimiser, calibration, Generator) -> {"theta": ...} or
+    {"ensemble": ...}, minimiser being solve(data, spec) if uses_minimiser, else
+    None; answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels."""
 
     fit: Callable
     answer: Callable
@@ -512,11 +497,24 @@ KINDS: dict[str, Kind] = {
 }
 
 
+def privatise(data: LabeledDataset, spec: MechanismSpec, minimiser,
+              calibration: Calibration, rng) -> PrivatePredictor:
+    """spec.kind's fit, given rng, wrapped in its predictor; a prediction-side
+    predictor also gets a budget of spec.privacy.budget and keeps rng for its
+    per-query noise. Only the fit draws from rng."""
+    kind, rng = KINDS[spec.kind], as_generator(rng)
+    predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
+                                 **kind.fit(data, spec, minimiser, calibration, rng))
+    if kind.prediction_side:
+        predictor.budget, predictor.rng = BudgetState(spec.privacy.budget), rng
+    return predictor
+
+
 def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng) -> PrivatePredictor:
     """Calibrate, solve if spec.kind privatises the minimizer, then privatise."""
     kind, calibration = KINDS[spec.kind], calibrate(spec, data)
     minimiser = solve(data, spec) if kind.uses_minimiser else None
-    return kind.fit(data, spec, minimiser, calibration, rng)
+    return privatise(data, spec, minimiser, calibration, rng)
 
 
 def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:

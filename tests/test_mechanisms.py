@@ -46,7 +46,7 @@ from privlin import (
     vote_distribution,
 )
 from privlin.data import preprocess_pair
-from privlin.mechanisms import partition_indices, poisson_batches, solve
+from privlin.mechanisms import partition_indices, poisson_batches, privatise, solve
 
 
 def blob_splits(seed=0, n_train_per_class=60, n_test_per_class=30, c=3, d=6, sep=3.5):
@@ -69,9 +69,8 @@ def spec_for(kind, eps=1.0, delta=0.0, budget=100, lam=0.1, n_models=16, dpsgd=N
 
 def fit_noise_free(data, spec, rng):
     """spec.kind's privatise stage given the noise-free Calibration()."""
-    kind = KINDS[spec.kind]
-    minimiser = solve(data, spec) if kind.uses_minimiser else None
-    return kind.fit(data, spec, minimiser, Calibration(), rng)
+    minimiser = solve(data, spec) if KINDS[spec.kind].uses_minimiser else None
+    return privatise(data, spec, minimiser, Calibration(), rng)
 
 
 def fit_nonprivate(data, spec):
@@ -330,28 +329,32 @@ class TestDpSgd:
         with pytest.raises(ValueError, match="sample_rate"):
             DpSgdConfig.for_dataset(n, 10 * n, 2, clip=0.1)
 
-    def test_noise_normalised_by_expected_batch(self):
-        # All-zero features and lam = 0 make every clipped gradient zero, so one
-        # step gives theta = -lr sigma clip z / (qN) whatever batch it drew.
+    @pytest.mark.parametrize("n_steps", [1, 300])  # 300 steps span two sampler blocks
+    def test_noise_normalised_by_expected_batch(self, n_steps):
+        # All-zero features and lam = 0 make every clipped gradient zero, so each
+        # step subtracts lr sigma clip z / (qN) whatever batch it drew.
         n, d, c = 200, 4, 3
         data = LabeledDataset(np.zeros((n, d)), np.eye(c)[np.arange(n) % c])
         nu, lr = 0.3, 0.5
-        cfg = DpSgdConfig.for_dataset(n, 20, 1, clip=nu, learning_rate=lr)
+        cfg = DpSgdConfig.for_dataset(n, 20, n_steps, clip=nu, learning_rate=lr)
         spec = spec_for("dpsgd", delta=1e-5, lam=0.0, dpsgd=cfg)
         calibration = calibrate(spec, data)
         scale = lr * calibration.scale * nu / (cfg.sample_rate * n)
         thetas, sizes = [], set()
-        for t in range(400):
-            theta = KINDS["dpsgd"].fit(data, spec, None, calibration, RngStream(41, t)).theta
+        for t in range(400 if n_steps == 1 else 100):  # fewer of the longer fits
+            theta = privatise(data, spec, None, calibration, RngStream(41, t)).theta
             rng = RngStream(41, t).generator()
-            (_, bounds), = poisson_batches(n, cfg.sample_rate, 1, rng)
-            sizes.add(int(bounds[1]))
-            z = rng.standard_normal((1, d, c))[0]
-            np.testing.assert_allclose(theta, -scale * z, rtol=1e-12)
+            expected = np.zeros((d, c))
+            # Each block's noise is drawn right after that block's batches.
+            for _, bounds in poisson_batches(n, cfg.sample_rate, n_steps, rng):
+                sizes.update(np.diff(bounds).tolist())
+                for z in rng.standard_normal((len(bounds) - 1, d, c)):
+                    expected -= scale * z
+            np.testing.assert_allclose(theta, expected, rtol=1e-12, atol=1e-12 * scale)
             thetas.append(theta)
         assert len(sizes) > 5  # the realised batch size varied
         observed = np.stack(thetas).var(axis=0, ddof=1)
-        assert np.mean(observed) == pytest.approx(scale ** 2, rel=0.15)
+        assert np.mean(observed) == pytest.approx(n_steps * scale ** 2, rel=0.15)
 
     def test_tiny_rate_with_empty_batches_finishes(self):
         train, _ = blob_splits(13)
@@ -563,6 +566,26 @@ class TestSubsampleAggregate:
         expected = np.array([4 / 7, 2 / 7, 1 / 7])
         ses = np.sqrt(expected * (1 - expected) / draws)
         assert np.all(np.abs(freqs - expected) <= 3 * ses)
+
+    def test_noise_free_vote_is_the_plurality_label(self):
+        train, test = blob_splits(42)
+        spec = spec_for("subsample_aggregate", budget=200, n_models=8)
+        predictor = fit_noise_free(train, spec, RngStream(43))
+        state = copy.deepcopy(predictor.rng.bit_generator.state)
+        plurality = ensemble_vote_counts(predictor.ensemble, test.features).argmax(axis=1)
+        np.testing.assert_array_equal(answer_queries(predictor, test.features), plurality)
+        singles = [predictor.predict(x) for x in test.features[:20]]
+        np.testing.assert_array_equal(singles, plurality[:20])
+        # Two sub-models vote classes 2 and 1 on e1: the tie goes to class 1.
+        tie = np.zeros((2, train.n_features, 3))
+        tie[0, 0, 2] = tie[1, 0, 1] = 1.0
+        tied = dataclasses.replace(predictor, ensemble=tie, ties=None)
+        x = np.eye(train.n_features)[0]
+        np.testing.assert_array_equal(ensemble_vote_counts(tie, x), [0, 1, 1])
+        assert tied.predict(x) == 1
+        np.testing.assert_array_equal(answer_queries(tied, np.stack([x, x])), [1, 1])
+        assert predictor.rng.bit_generator.state == state  # nothing was drawn
+        assert predictor.remaining_budget == 200 - test.n_examples - 23
 
     def test_budget_refusal(self):
         train, test = blob_splits(21)

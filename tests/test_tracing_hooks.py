@@ -108,3 +108,16 @@ def test_every_patched_name_is_called(monkeypatch):
         predictor.predict(data.features[0])
         privlin.mechanisms.answer_queries(predictor, data.features[1:3])
     assert {span for span, n in calls.items() if n == 0} == DEAD_SPANS
+
+
+def test_dpsgd_noise_is_drawn_through_the_patched_sampler(monkeypatch):
+    # 300 steps span two sampler blocks, and each block draws its noise in one call.
+    calls = []
+    sampler = privlin.mechanisms.sample_gaussian
+    monkeypatch.setattr(privlin.mechanisms, "sample_gaussian",
+                        lambda *args: calls.append(args[0]) or sampler(*args))
+    data = synth_blobs(20, 3, 5, 3.0, RngStream(8))
+    cfg = privlin.DpSgdConfig.for_dataset(data.n_examples, 8, 300, clip=0.5)
+    spec = MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 1e-5), lam=0.1, dpsgd=cfg)
+    privlin.mechanisms.fit_predictor(data, spec, RngStream(9))
+    assert calls == [(256 * 5, 3), (44 * 5, 3)]
