@@ -8,7 +8,6 @@ from .accounting import (
     InfeasibleTargetError,
     PrivacySpec,
     ProblemDims,
-    UnsupportedOrderError,
     WrongVariantError,
     calibrate_gaussian_sigma,
     dpsgd_epsilon,

@@ -4,10 +4,10 @@ Every noise-scale formula in the toolkit lives here: the closed-form
 beta/sigma formulas for the sensitivity and perturbation mechanisms, the
 exact Gaussian calibration, the advanced-composition search for per-query
 Gaussian noise, the vote inverse temperature for ensemble aggregation, and
-the Renyi accountant behind DP-SGD. mechanisms.calibrate picks the formula
-each mechanism uses. Every searched sigma comes from one bisection (_bisect)
-over an exact, monotone condition: the Gaussian mechanism's delta curve or
-the Renyi accountant's epsilon.
+the Renyi accountant behind DP-SGD, which evaluates its whole curve (every
+order of RDP_ORDERS) in one call. mechanisms.calibrate picks each mechanism's
+formula. Every searched sigma comes from one bisection (_bisect) over an exact,
+monotone condition: the Gaussian delta curve or the Renyi accountant's epsilon.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class CalibrationError(RuntimeError):
 
 class InfeasibleTargetError(CalibrationError):
     """No noise scale in the search range meets the privacy target."""
-
-
-class UnsupportedOrderError(ValueError):
-    """The Renyi accountant only supports the integer orders in RDP_ORDERS."""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -72,6 +68,9 @@ class ProblemDims:
         for name in ("n_train", "lam", "n_classes"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(minimizer_sensitivity(self)):
+            raise ValueError(f"2K / (n_train lam) must be finite; n_train {self.n_train}, "
+                             f"lam {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -163,9 +162,9 @@ def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -
     that starts at sigma = sensitivity and doubles or halves. The condition
     must hold with its float rounding added, so sigma meets delta exactly too.
     """
-    if not (sensitivity > 0 and epsilon > 0 and 0.0 < delta < 1.0):
-        raise ValueError("sensitivity and epsilon must be positive and delta in (0, 1); "
-                         f"got {sensitivity}, {epsilon}, {delta}")
+    if not (0 < sensitivity < math.inf and epsilon > 0 and 0.0 < delta < 1.0):
+        raise ValueError("sensitivity must be positive and finite, epsilon positive and "
+                         f"delta in (0, 1); got {sensitivity}, {epsilon}, {delta}")
 
     def meets(sigma):
         value, rounding = _gaussian_delta(sensitivity / sigma, epsilon)
@@ -306,30 +305,33 @@ def subsample_beta(spec: PrivacySpec) -> float:
 # Renyi accountant for DP-SGD
 # ---------------------------------------------------------------------------
 
+# The orders as floats, and the binomial-expansion index k = 0 .. max order.
+_ORDERS = np.array(RDP_ORDERS, dtype=np.float64)
+_KS = np.arange(RDP_ORDERS[-1] + 1)
+
+
 def _log_binomial_table() -> np.ndarray:
     """log C(a, k) with row a - 2 for each order a in RDP_ORDERS; -inf where k > a."""
-    a = np.array(RDP_ORDERS)[:, None]
-    ks = np.arange(RDP_ORDERS[-1] + 1)
+    a = _ORDERS[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = gammaln(a + 1) - gammaln(ks + 1) - gammaln(a - ks + 1)
-    return np.where(ks <= a, table, -np.inf)
+        table = gammaln(a + 1) - gammaln(_KS + 1) - gammaln(a - _KS + 1)
+    return np.where(_KS <= a, table, -np.inf)
 
 
 _LOG_BINOMIAL = _log_binomial_table()
 
 
-def rdp_subsampled_gaussian(q: float, sigma: float, order):
-    """Renyi divergence bound of one subsampled Gaussian step at integer orders.
+def rdp_subsampled_gaussian(q: float, sigma: float) -> np.ndarray:
+    """Renyi divergence bound of one subsampled Gaussian step at every order of
+    RDP_ORDERS: the whole curve, as a (len(RDP_ORDERS),) array.
 
-    `order` is one integer order (a float is returned) or an array of them (an
-    array of the same shape is returned); every order must lie in RDP_ORDERS.
-    For q = 1 the bound is the exact Gaussian value order / (2 sigma^2). For
+    For q = 1 the bound is the exact Gaussian value a / (2 sigma^2). For
     q < 1 it is the binomial-expansion bound
 
         log( sum_k C(a,k) (1-q)^(a-k) q^k exp((k^2 - k)/(2 sigma^2)) ) / (a-1),
 
     accumulated in log space for numerical stability, all orders in one pass
-    over a precomputed table of log C(a, k). The exact sum is >= 1, so the
+    over the precomputed table of log C(a, k). The exact sum is >= 1, so the
     bound is >= 0; values that round below zero (tiny q, large sigma) are
     clamped to 0.
     """
@@ -337,37 +339,24 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order):
         raise ValueError(f"q must lie in (0, 1], got {q}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    orders = np.asarray(order, dtype=np.float64)
-    a = orders.astype(np.int64).reshape(-1)
-    if (a.size == 0 or a.min() < RDP_ORDERS[0] or a.max() > RDP_ORDERS[-1]
-            or not np.array_equal(a, orders.reshape(-1))):
-        raise UnsupportedOrderError(
-            f"orders must be integers in [{RDP_ORDERS[0]}, {RDP_ORDERS[-1]}], got {order}")
     if q == 1.0:
-        values = a / (2.0 * sigma * sigma)
-    else:
-        ks = np.arange(a.max() + 1)
-        a_col = a[:, None]
-        log_terms = (
-            _LOG_BINOMIAL.take(a - RDP_ORDERS[0], axis=0)[:, :ks.size]
-            + (a_col - ks) * math.log1p(-q)
-            + ks * math.log(q)
-            + (ks * ks - ks) / (2.0 * sigma * sigma)
-        )
-        values = np.maximum(logsumexp(log_terms, axis=1) / (a - 1), 0.0)
-    if orders.ndim == 0:
-        return float(values[0])
-    return values.reshape(orders.shape)
+        return _ORDERS / (2.0 * sigma * sigma)
+    log_terms = (
+        _LOG_BINOMIAL
+        + (_ORDERS[:, None] - _KS) * math.log1p(-q)
+        + _KS * math.log(q)
+        + (_KS * _KS - _KS) / (2.0 * sigma * sigma)
+    )
+    return np.maximum(logsumexp(log_terms, axis=1) / (_ORDERS - 1), 0.0)
 
 
 def dpsgd_epsilon(sigma: float, cfg: DpSgdConfig, delta: float) -> float:
     """Forward accounting: epsilon spent by n_steps subsampled Gaussian steps, the
-    minimum over orders a in RDP_ORDERS of n_steps * rdp(a) + log(1/delta) / (a - 1)."""
+    minimum over the whole Renyi curve of n_steps * rdp(a) + log(1/delta) / (a - 1)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    orders = np.asarray(RDP_ORDERS, dtype=np.float64)
-    rdp = cfg.n_steps * rdp_subsampled_gaussian(cfg.sample_rate, sigma, orders)
-    return float((rdp + math.log(1.0 / delta) / (orders - 1)).min())
+    rdp = cfg.n_steps * rdp_subsampled_gaussian(cfg.sample_rate, sigma)
+    return float((rdp + math.log(1.0 / delta) / (_ORDERS - 1)).min())
 
 
 _SIGMA_LO = 0.01

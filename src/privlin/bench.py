@@ -45,6 +45,13 @@ _AXES = ("mechanisms", "epsilons", "deltas", "budgets", "n_train", "dims", "clas
 SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
 
 
+def check_synth_counts(params: dict):
+    """ValueError naming the first synth count that int() would truncate."""
+    for key in ("n_per_class", "n_classes", "dim", "n_test_per_class"):
+        if key in params and not float(params[key]).is_integer():
+            raise ValueError(f"synth {key} must be a whole number, got {params[key]!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grids, trial count, and data source of one sweep.
@@ -109,6 +116,7 @@ class SweepConfig:
             unknown = sorted(set(self.synth) - {*SYNTH_KEYS, "n_test_per_class"})
             if unknown:
                 raise ValueError(f"unknown synth keys: {unknown}")
+            check_synth_counts(self.synth)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -11,7 +11,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .accounting import DpSgdConfig, PrivacySpec
-from .bench import SYNTH_KEYS, SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
+from .bench import (SYNTH_KEYS, SweepConfig, check_synth_counts, emit_csv, emit_summary_csv,
+                    run_sweep, summarize)
 from .data import load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw
 from .mechanisms import (
     KINDS,
@@ -34,7 +35,7 @@ def _parse_synth(text: str) -> dict:
         key = key.strip()
         if key in out:
             raise ValueError(f"synth key {key!r} is given more than once")
-        out[key] = float(value) if "." in value or "e" in value else int(value)
+        out[key] = float(value)
     return out
 
 
@@ -47,6 +48,7 @@ def _load_training_data(args):
         if set(params) != set(SYNTH_KEYS):
             raise ValueError(f"--synth needs exactly the keys {', '.join(SYNTH_KEYS)}; "
                              f"got {', '.join(params)}")
+        check_synth_counts(params)
         raw = synth_blobs_raw(
             n_per_class=int(params["n_per_class"]), n_classes=int(params["n_classes"]),
             dim=int(params["dim"]), separation=float(params["separation"]),

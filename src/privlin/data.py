@@ -234,24 +234,21 @@ def normalize_unit_ball(data: RawDataset) -> LabeledDataset:
 
 @dataclass
 class PcaModel:
-    """Mean, orthonormal projection directions, and post-projection rescale."""
+    """Mean and orthonormal projection directions; transform returns the centred
+    projection, which preprocess_pair scales by its one unit_ball_scale."""
 
     mean: np.ndarray
     components: np.ndarray  # (D_raw, D), orthonormal columns
-    rescale: float = 1.0
 
     def transform(self, features) -> np.ndarray:
-        projected = (np.asarray(features, dtype=np.float64) - self.mean) @ self.components
-        projected *= self.rescale
-        return project_to_unit_ball(projected)
+        return (np.asarray(features, dtype=np.float64) - self.mean) @ self.components
 
 
 def pca_fit(features, target_dim: int) -> PcaModel:
     """Top principal directions of the (mean-centered) features.
 
     Directions come from an eigendecomposition of the D x D covariance; each
-    direction's largest-magnitude entry is made positive to fix signs. The
-    rescale factor maps the projected training data back into the unit ball.
+    direction's largest-magnitude entry is made positive to fix signs.
     """
     features = np.asarray(features, dtype=np.float64)
     n, d_raw = features.shape
@@ -265,12 +262,7 @@ def pca_fit(features, target_dim: int) -> PcaModel:
     anchor = np.abs(components).argmax(axis=0)
     signs = np.sign(components[anchor, np.arange(target_dim)])
     signs[signs == 0] = 1.0
-    components = components * signs
-
-    projected = centered @ components
-    max_norm = float(np.linalg.norm(projected, axis=1).max())
-    rescale = 1.0 / max_norm if max_norm > 0 else 1.0
-    return PcaModel(mean=mean, components=components, rescale=rescale)
+    return PcaModel(mean=mean, components=components * signs)
 
 
 # ---------------------------------------------------------------------------

@@ -570,7 +570,9 @@ def save_predictor(path, predictor: PrivatePredictor):
 def load_predictor(path) -> PrivatePredictor:
     """The predictor save_predictor wrote; ValueError for a file of an unknown
     kind, with a malformed calibration record or none (the older layout of
-    three noise fields, whose training-side files did not record their noise).
+    three noise fields, whose training-side files did not record their noise),
+    without its kind's finite parameters (the 3-D ensemble or the 2-D theta), or
+    prediction-side without its budget and rng records.
 
     An ensemble's tie_table is rebuilt from the stored parameters. Ensembles
     saved before absent-class columns were made equal have those columns
@@ -588,17 +590,23 @@ def load_predictor(path) -> PrivatePredictor:
             calibration = Calibration(**json.loads(str(archive["calibration"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed calibration record: {exc}") from exc
+        name, ndim = ("ensemble", 3) if kind == "subsample_aggregate" else ("theta", 2)
+        params = archive[name] if name in archive else None
+        if (params is None or params.dtype.kind != "f" or params.ndim != ndim
+                or not np.isfinite(params).all()):
+            raise ValueError(f"{path}: a {kind} predictor needs a finite {ndim}-D {name} array")
+        prediction_side = KINDS[kind].prediction_side
+        if prediction_side and not {"budget_total", "budget_used", "rng_state"} <= set(archive):
+            raise ValueError(f"{path}: a {kind} predictor needs its budget and rng records")
         privacy = PrivacySpec(epsilon=float(archive["epsilon"]),
                               delta=float(archive["delta"]),
                               budget=int(archive["spec_budget"]))
-        predictor = PrivatePredictor(
-            kind, privacy, calibration,
-            theta=archive["theta"] if "theta" in archive else None,
-            ensemble=_feature_major(archive["ensemble"]) if "ensemble" in archive else None)
-        if "budget_total" in archive:
+        if name == "ensemble":
+            params = _feature_major(params)
+        predictor = PrivatePredictor(kind, privacy, calibration, **{name: params})
+        if prediction_side:
             predictor.budget = BudgetState(int(archive["budget_total"]),
                                            int(archive["budget_used"]))
-        if "rng_state" in archive:
             predictor.rng = np.random.default_rng()
             predictor.rng.bit_generator.state = json.loads(str(archive["rng_state"]))
         return predictor

@@ -90,6 +90,13 @@ class TestConfig:
         optional = {k: v for k, v in SYNTH.items() if k != "n_test_per_class"}
         assert tiny_config(synth=optional).synth == optional
 
+    @pytest.mark.parametrize("key", ["n_per_class", "n_classes", "dim", "n_test_per_class"])
+    def test_fractional_synth_counts_rejected(self, key):
+        # int() would truncate 20.5 rows to 20 without a word.
+        with pytest.raises(ValueError, match=f"synth {key} must be a whole number"):
+            tiny_config(synth={**SYNTH, key: 20.5})
+        assert tiny_config(synth={**SYNTH, key: 20.0}).synth[key] == 20.0
+
     def test_partial_idx_source_rejected(self):
         with pytest.raises(ValueError, match="idx"):
             SweepConfig(idx_train_images="train-images.idx")

@@ -178,11 +178,24 @@ SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
     (["--synth", SYNTH, "--idx-images", "images.idx", "--idx-labels", "labels.idx"],
      "exactly one"),
     (["--synth", SYNTH + ",dim=4"], "'dim' is given more than once"),
+    (["--synth", SYNTH.replace("n_per_class=20", "n_per_class=3.5")],
+     "synth n_per_class must be a whole number"),
+    (["--synth", SYNTH.replace("n_classes=3", "n_classes=2.5")],
+     "synth n_classes must be a whole number"),
+    (["--synth", SYNTH.replace("dim=5", "dim=5.5")], "synth dim must be a whole number"),
 ])
 def test_train_validates_its_data_source(tmp_path, source, message):
     with pytest.raises(ValueError, match=message):
         cli.main(["train", "--mechanism", "nonprivate", *source,
                   "--out", str(tmp_path / "model.npz")])
+
+
+def test_train_reads_counts_in_exponent_notation(tmp_path):
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "nonprivate", "--synth",
+                     "n_per_class=2E1,n_classes=3,dim=5e0,separation=3.0",
+                     "--out", str(model)]) == 0
+    assert load_predictor(model).theta.shape == (5, 3)
 
 
 def test_sweep_writes_trials_and_summary(tmp_path, capsys):

@@ -308,7 +308,6 @@ class TestSplitsAndLeakage:
         _, _, pca_b, scale_b = preprocess_pair(raw_train, raw_test_b, target_dim=4)
         np.testing.assert_array_equal(pca_a.components, pca_b.components)
         np.testing.assert_array_equal(pca_a.mean, pca_b.mean)
-        assert pca_a.rescale == pca_b.rescale
         assert scale_a == scale_b
 
     def test_pipeline_output_satisfies_unit_ball(self):

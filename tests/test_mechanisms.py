@@ -722,6 +722,35 @@ class TestSerialization:
         with pytest.raises((TypeError, ValueError)):
             Calibration(**record)
 
+    @pytest.mark.parametrize("kind, changes, message", [
+        ("prediction_sensitivity", {"budget_total": None, "budget_used": None},
+         "budget and rng records"),
+        ("prediction_sensitivity", {"rng_state": None}, "budget and rng records"),
+        ("subsample_aggregate", {"rng_state": None}, "budget and rng records"),
+        ("model_sensitivity", {"theta": None}, "finite 2-D theta"),
+        ("subsample_aggregate", {"ensemble": None}, "finite 3-D ensemble"),
+        ("model_sensitivity", {"theta": np.full((6, 3), np.nan)}, "finite 2-D theta"),
+        ("prediction_sensitivity", {"theta": np.zeros(6)}, "finite 2-D theta"),
+        ("subsample_aggregate", {"ensemble": np.full((4, 6, 3), np.inf)},
+         "finite 3-D ensemble"),
+    ])
+    def test_file_that_cannot_answer_is_refused(self, kind, changes, message, tmp_path):
+        train, _ = blob_splits(33, n_train_per_class=20)
+        path = tmp_path / "tampered.npz"
+        save_predictor(path, fit_predictor(train, spec_for(kind, budget=5, n_models=4),
+                                           RngStream(34)))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        for key, value in changes.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=message) as refused:
+            load_predictor(path)
+        assert str(path) in str(refused.value)
+
     def test_round_trip_ensemble(self, tmp_path):
         train, test = blob_splits(26)
         spec = spec_for("subsample_aggregate", budget=5, n_models=6)
