@@ -1,13 +1,12 @@
 """Noise-scale calibrations, composition accounting, and budget tracking.
 
-Every noise-scale formula in the toolkit lives here: the closed-form
-beta/sigma formulas for the sensitivity and perturbation mechanisms, the
-exact Gaussian calibration, the advanced-composition search for per-query
-Gaussian noise, the vote inverse temperature for ensemble aggregation, and
-the Renyi accountant behind DP-SGD, which evaluates its whole curve (every
-order of RDP_ORDERS) in one call. mechanisms.calibrate picks each mechanism's
-formula. Every searched sigma comes from one bisection (_bisect) over an exact,
-monotone condition: the Gaussian delta curve or the Renyi accountant's epsilon.
+Every noise-scale formula in the toolkit lives here: the closed-form beta/sigma formulas
+for the sensitivity and perturbation mechanisms, the exact Gaussian calibration, the
+advanced-composition search for per-query Gaussian noise, the vote inverse temperature
+for ensemble aggregation, and the Renyi accountant behind DP-SGD, which evaluates its
+whole curve (every order of RDP_ORDERS) in one call. Each row of mechanisms.KINDS picks
+its kind's formulas. Every searched sigma comes from one bisection (_bisect) over an
+exact, monotone condition: the Gaussian delta curve or the Renyi accountant's epsilon.
 """
 
 from __future__ import annotations

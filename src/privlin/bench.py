@@ -46,10 +46,10 @@ SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
 
 
 def check_synth_counts(params: dict):
-    """ValueError naming the first synth count that int() would truncate."""
+    """ValueError naming the first synth count that int() would truncate or that is below 1."""
     for key in ("n_per_class", "n_classes", "dim", "n_test_per_class"):
-        if key in params and not float(params[key]).is_integer():
-            raise ValueError(f"synth {key} must be a whole number, got {params[key]!r}")
+        if key in params and not (float(params[key]).is_integer() and float(params[key]) >= 1):
+            raise ValueError(f"synth {key} must be a whole number >= 1, got {params[key]!r}")
 
 
 @dataclass(frozen=True)

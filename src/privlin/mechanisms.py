@@ -6,11 +6,11 @@ post-processing. Prediction-side mechanisms (prediction sensitivity,
 subsample-and-aggregate) keep non-private state and spend one unit of the
 inference budget per answered query.
 
-A fit solves (the ERM minimizer, for kinds that privatise it) and calibrates
-(the one choice of noise, a Calibration) deterministically. privatise then
-runs the kind's fit, which applies exactly that noise with fresh randomness
-and returns the released parameters, and builds the predictor, drawing
-nothing itself. KINDS maps each kind to its fit, answer and flags.
+A fit solves (the ERM minimizer, for kinds that privatise it) and calibrates (the one
+choice of noise, a Calibration) deterministically. privatise then runs the kind's fit,
+which applies exactly that noise with fresh randomness and returns the released
+parameters, and builds the predictor, drawing nothing itself. KINDS maps each kind to
+its calibration rules for delta = 0 and delta > 0, fit, answer, parameters and flags.
 """
 
 from __future__ import annotations
@@ -56,11 +56,8 @@ class MechanismSpec:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown mechanism kind: {self.kind!r}")
+        _calibration_rule(self.kind, self.privacy.delta)
         if self.kind == "dpsgd":
-            if self.privacy.delta == 0.0:
-                raise WrongVariantError("dpsgd does not support delta = 0")
             if self.dpsgd is None:
                 raise ValueError("dpsgd requires a DpSgdConfig")
             if self.lam < 0:
@@ -170,36 +167,20 @@ def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def calibrate(spec: MechanismSpec, data: LabeledDataset) -> Calibration:
-    """The noise spec.kind applies at spec.privacy when trained on data.
+    """The noise spec.kind applies at spec.privacy when trained on data, by its KINDS rule."""
+    rule = _calibration_rule(spec.kind, spec.privacy.delta)
+    return rule(spec, ProblemDims(n_train=data.n_examples, lam=spec.lam, n_classes=data.n_classes)
+                if KINDS[spec.kind].needs_dims else None)
 
-    delta = 0 selects the radial-exponential variants, delta > 0 the Gaussian
-    ones. Kinds whose noise does not depend on (N, lam, C) build no
-    ProblemDims, which rejects the lam = 0 that DP-SGD allows.
-    """
-    kind, privacy = spec.kind, spec.privacy
-    if kind == "nonprivate":
-        return Calibration()
-    if kind == "dpsgd":
-        return Calibration("gaussian", dpsgd_sigma_for_target(privacy, spec.dpsgd))
-    if kind == "subsample_aggregate":
-        return Calibration("exponential_mechanism", subsample_beta(privacy))
-    dims = ProblemDims(n_train=data.n_examples, lam=spec.lam, n_classes=data.n_classes)
-    pure = privacy.delta == 0.0
-    if kind == "model_sensitivity":
-        if pure:
-            return Calibration("radial_exponential", model_sensitivity_beta(dims, privacy))
-        return Calibration("gaussian", gaussian_model_sigma(dims, privacy))
-    if kind == "loss_perturbation":
-        if pure:
-            beta, rho = loss_perturbation_params(dims, privacy)
-            return Calibration("radial_exponential", beta, rho)
-        return Calibration("gaussian", gaussian_loss_sigma(dims, privacy),
-                           loss_perturbation_rho(dims, privacy))
-    if kind == "prediction_sensitivity":
-        if pure:
-            return Calibration("radial_exponential", prediction_sensitivity_beta(dims, privacy))
-        return Calibration("gaussian", gaussian_prediction_sigma(dims, privacy))
-    raise ValueError(f"unknown mechanism kind: {kind!r}")
+
+def _calibration_rule(kind: str, delta: float) -> Callable:
+    """kind's rule at delta; ValueError if kind is unknown, WrongVariantError if it lacks one."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown mechanism kind: {kind!r}")
+    rule = KINDS[kind].calibrations[delta != 0.0]
+    if rule is None:
+        raise WrongVariantError(f"{kind} does not support delta {'> 0' if delta else '= 0'}")
+    return rule
 
 
 def _noise(calibration: Calibration, count: int, shape, rng) -> np.ndarray:
@@ -475,25 +456,42 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kind:
-    """fit(data, spec, minimiser, calibration, Generator) -> {"theta": ...} or
-    {"ensemble": ...}, minimiser being solve(data, spec) if uses_minimiser, else
-    None; answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels."""
+    """calibrations: the (delta = 0, delta > 0) rules (spec, dims) -> Calibration, None for a
+    regime the kind lacks; dims is the data's ProblemDims if needs_dims, else None. Lambdas
+    read the accounting functions off this module when called, where perfbench's tracer
+    patches them. fit(data, spec, minimiser, calibration, rng) -> {params: array}, params
+    being "theta" or "ensemble", minimiser solve(data, spec) if uses_minimiser, else None;
+    answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels."""
 
     fit: Callable
     answer: Callable
+    calibrations: tuple[Callable | None, Callable | None]
+    params: str = "theta"
     prediction_side: bool = False
     uses_minimiser: bool = False
+    needs_dims: bool = True  # False where the noise ignores (N, lam, C): DP-SGD allows lam = 0
 
 
 KINDS: dict[str, Kind] = {
-    "nonprivate": Kind(_fit_output_perturbation, _released_logits, uses_minimiser=True),
-    "model_sensitivity": Kind(_fit_output_perturbation, _released_logits, uses_minimiser=True),
-    "loss_perturbation": Kind(_fit_loss_perturbation, _released_logits),
-    "dpsgd": Kind(_fit_dpsgd, _released_logits),
-    "prediction_sensitivity": Kind(_fit_prediction_sensitivity, _noisy_logits,
-                                   prediction_side=True, uses_minimiser=True),
-    "subsample_aggregate": Kind(_fit_subsample_ensemble, _vote_labels,
-                                prediction_side=True),
+    "nonprivate": Kind(_fit_output_perturbation, _released_logits,
+                       (lambda s, d: Calibration(),) * 2, uses_minimiser=True, needs_dims=False),
+    "model_sensitivity": Kind(_fit_output_perturbation, _released_logits, (
+        lambda s, d: Calibration("radial_exponential", model_sensitivity_beta(d, s.privacy)),
+        lambda s, d: Calibration("gaussian", gaussian_model_sigma(d, s.privacy))),
+        uses_minimiser=True),
+    "loss_perturbation": Kind(_fit_loss_perturbation, _released_logits, (
+        lambda s, d: Calibration("radial_exponential", *loss_perturbation_params(d, s.privacy)),
+        lambda s, d: Calibration("gaussian", gaussian_loss_sigma(d, s.privacy),
+                                 loss_perturbation_rho(d, s.privacy)))),
+    "dpsgd": Kind(_fit_dpsgd, _released_logits, (None, lambda s, d: Calibration(
+        "gaussian", dpsgd_sigma_for_target(s.privacy, s.dpsgd))), needs_dims=False),
+    "prediction_sensitivity": Kind(_fit_prediction_sensitivity, _noisy_logits, (
+        lambda s, d: Calibration("radial_exponential", prediction_sensitivity_beta(d, s.privacy)),
+        lambda s, d: Calibration("gaussian", gaussian_prediction_sigma(d, s.privacy))),
+        prediction_side=True, uses_minimiser=True),
+    "subsample_aggregate": Kind(_fit_subsample_ensemble, _vote_labels, (
+        lambda s, d: Calibration("exponential_mechanism", subsample_beta(s.privacy)),) * 2,
+        params="ensemble", prediction_side=True, needs_dims=False),
 }
 
 
@@ -553,10 +551,8 @@ def save_predictor(path, predictor: PrivatePredictor):
         "spec_budget": np.array(predictor.privacy.budget),
         "calibration": np.array(json.dumps(asdict(predictor.calibration))),
     }
-    if predictor.theta is not None:
-        payload["theta"] = predictor.theta
-    if predictor.ensemble is not None:
-        payload["ensemble"] = predictor.ensemble
+    name = KINDS[predictor.kind].params
+    payload[name] = getattr(predictor, name)
     if predictor.budget is not None:
         payload["budget_total"] = np.array(predictor.budget.budget)
         payload["budget_used"] = np.array(predictor.budget.used)
@@ -590,8 +586,9 @@ def load_predictor(path) -> PrivatePredictor:
             calibration = Calibration(**json.loads(str(archive["calibration"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed calibration record: {exc}") from exc
-        name, ndim = ("ensemble", 3) if kind == "subsample_aggregate" else ("theta", 2)
-        params = archive[name] if name in archive else None
+        name = KINDS[kind].params
+        ndim = 3 if name == "ensemble" else 2
+        params = archive.get(name)
         if (params is None or params.dtype.kind != "f" or params.ndim != ndim
                 or not np.isfinite(params).all()):
             raise ValueError(f"{path}: a {kind} predictor needs a finite {ndim}-D {name} array")

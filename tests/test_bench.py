@@ -92,9 +92,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["n_per_class", "n_classes", "dim", "n_test_per_class"])
     def test_fractional_synth_counts_rejected(self, key):
-        # int() would truncate 20.5 rows to 20 without a word.
-        with pytest.raises(ValueError, match=f"synth {key} must be a whole number"):
-            tiny_config(synth={**SYNTH, key: 20.5})
+        # int() would truncate 20.5 rows to 20 without a word; counts below 1
+        # would fail later with a message that names no key.
+        for bad in (20.5, 0, -1):
+            with pytest.raises(ValueError, match=f"synth {key} must be a whole number >= 1"):
+                tiny_config(synth={**SYNTH, key: bad})
         assert tiny_config(synth={**SYNTH, key: 20.0}).synth[key] == 20.0
 
     def test_partial_idx_source_rejected(self):

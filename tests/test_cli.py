@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,17 @@ import privlin
 from privlin import (KINDS, DpSgdConfig, PrivacySpec, SweepConfig, answer_queries, cli,
                      dpsgd_sigma_for_target, load_predictor)
 from privlin.bench import RECORD_HEADER
+
+
+def assert_input_error(capsys, argv, message):
+    """cli.main reports bad input as argparse does: one stderr line, exit status 2."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("privlin: error: ") and err.count("\n") == 1
+    assert re.search(message, err), err
 
 
 def test_verify_passes(capsys):
@@ -136,15 +148,15 @@ def test_predict_spends_the_budget_in_the_exact_model_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["", "f0,f1,f2,f3,f4\n"])
-def test_predict_refuses_a_query_file_without_rows(tmp_path, text):
+def test_predict_refuses_a_query_file_without_rows(tmp_path, capsys, text):
     model = tmp_path / "model.npz"
     assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
                      "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
                      "--out", str(model)]) == 0
     inputs = tmp_path / "queries.csv"
     inputs.write_text(text)
-    with pytest.raises(ValueError, match="no rows"):
-        cli.main(["predict", "--model", str(model), "--inputs", str(inputs)])
+    assert_input_error(capsys, ["predict", "--model", str(model), "--inputs", str(inputs)],
+                       "no rows")
     assert load_predictor(model).budget.used == 0
 
 
@@ -183,11 +195,29 @@ SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
     (["--synth", SYNTH.replace("n_classes=3", "n_classes=2.5")],
      "synth n_classes must be a whole number"),
     (["--synth", SYNTH.replace("dim=5", "dim=5.5")], "synth dim must be a whole number"),
+    (["--synth", SYNTH.replace("n_per_class=20", "n_per_class=0")],
+     "synth n_per_class must be a whole number >= 1"),
+    (["--synth", SYNTH.replace("n_classes=3", "n_classes=-1")],
+     "synth n_classes must be a whole number >= 1"),
+    (["--synth", SYNTH.replace("dim=5", "dim=0")], "synth dim must be a whole number >= 1"),
+    (["--synth", SYNTH.replace("dim=5", "dim=-1")], "synth dim must be a whole number >= 1"),
 ])
-def test_train_validates_its_data_source(tmp_path, source, message):
-    with pytest.raises(ValueError, match=message):
-        cli.main(["train", "--mechanism", "nonprivate", *source,
-                  "--out", str(tmp_path / "model.npz")])
+def test_train_validates_its_data_source(tmp_path, capsys, source, message):
+    assert_input_error(capsys, ["train", "--mechanism", "nonprivate", *source,
+                                "--out", str(tmp_path / "model.npz")], message)
+
+
+@pytest.mark.parametrize("options, message", [
+    # 2K / (N lam) overflows to infinity, which no noise scale covers.
+    (["--mechanism", "model_sensitivity", "--delta", "1e-5", "--lam", "1e-320"],
+     "must be finite"),
+    (["--mechanism", "dpsgd", "--delta", "0"], "dpsgd does not support delta = 0"),
+])
+def test_train_reports_bad_settings_in_one_line(tmp_path, capsys, options, message):
+    model = tmp_path / "model.npz"
+    assert_input_error(capsys, ["train", *options, "--synth", SYNTH, "--out", str(model)],
+                       message)
+    assert not model.exists()
 
 
 def test_train_reads_counts_in_exponent_notation(tmp_path):
@@ -237,17 +267,16 @@ def test_sweep_trials_and_seed_overrides_are_validated(tmp_path, capsys):
     privlin.emit_csv(privlin.run_sweep(replace(cfg, trials=1, base_seed=8)), expected)
     strip = [line.rsplit(",", 1)[0] for line in trials.read_text().splitlines()]
     assert strip == [line.rsplit(",", 1)[0] for line in expected.read_text().splitlines()]
-    with pytest.raises(ValueError, match="trials"):
-        cli.main(["sweep", "--config", str(config), "--out", str(trials), "--trials", "0"])
+    assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials),
+                                "--trials", "0"], "trials")
 
 
-def test_sweep_rejects_fewer_than_one_thread(tmp_path):
+def test_sweep_rejects_fewer_than_one_thread(tmp_path, capsys):
     cfg = SweepConfig(mechanisms=("nonprivate",), budgets=(5,), trials=1,
                       synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0})
     config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
     config.write_text(cfg.to_json())
     for threads in ("0", "-3"):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            cli.main(["sweep", "--config", str(config), "--out", str(trials),
-                      "--threads", threads])
+        assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials),
+                                    "--threads", threads], "threads must be at least 1")
     assert not trials.exists()

@@ -79,10 +79,25 @@ def fit_nonprivate(data, spec):
 
 
 class TestMechanismSpec:
-    def test_dpsgd_requires_positive_delta(self):
+    def test_delta_regimes_follow_the_kind_table(self):
+        # The constructor refuses a kind exactly at the delta whose KINDS rule is
+        # None, and calibrate refuses it on a spec changed after construction.
         cfg = DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1)
-        with pytest.raises(WrongVariantError):
-            MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 0.0), dpsgd=cfg)
+        data = LabeledDataset(np.zeros((100, 2)), one_hot(np.arange(100) % 3, 3))
+        missing = []
+        for kind, row in KINDS.items():
+            for delta, other, rule in zip((0.0, 1e-5), (1e-5, 0.0), row.calibrations):
+                if rule is not None:
+                    MechanismSpec(kind=kind, privacy=PrivacySpec(1.0, delta), dpsgd=cfg)
+                    continue
+                missing.append((kind, delta))
+                with pytest.raises(WrongVariantError, match=f"{kind} does not support"):
+                    MechanismSpec(kind=kind, privacy=PrivacySpec(1.0, delta), dpsgd=cfg)
+                spec = MechanismSpec(kind=kind, privacy=PrivacySpec(1.0, other), dpsgd=cfg)
+                spec.privacy = PrivacySpec(1.0, delta)
+                with pytest.raises(WrongVariantError, match=f"{kind} does not support"):
+                    calibrate(spec, data)
+        assert missing == [("dpsgd", 0.0)]
 
     def test_dpsgd_requires_config(self):
         with pytest.raises(ValueError):
@@ -110,37 +125,39 @@ CALIBRATION_GOLDEN = {
 
 class TestCalibrate:
     def test_calibrations_cover_all_mechanisms(self):
-        # N = 1000, C = 3: calibrate reads only the row and class counts.
-        data = LabeledDataset(np.zeros((1000, 2)), one_hot(np.arange(1000) % 3, 3))
-        d = ProblemDims(1000, 0.1, 3)
-        pure, approx = PrivacySpec(1.0, 0.0, 10), PrivacySpec(1.0, 1e-5, 10)
-        expected = {
-            ("model_sensitivity", 0.0): ("radial_exponential",
-                                         model_sensitivity_beta(d, pure), 0.0),
-            ("model_sensitivity", 1e-5): ("gaussian", gaussian_model_sigma(d, approx), 0.0),
-            ("loss_perturbation", 0.0): ("radial_exponential",
-                                         *loss_perturbation_params(d, pure)),
-            ("loss_perturbation", 1e-5): ("gaussian", gaussian_loss_sigma(d, approx),
-                                          loss_perturbation_rho(d, approx)),
-            ("prediction_sensitivity", 0.0): ("radial_exponential",
-                                              prediction_sensitivity_beta(d, pure), 0.0),
-            ("prediction_sensitivity", 1e-5): ("gaussian",
-                                               gaussian_prediction_sigma(d, approx), 0.0),
-            ("subsample_aggregate", 0.0): ("exponential_mechanism", subsample_beta(pure), 0.0),
-            ("subsample_aggregate", 1e-5): ("exponential_mechanism",
-                                            subsample_beta(approx), 0.0),
-            ("nonprivate", 0.0): ("none", 0.0, 0.0),
-        }
-        for (kind, delta), (family, scale, rho) in expected.items():
-            spec = spec_for(kind, delta=delta, budget=10)
-            calibration = calibrate(spec, data)
-            assert calibration == Calibration(family, scale, rho), (kind, delta)
-            assert (calibration.rho > 0) == (kind == "loss_perturbation")
-        # DP-SGD at lam = 0, which the problem constants of the other kinds reject.
-        cfg = DpSgdConfig(clip=0.1, n_steps=50, sample_rate=0.1)
-        spec = spec_for("dpsgd", delta=1e-5, budget=10, lam=0.0, dpsgd=cfg)
-        assert calibrate(spec, data) == Calibration(
-            "gaussian", dpsgd_sigma_for_target(approx, cfg))
+        # Two (N, lam, C, B) points that differ in every constant.
+        for n, lam, c, budget in ((1000, 0.1, 3, 10), (250, 0.02, 7, 400)):
+            # calibrate reads only the row and class counts of the data.
+            data = LabeledDataset(np.zeros((n, 2)), one_hot(np.arange(n) % c, c))
+            d = ProblemDims(n, lam, c)
+            pure, approx = PrivacySpec(1.0, 0.0, budget), PrivacySpec(1.0, 1e-5, budget)
+            expected = {
+                ("model_sensitivity", 0.0): ("radial_exponential",
+                                             model_sensitivity_beta(d, pure), 0.0),
+                ("model_sensitivity", 1e-5): ("gaussian", gaussian_model_sigma(d, approx), 0.0),
+                ("loss_perturbation", 0.0): ("radial_exponential",
+                                             *loss_perturbation_params(d, pure)),
+                ("loss_perturbation", 1e-5): ("gaussian", gaussian_loss_sigma(d, approx),
+                                              loss_perturbation_rho(d, approx)),
+                ("prediction_sensitivity", 0.0): ("radial_exponential",
+                                                  prediction_sensitivity_beta(d, pure), 0.0),
+                ("prediction_sensitivity", 1e-5): ("gaussian",
+                                                   gaussian_prediction_sigma(d, approx), 0.0),
+                ("subsample_aggregate", 0.0): ("exponential_mechanism", subsample_beta(pure), 0.0),
+                ("subsample_aggregate", 1e-5): ("exponential_mechanism",
+                                                subsample_beta(approx), 0.0),
+                ("nonprivate", 0.0): ("none", 0.0, 0.0),
+            }
+            for (kind, delta), (family, scale, rho) in expected.items():
+                spec = spec_for(kind, delta=delta, budget=budget, lam=lam)
+                calibration = calibrate(spec, data)
+                assert calibration == Calibration(family, scale, rho), (kind, delta)
+                assert (calibration.rho > 0) == (kind == "loss_perturbation")
+            # DP-SGD at lam = 0, which the problem constants of the other kinds reject.
+            cfg = DpSgdConfig(clip=0.1, n_steps=50, sample_rate=0.1)
+            spec = spec_for("dpsgd", delta=1e-5, budget=budget, lam=0.0, dpsgd=cfg)
+            assert calibrate(spec, data) == Calibration(
+                "gaussian", dpsgd_sigma_for_target(approx, cfg))
 
     def test_calibrations_match_recorded_values(self):
         # Every kind at delta = 0 and 1e-5, recorded before the Gaussian sigma
