@@ -86,8 +86,8 @@ class DpSgdConfig:
     def __post_init__(self):
         if not self.clip > 0:
             raise ValueError(f"clip must be positive, got {self.clip}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be an integer at least 1, got {self.n_steps!r}")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
         if not self.learning_rate > 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -101,8 +102,11 @@ class SweepConfig:
                 raise ValueError(f"grid {name} must be nonempty")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
-        if self.trials < 1 or self.trials >= _MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}), got {self.trials}")
+        if not isinstance(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
+            raise ValueError(f"trials must be an integer in [1, {_MAX_TRIALS}), "
+                             f"got {self.trials!r}")
+        if not isinstance(self.base_seed, numbers.Integral) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
         idx = [path is not None for path in (self.idx_train_images, self.idx_train_labels,
                                              self.idx_test_images, self.idx_test_labels)]
         if any(idx) and not all(idx):

@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .accounting import DpSgdConfig, PrivacySpec
+from .accounting import CalibrationError, DpSgdConfig, PrivacySpec
 from .bench import (SYNTH_KEYS, SweepConfig, check_synth_counts, emit_csv, emit_summary_csv,
                     run_sweep, summarize)
 from .data import load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input: one line and exit status 2, as argparse reports
+    except (ValueError, CalibrationError, OSError) as exc:  # bad input: one line, exit 2
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

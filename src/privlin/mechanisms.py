@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
@@ -64,8 +65,8 @@ class MechanismSpec:
                 raise ValueError("lam must be nonnegative")
         elif not self.lam > 0:
             raise ValueError("lam must be positive")
-        if self.n_models < 1:
-            raise ValueError("n_models must be at least 1")
+        if not isinstance(self.n_models, numbers.Integral) or self.n_models < 1:
+            raise ValueError(f"n_models must be an integer at least 1, got {self.n_models!r}")
 
     def train_config(self, **overrides) -> TrainConfig:
         return TrainConfig(lam=self.lam, max_iterations=self.max_iterations,
@@ -131,12 +132,13 @@ class PrivatePredictor:
         return self.theta.shape[0] if self.ensemble is None else self.ensemble.shape[1]
 
     def predict(self, x):
-        """Answer one query: (C,) logits, or an integer label for
+        """Answer one (D,) query: (C,) logits, or an integer label for
         subsample-and-aggregate.
 
-        A prediction-side query must lie in the unit ball and spends one
-        budget unit; a refusal raises BudgetExhaustedError before any
-        computation touches the model.
+        This is the one place a single vector becomes a (1, D) row; everything
+        below takes rows. A prediction-side query must lie in the unit ball and
+        spends one budget unit; a refusal raises BudgetExhaustedError before
+        any computation touches the model.
         """
         kind = KINDS[self.kind]
         x = np.asarray(x, dtype=np.float64)
@@ -150,8 +152,9 @@ class PrivatePredictor:
 
 
 def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
-    """The one query-row validator: every row finite and, with in_ball, inside
-    the unit L2 ball that prediction-side sensitivity bounds assume."""
+    """The one query-row validator, for (k, D) rows of the right width: every
+    row finite and, with in_ball, inside the unit L2 ball that prediction-side
+    sensitivity bounds assume."""
     # A row with a NaN or infinite entry has a NaN or infinite norm and fails too.
     if in_ball and (rows * rows).sum(axis=1).max(initial=0.0) <= (1.0 + NORM_TOLERANCE) ** 2:
         return rows
@@ -393,37 +396,31 @@ def tie_table(ensemble: np.ndarray) -> np.ndarray:
     return table
 
 
-def ensemble_vote_counts(ensemble: np.ndarray, x, ties: np.ndarray | None = None) -> np.ndarray:
-    """Votes per class: each sub-model casts its argmax (ties to the lowest index).
-
-    Accepts one query vector or a batch of rows; returns (C,) or (n, C)
-    integer counts summing to the ensemble size. ties is tie_table(ensemble),
-    built here if not given.
+def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.ndarray:
+    """(n, C) votes per class for (n, D) rows: each sub-model casts its argmax,
+    mapped through ties = tie_table(ensemble), so each row's counts sum to T.
 
     All T sub-models score the rows in one matrix product against the
     (D, T*C) matrix of their parameters; that reshape is free for the
     (D, T, C) memory of the subsample-and-aggregate fit and copies any other
-    layout once per call. A single row goes through a matrix-vector product
-    and a batch through one matrix-matrix product, and the two can round a
+    layout once per call. BLAS scores one row with a matrix-vector product
+    and a batch with a matrix-matrix product, and the two can round a
     sub-model's equal columns apart differently. Each winner is therefore
     mapped to the lowest class of its tie group, so equal columns tie
     exactly and a batch answers as its rows would one by one.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    n = rows.shape[0]
+    rows = np.asarray(rows, dtype=np.float64)
     t, d, c = ensemble.shape
-    if ties is None:
-        ties = tie_table(ensemble)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ValueError(f"rows must have shape (n, {d}), got {rows.shape}")
+    n = rows.shape[0]
     weights = ensemble.transpose(1, 0, 2).reshape(d, t * c)
     winners = (rows @ weights).reshape(n, t, c).argmax(axis=2)  # (n, t)
     winners += np.arange(0, t * c, c)  # flat indices into ties
     votes = ties.take(winners)
     if n > 1:  # offset each row's votes into its own C bins
         votes += np.arange(0, n * c, c)[:, None]
-    counts = np.bincount(votes.ravel(), minlength=n * c).reshape(n, c)
-    return counts[0] if single else counts
+    return np.bincount(votes.ravel(), minlength=n * c).reshape(n, c)
 
 
 def vote_distribution(counts, beta: float) -> np.ndarray:
@@ -564,9 +561,10 @@ def save_predictor(path, predictor: PrivatePredictor):
 
 
 def load_predictor(path) -> PrivatePredictor:
-    """The predictor save_predictor wrote; ValueError for a file of an unknown
-    kind, with a malformed calibration record or none (the older layout of
-    three noise fields, whose training-side files did not record their noise),
+    """The predictor save_predictor wrote; ValueError for a file without its
+    kind or privacy records (epsilon, delta, spec_budget), of an unknown kind,
+    with a malformed calibration record or none (the older layout of three
+    noise fields, whose training-side files did not record their noise),
     without its kind's finite parameters (the 3-D ensemble or the 2-D theta), or
     prediction-side without its budget and rng records.
 
@@ -576,6 +574,9 @@ def load_predictor(path) -> PrivatePredictor:
     to whichever column rounds higher, and a batch may break one differently
     from a single query."""
     with np.load(path, allow_pickle=False) as archive:
+        if not {"kind", "epsilon", "delta", "spec_budget"} <= set(archive):
+            raise ValueError(f"{path}: a predictor needs its kind, epsilon, delta and "
+                             "spec_budget records")
         kind = str(archive["kind"])
         if kind not in KINDS:
             raise ValueError(f"{path}: unknown mechanism kind {kind!r}")

@@ -1,4 +1,4 @@
-"""Noise samplers for the two perturbation families used by every mechanism."""
+"""(rows, cols) noise samplers for the two perturbation families used by every mechanism."""
 
 from __future__ import annotations
 
@@ -37,21 +37,18 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def _as_shape(shape) -> tuple[int, int]:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape), 1)
-    rows, cols = (int(shape[0]), int(shape[1]))
+    rows, cols = (int(n) for n in shape)
     if rows < 1 or cols < 1:
         raise ValueError(f"noise shape must be positive, got {shape}")
     return rows, cols
 
 
 def sample_radial_exponential(shape, beta: float, rng) -> np.ndarray:
-    """Draw a matrix from the density proportional to exp(-beta * ||B||_F).
+    """Draw a (rows, cols) matrix B from the density proportional to exp(-beta * ||B||_F).
 
     In n = rows * cols dimensions the radial density is proportional to
     r^(n-1) exp(-beta r), i.e. the norm is Gamma(n, rate beta); the sample is
-    that radius times an independent uniformly random direction. An int shape
-    means a column vector.
+    that radius times an independent uniformly random direction.
     """
     rows, cols = _as_shape(shape)
     if not beta > 0:
@@ -68,7 +65,7 @@ def sample_radial_exponential(shape, beta: float, rng) -> np.ndarray:
 
 
 def sample_gaussian(shape, sigma: float, rng) -> np.ndarray:
-    """Draw a matrix of i.i.d. N(0, sigma^2) entries. An int shape means a column vector."""
+    """Draw a (rows, cols) matrix of i.i.d. N(0, sigma^2) entries."""
     rows, cols = _as_shape(shape)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")

@@ -140,16 +140,10 @@ def minimize_erm(data: LabeledDataset, cfg: TrainConfig) -> np.ndarray:
     return minimize_erm_stack(data.features[None], data.labels[None], cfg)[0]
 
 
-def predict_logits(theta, x) -> np.ndarray:
-    """Linear scores theta^T x; accepts one input vector or a batch of rows."""
+def predict_logits(theta, rows) -> np.ndarray:
+    """(k, C) linear scores rows @ theta for (k, D) rows."""
     theta = np.asarray(theta, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != theta.shape[0]:
-            raise ValueError(f"input has {x.shape[0]} features, model expects {theta.shape[0]}")
-        return theta.T @ x
-    if x.ndim == 2:
-        if x.shape[1] != theta.shape[0]:
-            raise ValueError(f"input has {x.shape[1]} features, model expects {theta.shape[0]}")
-        return x @ theta
-    raise ValueError("x must be a vector or a matrix of rows")
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != theta.shape[0]:
+        raise ValueError(f"rows must have shape (k, {theta.shape[0]}), got {rows.shape}")
+    return rows @ theta

@@ -144,12 +144,13 @@ def check_vote_ties(seed: int = 5):
                          lam=0.1, n_models=t)
     predictor = fit_predictor(data, spec, RngStream(seed, 1))
     ensemble, ties, rows = predictor.ensemble, predictor.ties, data.features
-    single = np.array([ensemble_vote_counts(ensemble, x, ties) for x in rows])
-    differing = 0
-    for size in (7, len(rows)):
-        batch = np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
-                                for i in range(0, len(rows), size)])
-        differing = max(differing, int((batch != single).any(axis=1).sum()))
+
+    def votes(size):
+        return np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
+                               for i in range(0, len(rows), size)])
+
+    single = votes(1)
+    differing = max(int((votes(size) != single).any(axis=1).sum()) for size in (7, len(rows)))
     tied = int((ties != np.arange(c)).any(axis=1).sum())
     ok = tied > 0 and differing == 0
     return ok, (f"{differing} of {len(rows)} rows differ between batch and one by one; "

@@ -72,8 +72,9 @@ class TestSpecsValidation:
             DpSgdConfig(clip=0.0, n_steps=5, sample_rate=0.1)
         with pytest.raises(ValueError):
             DpSgdConfig(clip=0.1, n_steps=5, sample_rate=1.5)
-        with pytest.raises(ValueError):
-            DpSgdConfig(clip=0.1, n_steps=0, sample_rate=0.1)
+        for bad in (0, 20.5):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                DpSgdConfig(clip=0.1, n_steps=bad, sample_rate=0.1)
         cfg = DpSgdConfig.for_dataset(n_train=200, batch_size=50, n_steps=5, clip=0.1)
         assert cfg == DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.25)
         with pytest.raises(ValueError, match="sample_rate"):

@@ -99,6 +99,15 @@ class TestConfig:
                 tiny_config(synth={**SYNTH, key: bad})
         assert tiny_config(synth={**SYNTH, key: 20.0}).synth[key] == 20.0
 
+    def test_trials_and_base_seed_must_be_whole_numbers(self):
+        # Fractional values used to construct and then crash run_sweep with a TypeError.
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                tiny_config(trials=bad)
+        for bad in (1.5, -1):
+            with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
+                tiny_config(base_seed=bad)
+
     def test_partial_idx_source_rejected(self):
         with pytest.raises(ValueError, match="idx"):
             SweepConfig(idx_train_images="train-images.idx")

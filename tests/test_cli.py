@@ -116,16 +116,16 @@ def test_predict_answers_the_budget_then_refuses(tmp_path, mechanism):
     assert load_predictor(model).budget.used == 3
 
 
-def test_predict_records_the_spend_before_writing_answers(tmp_path):
+def test_predict_records_the_spend_before_writing_answers(tmp_path, capsys):
     model = tmp_path / "model.npz"
     assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
                      "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
                      "--out", str(model)]) == 0
     inputs = tmp_path / "queries.csv"
     np.savetxt(inputs, np.full((2, 5), 0.1), delimiter=",")
-    with pytest.raises(FileNotFoundError):
-        cli.main(["predict", "--model", str(model), "--inputs", str(inputs),
-                  "--out", str(tmp_path / "missing" / "answers.csv")])
+    assert_input_error(capsys, ["predict", "--model", str(model), "--inputs", str(inputs),
+                                "--out", str(tmp_path / "missing" / "answers.csv")],
+                       "No such file")
     assert load_predictor(model).budget.used == 2
 
 
@@ -158,6 +158,13 @@ def test_predict_refuses_a_query_file_without_rows(tmp_path, capsys, text):
     assert_input_error(capsys, ["predict", "--model", str(model), "--inputs", str(inputs)],
                        "no rows")
     assert load_predictor(model).budget.used == 0
+
+
+def test_predict_reports_a_missing_model_in_one_line(tmp_path, capsys):
+    inputs = tmp_path / "queries.csv"
+    inputs.write_text("f0,f1\n0.1,0.2\n")
+    assert_input_error(capsys, ["predict", "--model", str(tmp_path / "missing.npz"),
+                                "--inputs", str(inputs)], "No such file.*missing.npz")
 
 
 def test_predict_projects_queries_outside_the_ball(tmp_path):
@@ -212,6 +219,7 @@ def test_train_validates_its_data_source(tmp_path, capsys, source, message):
     (["--mechanism", "model_sensitivity", "--delta", "1e-5", "--lam", "1e-320"],
      "must be finite"),
     (["--mechanism", "dpsgd", "--delta", "0"], "dpsgd does not support delta = 0"),
+    (["--mechanism", "dpsgd", "--delta", "1e-5", "--epsilon", "0.01"], "unreachable"),
 ])
 def test_train_reports_bad_settings_in_one_line(tmp_path, capsys, options, message):
     model = tmp_path / "model.npz"
@@ -269,6 +277,8 @@ def test_sweep_trials_and_seed_overrides_are_validated(tmp_path, capsys):
     assert strip == [line.rsplit(",", 1)[0] for line in expected.read_text().splitlines()]
     assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials),
                                 "--trials", "0"], "trials")
+    assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials),
+                                "--seed", "-1"], "base_seed")
 
 
 def test_sweep_rejects_fewer_than_one_thread(tmp_path, capsys):

@@ -454,7 +454,7 @@ class TestPredictionSensitivity:
         predictor = fit_predictor(train, spec, RngStream(15))
         x = test.features[0]
         noisy = predictor.predict(x)
-        exact = predict_logits(predictor.theta, x)
+        exact = predict_logits(predictor.theta, x[None])[0]
         np.testing.assert_allclose(noisy, exact, atol=1e-6)
 
     def test_noise_scale_inverse_in_budget(self):
@@ -503,34 +503,44 @@ class TestSubsampleAggregate:
             fit_predictor(train, spec_for("subsample_aggregate",
                                           n_models=train.n_examples + 1),
                           RngStream(20))
+        for bad in (0, 4.5):
+            with pytest.raises(ValueError, match="n_models must be an integer"):
+                spec_for("subsample_aggregate", n_models=bad)
 
     def test_votes_sum_to_ensemble_size(self):
         train, test = blob_splits(19)
         spec = spec_for("subsample_aggregate", n_models=12)
         predictor = fit_predictor(train, spec, RngStream(21))
-        counts = ensemble_vote_counts(predictor.ensemble, test.features)
+        counts = ensemble_vote_counts(predictor.ensemble, test.features, predictor.ties)
         assert counts.shape == (test.n_examples, train.n_classes)
         assert np.all(counts.sum(axis=1) == 12)
-        single = ensemble_vote_counts(predictor.ensemble, test.features[0])
-        np.testing.assert_array_equal(single, counts[0])
+        single = ensemble_vote_counts(predictor.ensemble, test.features[:1], predictor.ties)
+        np.testing.assert_array_equal(single, counts[:1])
+        for bad in (test.features[0], test.features[:3, :-1]):
+            with pytest.raises(ValueError, match=r"shape \(n, 6\)"):
+                ensemble_vote_counts(predictor.ensemble, bad, predictor.ties)
+        with pytest.raises(TypeError):
+            ensemble_vote_counts(predictor.ensemble, test.features)
 
     def test_one_changed_example_touches_at_most_one_submodel(self):
         train, test = blob_splits(20, n_train_per_class=40, c=3, d=5)
         spec = spec_for("subsample_aggregate", n_models=10, lam=0.1)
-        ensemble_a = fit_predictor(train, spec, RngStream(22)).ensemble
+        predictor_a = fit_predictor(train, spec, RngStream(22))
+        ensemble_a = predictor_a.ensemble
 
         swapped = LabeledDataset(train.features.copy(), train.labels.copy())
         swapped.features[17] = swapped.features[17] * 0.5
         swapped.labels[17] = np.roll(swapped.labels[17], 1)
-        ensemble_b = fit_predictor(swapped, spec, RngStream(22)).ensemble
+        predictor_b = fit_predictor(swapped, spec, RngStream(22))
+        ensemble_b = predictor_b.ensemble
 
         differing = sum(
             0 if np.array_equal(a, b) else 1
             for a, b in zip(ensemble_a, ensemble_b)
         )
         assert differing <= 1
-        counts_a = ensemble_vote_counts(ensemble_a, test.features)
-        counts_b = ensemble_vote_counts(ensemble_b, test.features)
+        counts_a = ensemble_vote_counts(ensemble_a, test.features, predictor_a.ties)
+        counts_b = ensemble_vote_counts(ensemble_b, test.features, predictor_b.ties)
         assert np.abs(counts_a - counts_b).max() <= 1
 
     def test_vote_distribution_closed_form(self):
@@ -552,7 +562,8 @@ class TestSubsampleAggregate:
         expected = []
         for x in test.features[:150]:
             probs = softmax(predictor.calibration.scale
-                            * ensemble_vote_counts(predictor.ensemble, x).astype(np.float64),
+                            * ensemble_vote_counts(predictor.ensemble, x[None],
+                                                   predictor.ties)[0].astype(np.float64),
                             axis=-1)
             expected.append(reference.rng.choice(len(probs), p=probs))
         np.testing.assert_array_equal(labels, expected)
@@ -576,7 +587,8 @@ class TestSubsampleAggregate:
             calibration=Calibration("exponential_mechanism", math.log(2.0)), ensemble=ensemble,
             budget=BudgetState(draws), rng=RngStream(23).generator())
         x = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(ensemble_vote_counts(ensemble, x), [2, 1, 0])
+        np.testing.assert_array_equal(ensemble_vote_counts(ensemble, x[None], predictor.ties),
+                                      [[2, 1, 0]])
         labels = np.array([predictor.predict(x)
                            for _ in range(draws)])
         freqs = np.bincount(labels, minlength=3) / draws
@@ -589,7 +601,8 @@ class TestSubsampleAggregate:
         spec = spec_for("subsample_aggregate", budget=200, n_models=8)
         predictor = fit_noise_free(train, spec, RngStream(43))
         state = copy.deepcopy(predictor.rng.bit_generator.state)
-        plurality = ensemble_vote_counts(predictor.ensemble, test.features).argmax(axis=1)
+        plurality = ensemble_vote_counts(predictor.ensemble, test.features,
+                                         predictor.ties).argmax(axis=1)
         np.testing.assert_array_equal(answer_queries(predictor, test.features), plurality)
         singles = [predictor.predict(x) for x in test.features[:20]]
         np.testing.assert_array_equal(singles, plurality[:20])
@@ -598,7 +611,7 @@ class TestSubsampleAggregate:
         tie[0, 0, 2] = tie[1, 0, 1] = 1.0
         tied = dataclasses.replace(predictor, ensemble=tie, ties=None)
         x = np.eye(train.n_features)[0]
-        np.testing.assert_array_equal(ensemble_vote_counts(tie, x), [0, 1, 1])
+        np.testing.assert_array_equal(ensemble_vote_counts(tie, x[None], tied.ties), [[0, 1, 1]])
         assert tied.predict(x) == 1
         np.testing.assert_array_equal(answer_queries(tied, np.stack([x, x])), [1, 1])
         assert predictor.rng.bit_generator.state == state  # nothing was drawn
@@ -645,7 +658,7 @@ class TestDispatchAndBudgets:
         np.testing.assert_array_equal(answer_queries(predictor, outside),
                                       np.argmax(outside @ predictor.theta, axis=1))
         np.testing.assert_array_equal(predictor.predict(outside[0]),
-                                      predict_logits(predictor.theta, outside[0]))
+                                      predict_logits(predictor.theta, outside[:1])[0])
 
     def test_prediction_side_budget_is_exact(self):
         train, test = blob_splits(23)
@@ -750,6 +763,10 @@ class TestSerialization:
         ("prediction_sensitivity", {"theta": np.zeros(6)}, "finite 2-D theta"),
         ("subsample_aggregate", {"ensemble": np.full((4, 6, 3), np.inf)},
          "finite 3-D ensemble"),
+        ("model_sensitivity", {"epsilon": None}, "epsilon, delta and spec_budget"),
+        ("prediction_sensitivity", {"delta": None}, "epsilon, delta and spec_budget"),
+        ("subsample_aggregate", {"spec_budget": None}, "epsilon, delta and spec_budget"),
+        ("nonprivate", {"kind": None}, "needs its kind"),
     ])
     def test_file_that_cannot_answer_is_refused(self, kind, changes, message, tmp_path):
         train, _ = blob_splits(33, n_train_per_class=20)
@@ -872,23 +889,24 @@ class TestBatchAnswering:
     def test_vote_counts_match_per_model_loop(self):
         train, test = blob_splits(34, n_train_per_class=150, c=4, d=8)
         spec = spec_for("subsample_aggregate", n_models=9)
-        built = fit_predictor(train, spec, RngStream(35)).ensemble
+        predictor = fit_predictor(train, spec, RngStream(35))
+        built, ties = predictor.ensemble, predictor.ties
         plain = np.ascontiguousarray(built)
         rows = test.features
         expected = np.zeros((len(rows), train.n_classes), dtype=int)
         for theta in plain:
             expected[np.arange(len(rows)), np.argmax(rows @ theta, axis=1)] += 1
         for ensemble in (built, plain):
-            np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows), expected)
+            np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows, ties), expected)
             for i in (0, 17):
-                np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows[i]),
-                                              expected[i])
+                np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows[i:i + 1], ties),
+                                              expected[i:i + 1])
 
     def test_near_tied_votes_agree_between_one_row_and_batch(self):
         predictor, test = degenerate_ensemble(36)
-        batch = ensemble_vote_counts(predictor.ensemble, test.features)
-        single = np.array([ensemble_vote_counts(predictor.ensemble, x)
-                           for x in test.features])
+        batch = ensemble_vote_counts(predictor.ensemble, test.features, predictor.ties)
+        single = np.concatenate([ensemble_vote_counts(predictor.ensemble, x[None], predictor.ties)
+                                 for x in test.features])
         np.testing.assert_array_equal(batch, single)
 
     def test_absent_class_columns_are_bitwise_equal(self):
@@ -916,11 +934,14 @@ class TestBatchAnswering:
         predictor = fit_predictor(train, spec, RngStream(seed, 1))
         ensemble, ties, rows = predictor.ensemble, predictor.ties, test.features
         assert (ties != np.arange(c)).any()
-        single = np.array([ensemble_vote_counts(ensemble, x, ties) for x in rows])
-        for size in (1, 7, len(rows)):
-            batch = np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
-                                    for i in range(0, len(rows), size)])
-            np.testing.assert_array_equal(batch, single)
+
+        def votes(size):
+            return np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
+                                   for i in range(0, len(rows), size)])
+
+        single = votes(1)
+        for size in (7, len(rows)):
+            np.testing.assert_array_equal(votes(size), single)
 
     def test_identical_columns_vote_for_the_lower_index(self):
         rng = np.random.default_rng(39)
@@ -934,8 +955,9 @@ class TestBatchAnswering:
         np.testing.assert_array_equal(predictor.ties[:, 9], 2)
         rows = rng.standard_normal((200, 20))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        batch = ensemble_vote_counts(ensemble, rows)
-        single = np.array([ensemble_vote_counts(ensemble, x) for x in rows])
+        batch = ensemble_vote_counts(ensemble, rows, predictor.ties)
+        single = np.concatenate([ensemble_vote_counts(ensemble, x[None], predictor.ties)
+                                 for x in rows])
         assert batch[:, 2].sum() > 100
         assert batch[:, 9].sum() == single[:, 9].sum() == 0
         np.testing.assert_array_equal(batch, single)

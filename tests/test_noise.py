@@ -30,7 +30,9 @@ class TestRngStream:
 class TestRadialExponential:
     def test_shape_and_int_shape(self):
         assert sample_radial_exponential((5, 7), 1.0, RngStream(0)).shape == (5, 7)
-        assert sample_radial_exponential(6, 1.0, RngStream(0)).shape == (6, 1)
+        for sampler in (sample_radial_exponential, sample_gaussian):
+            with pytest.raises(TypeError):  # shapes are (rows, cols) only
+                sampler(6, 1.0, RngStream(0))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 10), (4, 3), (50, 10)])
     def test_draws_equal_the_linalg_norm_formula(self, shape):

@@ -217,9 +217,9 @@ class TestSensitivityBound:
 class TestPredictLogits:
     def test_zero_cases(self):
         theta = np.zeros((4, 3))
-        np.testing.assert_array_equal(predict_logits(theta, np.ones(4) / 2), np.zeros(3))
+        np.testing.assert_array_equal(predict_logits(theta, np.ones((1, 4)) / 2), np.zeros((1, 3)))
         theta = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(predict_logits(theta, np.zeros(4)), np.zeros(3))
+        np.testing.assert_array_equal(predict_logits(theta, np.zeros((2, 4))), np.zeros((2, 3)))
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(9)
@@ -229,7 +229,7 @@ class TestPredictLogits:
         expected = np.array([
             sum(theta[i, j] * x[i] for i in range(5)) for j in range(4)
         ])
-        np.testing.assert_allclose(predict_logits(theta, x), expected, atol=1e-12)
+        np.testing.assert_allclose(predict_logits(theta, x[None]), expected[None], atol=1e-12)
 
     def test_batch_rows(self):
         rng = np.random.default_rng(10)
@@ -237,10 +237,9 @@ class TestPredictLogits:
         batch = rng.normal(size=(7, 5)) / 5
         out = predict_logits(theta, batch)
         assert out.shape == (7, 3)
-        np.testing.assert_allclose(out[2], predict_logits(theta, batch[2]), atol=1e-14)
+        np.testing.assert_allclose(out[2:3], predict_logits(theta, batch[2:3]), atol=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict_logits(np.zeros((4, 3)), np.zeros(5))
-        with pytest.raises(ValueError):
-            predict_logits(np.zeros((4, 3)), np.zeros((2, 5)))
+        for rows in (np.zeros(4), np.zeros(5), np.zeros((2, 5)), np.zeros((1, 2, 4))):
+            with pytest.raises(ValueError, match=r"shape \(k, 4\)"):
+                predict_logits(np.zeros((4, 3)), rows)
