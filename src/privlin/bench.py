@@ -107,6 +107,12 @@ class SweepConfig:
                              f"got {self.trials!r}")
         if not isinstance(self.base_seed, numbers.Integral) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
+        for name in ("dpsgd_batch", "dpsgd_steps", "max_iterations"):
+            if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        for name in ("dpsgd_learning_rate", "grad_tolerance"):
+            if not (isinstance(getattr(self, name), numbers.Real) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         idx = [path is not None for path in (self.idx_train_images, self.idx_train_labels,
                                              self.idx_test_images, self.idx_test_labels)]
         if any(idx) and not all(idx):

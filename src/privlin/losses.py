@@ -1,7 +1,10 @@
 """The multi-class logistic loss has one implementation: the stacked
-regularized objective every fit runs. Per-row losses of logits a (n, C) are its
-one-feature case, whose parameters are the logits: regularized_objective(a[:,
-None, :], ones((n, 1, 1)), y[:, None, :], 0.0) gives l(a_i), p_i - y_i and p_i."""
+regularized objective every fit runs. It is class-major, with logits,
+probabilities and labels (..., C, n) and features (..., D, n), because numpy
+reduces and broadcasts along a short trailing axis several times slower than
+along a leading one. Per-row losses of logits a (n, C) are its one-feature
+case: regularized_objective(a[:, None, :], ones((n, 1, 1)), y[:, :, None], 0)
+gives l(a_i), p_i - y_i in grads[:, 0, :] and p_i in probs[:, :, 0]."""
 
 from __future__ import annotations
 
@@ -39,28 +42,28 @@ def _check_data(theta, features, labels):
     return theta, x, y
 
 
-def _row_sums(a):
-    """Sums over the short last axis as a matrix-vector product: several times
-    faster than numpy's reduction there."""
-    return a @ np.ones(a.shape[-1])
+def objective_gradient(theta, xt, yt, ridge, linear=0.0):
+    """Gradients (..., D, C), softmax probabilities (..., C, n) and logits
+    less their class max (..., C, n) of regularized_objective: all but its
+    values, which the solver never reads."""
+    shifted = np.swapaxes(theta, -1, -2) @ xt
+    shifted -= np.maximum.reduce(shifted, axis=-2, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= np.add.reduce(probs, axis=-2, keepdims=True)
+    grads = xt @ np.swapaxes(probs - yt, -1, -2) / xt.shape[-1] + ridge * theta + linear
+    return grads, probs, shifted
 
 
-def regularized_objective(theta, x, y, ridge, linear=None):
+def regularized_objective(theta, xt, yt, ridge, linear=0.0):
     """Values, gradients and softmax probabilities of mean loss + ridge/2 *
-    ||theta||_F^2 + <linear, theta>, on stacks theta (..., D, C), x (..., n, D)
-    and y (..., n, C). The regularized empirical risk is (ridge, linear) =
-    (lam, None), the loss-perturbation objective ((lam + rho) / N, B / N)."""
-    logits = x @ theta
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    z = _row_sums(e)
-    probs = e / z[..., None]
-    values = ((np.log(z) - _row_sums(shifted * y)).mean(axis=-1)
-              + 0.5 * ridge * (theta * theta).sum(axis=(-2, -1)))
-    grads = np.swapaxes(x, -1, -2) @ (probs - y) / x.shape[-2] + ridge * theta
-    if linear is not None:
-        values = values + (linear * theta).sum(axis=(-2, -1))
-        grads = grads + linear
+    ||theta||_F^2 + <linear, theta>, on stacks theta (..., D, C), class-major
+    features xt (..., D, n) and labels yt (..., C, n). The regularized
+    empirical risk is (ridge, linear) = (lam, 0), the loss-perturbation
+    objective ((lam + rho) / N, B / N)."""
+    grads, probs, shifted = objective_gradient(theta, xt, yt, ridge, linear)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-2))
+    values = ((log_z - np.add.reduce(shifted * yt, axis=-2)).mean(axis=-1)
+              + ((0.5 * ridge * theta + linear) * theta).sum(axis=(-2, -1)))
     return values, grads, probs
 
 
@@ -72,28 +75,28 @@ def mc_logistic_hessian(a):
     Batched input (..., C) yields (..., C, C).
     """
     a = _as_finite(a, "logits")[..., None, :]
-    _, _, p = regularized_objective(a, np.ones(a.shape[:-1] + (1,)), np.zeros_like(a), 0.0)
-    p = p[..., 0, :]
+    p = objective_gradient(a, np.ones(a.shape[:-2] + (1, 1)), 0.0, 0.0)[1][..., 0]
     return p[..., :, None] * np.eye(a.shape[-1]) - p[..., :, None] * p[..., None, :]
 
 
-def objective_hvp(x, probs, ridge, delta):
-    """Hessian-vector product X^T [P*V - P*rowsum(P*V)] / n + ridge * delta,
-    V = X delta, of regularized_objective at softmax probabilities P."""
-    pv = probs * (x @ delta)
-    pv -= probs * _row_sums(pv)[..., None]
-    return np.swapaxes(x, -1, -2) @ pv / x.shape[-2] + ridge * delta
+def objective_hvp(xt, probs, ridge, delta):
+    """Hessian-vector product X [P*V - P*colsum(P*V)]^T / n + ridge * delta,
+    V = delta^T X, of regularized_objective at class-major X and P."""
+    pv = probs * (np.swapaxes(delta, -1, -2) @ xt)
+    pv -= probs * np.add.reduce(pv, axis=-2, keepdims=True)
+    return xt @ np.swapaxes(pv, -1, -2) / xt.shape[-1] + ridge * delta
 
 
 def loss_remainder(probs, v, step: float):
-    """Mean loss change when the logits move by step * v, less its first-order
-    term: the row mean of log sum_j p_j exp(step (v_j - p.v)) >= 0. log1p and
-    expm1 keep it exact to rounding far below the rounding of the loss; an
-    overflowing step gives inf or nan, which a line search rejects."""
+    """Mean loss change when the class-major logits move by step * v, less its
+    first-order term: the column mean of log sum_j p_j exp(step (v_j - p.v))
+    >= 0. log1p and expm1 keep it exact to rounding far below the rounding of
+    the loss; an overflowing step gives inf or nan, which a line search
+    rejects."""
     u = step * v
-    u -= _row_sums(probs * u)[..., None]
+    u -= np.add.reduce(probs * u, axis=-2, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.log1p(_row_sums(probs * np.expm1(u))).mean(axis=-1)
+        return np.log1p(np.add.reduce(probs * np.expm1(u), axis=-2)).mean(axis=-1)
 
 
 def erm_objective(theta, features, labels, lam: float):
@@ -104,7 +107,7 @@ def erm_objective(theta, features, labels, lam: float):
     theta, x, y = _check_data(theta, features, labels)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    value, grad, _ = regularized_objective(theta, x, y, lam)
+    value, grad, _ = regularized_objective(theta, x.T, y.T, lam)
     return float(value), grad
 
 
@@ -125,5 +128,5 @@ def perturbed_objective(theta, features, labels, lam: float, noise_b, rho: float
     if lam < 0 or rho < 0:
         raise ValueError("lam and rho must be nonnegative")
     n = x.shape[0]
-    value, grad, _ = regularized_objective(theta, x, y, (lam + rho) / n, noise_b / n)
+    value, grad, _ = regularized_objective(theta, x.T, y.T, (lam + rho) / n, noise_b / n)
     return float(value), grad

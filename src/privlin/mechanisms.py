@@ -288,8 +288,7 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
         for j in range(steps):
             idx = rows[bounds[j]:bounds[j + 1]]
             xb = x.take(idx, axis=0)
-            # Class-major (C, |batch|) arrays: the per-example reductions run
-            # over axis 0, which numpy does far faster than over short rows.
+            # Class-major (C, |batch|) arrays, for the reason losses.py gives.
             logits = theta.T @ xb.T
             e = np.exp(logits - np.maximum.reduce(logits))
             residual = e / np.add.reduce(e) - y.take(idx, axis=0).T  # softmax - y, unchecked
@@ -369,9 +368,11 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     ensemble_vote_counts can treat them as one (D, T*C) matrix without a copy.
     """
     parts = partition_indices(data.n_examples, spec.n_models, rng)
-    labels = data.labels[parts]
-    thetas = minimize_erm_stack(data.features[parts], labels, spec.train_config())
-    absent = ~labels.any(axis=1)  # (T, C): classes a sub-model never saw
+    # One gather straight into the solver's class-major (T, D, n) and (T, C, n) layout.
+    xt, yt = (a[parts[:, None, :], np.arange(a.shape[1])[:, None]]
+              for a in (data.features, data.labels))
+    thetas = minimize_erm_stack(xt.transpose(0, 2, 1), yt.transpose(0, 2, 1), spec.train_config())
+    absent = ~yt.any(axis=2)  # (T, C): classes a sub-model never saw
     mean = thetas @ (absent / np.maximum(absent.sum(axis=1, keepdims=True), 1))[:, :, None]
     np.copyto(thetas, mean, where=absent[:, None, :])
     return {"ensemble": _feature_major(thetas)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from .data import LabeledDataset
 # erm_objective, perturbed_objective and mc_logistic_hessian: profilers patch them here.
 from .losses import erm_objective, mc_logistic_hessian, perturbed_objective  # noqa: F401
-from .losses import loss_remainder, objective_hvp, regularized_objective
+from .losses import loss_remainder, objective_gradient, objective_hvp
 
 
 class ConvergenceError(RuntimeError):
@@ -39,13 +40,13 @@ class TrainConfig:
             raise ValueError("lam must be positive so the minimizer is unique")
         if not self.grad_tolerance > 0:
             raise ValueError("grad_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1: {self.max_iterations!r}")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
 
 
-def _newton_direction(x, probs, ridge, grad, norms):
+def _newton_direction(xt, probs, ridge, grad, norms):
     """Conjugate gradient on H d = -g per problem, each stopped at its forcing
     tolerance min(0.5, sqrt||g||) ||g|| or after D*C iterations."""
     forcing_sq = (np.minimum(0.5, np.sqrt(norms)) * norms) ** 2
@@ -53,7 +54,7 @@ def _newton_direction(x, probs, ridge, grad, norms):
     search, rs = residual.copy(), norms * norms
     running = rs > forcing_sq
     for _ in range(grad.shape[1] * grad.shape[2]):
-        h_search = objective_hvp(x, probs, ridge, search)
+        h_search = objective_hvp(xt, probs, ridge, search)
         alpha = np.divide(rs, (search * h_search).sum(axis=(1, 2)),
                           out=np.zeros_like(rs), where=running)
         direction += alpha[:, None, None] * search
@@ -68,14 +69,14 @@ def _newton_direction(x, probs, ridge, grad, norms):
     return direction
 
 
-def _armijo_steps(x, probs, grad, direction, ridge, fraction=1e-4, halvings=60):
+def _armijo_steps(xt, probs, grad, direction, ridge, fraction=1e-4, halvings=60):
     """Backtrack from the full step until f(theta + s d) - f(theta) <=
     fraction * s <g, d>, per problem; 0 where no halving passes. The change
     is s <g, d> + s^2 ridge ||d||^2 / 2 + loss_remainder, exact to rounding,
     so the test still decides near the minimizer."""
     slope = (1.0 - fraction) * (grad * direction).sum(axis=(1, 2))
     quad = 0.5 * ridge * (direction * direction).sum(axis=(1, 2))
-    v = x @ direction
+    v = np.swapaxes(direction, 1, 2) @ xt
     steps, pending, step = np.zeros(len(grad)), np.arange(len(grad)), 1.0
     for _ in range(halvings):
         ok = (step * slope[pending] + step * step * quad[pending]
@@ -95,24 +96,27 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
     its own data only, so results are deterministic and a slice does not
     change when the others do. Raises ConvergenceError with the worst gradient
     norm when a problem is above tolerance after max_iterations Newton
-    iterations or its line search finds no decrease. With noise_b set, the
-    loss-perturbation objective has ridge (lam + rho) / n and linear term
-    noise_b / n."""
+    iterations, or with the stack indices and worst norm of the problems whose
+    line search finds no decrease. With noise_b set, the loss-perturbation
+    objective has ridge (lam + rho) / n and linear term noise_b / n. The solve
+    runs on class-major copies, so the caller's memory order cannot change the
+    result; a row-major view of class-major memory is used without a copy."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 3 or y.ndim != 3 or x.shape[:2] != y.shape[:2] or x.shape[1] == 0:
         raise ValueError(f"features {x.shape} and labels {y.shape} must be nonempty "
                          "(T, n, D) and (T, n, C) stacks")
     t, n, d = x.shape
-    ridge, linear = cfg.lam, None
+    ridge, linear = cfg.lam, 0.0
     if cfg.noise_b is not None:
         ridge, linear = (cfg.lam + cfg.rho) / n, np.asarray(cfg.noise_b, dtype=np.float64) / n
         if linear.shape != (d, y.shape[2]):
             raise ValueError(f"noise_b shape {linear.shape} does not match ({d}, {y.shape[2]})")
 
     solved = np.zeros((t, d, y.shape[2]))
+    x, y = (np.ascontiguousarray(np.swapaxes(a, 1, 2)) for a in (x, y))
     active, theta, xs, ys = np.arange(t), solved.copy(), x, y
-    _, grad, probs = regularized_objective(theta, xs, ys, ridge, linear)
+    grad, probs, _ = objective_gradient(theta, xs, ys, ridge, linear)
     for iteration in range(cfg.max_iterations + 1):
         norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
         done = norms <= cfg.grad_tolerance
@@ -128,9 +132,10 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
         direction = _newton_direction(xs, probs, ridge, grad, norms)
         steps = _armijo_steps(xs, probs, grad, direction, ridge)
         if not steps.all():
-            raise ConvergenceError("line search found no decrease", float(norms.max()))
+            raise ConvergenceError("line search found no decrease on problems "
+                                   f"{active[steps == 0]}", float(norms[steps == 0].max()))
         theta = theta + steps[:, None, None] * direction
-        _, grad, probs = regularized_objective(theta, xs, ys, ridge, linear)
+        grad, probs, _ = objective_gradient(theta, xs, ys, ridge, linear)
     raise ConvergenceError(f"failed to reach gradient tolerance {cfg.grad_tolerance:g} "
                            f"within {cfg.max_iterations} Newton iterations", float(norms.max()))
 

@@ -37,7 +37,7 @@ def check_loss_bounds(n_samples: int = 20000, seed: int = 0):
         labels = np.eye(c)[rng.integers(0, c, logits.shape[0])]
         # One feature: the model's parameters are the logits, its gradients p - y.
         _, grads, _ = regularized_objective(logits[:, None, :], np.ones((len(logits), 1, 1)),
-                                            labels[:, None, :], 0.0)
+                                            labels[:, :, None], 0.0)
         grad_norms = np.linalg.norm(grads[:, 0, :], axis=1)
         eigs = np.linalg.eigvalsh(mc_logistic_hessian(logits))
         worst_grad = max(worst_grad, float(grad_norms.max()))

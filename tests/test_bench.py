@@ -108,6 +108,20 @@ class TestConfig:
             with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
                 tiny_config(base_seed=bad)
 
+    @pytest.mark.parametrize("name", ["max_iterations", "dpsgd_steps", "dpsgd_batch"])
+    def test_solver_counts_must_be_whole_numbers(self, name):
+        # Fractional values used to construct and then fail every trial as a nan cell.
+        for bad in (2.5, 20.0, 0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                tiny_config(**{name: bad})
+        assert getattr(tiny_config(**{name: 3}), name) == 3
+
+    @pytest.mark.parametrize("name", ["dpsgd_learning_rate", "grad_tolerance"])
+    def test_solver_rates_must_be_positive(self, name):
+        for bad in (0.0, -1e-3, math.nan, "1e-6"):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                tiny_config(**{name: bad})
+
     def test_partial_idx_source_rejected(self):
         with pytest.raises(ValueError, match="idx"):
             SweepConfig(idx_train_images="train-images.idx")

@@ -281,6 +281,18 @@ def test_sweep_trials_and_seed_overrides_are_validated(tmp_path, capsys):
                                 "--seed", "-1"], "base_seed")
 
 
+def test_sweep_rejects_a_fractional_solver_setting(tmp_path, capsys):
+    payload = json.loads(SweepConfig(
+        mechanisms=("dpsgd",), deltas=(1e-5,), budgets=(5,), trials=1,
+        synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0}).to_json())
+    payload["dpsgd_steps"] = 20.5
+    config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
+    config.write_text(json.dumps(payload))
+    assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials)],
+                       "dpsgd_steps must be an integer >= 1, got 20.5")
+    assert not trials.exists()
+
+
 def test_sweep_rejects_fewer_than_one_thread(tmp_path, capsys):
     cfg = SweepConfig(mechanisms=("nonprivate",), budgets=(5,), trials=1,
                       synth={"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0})

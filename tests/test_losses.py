@@ -10,7 +10,7 @@ from privlin import (
     mc_logistic_hessian,
     perturbed_objective,
 )
-from privlin.losses import regularized_objective
+from privlin.losses import loss_remainder, objective_hvp, regularized_objective
 
 
 def per_row(a, y):
@@ -18,8 +18,8 @@ def per_row(a, y):
     labels y: the objective on the one-feature model whose parameters are a."""
     a, y = np.asarray(a, dtype=np.float64), np.asarray(y, dtype=np.float64)
     values, grads, probs = regularized_objective(
-        a[..., None, :], np.ones(a.shape[:-1] + (1, 1)), y[..., None, :], 0.0)
-    return values, grads[..., 0, :], probs[..., 0, :]
+        a[..., None, :], np.ones(a.shape[:-1] + (1, 1)), y[..., :, None], 0.0)
+    return values, grads[..., 0, :], probs[..., 0]
 
 
 def loss(a, y):
@@ -227,6 +227,87 @@ class TestErmObjective:
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             erm_objective(np.zeros((3, 2)), np.zeros((0, 3)), np.zeros((0, 2)), 0.1)
+
+
+def naive_objective(theta, x, y, ridge, linear):
+    """Values, gradients and probabilities by a loop over problems and rows,
+    in the row-major orientation: x (T, n, D), y and probabilities (T, n, C)."""
+    values, grads, probs = [], [], []
+    for th, xs, ys, lin in zip(theta, x, y, linear):
+        value, grad, rows = 0.0, ridge * th + lin, []
+        for xi, yi in zip(xs, ys):
+            a = xi @ th
+            e = np.exp(a - a.max())
+            value += (np.log(e.sum()) - (a - a.max()) @ yi) / len(xs)
+            grad = grad + np.outer(xi, e / e.sum() - yi) / len(xs)
+            rows.append(e / e.sum())
+        values.append(value + 0.5 * ridge * np.sum(th * th) + np.sum(lin * th))
+        grads.append(grad)
+        probs.append(rows)
+    return np.array(values), np.array(grads), np.array(probs)
+
+
+def naive_hvp(x, probs, ridge, delta):
+    out = []
+    for xs, ps, d in zip(x, probs, delta):
+        h = ridge * d
+        for xi, p in zip(xs, ps):
+            v = xi @ d
+            h = h + np.outer(xi, p * v - p * (p @ v)) / len(xs)
+        out.append(h)
+    return np.array(out)
+
+
+def naive_remainder(probs, v, step):
+    out = []
+    for ps, vs in zip(probs, v):
+        rows = []
+        for p, vi in zip(ps, vs):
+            u = step * vi
+            rows.append(np.log1p(p @ np.expm1(u - p @ u)))
+        out.append(np.mean(rows))
+    return np.array(out)
+
+
+class TestClassMajorObjective:
+    """The class-major objective, its Hessian-vector product and the line
+    search's loss remainder against per-row loops in row-major orientation."""
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("c", [2, 10])
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    def test_matches_per_row_loops(self, t, c, n, scale):
+        rng = np.random.default_rng(14)
+        d, ridge = 4, 0.3
+        x = np.stack([random_dataset(rng, n, d, c)[0] for _ in range(t)])
+        y = np.eye(c)[rng.integers(0, c, size=(t, n))]
+        theta = rng.normal(scale=scale, size=(t, d, c))
+        linear = rng.normal(size=(t, d, c))
+        delta = rng.normal(size=(t, d, c))
+        xt, yt = np.swapaxes(x, 1, 2), np.swapaxes(y, 1, 2)
+
+        values, grads, probs = regularized_objective(theta, xt, yt, ridge, linear)
+        expected = naive_objective(theta, x, y, ridge, linear)
+        np.testing.assert_allclose(values, expected[0], rtol=1e-12)
+        np.testing.assert_allclose(grads, expected[1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(np.swapaxes(probs, 1, 2), expected[2], rtol=1e-12)
+        rows = expected[2]
+        np.testing.assert_allclose(objective_hvp(xt, probs, ridge, delta),
+                                   naive_hvp(x, rows, ridge, delta), rtol=1e-12, atol=1e-15)
+        v = np.swapaxes(delta, 1, 2) @ xt
+        for step in (1.0, 1e-3):
+            # The remainder is second order: its first-order part cancels only
+            # to the rounding of p.u, a few eps * step * |v|.
+            np.testing.assert_allclose(loss_remainder(probs, v, step),
+                                       naive_remainder(rows, np.swapaxes(v, 1, 2), step),
+                                       rtol=1e-12, atol=1e-15 * step * np.abs(v).max())
+
+        h = 1e-5
+        up = regularized_objective(theta + h * delta, xt, yt, ridge, linear)[1]
+        down = regularized_objective(theta - h * delta, xt, yt, ridge, linear)[1]
+        np.testing.assert_allclose(objective_hvp(xt, probs, ridge, delta), (up - down) / (2 * h),
+                                   rtol=1e-6, atol=1e-9)
 
 
 class TestPerturbedObjective:

@@ -74,7 +74,7 @@ def test_patched_methods_exist():
 
 
 # Spans whose patch sites no privlin code calls: the solver reaches the
-# objective through losses.regularized_objective, and no dense Hessian is built.
+# objective through losses.objective_gradient, and no dense Hessian is built.
 DEAD_SPANS = {"losses.objective", "losses.mc_logistic_hessian"}
 
 

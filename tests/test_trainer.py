@@ -17,6 +17,7 @@ from privlin import (
     ProblemDims,
     synth_blobs,
 )
+from privlin import trainer
 
 
 def small_data(seed=0, n_per_class=40, c=3, d=6, sep=3.0):
@@ -105,6 +106,22 @@ class TestMinimizeErm:
         with pytest.raises(ValueError):
             TrainConfig(lam=0.0)
 
+    def test_max_iterations_must_be_a_whole_number(self):
+        for bad in (2.5, 3.0, 0):
+            with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+                TrainConfig(lam=0.1, max_iterations=bad)
+        assert TrainConfig(lam=0.1, max_iterations=np.int64(3)).max_iterations == 3
+
+    def test_memory_layout_does_not_change_the_result(self):
+        data = small_data(6, d=8)
+        cfg = TrainConfig(lam=0.05, grad_tolerance=1e-10)
+        reference = minimize_erm(data, cfg)
+        wide = np.zeros((data.n_examples, 2 * data.n_features))
+        wide[:, ::2] = data.features
+        for features in (np.asfortranarray(data.features), wide[:, ::2]):
+            theta = minimize_erm(LabeledDataset(features, np.asfortranarray(data.labels)), cfg)
+            assert np.array_equal(theta, reference)
+
 
 def mixed_stack(seed=12, n=30, d=20, c=4):
     """Three problems of n rows: one that saw a single class, one with random
@@ -173,6 +190,43 @@ class TestMinimizeErmStack:
             minimize_erm_stack(features, labels, cfg)
         assert err.value.grad_norm > 1e-14
         assert err.value.grad_norm == pytest.approx(max(singles), rel=1e-9)
+
+    def test_line_search_failure_names_its_problems(self, monkeypatch):
+        features, labels = mixed_stack()
+        cfg = TrainConfig(lam=0.05)
+        norms = [np.linalg.norm(objective_grad(np.zeros((20, 4)), x, y, cfg))
+                 for x, y in zip(features, labels)]
+        stuck = int(np.argmin(norms))
+        armijo_steps = trainer._armijo_steps
+
+        def one_search_fails(*args, **kwargs):
+            steps = armijo_steps(*args, **kwargs)
+            steps[stuck] = 0.0
+            return steps
+
+        monkeypatch.setattr(trainer, "_armijo_steps", one_search_fails)
+        with pytest.raises(ConvergenceError, match=rf"no decrease on problems \[{stuck}\]") as err:
+            minimize_erm_stack(features, labels, cfg)
+        # The worst norm of the failing problem, not of the whole stack.
+        assert err.value.grad_norm == pytest.approx(norms[stuck], rel=1e-12)
+        assert err.value.grad_norm < max(norms)
+
+    @pytest.mark.parametrize("objective", ["erm", "loss_perturbation"])
+    def test_memory_layout_does_not_change_the_result(self, objective):
+        features, labels = mixed_stack()
+        cfg = stack_configs()[objective]
+        reference = minimize_erm_stack(features, labels, cfg)
+        wide_x, wide_y = np.zeros((3, 30, 40)), np.zeros((3, 30, 8))
+        wide_x[:, :, ::2], wide_y[:, :, ::2] = features, labels
+        layouts = [
+            (np.asfortranarray(features), np.asfortranarray(labels)),
+            (wide_x[:, :, ::2], wide_y[:, :, ::2]),
+            # row-major views of class-major memory, as the ensemble fit passes
+            tuple(np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+                  for a in (features, labels)),
+        ]
+        for x, y in layouts:
+            assert np.array_equal(minimize_erm_stack(x, y, cfg), reference)
 
     def test_deterministic(self):
         features, labels = mixed_stack()
