@@ -15,6 +15,21 @@ from .noise import as_generator
 NORM_TOLERANCE = 1e-9
 
 
+def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
+    """rows, if each (k, D) row is finite and, with in_ball, of squared L2 norm at most
+    (1 + NORM_TOLERANCE)^2: the one unit-ball rule of training rows and queries. A NaN or
+    inf entry fails that test, so only a failed or skipped one checks finiteness."""
+    max_sq = (rows * rows).sum(axis=1).max(initial=0.0) if in_ball else np.inf
+    if max_sq <= (1.0 + NORM_TOLERANCE) ** 2:
+        return rows
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{name} must be finite")
+    if in_ball:
+        max_norm = np.hypot.reduce(rows, axis=1).max()  # max_sq may have overflowed
+        raise ValueError(f"{name} must lie in the unit L2 ball; max norm {max_norm:.6g}")
+    return rows
+
+
 class IdxFormatError(ValueError):
     """The file is not a well-formed IDX payload."""
 
@@ -73,7 +88,7 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
 
 @dataclass
 class LabeledDataset:
-    """Training-ready examples: unit-ball inputs with one-hot labels."""
+    """Training-ready examples: one-hot labels and rows that pass check_rows."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -87,13 +102,7 @@ class LabeledDataset:
             raise ValueError("features and labels must have the same number of rows")
         if self.features.shape[0] < 1:
             raise ValueError("dataset must contain at least one example")
-        norms = np.linalg.norm(self.features, axis=1)
-        # A NaN norm fails this test too, and an infinite entry gives an infinite norm.
-        if not norms.max() <= 1.0 + NORM_TOLERANCE:
-            if not np.isfinite(self.features).all():
-                raise ValueError("features must be finite")
-            raise ValueError(
-                f"inputs must lie in the unit L2 ball; max norm {norms.max():.6g}")
+        check_rows(self.features, True, "features")
         is_unit = (self.labels == 1.0).sum(axis=1) == 1
         is_zero_elsewhere = (self.labels != 0.0).sum(axis=1) == 1
         if not (np.all(is_unit) and np.all(is_zero_elsewhere)):

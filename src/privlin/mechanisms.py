@@ -39,7 +39,7 @@ from .accounting import (
     prediction_sensitivity_beta,
     subsample_beta,
 )
-from .data import NORM_TOLERANCE, LabeledDataset
+from .data import LabeledDataset, check_rows
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
@@ -58,13 +58,12 @@ class MechanismSpec:
 
     def __post_init__(self):
         _calibration_rule(self.kind, self.privacy.delta)
-        if self.kind == "dpsgd":
-            if self.dpsgd is None:
-                raise ValueError("dpsgd requires a DpSgdConfig")
-            if self.lam < 0:
-                raise ValueError("lam must be nonnegative")
-        elif not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if self.kind != "dpsgd":  # TrainConfig owns the solver settings' rules
+            self.train_config()
+        elif self.dpsgd is None:
+            raise ValueError("dpsgd requires a DpSgdConfig")
+        elif not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam!r}")
         if not isinstance(self.n_models, numbers.Integral) or self.n_models < 1:
             raise ValueError(f"n_models must be an integer at least 1, got {self.n_models!r}")
 
@@ -136,33 +135,19 @@ class PrivatePredictor:
         subsample-and-aggregate.
 
         This is the one place a single vector becomes a (1, D) row; everything
-        below takes rows. A prediction-side query must lie in the unit ball and
-        spends one budget unit; a refusal raises BudgetExhaustedError before
-        any computation touches the model.
+        below takes rows. The query passes check_rows as answer_queries' rows do;
+        a prediction-side query spends one budget unit, and a refusal raises
+        BudgetExhaustedError before any computation touches the model.
         """
         kind = KINDS[self.kind]
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_features,):
             raise ValueError(f"query must be a length-{self.n_features} vector, "
                              f"got shape {x.shape}")
-        row = _check_rows(x[None, :], kind.prediction_side)
+        row = check_rows(x[None, :], kind.prediction_side, "query")
         if kind.prediction_side:
             self.budget.consume()
         return kind.answer(self, row)[0]
-
-
-def _check_rows(rows: np.ndarray, in_ball: bool) -> np.ndarray:
-    """The one query-row validator, for (k, D) rows of the right width: every
-    row finite and, with in_ball, inside the unit L2 ball that prediction-side
-    sensitivity bounds assume."""
-    # A row with a NaN or infinite entry has a NaN or infinite norm and fails too.
-    if in_ball and (rows * rows).sum(axis=1).max(initial=0.0) <= (1.0 + NORM_TOLERANCE) ** 2:
-        return rows
-    if not np.isfinite(rows).all():
-        raise ValueError("query must be finite")
-    if in_ball:
-        raise ValueError("query must lie in the unit L2 ball")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +501,19 @@ def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng) -> PrivatePred
 def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
     """Predicted labels for a batch of query rows.
 
-    Every row must be finite. Training-side predictors score the batch by
-    argmax of their frozen logits. Prediction-side predictors also need every
-    row in the unit ball, spend k budget units at once (all or nothing: a
-    refused or invalid batch spends none), and answer the batch in one pass
-    whose labels and noise-stream position equal those of k single predict
-    calls in row order.
+    Rows pass check_rows, the unit-ball rule of training rows: all finite, and in
+    the ball for prediction-side kinds. Training-side predictors score the batch
+    by argmax of their frozen logits. Prediction-side predictors spend k budget
+    units at once (all or nothing: a refused or invalid batch spends none), and
+    answer in one pass whose labels and noise-stream position equal those of k
+    single predict calls in row order.
     """
     kind = KINDS[predictor.kind]
     rows = np.asarray(queries, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != predictor.n_features:
         raise ValueError(f"queries must be rows of length {predictor.n_features}, "
                          f"got shape {rows.shape}")
-    rows = _check_rows(rows, kind.prediction_side)
+    rows = check_rows(rows, kind.prediction_side, "query")
     if kind.prediction_side:
         predictor.budget.reserve(rows.shape[0])
     if rows.shape[0] == 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,14 +37,17 @@ class TrainConfig:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive so the minimizer is unique")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite so the minimizer is unique, "
+                             f"got {self.lam!r}")
         if not self.grad_tolerance > 0:
             raise ValueError("grad_tolerance must be positive")
         if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1: {self.max_iterations!r}")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be nonnegative and finite, got {self.rho!r}")
+        if self.noise_b is not None and not np.isfinite(self.noise_b).all():
+            raise ValueError("noise_b must be finite")
 
 
 def _newton_direction(xt, probs, ridge, grad, norms):

@@ -79,6 +79,8 @@ class TestSpecsValidation:
         assert cfg == DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.25)
         with pytest.raises(ValueError, match="sample_rate"):
             DpSgdConfig.for_dataset(n_train=200, batch_size=0, n_steps=5, clip=0.1)
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1, learning_rate=0.0)
 
 
 class TestModelSensitivityBeta:
@@ -165,6 +167,11 @@ class TestAnalyticGaussianAlpha:
             calibrate_gaussian_sigma(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             calibrate_gaussian_sigma(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)])
+    def test_mechanism_delta_needs_positive_arguments(self, args):
+        with pytest.raises(ValueError, match="sensitivity, sigma, and epsilon must be positive"):
+            gaussian_mechanism_delta(*args)
 
     def test_infinite_sensitivity_is_rejected(self):
         # Delta / sigma would be NaN, so the doubling bracket would never close.
@@ -325,6 +332,15 @@ class TestRdpSubsampledGaussian:
         assert curve.shape == (len(RDP_ORDERS),)
         assert curve[RDP_ORDERS.index(8)] == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("q, sigma, message", [
+        (0.0, 1.0, r"q must lie in \(0, 1\], got 0.0"),
+        (1.5, 1.0, r"q must lie in \(0, 1\], got 1.5"),
+        (0.5, 0.0, "sigma must be positive, got 0.0"),
+    ])
+    def test_rejects_bad_arguments(self, q, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            rdp_subsampled_gaussian(q, sigma)
+
     def test_vanishes_as_q_shrinks(self):
         assert rdp_subsampled_gaussian(1e-12, 1.0)[RDP_ORDERS.index(16)] < 1e-10
 
@@ -457,6 +473,12 @@ class TestDpSgdSigma:
         with pytest.raises(InfeasibleTargetError):
             dpsgd_sigma_for_target(PrivacySpec(1e-6, 1e-9), cfg)
 
+    def test_easy_target_returns_the_sigma_floor(self):
+        # One step at q = 0.001 spends about 1e4 at the floor, under the 2e4 target.
+        cfg = DpSgdConfig(clip=0.1, n_steps=1, sample_rate=1e-3)
+        assert dpsgd_epsilon(_SIGMA_LO, cfg, 1e-5) <= 2e4
+        assert dpsgd_sigma_for_target(PrivacySpec(2e4, 1e-5), cfg) == _SIGMA_LO
+
     def test_wrong_variant(self):
         cfg = DpSgdConfig(clip=0.1, n_steps=10, sample_rate=0.1)
         with pytest.raises(WrongVariantError):
@@ -490,6 +512,14 @@ class TestBudgetState:
             state.consume()
         assert state.used == 2
         assert state.remaining == 0
+
+    def test_rejects_bad_counts(self):
+        with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
+            BudgetState(0)
+        with pytest.raises(ValueError, match=r"used must lie in \[0, 5\], got 6"):
+            BudgetState(5, used=6)
+        with pytest.raises(ValueError, match=r"used must lie in \[0, 5\], got -1"):
+            BudgetState(5, used=-1)
 
     def test_single_budget(self):
         state = BudgetState(1)

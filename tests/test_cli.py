@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,22 @@ def test_predict_projects_queries_outside_the_ball(tmp_path):
     assert load_predictor(model).budget.used == 2
 
 
+def test_predict_drops_a_label_column_and_writes_to_stdout(tmp_path, capsys):
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "nonprivate",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    rows = np.random.default_rng(3).standard_normal((4, 5)) / 4
+    inputs = tmp_path / "queries.csv"
+    np.savetxt(inputs, np.column_stack([rows, [0, 1, 2, 0]]), delimiter=",",
+               header="f0,f1,f2,f3,f4,label", comments="")
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(model), "--inputs", str(inputs)]) == 0
+    expected = answer_queries(load_predictor(model), rows)
+    assert capsys.readouterr().out == "index,status,label\n" + "".join(
+        f"{i},answered,{label}\n" for i, label in enumerate(expected))
+
+
 SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
 
 
@@ -220,12 +237,42 @@ def test_train_validates_its_data_source(tmp_path, capsys, source, message):
      "must be finite"),
     (["--mechanism", "dpsgd", "--delta", "0"], "dpsgd does not support delta = 0"),
     (["--mechanism", "dpsgd", "--delta", "1e-5", "--epsilon", "0.01"], "unreachable"),
+    (["--mechanism", "dpsgd", "--delta", "1e-5", "--lam", "nan"],
+     "lam must be nonnegative and finite, got nan"),
+    (["--mechanism", "nonprivate", "--lam", "inf"], "lam must be positive and finite"),
 ])
 def test_train_reports_bad_settings_in_one_line(tmp_path, capsys, options, message):
     model = tmp_path / "model.npz"
     assert_input_error(capsys, ["train", *options, "--synth", SYNTH, "--out", str(model)],
                        message)
     assert not model.exists()
+
+
+def test_train_reads_a_csv(tmp_path):
+    rng = np.random.default_rng(1)
+    features, labels = rng.standard_normal((12, 4)), np.arange(12) % 3
+    data = tmp_path / "train.csv"
+    np.savetxt(data, np.column_stack([features, labels]), delimiter=",",
+               header="f0,f1,f2,f3,label", comments="")
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "nonprivate", "--csv", str(data),
+                     "--out", str(model)]) == 0
+    expected = privlin.fit_predictor(privlin.normalize_unit_ball(privlin.load_csv(data)),
+                                     privlin.MechanismSpec("nonprivate", PrivacySpec(1.0)), 0)
+    np.testing.assert_array_equal(load_predictor(model).theta, expected.theta)
+
+
+def test_train_reads_an_idx_pair(tmp_path):
+    images = np.random.default_rng(2).integers(0, 256, size=(12, 2, 3), dtype=np.uint8)
+    labels = (np.arange(12) % 4).astype(np.uint8)
+    paths = tmp_path / "images.idx", tmp_path / "labels.idx"
+    for path, array in zip(paths, (images, labels)):
+        header = struct.pack(">BBBB", 0, 0, 0x08, array.ndim)
+        path.write_bytes(header + struct.pack(f">{array.ndim}I", *array.shape) + array.tobytes())
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "nonprivate", "--idx-images", str(paths[0]),
+                     "--idx-labels", str(paths[1]), "--out", str(model)]) == 0
+    assert load_predictor(model).theta.shape == (6, 4)
 
 
 def test_train_reads_counts_in_exponent_notation(tmp_path):
@@ -261,6 +308,23 @@ def test_sweep_writes_trials_and_summary(tmp_path, capsys):
         accuracies = [float(r["accuracy"]) for r in rows if r["mechanism"] == mechanism]
         assert float(row["mean_accuracy"]) == pytest.approx(np.mean(accuracies))
         assert row["n_trials"] == "2"
+
+
+def test_sweep_counts_its_failed_trials(tmp_path, capsys):
+    # 80 training rows cannot fill 100 sub-models, so both ensemble trials fail.
+    config = tmp_path / "sweep.json"
+    config.write_text(SweepConfig(
+        mechanisms=("nonprivate", "subsample_aggregate"), budgets=(5,), n_models=(100,),
+        trials=2, synth={"n_per_class": 20, "n_classes": 4, "dim": 5,
+                         "separation": 3.0}).to_json())
+    trials = tmp_path / "trials.csv"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(trials)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 trial(s) failed; their rows carry accuracy=nan")
+    with open(trials, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert sorted(r["mechanism"] for r in rows if r["accuracy"] == "nan") == [
+        "subsample_aggregate"] * 2
 
 
 def test_sweep_trials_and_seed_overrides_are_validated(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -107,6 +108,27 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match="labels must be integers"):
             load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"\x00\x00\x08", "truncated header at byte offset 3"),
+        (b"\x00\x00\x07\x01" + struct.pack(">I", 1) + b"\x00",
+         "unknown type code 0x07 at byte offset 2"),
+        (b"\x00\x00\x08\x00", "invalid rank 0 at byte offset 3"),
+        (b"\x00\x00\x08\x03" + struct.pack(">I", 2), "truncated dimensions at byte offset 8"),
+    ])
+    def test_malformed_header_is_refused(self, tmp_path, raw, message):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(raw)
+        with pytest.raises(IdxFormatError, match=message):
+            load_idx(path, path)
+
+    def test_ranks_are_checked(self, tmp_path):
+        write_idx_images(tmp_path / "i.idx", np.zeros((2, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "l.idx", np.zeros(2, dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match="image file must have rank >= 2"):
+            load_idx(tmp_path / "l.idx", tmp_path / "l.idx")
+        with pytest.raises(IdxFormatError, match="label file must have rank 1"):
+            load_idx(tmp_path / "i.idx", tmp_path / "i.idx")
+
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "trunc.idx"
         with open(path, "wb") as handle:
@@ -136,6 +158,26 @@ class TestLoadCsv:
         path.write_text("f0,f1\n1,2\n")
         with pytest.raises(ValueError):
             load_csv(path)
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path)
+
+
+class TestRawDatasetValidation:
+    @pytest.mark.parametrize("features, labels, n_classes, message", [
+        (np.zeros(3), [0, 0, 0], 0, "features must be a 2-D array"),
+        (np.zeros((3, 2)), [0, 1], 0, "labels must be a 1-D array matching the feature rows"),
+        (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 0,
+         "dataset must contain at least one example"),
+        (np.zeros((2, 2)), [0, -1], 0, "labels must be nonnegative"),
+        (np.zeros((2, 2)), [0, 3], 3, "label 3 out of range for 3 classes"),
+    ])
+    def test_rejects_malformed_input(self, features, labels, n_classes, message):
+        with pytest.raises(ValueError, match=message):
+            RawDataset(features=features, labels=labels, n_classes=n_classes)
 
 
 class TestUnitBall:
@@ -278,6 +320,16 @@ class TestSynthBlobs:
                             == test.label_ints()))
         assert abs(acc - 1 / 3) < 0.12
 
+    @pytest.mark.parametrize("counts, separation, message", [
+        ((0, 3, 4), 1.0, "n_per_class, n_classes, and dim must be positive"),
+        ((5, 0, 4), 1.0, "n_per_class, n_classes, and dim must be positive"),
+        ((5, 3, 0), 1.0, "n_per_class, n_classes, and dim must be positive"),
+        ((5, 3, 4), -1.0, "separation must be nonnegative"),
+    ])
+    def test_rejects_bad_settings(self, counts, separation, message):
+        with pytest.raises(ValueError, match=message):
+            synth_blobs_raw(*counts, separation, RngStream(22))
+
     def test_reproducible(self):
         a = synth_blobs(20, 3, 4, 2.0, RngStream(22))
         b = synth_blobs(20, 3, 4, 2.0, RngStream(22))
@@ -301,6 +353,21 @@ class TestSplitsAndLeakage:
         assert train.n_examples + test.n_examples == ds.n_examples
         assert test.n_examples == 30
 
+    def test_split_bounds(self):
+        ds = synth_blobs_raw(5, 2, 3, 1.0, RngStream(29))
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"test_fraction must lie in \(0, 1\)"):
+                train_test_split(ds, fraction, RngStream(30))
+        single = RawDataset(features=np.ones((1, 3)), labels=[0])
+        with pytest.raises(ValueError, match="split would leave no training examples"):
+            train_test_split(single, 0.5, RngStream(31))
+
+    def test_splits_must_share_a_label_space(self):
+        raw_train, raw_test = synth_blob_pair(5, 5, 3, 4, 3.0, RngStream(32))
+        raw_test.n_classes = 4
+        with pytest.raises(ValueError, match="train and test must share a label space"):
+            preprocess_pair(raw_train, raw_test)
+
     def test_transforms_fit_on_train_only(self):
         raw_train, raw_test_a = synth_blob_pair(50, 25, 3, 8, 3.0, RngStream(26))
         _, raw_test_b = synth_blob_pair(50, 25, 3, 8, 3.0, RngStream(27))
@@ -321,6 +388,23 @@ class TestLabeledDatasetValidation:
     def test_rejects_norm_violation(self):
         with pytest.raises(ValueError):
             LabeledDataset(features=np.array([[2.0, 0.0]]), labels=np.array([[1.0, 0.0]]))
+
+    def test_norm_violation_reports_the_max_norm(self):
+        for scale in (1.0, 1e200):  # the squared norm of 5e200 overflows
+            message = re.escape(f"features must lie in the unit L2 ball; max norm {5 * scale:.6g}")
+            with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+                LabeledDataset(features=np.array([[0.6, 0.0], [3.0, 4.0]]) * scale,
+                               labels=one_hot([0, 1], 2))
+
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros(2), np.eye(2), "features and labels must be 2-D arrays"),
+        (np.zeros((2, 2)), np.eye(2)[0], "features and labels must be 2-D arrays"),
+        (np.zeros((3, 2)), np.eye(2), "features and labels must have the same number of rows"),
+        (np.zeros((0, 2)), np.zeros((0, 2)), "dataset must contain at least one example"),
+    ])
+    def test_rejects_malformed_arrays(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(features=features, labels=labels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_features(self, bad):

@@ -228,6 +228,23 @@ class TestErmObjective:
         with pytest.raises(ValueError):
             erm_objective(np.zeros((3, 2)), np.zeros((0, 3)), np.zeros((0, 2)), 0.1)
 
+    @pytest.mark.parametrize("theta, x, y, message", [
+        (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 2)), "features and labels must be 2-D"),
+        (np.zeros((3, 2)), np.zeros((1, 3)), np.zeros(2), "features and labels must be 2-D"),
+        (np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((2, 2)), "3 feature rows but 2 label rows"),
+        (np.zeros((2, 2)), np.zeros((4, 3)), np.zeros((4, 2)),
+         r"theta shape \(2, 2\) does not match data dims \(3, 2\)"),
+    ])
+    def test_rejects_mismatched_arrays(self, theta, x, y, message):
+        for objective in (lambda: erm_objective(theta, x, y, 0.1),
+                          lambda: perturbed_objective(theta, x, y, 0.1, theta, 0.0)):
+            with pytest.raises(ValueError, match=message):
+                objective()
+
+    def test_negative_lambda(self):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            erm_objective(np.zeros((3, 2)), np.zeros((4, 3)), np.eye(2)[[0, 1, 0, 1]], -0.1)
+
 
 def naive_objective(theta, x, y, ridge, linear):
     """Values, gradients and probabilities by a loop over problems and rows,
@@ -341,6 +358,13 @@ class TestPerturbedObjective:
         numeric = finite_difference_grad(value_of, theta.ravel()).reshape(3, 4)
         analytic = perturbed_objective(theta, x, y, 0.4, noise, 2.5)[1]
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("lam, rho", [(-0.1, 0.0), (0.1, -1.0)])
+    def test_negative_regularisation(self, lam, rho):
+        rng = np.random.default_rng(13)
+        x, y = random_dataset(rng, 10, 3, 2)
+        with pytest.raises(ValueError, match="lam and rho must be nonnegative"):
+            perturbed_objective(np.zeros((3, 2)), x, y, lam, np.zeros((3, 2)), rho)
 
     def test_noise_shape_mismatch(self):
         rng = np.random.default_rng(12)

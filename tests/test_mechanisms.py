@@ -103,6 +103,24 @@ class TestMechanismSpec:
         with pytest.raises(ValueError):
             MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 1e-5))
 
+    @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+    def test_dpsgd_lambda_must_be_nonnegative_and_finite(self, lam):
+        # A NaN lambda used to skip both lam > 0 branches and train the lam = 0 model.
+        cfg = DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1)
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 1e-5), lam=lam, dpsgd=cfg)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"lam": 0.0}, "lam must be positive and finite"),
+        ({"lam": math.nan}, "lam must be positive and finite"),
+        ({"lam": math.inf}, "lam must be positive and finite"),
+        ({"max_iterations": 0}, "max_iterations must be an integer >= 1"),
+    ])
+    def test_solving_kinds_check_their_train_config(self, settings, message):
+        for kind in ("nonprivate", "loss_perturbation"):
+            with pytest.raises(ValueError, match=message):
+                MechanismSpec(kind=kind, privacy=PrivacySpec(1.0), **settings)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MechanismSpec(kind="laplace", privacy=PrivacySpec(1.0))
@@ -430,6 +448,36 @@ class TestPoissonBatches:
             np.testing.assert_array_equal(rows, np.tile(np.arange(7), steps))
             np.testing.assert_array_equal(bounds, 7 * np.arange(steps + 1))
 
+    def test_refill_keeps_every_step_well_formed(self):
+        class FirstGapsOfOne(np.random.Generator):
+            """Its first geometric draw is all gaps of 1, so it ends short of
+            the block and poisson_batches must draw more."""
+
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+                self.calls = 0
+
+            def geometric(self, p, size=None):
+                self.calls += 1
+                if self.calls == 1:
+                    return np.ones(size, dtype=np.int64)
+                return super().geometric(p, size)
+
+        n, q, n_steps = 50, 0.05, 300
+        rng = FirstGapsOfOne(46)
+        blocks = list(poisson_batches(n, q, n_steps, rng))
+        assert rng.calls > len(blocks)  # the first block drew more than once
+        rows, bounds = blocks[0]
+        size = int(q * 256 * n + 5.0 * math.sqrt(q * 256 * n)) + 16  # the first draw
+        for j in range(size // n):  # the leading steps hold every row
+            np.testing.assert_array_equal(rows[bounds[j]:bounds[j + 1]], np.arange(n))
+        assert sum(len(b) - 1 for _, b in blocks) == n_steps
+        for rows, bounds in blocks:
+            assert bounds[0] == 0 and bounds[-1] == len(rows)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                assert np.all(np.diff(rows[lo:hi]) > 0)
+            assert rows.min() >= 0 and rows.max() < n
+
     def test_deterministic_per_stream(self):
         def draw(stream):
             return [(rows.tolist(), bounds.tolist())
@@ -496,6 +544,10 @@ class TestSubsampleAggregate:
         flat = parts.ravel()
         assert len(set(flat.tolist())) == flat.size  # pairwise disjoint
         assert flat.size == 768  # 232 of 1000 discarded
+
+    def test_partition_needs_a_model(self):
+        with pytest.raises(ValueError, match="n_models must be at least 1"):
+            partition_indices(10, 0, RngStream(19))
 
     def test_too_many_models(self):
         train, _ = blob_splits(18)
@@ -860,6 +912,43 @@ class TestBatchAnswering:
             LabeledDataset(features=row, labels=one_hot([0], 3))
         with pytest.raises(ValueError, match="unit L2 ball"):
             answer_queries(predictor, row)
+
+    def test_training_rows_and_queries_get_one_verdict_at_the_boundary(self):
+        # Rows scaled to norm 1 + 1e-9 land on both sides of the tolerance by
+        # rounding; a training row and a query pass or fail the rule together.
+        train, _ = blob_splits(34, d=3)
+        predictor = fit_predictor(train, spec_for("prediction_sensitivity", budget=5000),
+                                  RngStream(35))
+        rows = np.random.default_rng(0).standard_normal((1000, 3))
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True) * (1 + 1e-9)
+
+        def accepts(call, *args):
+            try:
+                call(*args)
+            except ValueError as exc:
+                assert "unit L2 ball" in str(exc)
+                return False
+            return True
+
+        verdicts = np.array([(accepts(LabeledDataset, row[None], one_hot([0], 3)),
+                              accepts(predictor.predict, row),
+                              accepts(answer_queries, predictor, row[None])) for row in rows])
+        assert 0 < verdicts[:, 0].sum() < len(rows)
+        np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
+        np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
+        assert predictor.budget.used == 2 * verdicts[:, 0].sum()
+
+    def test_query_refusal_reports_the_max_norm(self):
+        train, _ = blob_splits(36)
+        predictor = fit_predictor(train, spec_for("prediction_sensitivity", budget=5),
+                                  RngStream(37))
+        rows = np.zeros((2, train.n_features))
+        rows[0, 0], rows[1, :2] = 0.5, (3.0, 4.0)
+        message = r"query must lie in the unit L2 ball; max norm 5$"
+        for call in (lambda: answer_queries(predictor, rows), lambda: predictor.predict(rows[1])):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert predictor.budget.used == 0
 
     @pytest.mark.parametrize("case", ["gaussian", "radial", "subsample", "subsample_reloaded"])
     def test_batch_equals_one_by_one(self, case, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privlin import RngStream, sample_gaussian, sample_radial_exponential
+from privlin import RngStream, as_generator, sample_gaussian, sample_radial_exponential
 
 
 class TestRngStream:
@@ -25,6 +25,10 @@ class TestRngStream:
         seq2 = [sample_gaussian((2, 2), 1.0, gen2) for _ in range(4)]
         for a, b in zip(seq1, seq2):
             assert np.array_equal(a, b)
+
+    def test_as_generator_refuses_other_types(self):
+        with pytest.raises(TypeError, match="cannot build a random generator from str"):
+            as_generator("0")
 
 
 class TestRadialExponential:
@@ -120,3 +124,9 @@ class TestGaussian:
             sample_gaussian((2, 2), 0.0, RngStream(0))
         with pytest.raises(ValueError):
             sample_gaussian((2, 2), -0.5, RngStream(0))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 3)])
+    def test_invalid_shape(self, shape):
+        for sample in (sample_gaussian, sample_radial_exponential):
+            with pytest.raises(ValueError, match="noise shape must be positive"):
+                sample(shape, 1.0, RngStream(0))

@@ -103,8 +103,23 @@ class TestMinimizeErm:
         assert err.value.grad_norm > 0
 
     def test_lambda_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lam=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                TrainConfig(lam=bad)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"grad_tolerance": 0.0}, "grad_tolerance must be positive"),
+        ({"grad_tolerance": math.nan}, "grad_tolerance must be positive"),
+        # A NaN or infinite rho or noise_b used to reach the solver and fail its line search.
+        ({"rho": -1.0}, "rho must be nonnegative and finite"),
+        ({"rho": math.nan}, "rho must be nonnegative and finite"),
+        ({"rho": math.inf}, "rho must be nonnegative and finite"),
+        ({"noise_b": np.full((6, 3), math.nan)}, "noise_b must be finite"),
+        ({"noise_b": np.full((6, 3), -math.inf)}, "noise_b must be finite"),
+    ])
+    def test_settings_must_lie_in_range(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(lam=0.1, **{"rho": 1.0, "noise_b": np.zeros((6, 3)), **settings})
 
     def test_max_iterations_must_be_a_whole_number(self):
         for bad in (2.5, 3.0, 0):
