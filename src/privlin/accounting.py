@@ -7,6 +7,10 @@ for ensemble aggregation, and the Renyi accountant behind DP-SGD, which evaluate
 whole curve (every order of RDP_ORDERS) in one call. Each row of mechanisms.KINDS picks
 its kind's formulas. Every searched sigma comes from one bisection (_bisect) over an
 exact, monotone condition: the Gaussian delta curve or the Renyi accountant's epsilon.
+The advanced-composition search bisects only the delta' splits that can beat the best
+sigma found so far, so it returns the full scan's minimum at a fraction of its cost. The
+accountant's log-sum-exp repeats scipy 1.17's arithmetic in plain numpy, so its sigma
+does not depend on the installed scipy's logsumexp.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .losses import HESSIAN_EIG_BOUND, LIPSCHITZ_K
 
@@ -153,6 +157,17 @@ def gaussian_mechanism_delta(sensitivity: float, sigma: float, epsilon: float) -
     return _gaussian_delta(sensitivity / sigma, epsilon)[0]
 
 
+def _gaussian_meets(sensitivity: float, epsilon: float, delta: float):
+    """The exact condition "sigma is (epsilon, delta)-DP at this sensitivity",
+    float rounding added, as a predicate of sigma; false below its threshold."""
+
+    def meets(sigma):
+        value, rounding = _gaussian_delta(sensitivity / sigma, epsilon)
+        return value + rounding <= delta
+
+    return meets
+
+
 def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
     """Smallest sigma making the Gaussian mechanism (epsilon, delta)-DP.
 
@@ -164,11 +179,7 @@ def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -
     if not (0 < sensitivity < math.inf and epsilon > 0 and 0.0 < delta < 1.0):
         raise ValueError("sensitivity must be positive and finite, epsilon positive and "
                          f"delta in (0, 1); got {sensitivity}, {epsilon}, {delta}")
-
-    def meets(sigma):
-        value, rounding = _gaussian_delta(sensitivity / sigma, epsilon)
-        return value + rounding <= delta
-
+    meets = _gaussian_meets(sensitivity, epsilon, delta)
     hi = sensitivity
     while not meets(hi):
         hi *= 2.0
@@ -260,7 +271,15 @@ def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     * sigma'' uses advanced composition: for a split delta' in (0, delta), the
       per-query targets are eps* = _advanced_composition_epsilon(eps, B,
       delta') and delta* = (delta - delta')/B, and delta' is linearly
-      searched on a geometric grid to minimize sigma''.
+      searched on a geometric grid to minimize sigma''. A split whose eps*
+      rounds to 0 (eps tiny against ln(1/delta')) offers no sigma and is skipped.
+
+    The search is pruned, not approximated. A split's sigma is the smallest
+    sigma meeting its condition, which holds at every larger sigma, so the split
+    beats the best sigma so far only if its condition holds at the float just
+    below that best; only such splits are bisected. The walk starts from sigma'
+    at the grid's high end, where the minimum lies in practice, so a few
+    bisections replace one per split, and the result is the full scan's minimum.
 
     With B = 1 the advanced-composition interval is empty and sigma' is
     returned unchanged.
@@ -269,21 +288,20 @@ def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     sensitivity = minimizer_sensitivity(dims)
     b = spec.budget
 
-    sigma_standard = calibrate_gaussian_sigma(
-        sensitivity, spec.epsilon / b, spec.delta / b)
+    best = calibrate_gaussian_sigma(sensitivity, spec.epsilon / b, spec.delta / b)
 
     lo, hi = spec.delta * 1e-6, spec.delta * (1.0 - 1.0 / b)
     if not hi > lo:
-        return sigma_standard
+        return best
 
-    sigma_advanced = math.inf
-    for delta_split in np.geomspace(lo, hi, _DELTA_SPLIT_GRID):
+    for delta_split in np.geomspace(lo, hi, _DELTA_SPLIT_GRID)[::-1]:
         eps_star = _advanced_composition_epsilon(spec.epsilon, b, delta_split)
+        if not eps_star > 0.0:
+            continue
         delta_star = (spec.delta - delta_split) / b
-        sigma = calibrate_gaussian_sigma(sensitivity, eps_star, delta_star)
-        sigma_advanced = min(sigma_advanced, sigma)
-
-    return min(sigma_standard, sigma_advanced)
+        if _gaussian_meets(sensitivity, eps_star, delta_star)(math.nextafter(best, 0.0)):
+            best = min(best, calibrate_gaussian_sigma(sensitivity, eps_star, delta_star))
+    return best
 
 
 def subsample_beta(spec: PrivacySpec) -> float:
@@ -330,9 +348,12 @@ def rdp_subsampled_gaussian(q: float, sigma: float) -> np.ndarray:
         log( sum_k C(a,k) (1-q)^(a-k) q^k exp((k^2 - k)/(2 sigma^2)) ) / (a-1),
 
     accumulated in log space for numerical stability, all orders in one pass
-    over the precomputed table of log C(a, k). The exact sum is >= 1, so the
-    bound is >= 0; values that round below zero (tiny q, large sigma) are
-    clamped to 0.
+    over the precomputed table of log C(a, k). The log-sum-exp repeats the
+    real-input arithmetic of scipy 1.17's logsumexp (each row's maxima are
+    counted and kept out of the shifted sum), so the curve, and every sigma
+    searched on it, does not depend on the installed scipy. The exact sum is
+    >= 1, so the bound is >= 0; values that round below zero (tiny q, large
+    sigma) are clamped to 0.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
@@ -346,7 +367,12 @@ def rdp_subsampled_gaussian(q: float, sigma: float) -> np.ndarray:
         + _KS * math.log(q)
         + (_KS * _KS - _KS) / (2.0 * sigma * sigma)
     )
-    return np.maximum(logsumexp(log_terms, axis=1) / (_ORDERS - 1), 0.0)
+    top = log_terms.max(axis=1, keepdims=True)
+    tied = log_terms == top
+    rest = np.exp(np.where(tied, -np.inf, log_terms) - top).sum(axis=1)
+    ties = tied.sum(axis=1)
+    log_sum = np.log1p(rest / ties) + np.log(ties) + top[:, 0]
+    return np.maximum(log_sum / (_ORDERS - 1), 0.0)
 
 
 def dpsgd_epsilon(sigma: float, cfg: DpSgdConfig, delta: float) -> float:

@@ -174,13 +174,12 @@ def _calibration_rule(kind: str, delta: float) -> Callable:
 def _noise(calibration: Calibration, count: int, shape, rng) -> np.ndarray:
     """count draws of the calibration's additive noise of shape (rows, cols),
     stacked as (count * rows, cols) in the order single draws make them: one
-    Gaussian block, one radial draw per count, or zeros for family "none"."""
+    Gaussian block, one radial call, or zeros for family "none"."""
     rows, cols = shape
     if calibration.family == "gaussian":
         return sample_gaussian((count * rows, cols), calibration.scale, rng)
     if calibration.family == "radial_exponential":
-        return np.concatenate([sample_radial_exponential(shape, calibration.scale, rng)
-                               for _ in range(count)])
+        return sample_radial_exponential(shape, calibration.scale, rng, count)
     return np.zeros((count * rows, cols))
 
 
@@ -353,8 +352,9 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     ensemble_vote_counts can treat them as one (D, T*C) matrix without a copy.
     """
     parts = partition_indices(data.n_examples, spec.n_models, rng)
-    # One gather straight into the solver's class-major (T, D, n) and (T, C, n) layout.
-    xt, yt = (a[parts[:, None, :], np.arange(a.shape[1])[:, None]]
+    # A row gather, then one transposing copy into the solver's class-major (T, D, n)
+    # and (T, C, n) layout: 2-3x cheaper than one two-index gather straight into it.
+    xt, yt = (np.ascontiguousarray(a[parts].transpose(0, 2, 1))
               for a in (data.features, data.labels))
     thetas = minimize_erm_stack(xt.transpose(0, 2, 1), yt.transpose(0, 2, 1), spec.train_config())
     absent = ~yt.any(axis=2)  # (T, C): classes a sub-model never saw

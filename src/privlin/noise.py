@@ -43,25 +43,32 @@ def _as_shape(shape) -> tuple[int, int]:
     return rows, cols
 
 
-def sample_radial_exponential(shape, beta: float, rng) -> np.ndarray:
-    """Draw a (rows, cols) matrix B from the density proportional to exp(-beta * ||B||_F).
+def sample_radial_exponential(shape, beta: float, rng, count: int = 1) -> np.ndarray:
+    """Draw count (rows, cols) matrices B from the density proportional to
+    exp(-beta * ||B||_F), stacked as (count * rows, cols).
 
     In n = rows * cols dimensions the radial density is proportional to
-    r^(n-1) exp(-beta r), i.e. the norm is Gamma(n, rate beta); the sample is
-    that radius times an independent uniformly random direction.
+    r^(n-1) exp(-beta r), i.e. the norm is Gamma(n, rate beta); each sample is
+    that radius times an independent uniformly random direction. The draws are
+    made one after another into one buffer, so count = k returns what k calls
+    with count = 1 return, stacked, and leaves rng where they leave it.
     """
     rows, cols = _as_shape(shape)
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     rng = as_generator(rng)
     n = rows * cols
-    direction = rng.standard_normal(n)
-    norm = math.sqrt(direction @ direction)
-    while norm == 0.0:
-        direction = rng.standard_normal(n)
+    out = np.empty((count, n))
+    for direction in out:
+        rng.standard_normal(out=direction)
         norm = math.sqrt(direction @ direction)
-    radius = rng.gamma(shape=n, scale=1.0 / beta)
-    return (radius / norm * direction).reshape(rows, cols)
+        while norm == 0.0:
+            rng.standard_normal(out=direction)
+            norm = math.sqrt(direction @ direction)
+        direction *= rng.gamma(shape=n, scale=1.0 / beta) / norm
+    return out.reshape(count * rows, cols)
 
 
 def sample_gaussian(shape, sigma: float, rng) -> np.ndarray:

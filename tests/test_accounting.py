@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -5,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 
 from privlin import (
     BudgetExhaustedError,
@@ -29,7 +30,16 @@ from privlin import (
     rdp_subsampled_gaussian,
     subsample_beta,
 )
-from privlin.accounting import _SIGMA_LO, RDP_ORDERS, _gaussian_delta
+from privlin import accounting
+from privlin.accounting import (
+    _KS,
+    _LOG_BINOMIAL,
+    _ORDERS,
+    _SIGMA_LO,
+    RDP_ORDERS,
+    _advanced_composition_epsilon,
+    _gaussian_delta,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -299,6 +309,46 @@ class TestGaussianPredictionSigma:
         with pytest.raises(WrongVariantError):
             gaussian_prediction_sigma(dims(), PrivacySpec(1.0, 0.0, budget=5))
 
+    @pytest.mark.parametrize("n, lam", [(5000, 0.01), (50, 0.1)])
+    def test_pruned_scan_equals_the_full_scan(self, n, lam):
+        for eps, delta, budget in itertools.product(
+                (0.1, 1.0, 8.0), (1e-8, 1e-5, 1e-2), (1, 2, 10, 1000, 10_000)):
+            d, spec = dims(n, lam), PrivacySpec(eps, delta, budget)
+            assert gaussian_prediction_sigma(d, spec) == full_split_scan(d, spec), spec
+
+    def test_bisects_few_splits(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return calibrate_gaussian_sigma(*args)
+
+        monkeypatch.setattr(accounting, "calibrate_gaussian_sigma", counted)
+        gaussian_prediction_sigma(dims(5000, 0.01), PrivacySpec(1.0, 1e-5, 1000))
+        assert len(calls) <= 20  # the full scan bisects 201 times
+
+    def test_split_whose_epsilon_rounds_to_zero_is_skipped(self):
+        d = dims(5000, 0.01)
+        assert _advanced_composition_epsilon(1e-15, 10, 1e-5 * 1e-6) == 0.0
+        sigma = gaussian_prediction_sigma(d, PrivacySpec(1e-15, 1e-5, 10))
+        standard = calibrate_gaussian_sigma(minimizer_sensitivity(d), 1e-16, 1e-6)
+        assert math.isfinite(sigma)
+        assert gaussian_prediction_sigma(d, PrivacySpec(1e-12, 1e-5, 10)) <= sigma <= standard
+
+
+def full_split_scan(d, spec):
+    """gaussian_prediction_sigma as one bisection per delta' split, the minimum kept."""
+    sensitivity, b = minimizer_sensitivity(d), spec.budget
+    sigma = calibrate_gaussian_sigma(sensitivity, spec.epsilon / b, spec.delta / b)
+    lo, hi = spec.delta * 1e-6, spec.delta * (1.0 - 1.0 / b)
+    if not hi > lo:
+        return sigma
+    for delta_split in np.geomspace(lo, hi, 200):
+        eps_star = _advanced_composition_epsilon(spec.epsilon, b, delta_split)
+        sigma = min(sigma, calibrate_gaussian_sigma(sensitivity, eps_star,
+                                                    (spec.delta - delta_split) / b))
+    return sigma
+
 
 class TestSubsampleBeta:
     def test_pure_composition(self):
@@ -381,6 +431,19 @@ class TestRdpSubsampledGaussian:
                             for k in range(a + 1))
                         oracle = float(mpmath.log(total) / (a - 1))
                         assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15), (q, sigma, a)
+
+    def test_equals_the_scipy_logsumexp_formula(self):
+        for q in (1.0, 0.5, 0.0128, 1e-4, 1e-9, 1e-12):
+            for sigma in np.geomspace(0.01, 1e4, 25):
+                if q == 1.0:
+                    expected = _ORDERS / (2.0 * sigma * sigma)
+                else:
+                    log_terms = (_LOG_BINOMIAL + (_ORDERS[:, None] - _KS) * math.log1p(-q)
+                                 + _KS * math.log(q) + (_KS * _KS - _KS) / (2.0 * sigma * sigma))
+                    expected = np.maximum(logsumexp(log_terms, axis=1) / (_ORDERS - 1), 0.0)
+                curve = rdp_subsampled_gaussian(q, float(sigma))
+                np.testing.assert_array_equal(curve.view(np.uint64), expected.view(np.uint64))
+        assert (rdp_subsampled_gaussian(1e-12, 1e4) == 0.0).any()  # the clamp is covered
 
     def test_tiny_sample_rate_never_rounds_negative(self):
         # The exact bound is >= 0; float rounding at tiny q must not push it below.

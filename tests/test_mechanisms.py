@@ -33,6 +33,7 @@ from privlin import (
     loss_perturbation_params,
     loss_perturbation_rho,
     minimize_erm,
+    minimize_erm_stack,
     model_sensitivity_beta,
     one_hot,
     predict_logits,
@@ -997,6 +998,17 @@ class TestBatchAnswering:
         single = np.concatenate([ensemble_vote_counts(predictor.ensemble, x[None], predictor.ties)
                                  for x in test.features])
         np.testing.assert_array_equal(batch, single)
+
+    def test_ensemble_is_the_stacked_solve_of_the_partition(self):
+        train, _ = blob_splits(39, n_train_per_class=40, c=3, d=5)
+        spec = spec_for("subsample_aggregate", n_models=8)
+        predictor = fit_noise_free(train, spec, RngStream(39).generator())
+        parts = partition_indices(train.n_examples, 8, RngStream(39).generator())
+        assert train.labels[parts].any(axis=1).all()  # no absent class to average
+        expected = minimize_erm_stack(train.features[parts], train.labels[parts],
+                                      spec.train_config())
+        np.testing.assert_array_equal(predictor.ensemble.view(np.uint64),
+                                      expected.view(np.uint64))
 
     def test_absent_class_columns_are_bitwise_equal(self):
         predictor, _ = degenerate_ensemble(38)

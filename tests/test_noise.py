@@ -49,6 +49,20 @@ class TestRadialExponential:
             expected = (radius / np.linalg.norm(direction) * direction).reshape(shape)
             np.testing.assert_array_equal(sample_radial_exponential(shape, 1.5, rng), expected)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 10), (3, 5)])
+    def test_count_draws_equal_single_draws(self, shape):
+        single, batch = RngStream(13).generator(), RngStream(13).generator()
+        expected = np.concatenate([sample_radial_exponential(shape, 0.7, single)
+                                   for _ in range(9)])
+        draws = sample_radial_exponential(shape, 0.7, batch, count=9)
+        assert draws.shape == (9 * shape[0], shape[1])
+        np.testing.assert_array_equal(draws, expected)
+        assert batch.bit_generator.state == single.bit_generator.state
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+            sample_radial_exponential((2, 2), 1.0, RngStream(0), count=0)
+
     def test_norm_mean_matches_gamma(self):
         # ||B||_F is Gamma(n, beta) with mean n / beta = 5 here.
         rng = RngStream(1).generator()
