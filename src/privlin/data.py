@@ -18,8 +18,12 @@ NORM_TOLERANCE = 1e-9
 def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
     """rows, if each (k, D) row is finite and, with in_ball, of squared L2 norm at most
     (1 + NORM_TOLERANCE)^2: the one unit-ball rule of training rows and queries. A NaN or
-    inf entry fails that test, so only a failed or skipped one checks finiteness."""
-    max_sq = (rows * rows).sum(axis=1).max(initial=0.0) if in_ball else np.inf
+    inf entry fails that test, so only a failed or skipped one checks finiteness. A
+    squared norm that overflows to inf fails it silently."""
+    max_sq = np.inf
+    if in_ball:
+        with np.errstate(over="ignore"):
+            max_sq = np.maximum.reduce(np.add.reduce(rows * rows, axis=1), initial=0.0)
     if max_sq <= (1.0 + NORM_TOLERANCE) ** 2:
         return rows
     if not np.isfinite(rows).all():

@@ -2,8 +2,16 @@
 regularized objective every fit runs. It is class-major, with logits,
 probabilities and labels (..., C, n) and features (..., D, n), because numpy
 reduces and broadcasts along a short trailing axis several times slower than
-along a leading one. Per-row losses of logits a (n, C) are its one-feature
-case: regularized_objective(a[:, None, :], ones((n, 1, 1)), y[:, :, None], 0)
+along a leading one. The (..., C, n) arrays it makes are views of
+class-leading (C, ..., n) memory: a stack of T small problems, such as the
+ensemble's sub-models of a few dozen rows each, then reduces over C in loops
+of length T * n rather than n. Only leading dimensions move, so every GEMM
+sees the same operands in the same class order, and every class sum still
+adds in class order; with no stack axis, or T = 1, the memory is plain
+(C, n). (At n = 1 a C-order stack's class axis is contiguous, which numpy
+sums pairwise: there the two layouts agree to rounding only.) Per-row
+losses of logits a (n, C) are its one-feature case:
+regularized_objective(a[:, None, :], ones((n, 1, 1)), y[:, :, None], 0)
 gives l(a_i), p_i - y_i in grads[:, 0, :] and p_i in probs[:, :, 0]."""
 
 from __future__ import annotations
@@ -42,11 +50,19 @@ def _check_data(theta, features, labels):
     return theta, x, y
 
 
+def class_leading_product(a, b):
+    """a @ b for stacks a (..., C, D) and b (..., D, n) with the same leading
+    dimensions, written into class-leading (C, ..., n) memory."""
+    memory = np.empty((a.shape[-2],) + b.shape[:-2] + b.shape[-1:])
+    return np.matmul(a, b, out=np.moveaxis(memory, 0, -2))
+
+
 def objective_gradient(theta, xt, yt, ridge, linear=0.0):
     """Gradients (..., D, C), softmax probabilities (..., C, n) and logits
     less their class max (..., C, n) of regularized_objective: all but its
-    values, which the solver never reads."""
-    shifted = np.swapaxes(theta, -1, -2) @ xt
+    values, which the solver never reads. Probabilities and logits are
+    class-leading; elementwise results keep that memory order."""
+    shifted = class_leading_product(np.swapaxes(theta, -1, -2), xt)
     shifted -= np.maximum.reduce(shifted, axis=-2, keepdims=True)
     probs = np.exp(shifted)
     probs /= np.add.reduce(probs, axis=-2, keepdims=True)
@@ -57,7 +73,8 @@ def objective_gradient(theta, xt, yt, ridge, linear=0.0):
 def regularized_objective(theta, xt, yt, ridge, linear=0.0):
     """Values, gradients and softmax probabilities of mean loss + ridge/2 *
     ||theta||_F^2 + <linear, theta>, on stacks theta (..., D, C), class-major
-    features xt (..., D, n) and labels yt (..., C, n). The regularized
+    features xt (..., D, n) and labels yt (..., C, n), the labels best in
+    class-leading memory like the probabilities. The regularized
     empirical risk is (ridge, linear) = (lam, 0), the loss-perturbation
     objective ((lam + rho) / N, B / N)."""
     grads, probs, shifted = objective_gradient(theta, xt, yt, ridge, linear)
@@ -82,13 +99,15 @@ def mc_logistic_hessian(a):
 def objective_hvp(xt, probs, ridge, delta):
     """Hessian-vector product X [P*V - P*colsum(P*V)]^T / n + ridge * delta,
     V = delta^T X, of regularized_objective at class-major X and P."""
-    pv = probs * (np.swapaxes(delta, -1, -2) @ xt)
+    pv = class_leading_product(np.swapaxes(delta, -1, -2), xt)
+    pv *= probs
     pv -= probs * np.add.reduce(pv, axis=-2, keepdims=True)
     return xt @ np.swapaxes(pv, -1, -2) / xt.shape[-1] + ridge * delta
 
 
 def loss_remainder(probs, v, step: float):
-    """Mean loss change when the class-major logits move by step * v, less its
+    """Mean loss change when the class-major logits move by step * v (best
+    class-leading, like probs, from class_leading_product), less its
     first-order term: the column mean of log sum_j p_j exp(step (v_j - p.v))
     >= 0. log1p and expm1 keep it exact to rounding far below the rounding of
     the loss; an overflowing step gives inf or nan, which a line search

@@ -352,12 +352,13 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     ensemble_vote_counts can treat them as one (D, T*C) matrix without a copy.
     """
     parts = partition_indices(data.n_examples, spec.n_models, rng)
-    # A row gather, then one transposing copy into the solver's class-major (T, D, n)
-    # and (T, C, n) layout: 2-3x cheaper than one two-index gather straight into it.
-    xt, yt = (np.ascontiguousarray(a[parts].transpose(0, 2, 1))
-              for a in (data.features, data.labels))
-    thetas = minimize_erm_stack(xt.transpose(0, 2, 1), yt.transpose(0, 2, 1), spec.train_config())
-    absent = ~yt.any(axis=2)  # (T, C): classes a sub-model never saw
+    # A row gather, then one transposing copy into the solver's layout, features
+    # (T, D, n) and labels class-leading (C, T, n): 2-3x cheaper than one two-index
+    # gather straight into it.
+    xt = np.ascontiguousarray(data.features[parts].transpose(0, 2, 1))
+    yc = np.ascontiguousarray(data.labels[parts].transpose(2, 0, 1))
+    thetas = minimize_erm_stack(xt.transpose(0, 2, 1), yc.transpose(1, 2, 0), spec.train_config())
+    absent = ~yc.any(axis=2).T  # (T, C): classes a sub-model never saw
     mean = thetas @ (absent / np.maximum(absent.sum(axis=1, keepdims=True), 1))[:, :, None]
     np.copyto(thetas, mean, where=absent[:, None, :])
     return {"ensemble": _feature_major(thetas)}
@@ -413,8 +414,8 @@ def vote_distribution(counts, beta: float) -> np.ndarray:
     """Exponential-mechanism label distribution: proportional to exp(beta * counts),
     a max-shifted softmax with no finiteness check, since vote counts are integers."""
     scores = beta * np.asarray(counts, dtype=np.float64)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
@@ -427,10 +428,10 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     counts = ensemble_vote_counts(predictor.ensemble, rows, predictor.ties)
     if predictor.calibration.family == "none":
         return counts.argmax(axis=1)
-    cdf = np.cumsum(vote_distribution(counts, predictor.calibration.scale), axis=1)
+    cdf = np.add.accumulate(vote_distribution(counts, predictor.calibration.scale), axis=1)
     cdf /= cdf[:, -1:]
     uniforms = predictor.rng.random(rows.shape[0])
-    return (cdf <= uniforms[:, None]).sum(axis=1)
+    return np.add.reduce(cdf <= uniforms[:, None], axis=1)
 
 
 # ---------------------------------------------------------------------------

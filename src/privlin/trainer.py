@@ -11,7 +11,7 @@ import numpy as np
 from .data import LabeledDataset
 # erm_objective, perturbed_objective and mc_logistic_hessian: profilers patch them here.
 from .losses import erm_objective, mc_logistic_hessian, perturbed_objective  # noqa: F401
-from .losses import loss_remainder, objective_gradient, objective_hvp
+from .losses import class_leading_product, loss_remainder, objective_gradient, objective_hvp
 
 
 class ConvergenceError(RuntimeError):
@@ -50,45 +50,60 @@ class TrainConfig:
             raise ValueError("noise_b must be finite")
 
 
+def _compress(keep, stack):
+    """The problems keep selects from a (T, C, n) stack of class-leading
+    memory, in class-leading memory again."""
+    return np.compress(keep, stack.swapaxes(0, 1), axis=1).swapaxes(0, 1)
+
+
 def _newton_direction(xt, probs, ridge, grad, norms):
     """Conjugate gradient on H d = -g per problem, each stopped at its forcing
-    tolerance min(0.5, sqrt||g||) ||g|| or after D*C iterations."""
+    tolerance min(0.5, sqrt||g||) ||g|| or after D*C iterations. A problem
+    leaves the working stack when its CG stops, so Hessian-vector products
+    are computed for running problems only."""
     forcing_sq = (np.minimum(0.5, np.sqrt(norms)) * norms) ** 2
-    direction, residual = np.zeros_like(grad), -grad
-    search, rs = residual.copy(), norms * norms
+    solved, live, residual = np.zeros_like(grad), np.arange(len(grad)), -grad
+    direction, search, rs = np.zeros_like(grad), residual.copy(), norms * norms
     running = rs > forcing_sq
     for _ in range(grad.shape[1] * grad.shape[2]):
+        if not running.all():
+            solved[live[~running]] = direction[~running]
+            if not running.any():
+                return solved
+            live, direction, residual, search, rs, forcing_sq, xt = (
+                a[running] for a in (live, direction, residual, search, rs, forcing_sq, xt))
+            probs = _compress(running, probs)
         h_search = objective_hvp(xt, probs, ridge, search)
-        alpha = np.divide(rs, (search * h_search).sum(axis=(1, 2)),
-                          out=np.zeros_like(rs), where=running)
+        alpha = rs / (search * h_search).sum(axis=(1, 2))
         direction += alpha[:, None, None] * search
         residual -= alpha[:, None, None] * h_search
         rs_new = (residual * residual).sum(axis=(1, 2))
-        running &= rs_new > forcing_sq
-        if not running.any():
-            break
-        beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=running)
-        search = residual + beta[:, None, None] * search
+        running = rs_new > forcing_sq
+        search = residual + (rs_new / rs)[:, None, None] * search
         rs = rs_new
-    return direction
+    solved[live] = direction
+    return solved
 
 
 def _armijo_steps(xt, probs, grad, direction, ridge, fraction=1e-4, halvings=60):
     """Backtrack from the full step until f(theta + s d) - f(theta) <=
     fraction * s <g, d>, per problem; 0 where no halving passes. The change
     is s <g, d> + s^2 ridge ||d||^2 / 2 + loss_remainder, exact to rounding,
-    so the test still decides near the minimizer."""
+    so the test still decides near the minimizer. A problem leaves the
+    working stack once its step is found."""
     slope = (1.0 - fraction) * (grad * direction).sum(axis=(1, 2))
     quad = 0.5 * ridge * (direction * direction).sum(axis=(1, 2))
-    v = np.swapaxes(direction, 1, 2) @ xt
+    v = class_leading_product(np.swapaxes(direction, 1, 2), xt)
     steps, pending, step = np.zeros(len(grad)), np.arange(len(grad)), 1.0
     for _ in range(halvings):
-        ok = (step * slope[pending] + step * step * quad[pending]
-              + loss_remainder(probs[pending], v[pending], step)) <= 0.0
-        steps[pending[ok]] = step
-        pending, step = pending[~ok], 0.5 * step
-        if pending.size == 0:
-            break
+        ok = (step * slope + step * step * quad + loss_remainder(probs, v, step)) <= 0.0
+        if ok.any():
+            steps[pending[ok]] = step
+            if ok.all():
+                break
+            pending, slope, quad = pending[~ok], slope[~ok], quad[~ok]
+            probs, v = _compress(~ok, probs), _compress(~ok, v)
+        step = 0.5 * step
     return steps
 
 
@@ -104,7 +119,8 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
     line search finds no decrease. With noise_b set, the loss-perturbation
     objective has ridge (lam + rho) / n and linear term noise_b / n. The solve
     runs on class-major copies, so the caller's memory order cannot change the
-    result; a row-major view of class-major memory is used without a copy."""
+    result; features whose (T, D, n) transpose and labels whose (C, T, n)
+    transpose are C-contiguous are used without a copy."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 3 or y.ndim != 3 or x.shape[:2] != y.shape[:2] or x.shape[1] == 0:
@@ -118,8 +134,9 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
             raise ValueError(f"noise_b shape {linear.shape} does not match ({d}, {y.shape[2]})")
 
     solved = np.zeros((t, d, y.shape[2]))
-    x, y = (np.ascontiguousarray(np.swapaxes(a, 1, 2)) for a in (x, y))
-    active, theta, xs, ys = np.arange(t), solved.copy(), x, y
+    xs = np.ascontiguousarray(x.transpose(0, 2, 1))
+    ys = np.ascontiguousarray(y.transpose(2, 0, 1)).swapaxes(0, 1)
+    active, theta = np.arange(t), solved.copy()
     grad, probs, _ = objective_gradient(theta, xs, ys, ridge, linear)
     for iteration in range(cfg.max_iterations + 1):
         norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
@@ -128,9 +145,8 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
             solved[active[done]] = theta[done]
             if done.all():
                 return solved
-            active, theta, grad, probs, norms = (
-                a[~done] for a in (active, theta, grad, probs, norms))
-            xs, ys = x[active], y[active]
+            active, theta, grad, norms, xs = (a[~done] for a in (active, theta, grad, norms, xs))
+            probs, ys = _compress(~done, probs), _compress(~done, ys)
         if iteration == cfg.max_iterations:
             break
         direction = _newton_direction(xs, probs, ridge, grad, norms)

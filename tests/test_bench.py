@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -517,6 +518,18 @@ class TestCsv:
             rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
             stripped.append(rows)
         assert stripped[0] == stripped[1]
+
+    def test_six_kind_sweep_file_is_unchanged(self, tmp_path):
+        """The trial file of a fixed-seed sweep over every kind and both delta
+        regimes, wall_time_s dropped, has a pinned sha256. A solver, calibration
+        or sampler change that moves any trial's accuracy changes it; a change
+        that is exact to the bit does not."""
+        path = tmp_path / "records.csv"
+        emit_csv(run_sweep(tiny_config(mechanisms=tuple(KINDS), deltas=(0.0, 1e-5),
+                                       dpsgd_steps=50)), path)
+        stripped = "\n".join(line.rsplit(",", 1)[0] for line in path.read_text().splitlines())
+        assert hashlib.sha256(stripped.encode()).hexdigest() == (
+            "3517d3e4daecfd794fe33874d5b34714c7ccbf4cf7238d15954f149826a73935")
 
 
 def strip_wall_time_no_error(records):

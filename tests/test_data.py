@@ -389,10 +389,11 @@ class TestLabeledDatasetValidation:
         with pytest.raises(ValueError):
             LabeledDataset(features=np.array([[2.0, 0.0]]), labels=np.array([[1.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
     def test_norm_violation_reports_the_max_norm(self):
-        for scale in (1.0, 1e200):  # the squared norm of 5e200 overflows
+        for scale in (1.0, 1e200):  # the squared norm of 5e200 overflows, silently
             message = re.escape(f"features must lie in the unit L2 ball; max norm {5 * scale:.6g}")
-            with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=message):
                 LabeledDataset(features=np.array([[0.6, 0.0], [3.0, 4.0]]) * scale,
                                labels=one_hot([0, 1], 2))
 

@@ -286,22 +286,35 @@ def naive_remainder(probs, v, step):
     return np.array(out)
 
 
+def in_layout(stack, layout):
+    """A copy of the (T, C, n) stack in C-order or class-leading (C, T, n) memory."""
+    if layout == "c_order":
+        return np.ascontiguousarray(stack)
+    return np.ascontiguousarray(stack.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def class_major_stack(t, c, n, scale=1.0, d=4):
+    rng = np.random.default_rng(14)
+    x = np.stack([random_dataset(rng, n, d, c)[0] for _ in range(t)])
+    y = np.eye(c)[rng.integers(0, c, size=(t, n))]
+    theta = rng.normal(scale=scale, size=(t, d, c))
+    linear = rng.normal(size=(t, d, c))
+    delta = rng.normal(size=(t, d, c))
+    return x, y, theta, linear, delta
+
+
 class TestClassMajorObjective:
     """The class-major objective, its Hessian-vector product and the line
-    search's loss remainder against per-row loops in row-major orientation."""
+    search's loss remainder against per-row loops in row-major orientation,
+    and in C-order against class-leading memory."""
 
     @pytest.mark.parametrize("t", [1, 3])
     @pytest.mark.parametrize("c", [2, 10])
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("scale", [1.0, 50.0])
     def test_matches_per_row_loops(self, t, c, n, scale):
-        rng = np.random.default_rng(14)
-        d, ridge = 4, 0.3
-        x = np.stack([random_dataset(rng, n, d, c)[0] for _ in range(t)])
-        y = np.eye(c)[rng.integers(0, c, size=(t, n))]
-        theta = rng.normal(scale=scale, size=(t, d, c))
-        linear = rng.normal(size=(t, d, c))
-        delta = rng.normal(size=(t, d, c))
+        x, y, theta, linear, delta = class_major_stack(t, c, n, scale)
+        ridge = 0.3
         xt, yt = np.swapaxes(x, 1, 2), np.swapaxes(y, 1, 2)
 
         values, grads, probs = regularized_objective(theta, xt, yt, ridge, linear)
@@ -325,6 +338,26 @@ class TestClassMajorObjective:
         down = regularized_objective(theta - h * delta, xt, yt, ridge, linear)[1]
         np.testing.assert_allclose(objective_hvp(xt, probs, ridge, delta), (up - down) / (2 * h),
                                    rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("c", [2, 10])
+    @pytest.mark.parametrize("n", [2, 7, 39])
+    def test_layouts_give_identical_bits(self, t, c, n):
+        """With n = 1 a C-order stack's class axis is contiguous, and numpy sums
+        it pairwise rather than in class order: there the layouts agree to
+        rounding only, as test_matches_per_row_loops checks."""
+        x, y, theta, linear, delta = class_major_stack(t, c, n)
+        xt = np.ascontiguousarray(np.swapaxes(x, 1, 2))
+        results = []
+        for layout in ("c_order", "class_leading"):
+            values, grads, probs = regularized_objective(
+                theta, xt, in_layout(np.swapaxes(y, 1, 2), layout), 0.3, linear)
+            probs = in_layout(probs, layout)
+            v = in_layout(np.swapaxes(delta, 1, 2) @ xt, layout)
+            results.append([values, grads, probs, objective_hvp(xt, probs, 0.3, delta),
+                            loss_remainder(probs, v, 0.5)])
+        for c_order, class_leading in zip(*results):
+            assert c_order.tobytes() == np.ascontiguousarray(class_leading).tobytes()
 
 
 class TestPerturbedObjective:

@@ -193,6 +193,30 @@ class TestMinimizeErmStack:
             single = minimize_erm(LabeledDataset(x, y), cfg)
             assert np.linalg.norm(theta - single) <= bound
 
+    @pytest.mark.parametrize("objective", ["erm", "loss_perturbation"])
+    def test_slices_equal_single_solves_bit_for_bit(self, objective, monkeypatch):
+        """A problem leaves the CG stack when its CG stops, and a slice still
+        equals its one-problem solve bit for bit."""
+        features, labels = mixed_stack(seed=3, n=40, d=8, c=5)
+        cfg = stack_configs(d=8, c=5)[objective]
+        runs = []  # the stack size of each Hessian-vector product, per CG run
+        newton_direction, hvp = trainer._newton_direction, trainer.objective_hvp
+
+        def recording_direction(*args):
+            runs.append([])
+            return newton_direction(*args)
+
+        def recording_hvp(xt, probs, ridge, delta):
+            runs[-1].append(len(delta))
+            return hvp(xt, probs, ridge, delta)
+
+        monkeypatch.setattr(trainer, "_newton_direction", recording_direction)
+        monkeypatch.setattr(trainer, "objective_hvp", recording_hvp)
+        thetas = minimize_erm_stack(features, labels, cfg)
+        assert any(run[0] == 3 and run[-1] < 3 for run in runs)
+        for theta, x, y in zip(thetas, features, labels):
+            assert theta.tobytes() == minimize_erm(LabeledDataset(x, y), cfg).tobytes()
+
     def test_iteration_cap_reports_the_worst_gradient(self):
         features, labels = mixed_stack()
         cfg = TrainConfig(lam=0.05, max_iterations=1, grad_tolerance=1e-14)
