@@ -15,6 +15,7 @@ does not depend on the installed scipy's logsumexp.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -336,6 +337,17 @@ def _log_binomial_table() -> np.ndarray:
 
 
 _LOG_BINOMIAL = _log_binomial_table()
+_KS_PAIRS = _KS * _KS - _KS  # k^2 - k, the exponent's numerator
+
+
+@functools.lru_cache(maxsize=64)
+def _log_terms_at_rate(q: float) -> np.ndarray:
+    """log C(a, k) + (a - k) log(1 - q) + k log q for every order a and index k: the
+    sigma-free part of rdp_subsampled_gaussian's log terms, summed in its left-to-right
+    order, once per sample rate. Read-only, because every call at q shares it."""
+    terms = _LOG_BINOMIAL + (_ORDERS[:, None] - _KS) * math.log1p(-q) + _KS * math.log(q)
+    terms.flags.writeable = False
+    return terms
 
 
 def rdp_subsampled_gaussian(q: float, sigma: float) -> np.ndarray:
@@ -348,7 +360,10 @@ def rdp_subsampled_gaussian(q: float, sigma: float) -> np.ndarray:
         log( sum_k C(a,k) (1-q)^(a-k) q^k exp((k^2 - k)/(2 sigma^2)) ) / (a-1),
 
     accumulated in log space for numerical stability, all orders in one pass
-    over the precomputed table of log C(a, k). The log-sum-exp repeats the
+    over the precomputed table of log C(a, k). The sigma-free terms come from
+    a per-q cache (_log_terms_at_rate), so a bisection over sigma at one
+    sample rate builds them once; adding the sigma term last keeps the
+    left-to-right sum of the uncached formula. The log-sum-exp repeats the
     real-input arithmetic of scipy 1.17's logsumexp (each row's maxima are
     counted and kept out of the shifted sum), so the curve, and every sigma
     searched on it, does not depend on the installed scipy. The exact sum is
@@ -361,12 +376,7 @@ def rdp_subsampled_gaussian(q: float, sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if q == 1.0:
         return _ORDERS / (2.0 * sigma * sigma)
-    log_terms = (
-        _LOG_BINOMIAL
-        + (_ORDERS[:, None] - _KS) * math.log1p(-q)
-        + _KS * math.log(q)
-        + (_KS * _KS - _KS) / (2.0 * sigma * sigma)
-    )
+    log_terms = _log_terms_at_rate(q) + _KS_PAIRS / (2.0 * sigma * sigma)
     top = log_terms.max(axis=1, keepdims=True)
     tied = log_terms == top
     rest = np.exp(np.where(tied, -np.inf, log_terms) - top).sum(axis=1)

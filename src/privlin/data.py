@@ -13,6 +13,7 @@ import numpy as np
 from .noise import as_generator
 
 NORM_TOLERANCE = 1e-9
+_MAX_SQ_NORM = (1.0 + NORM_TOLERANCE) ** 2
 
 
 def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
@@ -24,7 +25,7 @@ def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
     if in_ball:
         with np.errstate(over="ignore"):
             max_sq = np.maximum.reduce(np.add.reduce(rows * rows, axis=1), initial=0.0)
-    if max_sq <= (1.0 + NORM_TOLERANCE) ** 2:
+    if max_sq <= _MAX_SQ_NORM:
         return rows
     if not np.isfinite(rows).all():
         raise ValueError(f"{name} must be finite")
@@ -32,6 +33,17 @@ def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
         max_norm = np.hypot.reduce(rows, axis=1).max()  # max_sq may have overflowed
         raise ValueError(f"{name} must lie in the unit L2 ball; max norm {max_norm:.6g}")
     return rows
+
+
+def check_vector(x: np.ndarray, name: str) -> np.ndarray:
+    """x, if the (D,) vector passes check_rows(x[None], True, name). Its squared norm is
+    check_rows' arithmetic on that one row, so the vector and the row get one verdict,
+    without the (k, D) reductions; a vector that fails raises check_rows' error."""
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(x * x)
+    if not sq <= _MAX_SQ_NORM:
+        check_rows(x[None, :], True, name)
+    return x
 
 
 class IdxFormatError(ValueError):

@@ -15,9 +15,12 @@ its calibration rules for delta = 0 and delta > 0, fit, answer, parameters and f
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
+import os
+import secrets
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
@@ -39,7 +42,7 @@ from .accounting import (
     prediction_sensitivity_beta,
     subsample_beta,
 )
-from .data import LabeledDataset, check_rows
+from .data import LabeledDataset, check_rows, check_vector
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
@@ -134,20 +137,27 @@ class PrivatePredictor:
         """Answer one (D,) query: (C,) logits, or an integer label for
         subsample-and-aggregate.
 
-        This is the one place a single vector becomes a (1, D) row; everything
-        below takes rows. The query passes check_rows as answer_queries' rows do;
-        a prediction-side query spends one budget unit, and a refusal raises
-        BudgetExhaustedError before any computation touches the model.
+        A training-side query is scored as the (1, D) row x[None]. A
+        prediction-side query takes its kind's one-row path: the kind's answer
+        gets the (D,) vector itself and skips the (k, D) batch machinery, yet
+        returns, bit for bit, what the batch path computes for the row x[None]
+        (answer_queries answers its label, or its logits' argmax) and leaves
+        rng where answer_queries leaves it. The vector passes check_vector,
+        check_rows' unit-ball rule and arithmetic on one vector, so single and
+        batch verdicts agree. A prediction-side query spends one budget unit,
+        and a refusal raises BudgetExhaustedError before any computation
+        touches the model.
         """
         kind = KINDS[self.kind]
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_features,):
             raise ValueError(f"query must be a length-{self.n_features} vector, "
                              f"got shape {x.shape}")
-        row = check_rows(x[None, :], kind.prediction_side, "query")
-        if kind.prediction_side:
-            self.budget.consume()
-        return kind.answer(self, row)[0]
+        if not kind.prediction_side:
+            return kind.answer(self, check_rows(x[None, :], False, "query"))[0]
+        check_vector(x, "query")
+        self.budget.consume()
+        return kind.answer(self, x)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +320,17 @@ def _fit_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec, minim
 
 
 def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
-    """(k, C) noisy logits for k validated, paid-for rows.
+    """(k, C) noisy logits for k validated, paid-for (k, D) rows, or (C,) for
+    predict's one (D,) vector.
 
     Raw noisy logits (not probabilities); consumers may post-process freely.
-    The noise is drawn in the order k single queries would draw it.
+    The noise is drawn in the order k single queries would draw it. A vector
+    is scored by the matrix-vector product a (1, D) row gets and takes the
+    same (1, C) draw, without predict_logits' row checks.
     """
+    if rows.ndim == 1:
+        c = predictor.theta.shape[1]
+        return rows @ predictor.theta + _noise(predictor.calibration, 1, (1, c), predictor.rng)[0]
     logits = predict_logits(predictor.theta, rows)
     k, c = logits.shape
     return logits + _noise(predictor.calibration, k, (1, c), predictor.rng)
@@ -395,6 +411,9 @@ def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.nda
     sub-model's equal columns apart differently. Each winner is therefore
     mapped to the lowest class of its tie group, so equal columns tie
     exactly and a batch answers as its rows would one by one.
+    This scores answer_queries' batches; predict's one-row path in _vote_labels
+    repeats its matrix-vector product, argmax, tie map and bincount on a (D,)
+    vector, so a single query's counts equal these bit for bit.
     """
     rows = np.asarray(rows, dtype=np.float64)
     t, d, c = ensemble.shape
@@ -419,19 +438,39 @@ def vote_distribution(counts, beta: float) -> np.ndarray:
 
 
 def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
-    """One sampled label per validated, paid-for row.
+    """One sampled label per validated, paid-for (k, D) row, or one label for
+    predict's (D,) vector.
 
     Inverse-CDF sampling with one uniform per row, in row order: the same
     arithmetic and draws as rng.choice(C, p=probs) called row by row. Family
     "none" answers the plurality vote (ties to the lowest class), drawing nothing.
+
+    Rows are counted by ensemble_vote_counts. A vector takes the one-row path:
+    the vote counts of the row x[None], then the same vote_distribution and CDF
+    on (C,) arrays and one scalar uniform, so its label and the rng state after
+    it equal the batch's.
     """
-    counts = ensemble_vote_counts(predictor.ensemble, rows, predictor.ties)
-    if predictor.calibration.family == "none":
-        return counts.argmax(axis=1)
-    cdf = np.add.accumulate(vote_distribution(counts, predictor.calibration.scale), axis=1)
-    cdf /= cdf[:, -1:]
-    uniforms = predictor.rng.random(rows.shape[0])
-    return np.add.reduce(cdf <= uniforms[:, None], axis=1)
+    ensemble, ties, calibration = predictor.ensemble, predictor.ties, predictor.calibration
+    if rows.ndim == 2:
+        counts = ensemble_vote_counts(ensemble, rows, ties)
+        if calibration.family == "none":
+            return counts.argmax(axis=1)
+        cdf = np.add.accumulate(vote_distribution(counts, calibration.scale), axis=1)
+        cdf /= cdf[:, -1:]
+        uniforms = predictor.rng.random(rows.shape[0])
+        return np.add.reduce(cdf <= uniforms[:, None], axis=1)
+    t, d, c = ensemble.shape
+    scores = rows @ ensemble.transpose(1, 0, 2).reshape(d, t * c)
+    winners = scores.reshape(t, c).argmax(axis=1)
+    winners += np.arange(0, t * c, c)
+    counts = np.bincount(ties.take(winners), minlength=c)
+    if calibration.family == "none":
+        return counts.argmax()
+    cdf = np.add.accumulate(vote_distribution(counts, calibration.scale))
+    cdf /= cdf[-1]
+    # cdf does not decrease, so the entries <= the uniform are a prefix: counting them
+    # is a binary search.
+    return cdf.searchsorted(predictor.rng.random(), "right")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +484,9 @@ class Kind:
     read the accounting functions off this module when called, where perfbench's tracer
     patches them. fit(data, spec, minimiser, calibration, rng) -> {params: array}, params
     being "theta" or "ensemble", minimiser solve(data, spec) if uses_minimiser, else None;
-    answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels."""
+    answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels; a prediction-side
+    answer also takes predict's one (D,) vector and returns its (C,) logits or its label, equal
+    bit for bit to the first answer for the (1, D) row x[None]."""
 
     fit: Callable
     answer: Callable
@@ -528,6 +569,10 @@ def answer_queries(predictor: PrivatePredictor, queries) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_predictor(path, predictor: PrivatePredictor):
+    """Write predictor to path, atomically: the archive goes to a new file
+    beside path, which then replaces path. A save that fails (a full disk, an
+    interrupt) leaves the file that was there, with its budget and rng
+    records, as it was."""
     payload = {
         "kind": np.array(predictor.kind),
         "epsilon": np.array(predictor.privacy.epsilon),
@@ -542,9 +587,18 @@ def save_predictor(path, predictor: PrivatePredictor):
         payload["budget_used"] = np.array(predictor.budget.used)
     if predictor.rng is not None:
         payload["rng_state"] = np.array(json.dumps(predictor.rng.bit_generator.state))
-    # A handle writes exactly `path`; np.savez would add ".npz" to a bare path.
-    with open(path, "wb") as handle:
-        np.savez(handle, **payload)
+    # A handle writes exactly the named file; np.savez would add ".npz" to a bare path.
+    temporary = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(temporary, "xb") as handle:
+            np.savez(handle, **payload)
+            handle.flush()
+            os.fsync(handle.fileno())  # the data is on disk before the name points at it
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
 
 
 def load_predictor(path) -> PrivatePredictor:

@@ -37,7 +37,7 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def _as_shape(shape) -> tuple[int, int]:
-    rows, cols = (int(n) for n in shape)
+    rows, cols = map(int, shape)
     if rows < 1 or cols < 1:
         raise ValueError(f"noise shape must be positive, got {shape}")
     return rows, cols
@@ -63,10 +63,10 @@ def sample_radial_exponential(shape, beta: float, rng, count: int = 1) -> np.nda
     out = np.empty((count, n))
     for direction in out:
         rng.standard_normal(out=direction)
-        norm = math.sqrt(direction @ direction)
+        norm = math.sqrt(direction.dot(direction))
         while norm == 0.0:
             rng.standard_normal(out=direction)
-            norm = math.sqrt(direction @ direction)
+            norm = math.sqrt(direction.dot(direction))
         direction *= rng.gamma(shape=n, scale=1.0 / beta) / norm
     return out.reshape(count * rows, cols)
 
@@ -76,5 +76,6 @@ def sample_gaussian(shape, sigma: float, rng) -> np.ndarray:
     rows, cols = _as_shape(shape)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    rng = as_generator(rng)
-    return sigma * rng.standard_normal((rows, cols))
+    out = as_generator(rng).standard_normal((rows, cols))
+    out *= sigma
+    return out

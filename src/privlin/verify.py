@@ -1,11 +1,13 @@
 """Fast invariant suites behind the `verify` CLI subcommand: loss-constant
 bounds, calibration tightness, DP-SGD accountant tightness, the DP-SGD batch
-sampler, sampler sanity, budget enforcement, exact ensemble vote ties, and the
-empirical minimizer-sensitivity bound."""
+sampler, sampler sanity, budget enforcement, exact ensemble vote ties (and
+predict's one-row path against the batch path), and the empirical
+minimizer-sensitivity bound."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +25,13 @@ from .accounting import (
 )
 from .data import LabeledDataset, synth_blobs
 from .losses import HESSIAN_EIG_BOUND, LIPSCHITZ_K, mc_logistic_hessian, regularized_objective
-from .mechanisms import MechanismSpec, ensemble_vote_counts, fit_predictor, poisson_batches
+from .mechanisms import (
+    MechanismSpec,
+    answer_queries,
+    ensemble_vote_counts,
+    fit_predictor,
+    poisson_batches,
+)
 from .noise import RngStream, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm
 
@@ -134,10 +142,13 @@ def check_budget(seed: int = 2):
 
 
 def check_vote_ties(seed: int = 5):
-    """A batch votes as its rows do one by one. T = 33 sub-models of ~5 rows
-    over C = 10 classes leave several classes unseen, whose equal columns this
-    BLAS build's matrix-matrix product may round apart from its matrix-vector
-    product; the tie table must keep every such tie exact."""
+    """A batch votes as its rows do one by one, and predict answers as
+    answer_queries does. T = 33 sub-models of ~5 rows over C = 10 classes leave
+    several classes unseen, whose equal columns this BLAS build's matrix-matrix
+    product may round apart from its matrix-vector product; the tie table must
+    keep every such tie exact. predict takes its own one-row path, so twin
+    predictors, one asked row by row and one in a single batch, must give the
+    same labels and end on the same noise-stream state."""
     t, c = 33, 10
     data = synth_blobs(17, c, 20, 1.0, RngStream(seed))
     spec = MechanismSpec(kind="subsample_aggregate", privacy=PrivacySpec(1.0, 0.0, 1),
@@ -152,8 +163,15 @@ def check_vote_ties(seed: int = 5):
     single = votes(1)
     differing = max(int((votes(size) != single).any(axis=1).sum()) for size in (7, len(rows)))
     tied = int((ties != np.arange(c)).any(axis=1).sum())
-    ok = tied > 0 and differing == 0
+    one_by_one, batch = (replace(predictor, budget=BudgetState(len(rows)),
+                                 rng=RngStream(seed, 2).generator()) for _ in range(2))
+    labels = answer_queries(batch, rows)
+    mislabelled = sum(int(one_by_one.predict(x) != label) for x, label in zip(rows, labels))
+    same_stream = one_by_one.rng.bit_generator.state == batch.rng.bit_generator.state
+    ok = tied > 0 and differing == 0 and mislabelled == 0 and same_stream
     return ok, (f"{differing} of {len(rows)} rows differ between batch and one by one; "
+                f"predict and answer_queries disagree on {mislabelled} labels and end on "
+                f"{'the same' if same_stream else 'different'} noise-stream states; "
                 f"{tied} of {t} sub-models hold tied classes")
 
 

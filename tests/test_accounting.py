@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -445,6 +446,15 @@ class TestRdpSubsampledGaussian:
                 np.testing.assert_array_equal(curve.view(np.uint64), expected.view(np.uint64))
         assert (rdp_subsampled_gaussian(1e-12, 1e4) == 0.0).any()  # the clamp is covered
 
+    def test_sigma_free_terms_are_built_once_per_rate_and_read_only(self):
+        terms = accounting._log_terms_at_rate(0.0128)
+        before = terms.copy()
+        rdp_subsampled_gaussian(0.0128, 1.3)
+        assert accounting._log_terms_at_rate(0.0128) is terms
+        assert terms.tobytes() == before.tobytes()
+        with pytest.raises(ValueError):
+            terms[0, 0] = 0.0
+
     def test_tiny_sample_rate_never_rounds_negative(self):
         # The exact bound is >= 0; float rounding at tiny q must not push it below.
         assert np.all(rdp_subsampled_gaussian(1e-9, 1e3) >= 0.0)
@@ -478,6 +488,18 @@ class TestDpSgdSigma:
         assert dpsgd_epsilon(sigma, cfg, delta) <= eps
         if sigma > _SIGMA_LO:
             assert dpsgd_epsilon(sigma * (1 - 1e-9), cfg, delta) > eps
+
+    def test_sigma_grid_is_unchanged_bit_for_bit(self):
+        # sha256 of the float64 sigmas on a (q, n_steps, epsilon) grid, recorded
+        # before the sigma-free log terms were cached per sample rate.
+        sigmas = np.array([
+            dpsgd_sigma_for_target(PrivacySpec(eps, 1e-5),
+                                   DpSgdConfig(clip=1.0, n_steps=steps, sample_rate=q))
+            for q in (1e-3, 0.0128, 0.05, 0.3) for steps in (1, 100, 2000)
+            for eps in (0.5, 1.0, 4.0)])
+        assert len(set(sigmas.tolist())) == sigmas.size == 36
+        assert hashlib.sha256(sigmas.tobytes()).hexdigest() == (
+            "95e6cae7340aa723fb11cc446cae12bf62eec1b204493f9a3c67b36e58147035")
 
     def test_full_batch_matches_closed_form_grid_minimum(self):
         eps, delta = 1.0, 1e-5

@@ -46,6 +46,7 @@ from privlin import (
     synth_blobs,
     vote_distribution,
 )
+from privlin import mechanisms
 from privlin.data import preprocess_pair
 from privlin.mechanisms import partition_indices, poisson_batches, privatise, solve
 
@@ -752,6 +753,32 @@ class TestSerialization:
         loaded_next = loaded.predict(test.features[2])
         np.testing.assert_array_equal(loaded_next, original_next)
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        train, test = blob_splits(26)
+        predictor = fit_predictor(train, spec_for("prediction_sensitivity", budget=10),
+                                  RngStream(29))
+        predictor.predict(test.features[0])
+        path = tmp_path / "pred.npz"
+        save_predictor(path, predictor)
+        saved_state = copy.deepcopy(predictor.rng.bit_generator.state)
+        predictor.predict(test.features[1])
+
+        def savez_then_fail(handle, **payload):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            save_predictor(path, predictor)
+        monkeypatch.undo()
+        loaded = load_predictor(path)
+        assert loaded.budget.used == 1
+        assert loaded.rng.bit_generator.state == saved_state
+        assert sorted(tmp_path.iterdir()) == [path]  # the partial file is gone
+        save_predictor(path, predictor)
+        assert load_predictor(path).budget.used == 2
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_unknown_kind_is_refused(self, tmp_path):
         train, _ = blob_splits(46)
         save_predictor(tmp_path / "model.npz",
@@ -867,6 +894,87 @@ def degenerate_ensemble(seed, n_models=40):
     return fit_predictor(train, spec, RngStream(seed, 1)), test
 
 
+@pytest.fixture(scope="module")
+def serve_shape():
+    """Serving-scale predictors, T = 256 sub-models, D = 50, C = 10, fit on 2,000
+    rows (~8 per sub-model, so most sub-models hold tied classes), noisy and
+    noise-free, and 2,000 query rows."""
+    train, test = blob_splits(60, n_train_per_class=200, n_test_per_class=200,
+                              c=10, d=50, sep=3.0)
+    predictors = {}
+    for name, kind, delta in (("gaussian", "prediction_sensitivity", 1e-5),
+                              ("radial", "prediction_sensitivity", 0.0),
+                              ("vote", "subsample_aggregate", 1e-5)):
+        spec = spec_for(kind, eps=8.0, delta=delta, budget=2000, lam=0.01, n_models=256)
+        predictors[name] = fit_predictor(train, spec, RngStream(61))
+        if name != "gaussian":  # one noise-free predictor per kind
+            predictors[f"{kind}/noise-free"] = fit_noise_free(train, spec, RngStream(61))
+    assert (predictors["vote"].ties != np.arange(10)).any(axis=1).sum() > 100
+    return predictors, test.features
+
+
+SERVE_PREDICTORS = ["gaussian", "radial", "vote", "prediction_sensitivity/noise-free",
+                    "subsample_aggregate/noise-free"]
+
+
+class TestOneRowPath:
+    @pytest.mark.parametrize("name", SERVE_PREDICTORS)
+    def test_predict_equals_answer_queries_at_serve_shape(self, serve_shape, name):
+        predictors, rows = serve_shape
+        single, batch = twin(predictors[name], len(rows)), twin(predictors[name], len(rows))
+        answers = [single.predict(x) for x in rows]
+        if single.kind == "prediction_sensitivity":
+            answers = [int(np.argmax(logits)) for logits in answers]
+        labels = np.concatenate([answer_queries(batch, rows[i:i + 500])
+                                 for i in range(0, len(rows), 500)])
+        np.testing.assert_array_equal(answers, labels)
+        assert len(set(answers)) > 1
+        assert single.budget.used == batch.budget.used == len(rows)
+        assert single.rng.bit_generator.state == batch.rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", SERVE_PREDICTORS)
+    def test_predict_is_the_one_row_batch_byte_for_byte(self, serve_shape, name):
+        # Bytes, so a sign flip of a zero logit counts as a difference.
+        predictors, rows = serve_shape
+        single, batch = twin(predictors[name], 400), twin(predictors[name], 400)
+        answer = KINDS[single.kind].answer
+        queries = np.concatenate([np.zeros((1, rows.shape[1])), -rows[:199], rows[:200]])
+        for x in queries:
+            got = np.asarray(single.predict(x))
+            expected = answer(batch, x[None])[0]
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert single.rng.bit_generator.state == batch.rng.bit_generator.state
+
+    @pytest.mark.parametrize("uniform", [0.0, 0.25, 0.3, 0.5, 0.75, 0.9999])
+    def test_a_uniform_on_a_cdf_step_gives_one_label(self, uniform):
+        # A vanishing beta makes the vote distribution exactly uniform over 4
+        # classes, so its CDF steps are exact quarters. A uniform on a step takes
+        # the next label on both paths, as rng.choice does.
+        class FixedUniform:
+            def random(self, size=None):
+                return uniform if size is None else np.full(size, uniform)
+
+        predictor = PrivatePredictor(
+            kind="subsample_aggregate", privacy=PrivacySpec(1.0, 0.0, 2),
+            calibration=Calibration("exponential_mechanism", 1e-300),
+            ensemble=np.random.default_rng(70).standard_normal((5, 3, 4)),
+            budget=BudgetState(2), rng=FixedUniform())
+        x = np.array([0.6, 0.0, 0.0])
+        assert predictor.predict(x) == answer_queries(predictor, x[None])[0] == uniform // 0.25
+
+    def test_single_queries_skip_the_batch_helpers(self, serve_shape, monkeypatch):
+        predictors, rows = serve_shape
+
+        def batch_only(*args):
+            raise AssertionError("predict reached a (k, D) batch helper")
+
+        monkeypatch.setattr(mechanisms, "ensemble_vote_counts", batch_only)
+        monkeypatch.setattr(mechanisms, "predict_logits", batch_only)
+        for name in SERVE_PREDICTORS:
+            twin(predictors[name], 1).predict(rows[0])
+
+
 class TestBatchAnswering:
     @pytest.mark.parametrize("kind", ["prediction_sensitivity", "subsample_aggregate"])
     def test_rejected_batch_spends_nothing(self, kind):
@@ -914,12 +1022,14 @@ class TestBatchAnswering:
         with pytest.raises(ValueError, match="unit L2 ball"):
             answer_queries(predictor, row)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_training_rows_and_queries_get_one_verdict_at_the_boundary(self):
         # Rows scaled to norm 1 + 1e-9 land on both sides of the tolerance by
-        # rounding; a training row and a query pass or fail the rule together.
+        # rounding; a training row and a query pass or fail the rule together,
+        # whether predict checks the vector on its one-row path or answer_queries
+        # checks the row. An entry of 1e200, whose square overflows, is refused
+        # with its norm and no warning.
         train, _ = blob_splits(34, d=3)
-        predictor = fit_predictor(train, spec_for("prediction_sensitivity", budget=5000),
-                                  RngStream(35))
         rows = np.random.default_rng(0).standard_normal((1000, 3))
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True) * (1 + 1e-9)
 
@@ -931,13 +1041,23 @@ class TestBatchAnswering:
                 return False
             return True
 
-        verdicts = np.array([(accepts(LabeledDataset, row[None], one_hot([0], 3)),
-                              accepts(predictor.predict, row),
-                              accepts(answer_queries, predictor, row[None])) for row in rows])
-        assert 0 < verdicts[:, 0].sum() < len(rows)
-        np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
-        np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
-        assert predictor.budget.used == 2 * verdicts[:, 0].sum()
+        for kind in ("prediction_sensitivity", "subsample_aggregate"):
+            predictor = fit_predictor(train, spec_for(kind, budget=5000), RngStream(35))
+            verdicts = np.array([(accepts(LabeledDataset, row[None], one_hot([0], 3)),
+                                  accepts(predictor.predict, row),
+                                  accepts(answer_queries, predictor, row[None]))
+                                 for row in rows])
+            assert 0 < verdicts[:, 0].sum() < len(rows)
+            np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
+            np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
+            assert predictor.budget.used == 2 * verdicts[:, 0].sum()
+            huge = np.array([1e200, 0.0, 0.0])
+            for call in (lambda: LabeledDataset(huge[None], one_hot([0], 3)),
+                         lambda: predictor.predict(huge),
+                         lambda: answer_queries(predictor, huge[None])):
+                with pytest.raises(ValueError, match=r"unit L2 ball; max norm 1e\+200$"):
+                    call()
+            assert predictor.budget.used == 2 * verdicts[:, 0].sum()
 
     def test_query_refusal_reports_the_max_norm(self):
         train, _ = blob_splits(36)
