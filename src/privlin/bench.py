@@ -8,6 +8,7 @@ import json
 import numbers
 import time
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
@@ -96,6 +97,8 @@ class SweepConfig:
     def __post_init__(self):
         for name in _AXES + ("clips",):
             value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValueError(f"grid {name} must be a list of values, got {value!r}")
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
             if len(getattr(self, name)) == 0:
@@ -134,6 +137,8 @@ class SweepConfig:
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a sweep config must be a JSON object, got {payload!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:

@@ -23,6 +23,7 @@ from .mechanisms import (
     save_predictor,
 )
 from .noise import RngStream
+from .trainer import ConvergenceError
 from .verify import run_verification
 
 
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CalibrationError, OSError) as exc:  # bad input: one line, exit 2
+    except (ValueError, CalibrationError, ConvergenceError, OSError) as exc:  # one line, exit 2
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

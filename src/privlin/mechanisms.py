@@ -100,6 +100,12 @@ class Calibration:
                              f"got scale {self.scale!r}, rho {self.rho!r}")
 
 
+# The noise families each parameter array can apply: _noise's for a theta, _vote_labels' for
+# an ensemble.
+_FAMILIES = {"theta": ("gaussian", "radial_exponential", "none"),
+             "ensemble": ("exponential_mechanism", "none")}
+
+
 @dataclass
 class PrivatePredictor:
     """A prediction engine bound to one mechanism.
@@ -109,7 +115,8 @@ class PrivatePredictor:
     and refuse afterwards. rng drives the fresh per-query noise. ties is the
     ensemble's tie_table, built when a predictor is made with an ensemble and
     no table, and None without an ensemble; dataclasses.replace keeps it, so
-    a replace that swaps the ensemble passes ties=None.
+    a replace that swaps the ensemble passes ties=None. ValueError if the
+    calibration's family is not one that _FAMILIES lists for the parameters.
     """
 
     kind: str
@@ -122,6 +129,10 @@ class PrivatePredictor:
     ties: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        name = "theta" if self.ensemble is None else "ensemble"
+        if self.calibration.family not in _FAMILIES[name]:
+            raise ValueError(f"a {name} predictor cannot apply {self.calibration.family!r} "
+                             f"noise; it takes one of {', '.join(_FAMILIES[name])}")
         if self.ensemble is not None and self.ties is None:
             self.ties = tie_table(self.ensemble)
 
@@ -138,15 +149,10 @@ class PrivatePredictor:
         subsample-and-aggregate.
 
         A training-side query is scored as the (1, D) row x[None]. A
-        prediction-side query takes its kind's one-row path: the kind's answer
-        gets the (D,) vector itself and skips the (k, D) batch machinery, yet
-        returns, bit for bit, what the batch path computes for the row x[None]
-        (answer_queries answers its label, or its logits' argmax) and leaves
-        rng where answer_queries leaves it. The vector passes check_vector,
-        check_rows' unit-ball rule and arithmetic on one vector, so single and
-        batch verdicts agree. A prediction-side query spends one budget unit,
-        and a refusal raises BudgetExhaustedError before any computation
-        touches the model.
+        prediction-side query passes check_vector, check_rows' unit-ball rule
+        on one vector, spends one budget unit and goes to its kind's answer as
+        the vector itself (Kind); a refusal raises BudgetExhaustedError before
+        any computation touches the model.
         """
         kind = KINDS[self.kind]
         x = np.asarray(x, dtype=np.float64)
@@ -168,7 +174,7 @@ def calibrate(spec: MechanismSpec, data: LabeledDataset) -> Calibration:
     """The noise spec.kind applies at spec.privacy when trained on data, by its KINDS rule."""
     rule = _calibration_rule(spec.kind, spec.privacy.delta)
     return rule(spec, ProblemDims(n_train=data.n_examples, lam=spec.lam, n_classes=data.n_classes)
-                if KINDS[spec.kind].needs_dims else None)
+                if spec.lam > 0 else None)
 
 
 def _calibration_rule(kind: str, delta: float) -> Callable:
@@ -206,18 +212,17 @@ def solve(data: LabeledDataset, spec: MechanismSpec) -> np.ndarray:
 
 
 def _fit_output_perturbation(data: LabeledDataset, spec: MechanismSpec, minimiser,
-                             calibration: Calibration, rng) -> dict:
+                             calibration: Calibration, rng) -> np.ndarray:
     """Add calibrated noise to the regularized minimizer; release the result.
     Model sensitivity, and with Calibration() the non-private baseline."""
-    return {"theta": minimiser + _noise(calibration, 1, minimiser.shape, rng)}
+    return minimiser + _noise(calibration, 1, minimiser.shape, rng)
 
 
 def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec, _minimiser,
-                           calibration: Calibration, rng) -> dict:
+                           calibration: Calibration, rng) -> np.ndarray:
     """Minimize the objective with a random linear term plus extra ridge."""
     noise_b = _noise(calibration, 1, (data.n_features, data.n_classes), rng)
-    return {"theta": minimize_erm(data, spec.train_config(noise_b=noise_b,
-                                                          rho=calibration.rho))}
+    return minimize_erm(data, spec.train_config(noise_b=noise_b, rho=calibration.rho))
 
 
 # Steps whose batches and noise one draw covers: memory stays
@@ -249,7 +254,7 @@ def poisson_batches(n: int, q: float, n_steps: int, rng):
 
 
 def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
-               calibration: Calibration, rng) -> dict:
+               calibration: Calibration, rng) -> np.ndarray:
     """Private SGD: Poisson batches, per-example clipping, Gaussian noise.
 
     Each step takes a Poisson batch (every row joins independently with
@@ -262,7 +267,7 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
     sum by at most clip. The per-example gradient of the singleton objective
     is x (p - y)^T + lam * theta. sigma is the calibration's scale; family
     "none" adds no noise. Each block's noise is one _noise draw, made after
-    its batches. Returns {"theta": ...}; ValueError if theta is not finite.
+    its batches. Returns theta; ValueError if it is not finite.
     """
     cfg = spec.dpsgd
     n = data.n_examples
@@ -288,20 +293,18 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
             residual = e / np.add.reduce(e) - y.take(idx, axis=0).T  # softmax - y, unchecked
             # ||x r^T + lam theta||_F^2 without materializing per-example matrices
             sq_norms = x_sq[idx] * np.add.reduce(residual * residual)
-            if lam > 0.0:
-                sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
-                sq_norms += lam * lam * float(np.vdot(theta, theta))
+            sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
+            sq_norms += lam * lam * float(np.vdot(theta, theta))
             scales = cfg.clip / np.maximum(cfg.clip, np.sqrt(sq_norms))
             residual *= scales
             summed = xb.T @ residual.T
-            if lam > 0.0:
-                summed += lam * float(scales.sum()) * theta
+            summed += lam * float(scales.sum()) * theta
             summed += noise[j]
             theta -= step_size * summed
 
     if not np.isfinite(theta).all():
         raise ValueError("dpsgd diverged: theta is not finite")
-    return {"theta": theta}
+    return theta
 
 
 def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
@@ -314,24 +317,20 @@ def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _fit_prediction_sensitivity(data: LabeledDataset, spec: MechanismSpec, minimiser,
-                                calibration: Calibration, rng) -> dict:
+                                calibration: Calibration, rng) -> np.ndarray:
     """The minimizer itself; the noise is drawn per query."""
-    return {"theta": minimiser}
+    return minimiser
 
 
 def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
-    """(k, C) noisy logits for k validated, paid-for (k, D) rows, or (C,) for
-    predict's one (D,) vector.
+    """(k, C) noisy logits for (k, D) rows, or (C,) for a (D,) vector.
 
     Raw noisy logits (not probabilities); consumers may post-process freely.
-    The noise is drawn in the order k single queries would draw it. A vector
-    is scored by the matrix-vector product a (1, D) row gets and takes the
-    same (1, C) draw, without predict_logits' row checks.
+    Each row takes one (1, C) noise draw, in row order.
     """
+    logits = rows @ predictor.theta
     if rows.ndim == 1:
-        c = predictor.theta.shape[1]
-        return rows @ predictor.theta + _noise(predictor.calibration, 1, (1, c), predictor.rng)[0]
-    logits = predict_logits(predictor.theta, rows)
+        return logits + _noise(predictor.calibration, 1, (1, logits.shape[0]), predictor.rng)[0]
     k, c = logits.shape
     return logits + _noise(predictor.calibration, k, (1, c), predictor.rng)
 
@@ -353,7 +352,7 @@ def partition_indices(n: int, t: int, rng) -> np.ndarray:
 
 
 def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimiser,
-                            calibration: Calibration, rng) -> dict:
+                            calibration: Calibration, rng) -> np.ndarray:
     """Partition and train all sub-models in one stacked solve.
 
     A seeded shuffle precedes the split into n_models disjoint subsets of
@@ -377,7 +376,7 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     absent = ~yc.any(axis=2).T  # (T, C): classes a sub-model never saw
     mean = thetas @ (absent / np.maximum(absent.sum(axis=1, keepdims=True), 1))[:, :, None]
     np.copyto(thetas, mean, where=absent[:, None, :])
-    return {"ensemble": _feature_major(thetas)}
+    return _feature_major(thetas)
 
 
 def _feature_major(ensemble: np.ndarray) -> np.ndarray:
@@ -411,9 +410,6 @@ def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.nda
     sub-model's equal columns apart differently. Each winner is therefore
     mapped to the lowest class of its tie group, so equal columns tie
     exactly and a batch answers as its rows would one by one.
-    This scores answer_queries' batches; predict's one-row path in _vote_labels
-    repeats its matrix-vector product, argmax, tie map and bincount on a (D,)
-    vector, so a single query's counts equal these bit for bit.
     """
     rows = np.asarray(rows, dtype=np.float64)
     t, d, c = ensemble.shape
@@ -424,8 +420,7 @@ def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.nda
     winners = (rows @ weights).reshape(n, t, c).argmax(axis=2)  # (n, t)
     winners += np.arange(0, t * c, c)  # flat indices into ties
     votes = ties.take(winners)
-    if n > 1:  # offset each row's votes into its own C bins
-        votes += np.arange(0, n * c, c)[:, None]
+    votes += np.arange(0, n * c, c)[:, None]  # each row's votes into its own C bins
     return np.bincount(votes.ravel(), minlength=n * c).reshape(n, c)
 
 
@@ -438,17 +433,13 @@ def vote_distribution(counts, beta: float) -> np.ndarray:
 
 
 def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
-    """One sampled label per validated, paid-for (k, D) row, or one label for
-    predict's (D,) vector.
+    """(k,) sampled labels for (k, D) rows, or one label for a (D,) vector.
 
     Inverse-CDF sampling with one uniform per row, in row order: the same
     arithmetic and draws as rng.choice(C, p=probs) called row by row. Family
     "none" answers the plurality vote (ties to the lowest class), drawing nothing.
-
-    Rows are counted by ensemble_vote_counts. A vector takes the one-row path:
-    the vote counts of the row x[None], then the same vote_distribution and CDF
-    on (C,) arrays and one scalar uniform, so its label and the rng state after
-    it equal the batch's.
+    Rows are counted by ensemble_vote_counts; a vector's counts are its matrix-vector
+    product, argmax, tie map and bincount.
     """
     ensemble, ties, calibration = predictor.ensemble, predictor.ties, predictor.calibration
     if rows.ndim == 2:
@@ -480,13 +471,15 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Kind:
     """calibrations: the (delta = 0, delta > 0) rules (spec, dims) -> Calibration, None for a
-    regime the kind lacks; dims is the data's ProblemDims if needs_dims, else None. Lambdas
-    read the accounting functions off this module when called, where perfbench's tracer
-    patches them. fit(data, spec, minimiser, calibration, rng) -> {params: array}, params
-    being "theta" or "ensemble", minimiser solve(data, spec) if uses_minimiser, else None;
-    answer(predictor, validated paid-for rows) -> (k, C) logits or (k,) labels; a prediction-side
-    answer also takes predict's one (D,) vector and returns its (C,) logits or its label, equal
-    bit for bit to the first answer for the (1, D) row x[None]."""
+    regime the kind lacks; dims is the data's ProblemDims, or None at lam = 0. Lambdas read the
+    accounting functions off this module when called, where perfbench's tracer patches them.
+    fit(data, spec, minimiser, calibration, rng) -> the predictor's params array ("theta" or
+    "ensemble"), minimiser being solve(data, spec) if uses_minimiser, else None.
+
+    answer(predictor, rows) -> (k, C) logits or (k,) labels for validated, paid-for (k, D)
+    rows. A prediction-side answer also takes predict's one (D,) vector x, the one-row path
+    that skips the (k, D) batch machinery: it returns (C,) logits or a label equal bit for bit
+    to the first answer for the row x[None], and leaves rng where the batch leaves it."""
 
     fit: Callable
     answer: Callable
@@ -494,12 +487,11 @@ class Kind:
     params: str = "theta"
     prediction_side: bool = False
     uses_minimiser: bool = False
-    needs_dims: bool = True  # False where the noise ignores (N, lam, C): DP-SGD allows lam = 0
 
 
 KINDS: dict[str, Kind] = {
     "nonprivate": Kind(_fit_output_perturbation, _released_logits,
-                       (lambda s, d: Calibration(),) * 2, uses_minimiser=True, needs_dims=False),
+                       (lambda s, d: Calibration(),) * 2, uses_minimiser=True),
     "model_sensitivity": Kind(_fit_output_perturbation, _released_logits, (
         lambda s, d: Calibration("radial_exponential", model_sensitivity_beta(d, s.privacy)),
         lambda s, d: Calibration("gaussian", gaussian_model_sigma(d, s.privacy))),
@@ -509,14 +501,14 @@ KINDS: dict[str, Kind] = {
         lambda s, d: Calibration("gaussian", gaussian_loss_sigma(d, s.privacy),
                                  loss_perturbation_rho(d, s.privacy)))),
     "dpsgd": Kind(_fit_dpsgd, _released_logits, (None, lambda s, d: Calibration(
-        "gaussian", dpsgd_sigma_for_target(s.privacy, s.dpsgd))), needs_dims=False),
+        "gaussian", dpsgd_sigma_for_target(s.privacy, s.dpsgd)))),
     "prediction_sensitivity": Kind(_fit_prediction_sensitivity, _noisy_logits, (
         lambda s, d: Calibration("radial_exponential", prediction_sensitivity_beta(d, s.privacy)),
         lambda s, d: Calibration("gaussian", gaussian_prediction_sigma(d, s.privacy))),
         prediction_side=True, uses_minimiser=True),
     "subsample_aggregate": Kind(_fit_subsample_ensemble, _vote_labels, (
         lambda s, d: Calibration("exponential_mechanism", subsample_beta(s.privacy)),) * 2,
-        params="ensemble", prediction_side=True, needs_dims=False),
+        params="ensemble", prediction_side=True),
 }
 
 
@@ -527,7 +519,7 @@ def privatise(data: LabeledDataset, spec: MechanismSpec, minimiser,
     per-query noise. Only the fit draws from rng."""
     kind, rng = KINDS[spec.kind], as_generator(rng)
     predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
-                                 **kind.fit(data, spec, minimiser, calibration, rng))
+                                 **{kind.params: kind.fit(data, spec, minimiser, calibration, rng)})
     if kind.prediction_side:
         predictor.budget, predictor.rng = BudgetState(spec.privacy.budget), rng
     return predictor
@@ -604,10 +596,11 @@ def save_predictor(path, predictor: PrivatePredictor):
 def load_predictor(path) -> PrivatePredictor:
     """The predictor save_predictor wrote; ValueError for a file without its
     kind or privacy records (epsilon, delta, spec_budget), of an unknown kind,
-    with a malformed calibration record or none (the older layout of three
-    noise fields, whose training-side files did not record their noise),
-    without its kind's finite parameters (the 3-D ensemble or the 2-D theta), or
-    prediction-side without its budget and rng records.
+    with a malformed calibration record (or one its parameters cannot apply) or
+    none (the older layout of three noise fields, whose training-side files did
+    not record their noise), without its kind's finite parameters (the 3-D
+    ensemble or the 2-D theta), or prediction-side without its budget and rng
+    records.
 
     An ensemble's tie_table is rebuilt from the stored parameters. Ensembles
     saved before absent-class columns were made equal have those columns
@@ -642,7 +635,10 @@ def load_predictor(path) -> PrivatePredictor:
                               budget=int(archive["spec_budget"]))
         if name == "ensemble":
             params = _feature_major(params)
-        predictor = PrivatePredictor(kind, privacy, calibration, **{name: params})
+        try:
+            predictor = PrivatePredictor(kind, privacy, calibration, **{name: params})
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed calibration record: {exc}") from exc
         if prediction_side:
             predictor.budget = BudgetState(int(archive["budget_total"]),
                                            int(archive["budget_used"]))

@@ -73,6 +73,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(epsilons=())
 
+    @pytest.mark.parametrize("name, value", [
+        ("mechanisms", "nonprivate"), ("epsilons", 1.0), ("budgets", 10), ("clips", "0.1")])
+    def test_string_or_scalar_grid_rejected(self, name, value):
+        # A string used to become one grid value per character, a scalar a TypeError.
+        with pytest.raises(ValueError, match=f"grid {name} must be a list of values"):
+            tiny_config(**{name: value})
+        payload = {**json.loads(tiny_config().to_json()), name: value}
+        with pytest.raises(ValueError, match=f"grid {name} must be a list of values"):
+            SweepConfig.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"config"', "null"])
+    def test_config_that_is_not_an_object_rejected(self, text):
+        with pytest.raises(ValueError, match="a sweep config must be a JSON object"):
+            SweepConfig.from_json(text)
+
     def test_more_than_one_clip_rejected(self):
         # No CSV column tells clips apart, so summarize would merge the cells.
         with pytest.raises(ValueError, match="clips"):

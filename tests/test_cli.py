@@ -248,6 +248,14 @@ def test_train_reports_bad_settings_in_one_line(tmp_path, capsys, options, messa
     assert not model.exists()
 
 
+def test_train_reports_a_solver_failure_in_one_line(tmp_path, capsys):
+    model = tmp_path / "model.npz"
+    assert_input_error(capsys, ["train", "--mechanism", "nonprivate", "--synth", SYNTH,
+                                "--max-iter", "1", "--grad-tol", "1e-12", "--out", str(model)],
+                       "failed to reach gradient tolerance 1e-12 within 1 Newton iterations")
+    assert not model.exists()
+
+
 def test_train_reads_a_csv(tmp_path):
     rng = np.random.default_rng(1)
     features, labels = rng.standard_normal((12, 4)), np.arange(12) % 3
@@ -354,6 +362,23 @@ def test_sweep_rejects_a_fractional_solver_setting(tmp_path, capsys):
     config.write_text(json.dumps(payload))
     assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials)],
                        "dpsgd_steps must be an integer >= 1, got 20.5")
+    assert not trials.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"mechanisms": "nonprivate"}', "grid mechanisms must be a list of values, got 'nonprivate'"),
+    ('{"epsilons": 1.0}', "grid epsilons must be a list of values, got 1.0"),
+    ("[1, 2]", r"a sweep config must be a JSON object, got \[1, 2\]"),
+])
+def test_sweep_rejects_a_malformed_config(tmp_path, capsys, text, message):
+    payload = json.loads(text)
+    if isinstance(payload, dict):
+        payload.update(trials=1, synth={"n_per_class": 20, "n_classes": 3, "dim": 5,
+                                        "separation": 3.0})
+    config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
+    config.write_text(json.dumps(payload))
+    assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials)],
+                       message)
     assert not trials.exists()
 
 

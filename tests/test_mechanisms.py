@@ -173,11 +173,13 @@ class TestCalibrate:
                 calibration = calibrate(spec, data)
                 assert calibration == Calibration(family, scale, rho), (kind, delta)
                 assert (calibration.rho > 0) == (kind == "loss_perturbation")
-            # DP-SGD at lam = 0, which the problem constants of the other kinds reject.
+            # DP-SGD's rule reads no problem constants, so lam = 0, which they reject,
+            # calibrates as a positive lam does.
             cfg = DpSgdConfig(clip=0.1, n_steps=50, sample_rate=0.1)
-            spec = spec_for("dpsgd", delta=1e-5, budget=budget, lam=0.0, dpsgd=cfg)
-            assert calibrate(spec, data) == Calibration(
-                "gaussian", dpsgd_sigma_for_target(approx, cfg))
+            for dpsgd_lam in (0.0, 0.01):
+                spec = spec_for("dpsgd", delta=1e-5, budget=budget, lam=dpsgd_lam, dpsgd=cfg)
+                assert calibrate(spec, data) == Calibration(
+                    "gaussian", dpsgd_sigma_for_target(approx, cfg))
 
     def test_calibrations_match_recorded_values(self):
         # Every kind at delta = 0 and 1e-5, recorded before the Gaussian sigma
@@ -204,6 +206,20 @@ class TestCalibrate:
             assert predictor.calibration == calibrate(spec, train)
             save_predictor(tmp_path / "model.npz", predictor)
             assert load_predictor(tmp_path / "model.npz").calibration == predictor.calibration
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_fit_returns_the_array_privatise_stores(self, kind):
+        train, _ = blob_splits(48, n_train_per_class=20)
+        dpsgd = DpSgdConfig.for_dataset(train.n_examples, 20, 5, 0.1)
+        spec = spec_for(kind, delta=1e-5, budget=10, n_models=4, dpsgd=dpsgd)
+        row, calibration = KINDS[kind], calibrate(spec, train)
+        minimiser = solve(train, spec) if row.uses_minimiser else None
+        fitted = row.fit(train, spec, minimiser, calibration, RngStream(49).generator())
+        predictor = privatise(train, spec, minimiser, calibration, RngStream(49).generator())
+        assert isinstance(fitted, np.ndarray)
+        np.testing.assert_array_equal(getattr(predictor, row.params), fitted)
+        other = "ensemble" if row.params == "theta" else "theta"
+        assert getattr(predictor, other) is None
 
     @pytest.mark.parametrize("delta", [0.0, 1e-5])
     def test_recorded_calibration_is_the_applied_noise(self, delta):
@@ -832,6 +848,46 @@ class TestSerialization:
         with pytest.raises((TypeError, ValueError)):
             Calibration(**record)
 
+    @pytest.mark.parametrize("kind, family", [
+        ("prediction_sensitivity", "exponential_mechanism"),
+        ("model_sensitivity", "exponential_mechanism"),
+        ("subsample_aggregate", "gaussian"),
+        ("subsample_aggregate", "radial_exponential"),
+    ])
+    def test_calibration_its_parameters_cannot_apply_is_refused(self, kind, family, tmp_path):
+        # A prediction-sensitivity file recording the vote's noise used to load and
+        # answer x @ theta with no noise at all.
+        train, _ = blob_splits(37, n_train_per_class=20)
+        path = tmp_path / "tampered.npz"
+        save_predictor(path, fit_predictor(train, spec_for(kind, budget=5, n_models=4),
+                                           RngStream(38)))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["calibration"] = np.array(json.dumps(
+            dataclasses.asdict(Calibration(family, 1.0))))
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=f"malformed calibration record: .*{family}") \
+                as refused:
+            load_predictor(path)
+        assert str(path) in str(refused.value)
+
+    @pytest.mark.parametrize("kind, family", [
+        ("model_sensitivity", "exponential_mechanism"),
+        ("prediction_sensitivity", "exponential_mechanism"),
+        ("subsample_aggregate", "gaussian"),
+    ])
+    def test_predictor_refuses_noise_its_parameters_cannot_apply(self, kind, family):
+        # privatise used to release the bare minimiser under the vote's calibration,
+        # and an ensemble used to vote with a Gaussian sigma as its beta.
+        train, _ = blob_splits(39, n_train_per_class=20)
+        spec = spec_for(kind, budget=5, n_models=4)
+        minimiser = solve(train, spec) if KINDS[kind].uses_minimiser else None
+        with pytest.raises(ValueError, match=f"cannot apply '{family}' noise"):
+            privatise(train, spec, minimiser, Calibration(family, 50.0), RngStream(40))
+        predictor = fit_predictor(train, spec, RngStream(40))
+        with pytest.raises(ValueError, match=f"cannot apply '{family}' noise"):
+            dataclasses.replace(predictor, calibration=Calibration(family, 50.0))
+
     @pytest.mark.parametrize("kind, changes, message", [
         ("prediction_sensitivity", {"budget_total": None, "budget_used": None},
          "budget and rng records"),
@@ -1108,9 +1164,9 @@ class TestBatchAnswering:
             expected[np.arange(len(rows)), np.argmax(rows @ theta, axis=1)] += 1
         for ensemble in (built, plain):
             np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows, ties), expected)
-            for i in (0, 17):
-                np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows[i:i + 1], ties),
-                                              expected[i:i + 1])
+            for i, j in ((0, 0), (0, 1), (17, 18)):  # no row, and single rows
+                np.testing.assert_array_equal(ensemble_vote_counts(ensemble, rows[i:j], ties),
+                                              expected[i:j])
 
     def test_near_tied_votes_agree_between_one_row_and_batch(self):
         predictor, test = degenerate_ensemble(36)
