@@ -5,12 +5,14 @@ for the sensitivity and perturbation mechanisms, the exact Gaussian calibration,
 advanced-composition search for per-query Gaussian noise, the vote inverse temperature
 for ensemble aggregation, and the Renyi accountant behind DP-SGD, which evaluates its
 whole curve (every order of RDP_ORDERS) in one call. Each row of mechanisms.KINDS picks
-its kind's formulas. Every searched sigma comes from one bisection (_bisect) over an
-exact, monotone condition: the Gaussian delta curve or the Renyi accountant's epsilon.
-The advanced-composition search bisects only the delta' splits that can beat the best
-sigma found so far, so it returns the full scan's minimum at a fraction of its cost. The
-accountant's log-sum-exp repeats scipy 1.17's arithmetic in plain numpy, so its sigma
-does not depend on the installed scipy's logsumexp.
+its kind's formula for delta = 0 and for delta > 0, and that table alone decides the
+regime: a formula checks only the inputs it reads. A pure formula does not read delta; a
+Gaussian one refuses delta = 0 with its own domain ValueError. Every searched sigma comes
+from one bisection (_bisect) over an exact, monotone condition: the Gaussian delta curve
+or the Renyi accountant's epsilon. The advanced-composition search bisects only the
+delta' splits that can beat the best sigma found so far, so it returns the full scan's
+minimum at a fraction of its cost. The accountant's log-sum-exp repeats scipy 1.17's
+arithmetic in plain numpy, so its sigma does not depend on the installed scipy's logsumexp.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .losses import HESSIAN_EIG_BOUND, LIPSCHITZ_K
 
 
 class WrongVariantError(ValueError):
-    """A calibration was requested for the wrong delta regime."""
+    """A mechanism kind was run at a delta regime its KINDS row has no rule for."""
 
 
 class CalibrationError(RuntimeError):
@@ -89,14 +91,14 @@ class DpSgdConfig:
     learning_rate: float = 1.0
 
     def __post_init__(self):
-        if not self.clip > 0:
-            raise ValueError(f"clip must be positive, got {self.clip}")
+        if not 0 < self.clip < math.inf:
+            raise ValueError(f"clip must be positive and finite, got {self.clip}")
         if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer at least 1, got {self.n_steps!r}")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
     @classmethod
     def for_dataset(cls, n_train: int, batch_size: int, n_steps: int, clip: float,
@@ -199,27 +201,14 @@ def minimizer_sensitivity(dims: ProblemDims) -> float:
     return 2.0 * LIPSCHITZ_K / (dims.n_train * dims.lam)
 
 
-def _require_pure(spec: PrivacySpec, what: str):
-    if spec.delta != 0.0:
-        raise WrongVariantError(f"{what} requires delta = 0; got delta = {spec.delta}. "
-                                "Use the Gaussian variant for delta > 0.")
-
-
-def _require_approximate(spec: PrivacySpec, what: str):
-    if spec.delta == 0.0:
-        raise WrongVariantError(f"{what} requires delta > 0. "
-                                "Use the radial-exponential variant for delta = 0.")
-
-
 def model_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
-    """Noise rate for parameter perturbation at delta = 0: N lam eps / (2K)."""
-    _require_pure(spec, "model_sensitivity_beta")
+    """Noise rate for parameter perturbation: N lam eps / (2K). It is (eps, 0)-DP,
+    so (eps, delta)-DP for every delta, and does not read delta."""
     return dims.n_train * dims.lam * spec.epsilon / (2.0 * LIPSCHITZ_K)
 
 
 def gaussian_model_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Gaussian parameter-perturbation scale, exact at sensitivity 2K / (N lam)."""
-    _require_approximate(spec, "gaussian_model_sigma")
     return calibrate_gaussian_sigma(minimizer_sensitivity(dims), spec.epsilon, spec.delta)
 
 
@@ -229,14 +218,15 @@ def loss_perturbation_rho(dims: ProblemDims, spec: PrivacySpec) -> float:
 
 
 def loss_perturbation_params(dims: ProblemDims, spec: PrivacySpec) -> tuple[float, float]:
-    """(beta, rho) for objective perturbation at delta = 0: eps/(2K) and 2LC/eps."""
-    _require_pure(spec, "loss_perturbation_params")
+    """(beta, rho) for objective perturbation: eps/(2K) and 2LC/eps. They are (eps, 0)-DP,
+    so (eps, delta)-DP for every delta, and do not read delta."""
     return spec.epsilon / (2.0 * LIPSCHITZ_K), loss_perturbation_rho(dims, spec)
 
 
 def gaussian_loss_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     """Gaussian objective-perturbation scale: (K/eps) sqrt(8 ln(2/delta) + 4 eps)."""
-    _require_approximate(spec, "gaussian_loss_sigma")
+    if not spec.delta > 0.0:
+        raise ValueError(f"delta must lie in (0, 1); got {spec.delta}")
     return LIPSCHITZ_K / spec.epsilon * math.sqrt(
         8.0 * math.log(2.0 / spec.delta) + 4.0 * spec.epsilon)
 
@@ -246,8 +236,8 @@ def gaussian_loss_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
 # ---------------------------------------------------------------------------
 
 def prediction_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
-    """Per-query logit-noise rate at delta = 0: N lam eps / (2 K B)."""
-    _require_pure(spec, "prediction_sensitivity_beta")
+    """Per-query logit-noise rate: N lam eps / (2 K B). B answers at this rate are
+    (eps, 0)-DP, so (eps, delta)-DP for every delta; it does not read delta."""
     return dims.n_train * dims.lam * spec.epsilon / (2.0 * LIPSCHITZ_K * spec.budget)
 
 
@@ -285,7 +275,6 @@ def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
     With B = 1 the advanced-composition interval is empty and sigma' is
     returned unchanged.
     """
-    _require_approximate(spec, "gaussian_prediction_sigma")
     sensitivity = minimizer_sensitivity(dims)
     b = spec.budget
 
@@ -401,8 +390,6 @@ _SIGMA_HI = 1e4
 def dpsgd_sigma_for_target(spec: PrivacySpec, cfg: DpSgdConfig) -> float:
     """Smallest noise multiplier in [0.01, 1e4] whose accounted epsilon
     (dpsgd_epsilon, decreasing in sigma) meets the target, by bisection."""
-    _require_approximate(spec, "dpsgd_sigma_for_target")
-
     def meets(sigma):
         return dpsgd_epsilon(sigma, cfg, spec.delta) <= spec.epsilon
 
@@ -425,14 +412,14 @@ class BudgetState:
     reserve(k) spends k units at once under the lock, all or nothing: if
     fewer than k remain it raises BudgetExhaustedError and leaves the
     counter untouched, so none of the k queries is answered. consume() is
-    reserve(1), the spend of one single query.
+    reserve(1), the spend of one single query. budget, used and k are integers.
     """
 
     def __init__(self, budget: int, used: int = 0):
-        if budget < 1:
-            raise ValueError(f"budget must be at least 1, got {budget}")
-        if not 0 <= used <= budget:
-            raise ValueError(f"used must lie in [0, {budget}], got {used}")
+        if not isinstance(budget, numbers.Integral) or budget < 1:
+            raise ValueError(f"budget must be an integer at least 1, got {budget!r}")
+        if not isinstance(used, numbers.Integral) or not 0 <= used <= budget:
+            raise ValueError(f"used must be an integer in [0, {budget}], got {used!r}")
         self.budget = int(budget)
         self.used = int(used)
         self._lock = threading.Lock()
@@ -442,17 +429,20 @@ class BudgetState:
         return self.budget - self.used
 
     def reserve(self, k: int):
-        if k < 0:
-            raise ValueError(f"cannot reserve a negative number of queries, got {k}")
+        if not isinstance(k, numbers.Integral) or k < 0:
+            raise ValueError(f"can reserve only a nonnegative integer count, got {k!r}")
+        self._spend(k)
+
+    def consume(self):
+        self._spend(1)  # reserve(1) without its check of k, on every single query
+
+    def _spend(self, k: int):
         with self._lock:
             if self.used + k > self.budget:
                 raise BudgetExhaustedError(
                     f"inference budget of {self.budget} queries is exhausted: "
                     f"{k} requested, {self.budget - self.used} left")
             self.used += k
-
-    def consume(self):
-        self.reserve(1)
 
     def __repr__(self):
         return f"BudgetState(budget={self.budget}, used={self.used})"

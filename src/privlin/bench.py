@@ -8,7 +8,7 @@ import json
 import numbers
 import time
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
@@ -97,12 +97,14 @@ class SweepConfig:
     def __post_init__(self):
         for name in _AXES + ("clips",):
             value = getattr(self, name)
-            if isinstance(value, str) or not isinstance(value, Iterable):
+            if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
                 raise ValueError(f"grid {name} must be a list of values, got {value!r}")
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"grid {name} must be nonempty")
+            value = tuple(value)
+            object.__setattr__(self, name, value)
+            if not value or not all(v is None or isinstance(v, (str, numbers.Real))
+                                    and not isinstance(v, bool) for v in value):
+                raise ValueError(f"grid {name} must list one or more strings, numbers or nulls, "
+                                 f"got {list(value)}")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
         if not isinstance(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
@@ -114,8 +116,9 @@ class SweepConfig:
             if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         for name in ("dpsgd_learning_rate", "grad_tolerance"):
-            if not (isinstance(getattr(self, name), numbers.Real) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            if not (isinstance(getattr(self, name), numbers.Real)
+                    and 0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         idx = [path is not None for path in (self.idx_train_images, self.idx_train_labels,
                                              self.idx_test_images, self.idx_test_labels)]
         if any(idx) and not all(idx):

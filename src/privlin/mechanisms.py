@@ -75,6 +75,12 @@ class MechanismSpec:
                            grad_tolerance=self.grad_tolerance, **overrides)
 
 
+# The noise families each parameter array can apply: _noise's for a theta, _vote_labels' for
+# an ensemble. "none" adds no noise; every other family is noisy.
+_FAMILIES = {"theta": ("gaussian", "radial_exponential", "none"),
+             "ensemble": ("exponential_mechanism", "none")}
+
+
 @dataclass(frozen=True)
 class Calibration:
     """The noise a predictor applies, and loss perturbation's extra ridge rho.
@@ -90,9 +96,9 @@ class Calibration:
     rho: float = 0.0
 
     def __post_init__(self):
-        noisy = self.family in ("gaussian", "radial_exponential", "exponential_mechanism")
-        if not noisy and self.family != "none":
+        if not any(self.family in families for families in _FAMILIES.values()):
             raise ValueError(f"unknown noise family {self.family!r}")
+        noisy = self.family != "none"
         if not (math.isfinite(self.scale) and (self.scale > 0 if noisy else self.scale == 0)
                 and self.rho >= 0):
             raise ValueError(f"{self.family} calibration needs a finite "
@@ -100,10 +106,11 @@ class Calibration:
                              f"got scale {self.scale!r}, rho {self.rho!r}")
 
 
-# The noise families each parameter array can apply: _noise's for a theta, _vote_labels' for
-# an ensemble.
-_FAMILIES = {"theta": ("gaussian", "radial_exponential", "none"),
-             "ensemble": ("exponential_mechanism", "none")}
+def _check_family(params: str, family: str):
+    """ValueError unless a params array ("theta" or "ensemble") can apply family's noise."""
+    if family not in _FAMILIES[params]:
+        raise ValueError(f"a {params} predictor cannot apply {family!r} noise; "
+                         f"it takes one of {', '.join(_FAMILIES[params])}")
 
 
 @dataclass
@@ -129,10 +136,7 @@ class PrivatePredictor:
     ties: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        name = "theta" if self.ensemble is None else "ensemble"
-        if self.calibration.family not in _FAMILIES[name]:
-            raise ValueError(f"a {name} predictor cannot apply {self.calibration.family!r} "
-                             f"noise; it takes one of {', '.join(_FAMILIES[name])}")
+        _check_family("theta" if self.ensemble is None else "ensemble", self.calibration.family)
         if self.ensemble is not None and self.ties is None:
             self.ties = tie_table(self.ensemble)
 
@@ -178,7 +182,8 @@ def calibrate(spec: MechanismSpec, data: LabeledDataset) -> Calibration:
 
 
 def _calibration_rule(kind: str, delta: float) -> Callable:
-    """kind's rule at delta; ValueError if kind is unknown, WrongVariantError if it lacks one."""
+    """kind's rule at delta, read off its KINDS pair: the one place that decides the delta
+    regime. ValueError if kind is unknown, WrongVariantError if it lacks a rule there."""
     if kind not in KINDS:
         raise ValueError(f"unknown mechanism kind: {kind!r}")
     rule = KINDS[kind].calibrations[delta != 0.0]
@@ -471,8 +476,9 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Kind:
     """calibrations: the (delta = 0, delta > 0) rules (spec, dims) -> Calibration, None for a
-    regime the kind lacks; dims is the data's ProblemDims, or None at lam = 0. Lambdas read the
-    accounting functions off this module when called, where perfbench's tracer patches them.
+    regime the kind lacks; dims is the data's ProblemDims, or None at lam = 0. This pair alone
+    decides the regime; the accounting formulas do not check it. Lambdas read the accounting
+    functions off this module when called, where perfbench's tracer patches them.
     fit(data, spec, minimiser, calibration, rng) -> the predictor's params array ("theta" or
     "ensemble"), minimiser being solve(data, spec) if uses_minimiser, else None.
 
@@ -514,10 +520,11 @@ KINDS: dict[str, Kind] = {
 
 def privatise(data: LabeledDataset, spec: MechanismSpec, minimiser,
               calibration: Calibration, rng) -> PrivatePredictor:
-    """spec.kind's fit, given rng, wrapped in its predictor; a prediction-side
-    predictor also gets a budget of spec.privacy.budget and keeps rng for its
-    per-query noise. Only the fit draws from rng."""
+    """spec.kind's fit, given rng, wrapped in its predictor; a prediction-side predictor
+    also gets a budget of spec.privacy.budget and keeps rng for its per-query noise. Only
+    the fit draws from rng, and only once the kind's parameters can apply calibration."""
     kind, rng = KINDS[spec.kind], as_generator(rng)
+    _check_family(kind.params, calibration.family)
     predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
                                  **{kind.params: kind.fit(data, spec, minimiser, calibration, rng)})
     if kind.prediction_side:
@@ -617,11 +624,12 @@ def load_predictor(path) -> PrivatePredictor:
         if "calibration" not in archive:
             raise ValueError(f"{path}: no calibration record; this layout cannot be "
                              "loaded faithfully, so train the predictor again")
+        name = KINDS[kind].params
         try:
             calibration = Calibration(**json.loads(str(archive["calibration"])))
+            _check_family(name, calibration.family)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed calibration record: {exc}") from exc
-        name = KINDS[kind].params
         ndim = 3 if name == "ensemble" else 2
         params = archive.get(name)
         if (params is None or params.dtype.kind != "f" or params.ndim != ndim
@@ -635,10 +643,7 @@ def load_predictor(path) -> PrivatePredictor:
                               budget=int(archive["spec_budget"]))
         if name == "ensemble":
             params = _feature_major(params)
-        try:
-            predictor = PrivatePredictor(kind, privacy, calibration, **{name: params})
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed calibration record: {exc}") from exc
+        predictor = PrivatePredictor(kind, privacy, calibration, **{name: params})
         if prediction_side:
             predictor.budget = BudgetState(int(archive["budget_total"]),
                                            int(archive["budget_used"]))

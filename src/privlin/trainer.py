@@ -40,8 +40,9 @@ class TrainConfig:
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite so the minimizer is unique, "
                              f"got {self.lam!r}")
-        if not self.grad_tolerance > 0:
-            raise ValueError("grad_tolerance must be positive")
+        if not 0 < self.grad_tolerance < math.inf:
+            raise ValueError("grad_tolerance must be positive and finite, "
+                             f"got {self.grad_tolerance!r}")
         if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1: {self.max_iterations!r}")
         if not 0 <= self.rho < math.inf:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -49,6 +50,21 @@ def dims(n=1000, lam=0.01, c=10):
     return ProblemDims(n_train=n, lam=lam, n_classes=c)
 
 
+# The KINDS pair alone picks a formula for each delta regime; the formulas do not check it.
+def assert_reads_no_delta(formula, spec):
+    """A pure formula's (eps, 0)-DP value holds at every delta: bit for bit its delta = 0 value."""
+    for delta in (1e-5, 0.5):
+        assert formula(dims(), dataclasses.replace(spec, delta=delta)) == formula(dims(), spec)
+
+
+def assert_domain_error(formula, *args):
+    """A Gaussian formula at delta = 0 raises its own domain ValueError, naming delta, and not
+    the kind table's WrongVariantError."""
+    with pytest.raises(ValueError, match="delta") as err:
+        formula(*args)
+    assert not isinstance(err.value, WrongVariantError)
+
+
 class TestSpecsValidation:
     def test_privacy_spec_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -92,6 +108,12 @@ class TestSpecsValidation:
             DpSgdConfig.for_dataset(n_train=200, batch_size=0, n_steps=5, clip=0.1)
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1, learning_rate=0.0)
+        # An infinite rate used to diverge only after the whole step loop, and an infinite
+        # clip to be refused later, by a message about the calibration's scale.
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite, got inf"):
+            DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1, learning_rate=math.inf)
+        with pytest.raises(ValueError, match="clip must be positive and finite, got inf"):
+            DpSgdConfig(clip=math.inf, n_steps=5, sample_rate=0.1)
 
 
 class TestModelSensitivityBeta:
@@ -110,8 +132,7 @@ class TestModelSensitivityBeta:
         assert beta == pytest.approx(1060.6601717798212, rel=1e-12)
 
     def test_wrong_variant(self):
-        with pytest.raises(WrongVariantError):
-            model_sensitivity_beta(dims(), PrivacySpec(1.0, delta=1e-5))
+        assert_reads_no_delta(model_sensitivity_beta, PrivacySpec(1.0))
 
 
 # Per-query targets gaussian_prediction_sigma asks calibrate_gaussian_sigma for.
@@ -228,8 +249,7 @@ class TestGaussianModelSigma:
         assert values[-1] > 0
 
     def test_wrong_variant(self):
-        with pytest.raises(WrongVariantError):
-            gaussian_model_sigma(dims(), PrivacySpec(1.0, 0.0))
+        assert_domain_error(gaussian_model_sigma, dims(), PrivacySpec(1.0, 0.0))
 
 
 class TestLossPerturbation:
@@ -260,10 +280,9 @@ class TestLossPerturbation:
     def test_out_of_domain_delta(self):
         with pytest.raises(ValueError):
             PrivacySpec(1.0, 2.0)
-        with pytest.raises(WrongVariantError):
-            gaussian_loss_sigma(dims(), PrivacySpec(1.0, 0.0))
-        with pytest.raises(WrongVariantError):
-            loss_perturbation_params(dims(), PrivacySpec(1.0, 1e-5))
+        # log(2 / delta) would divide by zero; the formula refuses delta = 0 first.
+        assert_domain_error(gaussian_loss_sigma, dims(), PrivacySpec(1.0, 0.0))
+        assert_reads_no_delta(loss_perturbation_params, PrivacySpec(1.0))
 
 
 class TestPredictionSensitivity:
@@ -281,6 +300,9 @@ class TestPredictionSensitivity:
         b1 = prediction_sensitivity_beta(dims(), PrivacySpec(1.0, 0.0, budget=1))
         b50 = prediction_sensitivity_beta(dims(), PrivacySpec(1.0, 0.0, budget=50))
         assert b50 == pytest.approx(b1 / 50, rel=1e-12)
+
+    def test_wrong_variant(self):
+        assert_reads_no_delta(prediction_sensitivity_beta, PrivacySpec(1.0, 0.0, budget=50))
 
 
 class TestGaussianPredictionSigma:
@@ -307,8 +329,7 @@ class TestGaussianPredictionSigma:
             assert sigma <= sigma_standard * (1 + 1e-12)
 
     def test_wrong_variant(self):
-        with pytest.raises(WrongVariantError):
-            gaussian_prediction_sigma(dims(), PrivacySpec(1.0, 0.0, budget=5))
+        assert_domain_error(gaussian_prediction_sigma, dims(), PrivacySpec(1.0, 0.0, budget=5))
 
     @pytest.mark.parametrize("n, lam", [(5000, 0.01), (50, 0.1)])
     def test_pruned_scan_equals_the_full_scan(self, n, lam):
@@ -566,8 +587,7 @@ class TestDpSgdSigma:
 
     def test_wrong_variant(self):
         cfg = DpSgdConfig(clip=0.1, n_steps=10, sample_rate=0.1)
-        with pytest.raises(WrongVariantError):
-            dpsgd_sigma_for_target(PrivacySpec(1.0, 0.0), cfg)
+        assert_domain_error(dpsgd_sigma_for_target, PrivacySpec(1.0, 0.0), cfg)
 
 
 class TestClosedFormMonotonicity:
@@ -599,12 +619,23 @@ class TestBudgetState:
         assert state.remaining == 0
 
     def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="budget must be an integer at least 1, got 0"):
             BudgetState(0)
-        with pytest.raises(ValueError, match=r"used must lie in \[0, 5\], got 6"):
+        with pytest.raises(ValueError, match=r"used must be an integer in \[0, 5\], got 6"):
             BudgetState(5, used=6)
-        with pytest.raises(ValueError, match=r"used must lie in \[0, 5\], got -1"):
+        with pytest.raises(ValueError, match=r"used must be an integer in \[0, 5\], got -1"):
             BudgetState(5, used=-1)
+        # A fractional budget used to be truncated, and a fractional reserve spent a fraction.
+        with pytest.raises(ValueError, match="budget must be an integer at least 1, got 2.5"):
+            BudgetState(2.5)
+        with pytest.raises(ValueError, match=r"used must be an integer in \[0, 5\], got 1.5"):
+            BudgetState(5, used=1.5)
+        state = BudgetState(np.int64(5), used=np.int64(1))
+        with pytest.raises(ValueError, match="nonnegative integer count, got 1.5"):
+            state.reserve(1.5)
+        assert state.used == 1
+        state.reserve(np.int64(2))
+        assert (state.budget, state.used) == (5, 3)
 
     def test_single_budget(self):
         state = BudgetState(1)

@@ -74,14 +74,35 @@ class TestConfig:
             tiny_config(epsilons=())
 
     @pytest.mark.parametrize("name, value", [
-        ("mechanisms", "nonprivate"), ("epsilons", 1.0), ("budgets", 10), ("clips", "0.1")])
+        ("mechanisms", "nonprivate"), ("epsilons", 1.0), ("budgets", 10), ("clips", "0.1"),
+        ("mechanisms", {"nonprivate": 1})])
     def test_string_or_scalar_grid_rejected(self, name, value):
-        # A string used to become one grid value per character, a scalar a TypeError.
+        # A string used to become one grid value per character, a scalar a TypeError, and a
+        # mapping the grid of its keys.
         with pytest.raises(ValueError, match=f"grid {name} must be a list of values"):
             tiny_config(**{name: value})
         payload = {**json.loads(tiny_config().to_json()), name: value}
         with pytest.raises(ValueError, match=f"grid {name} must be a list of values"):
             SweepConfig.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("name, value, message", [
+        # A list value used to crash emit_csv after every trial had run.
+        ("epsilons", [[1.0]], r"grid epsilons must list one or more strings, numbers or nulls, "
+                              r"got \[\[1.0\]\]"),
+        ("clips", [{"clip": 0.1}], "grid clips must list one or more strings, numbers or nulls"),
+        # A JSON true is no number, though Python would read it as 1.
+        ("budgets", [True], "grid budgets must list one or more strings, numbers or nulls"),
+    ])
+    def test_grid_of_non_scalars_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{name: value})
+        payload = {**json.loads(tiny_config().to_json()), name: value}
+        with pytest.raises(ValueError, match=message):
+            SweepConfig.from_json(json.dumps(payload))
+
+    def test_grid_values_may_be_any_json_scalar(self):
+        cfg = tiny_config(n_train=[None, 30], epsilons=np.array([0.5, 1.0]))
+        assert cfg.n_train == (None, 30) and cfg.epsilons == (0.5, 1.0)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"config"', "null"])
     def test_config_that_is_not_an_object_rejected(self, text):
@@ -134,7 +155,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["dpsgd_learning_rate", "grad_tolerance"])
     def test_solver_rates_must_be_positive(self, name):
-        for bad in (0.0, -1e-3, math.nan, "1e-6"):
+        for bad in (0.0, -1e-3, math.nan, "1e-6", math.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 tiny_config(**{name: bad})
 

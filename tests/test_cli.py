@@ -240,6 +240,9 @@ def test_train_validates_its_data_source(tmp_path, capsys, source, message):
     (["--mechanism", "dpsgd", "--delta", "1e-5", "--lam", "nan"],
      "lam must be nonnegative and finite, got nan"),
     (["--mechanism", "nonprivate", "--lam", "inf"], "lam must be positive and finite"),
+    # The solver used to stop at theta = 0 and save it without a word.
+    (["--mechanism", "nonprivate", "--grad-tol", "inf"],
+     "grad_tolerance must be positive and finite, got inf"),
 ])
 def test_train_reports_bad_settings_in_one_line(tmp_path, capsys, options, message):
     model = tmp_path / "model.npz"
@@ -369,6 +372,10 @@ def test_sweep_rejects_a_fractional_solver_setting(tmp_path, capsys):
     ('{"mechanisms": "nonprivate"}', "grid mechanisms must be a list of values, got 'nonprivate'"),
     ('{"epsilons": 1.0}', "grid epsilons must be a list of values, got 1.0"),
     ("[1, 2]", r"a sweep config must be a JSON object, got \[1, 2\]"),
+    ('{"epsilons": [[1.0]]}',
+     r"grid epsilons must list one or more strings, numbers or nulls, got \[\[1.0\]\]"),
+    ('{"mechanisms": {"nonprivate": 1}}',
+     "grid mechanisms must be a list of values, got {'nonprivate': 1}"),
 ])
 def test_sweep_rejects_a_malformed_config(tmp_path, capsys, text, message):
     payload = json.loads(text)

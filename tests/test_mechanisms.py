@@ -888,6 +888,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"cannot apply '{family}' noise"):
             dataclasses.replace(predictor, calibration=Calibration(family, 50.0))
 
+    @pytest.mark.parametrize("kind, family, stage", [
+        ("dpsgd", "exponential_mechanism", "poisson_batches"),
+        ("subsample_aggregate", "gaussian", "minimize_erm_stack"),
+    ])
+    def test_mismatched_calibration_is_refused_before_the_fit(self, monkeypatch, kind, family,
+                                                              stage):
+        # The DP-SGD fit used to run its whole step loop, and the ensemble fit its stacked
+        # solve, before the predictor refused the family.
+        train, _ = blob_splits(39, n_train_per_class=20)
+        spec = spec_for(kind, delta=1e-5, budget=5, n_models=4,
+                        dpsgd=DpSgdConfig(clip=0.1, n_steps=600, sample_rate=0.1))
+        calls, original = [], getattr(mechanisms, stage)
+
+        def counted(*args, **kwargs):
+            calls.append(stage)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mechanisms, stage, counted)
+        with pytest.raises(ValueError, match=f"cannot apply '{family}' noise"):
+            privatise(train, spec, None, Calibration(family, 1.0), RngStream(40))
+        assert calls == []
+        privatise(train, spec, None, Calibration(), RngStream(40))
+        assert calls == [stage]
+
     @pytest.mark.parametrize("kind, changes, message", [
         ("prediction_sensitivity", {"budget_total": None, "budget_used": None},
          "budget and rng records"),

@@ -116,6 +116,8 @@ class TestMinimizeErm:
         ({"rho": math.inf}, "rho must be nonnegative and finite"),
         ({"noise_b": np.full((6, 3), math.nan)}, "noise_b must be finite"),
         ({"noise_b": np.full((6, 3), -math.inf)}, "noise_b must be finite"),
+        # An infinite tolerance let the solver stop at theta = 0 and report success.
+        ({"grad_tolerance": math.inf}, "grad_tolerance must be positive and finite, got inf"),
     ])
     def test_settings_must_lie_in_range(self, settings, message):
         with pytest.raises(ValueError, match=message):
