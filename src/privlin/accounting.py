@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .data import is_number
 from .losses import HESSIAN_EIG_BOUND, LIPSCHITZ_K
 
 
@@ -54,11 +55,11 @@ class PrivacySpec:
     budget: int = 1
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
+        if not (is_number(self.epsilon) and 0 < self.epsilon < math.inf):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0.0 <= self.delta < 1.0:
+        if not (is_number(self.delta) and 0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
+        if not is_number(self.budget, numbers.Integral) or self.budget < 1:
             raise ValueError(f"budget must be an integer at least 1, got {self.budget!r}")
 
 
@@ -91,13 +92,13 @@ class DpSgdConfig:
     learning_rate: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.clip < math.inf:
+        if not (is_number(self.clip) and 0 < self.clip < math.inf):
             raise ValueError(f"clip must be positive and finite, got {self.clip}")
-        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+        if not is_number(self.n_steps, numbers.Integral) or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer at least 1, got {self.n_steps!r}")
-        if not 0.0 < self.sample_rate <= 1.0:
+        if not (is_number(self.sample_rate) and 0.0 < self.sample_rate <= 1.0):
             raise ValueError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
-        if not 0 < self.learning_rate < math.inf:
+        if not (is_number(self.learning_rate) and 0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
     @classmethod

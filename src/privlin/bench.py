@@ -19,17 +19,20 @@ from .accounting import BudgetState, DpSgdConfig, PrivacySpec
 from .data import (
     RawDataset,
     filter_classes,
+    is_number,
     load_csv,
     load_idx,
     preprocess_pair,
     subsample_train,
     synth_blob_pair,
+    synth_settings,
     train_test_split,
 )
 from .mechanisms import KINDS, MechanismSpec, answer_queries, calibrate, privatise, solve
 # Re-exported: profilers patch fit_predictor here as well as in mechanisms.
 from .mechanisms import fit_predictor  # noqa: F401
 from .noise import RngStream
+from .trainer import TrainConfig
 
 # Stream-id layout: trial streams occupy (config_index + 1) << 24 | trial,
 # per-configuration query streams add the half-range bit, and preprocessing
@@ -41,17 +44,7 @@ _MAX_TRIALS = _QUERY_BIT
 # The SweepConfig grid axes, one per SweepCell field and in the same order.
 _AXES = ("mechanisms", "epsilons", "deltas", "budgets", "n_train", "dims", "classes",
          "lambdas", "n_models")
-
-# The synthetic-blob parameters a synth source (and `privlin train --synth`)
-# must give; a sweep may also give n_test_per_class.
-SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
-
-
-def check_synth_counts(params: dict):
-    """ValueError naming the first synth count that int() would truncate or that is below 1."""
-    for key in ("n_per_class", "n_classes", "dim", "n_test_per_class"):
-        if key in params and not (float(params[key]).is_integer() and float(params[key]) >= 1):
-            raise ValueError(f"synth {key} must be a whole number >= 1, got {params[key]!r}")
+_IDX_PATHS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
 
 
 @dataclass(frozen=True)
@@ -101,38 +94,34 @@ class SweepConfig:
                 raise ValueError(f"grid {name} must be a list of values, got {value!r}")
             value = tuple(value)
             object.__setattr__(self, name, value)
-            if not value or not all(v is None or isinstance(v, (str, numbers.Real))
-                                    and not isinstance(v, bool) for v in value):
+            if not value or not all(v is None or isinstance(v, str) or is_number(v) for v in value):
                 raise ValueError(f"grid {name} must list one or more strings, numbers or nulls, "
                                  f"got {list(value)}")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
-        if not isinstance(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
+        if not is_number(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
             raise ValueError(f"trials must be an integer in [1, {_MAX_TRIALS}), "
                              f"got {self.trials!r}")
-        if not isinstance(self.base_seed, numbers.Integral) or self.base_seed < 0:
+        if not is_number(self.base_seed, numbers.Integral) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
-        for name in ("dpsgd_batch", "dpsgd_steps", "max_iterations"):
-            if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        for name in ("dpsgd_learning_rate", "grad_tolerance"):
-            if not (isinstance(getattr(self, name), numbers.Real)
-                    and 0 < getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        idx = [path is not None for path in (self.idx_train_images, self.idx_train_labels,
-                                             self.idx_test_images, self.idx_test_labels)]
+        if not is_number(self.dpsgd_batch, numbers.Integral) or self.dpsgd_batch < 1:
+            raise ValueError(f"dpsgd_batch must be an integer >= 1, got {self.dpsgd_batch!r}")
+        # The configs that read these settings check them; lam and sample rate are stand-ins.
+        TrainConfig(lam=1.0, max_iterations=self.max_iterations, grad_tolerance=self.grad_tolerance)
+        DpSgdConfig(self.clips[0], self.dpsgd_steps, 1.0, self.dpsgd_learning_rate)
+        for name in _IDX_PATHS + ("csv_path",):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        if not isinstance(self.score_on_full_test, bool):
+            raise ValueError("score_on_full_test must be true or false, "
+                             f"got {self.score_on_full_test!r}")
+        idx = [getattr(self, name) is not None for name in _IDX_PATHS]
         if any(idx) and not all(idx):
             raise ValueError("an idx source needs all four idx_* paths")
         if sum([self.synth is not None, all(idx), self.csv_path is not None]) != 1:
             raise ValueError("configure exactly one data source (synth, idx, or csv)")
         if self.synth is not None:
-            missing = [key for key in SYNTH_KEYS if key not in self.synth]
-            if missing:
-                raise ValueError(f"missing synth keys: {missing}")
-            unknown = sorted(set(self.synth) - {*SYNTH_KEYS, "n_test_per_class"})
-            if unknown:
-                raise ValueError(f"unknown synth keys: {unknown}")
-            check_synth_counts(self.synth)
+            synth_settings(self.synth, optional=("n_test_per_class",))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -189,13 +178,9 @@ class SummaryRecord(SweepCell):
 
 def _load_source(cfg: SweepConfig) -> tuple[RawDataset, RawDataset]:
     if cfg.synth is not None:
-        params = cfg.synth
-        n_per_class, n_test = int(params["n_per_class"]), params.get("n_test_per_class")
-        return synth_blob_pair(
-            n_train_per_class=n_per_class,
-            n_test_per_class=max(1, n_per_class // 4) if n_test is None else int(n_test),
-            n_classes=int(params["n_classes"]), dim=int(params["dim"]),
-            separation=float(params["separation"]), rng=RngStream(cfg.base_seed, 1))
+        synth = {"n_test_per_class": max(1, cfg.synth["n_per_class"] // 4), **cfg.synth}
+        return synth_blob_pair(synth["n_per_class"], synth["n_test_per_class"], synth["n_classes"],
+                               synth["dim"], synth["separation"], RngStream(cfg.base_seed, 1))
     if cfg.idx_train_images is not None:
         train = load_idx(cfg.idx_train_images, cfg.idx_train_labels)
         test = load_idx(cfg.idx_test_images, cfg.idx_test_labels)

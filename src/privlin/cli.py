@@ -11,9 +11,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .accounting import CalibrationError, DpSgdConfig, PrivacySpec
-from .bench import (SYNTH_KEYS, SweepConfig, check_synth_counts, emit_csv, emit_summary_csv,
-                    run_sweep, summarize)
-from .data import load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw
+from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
+from .data import (load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw,
+                   synth_settings)
 from .mechanisms import (
     KINDS,
     MechanismSpec,
@@ -45,15 +45,8 @@ def _load_training_data(args):
     if sum(map(bool, (args.synth, idx, args.csv))) != 1:
         raise ValueError("provide exactly one of --synth, --idx-images/--idx-labels, or --csv")
     if args.synth:
-        params = _parse_synth(args.synth)
-        if set(params) != set(SYNTH_KEYS):
-            raise ValueError(f"--synth needs exactly the keys {', '.join(SYNTH_KEYS)}; "
-                             f"got {', '.join(params)}")
-        check_synth_counts(params)
-        raw = synth_blobs_raw(
-            n_per_class=int(params["n_per_class"]), n_classes=int(params["n_classes"]),
-            dim=int(params["dim"]), separation=float(params["separation"]),
-            rng=RngStream(args.seed, 1))
+        raw = synth_blobs_raw(**synth_settings(_parse_synth(args.synth)),
+                              rng=RngStream(args.seed, 1))
     elif idx:
         if not (args.idx_images and args.idx_labels):
             raise ValueError("--idx-images and --idx-labels must be given together")

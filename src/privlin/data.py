@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import csv
 import gzip
+import numbers
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,11 @@ from .noise import as_generator
 
 NORM_TOLERANCE = 1e-9
 _MAX_SQ_NORM = (1.0 + NORM_TOLERANCE) ** 2
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """value is a kind (a real number by default) and no bool, as a numeric setting must be."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
@@ -336,18 +343,41 @@ def train_test_split(data: RawDataset, test_fraction: float, rng) -> tuple[RawDa
 # Synthetic data
 # ---------------------------------------------------------------------------
 
+SYNTH_KEYS = ("n_per_class", "n_classes", "dim", "separation")
+
+
+def synth_setting(key: str, value):
+    """value as the blobs read setting key, if the separation is nonnegative and finite and a
+    count (any other key) is a whole number >= 1: the one rule of the synthetic-blob settings."""
+    low, rule = (0, "nonnegative and finite") if key == "separation" else (1, "a whole number >= 1")
+    if not (is_number(value) and low <= value < np.inf and (low == 0 or value % 1 == 0)):
+        raise ValueError(f"synth {key} must be {rule}, got {value!r}")
+    return float(value) if low == 0 else int(value)
+
+
+def synth_settings(params, optional=()) -> dict:
+    """params, each value read by synth_setting, if params is a mapping that gives every key
+    of SYNTH_KEYS (a sweep's may also give optional ones) and no other; ValueError otherwise."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"synth settings must be a mapping, got {params!r}")
+    missing, unknown = set(SYNTH_KEYS) - set(params), set(params) - {*SYNTH_KEYS, *optional}
+    if missing or unknown:
+        raise ValueError(f"synth needs exactly the keys {', '.join(SYNTH_KEYS)}"
+                         + "".join(f", optionally {key}" for key in optional)
+                         + f"; missing {sorted(missing)}, unknown {sorted(unknown)}")
+    return {key: synth_setting(key, value) for key, value in params.items()}
+
+
 def synth_blobs_raw(n_per_class: int, n_classes: int, dim: int, separation: float,
                     rng) -> RawDataset:
     """Gaussian clusters at separation-scaled anchor directions, unnormalized.
 
     Anchors are orthonormal when dim >= n_classes (so clusters are symmetric),
     random unit directions otherwise. separation = 0 collapses all classes
-    onto one cluster.
+    onto one cluster. Each setting must pass synth_setting.
     """
-    if min(n_per_class, n_classes, dim) < 1:
-        raise ValueError("n_per_class, n_classes, and dim must be positive")
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
+    n_per_class, n_classes, dim, separation = map(
+        synth_setting, SYNTH_KEYS, (n_per_class, n_classes, dim, separation))
     rng = as_generator(rng)
     if dim >= n_classes:
         q, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
@@ -369,13 +399,11 @@ def synth_blobs(n_per_class: int, n_classes: int, dim: int, separation: float,
 def synth_blob_pair(n_train_per_class: int, n_test_per_class: int, n_classes: int,
                     dim: int, separation: float, rng) -> tuple[RawDataset, RawDataset]:
     """Train and test blobs drawn around the same anchors (one rng stream)."""
-    pool = synth_blobs_raw(n_train_per_class + n_test_per_class, n_classes, dim,
-                           separation, rng)
-    per_class = n_train_per_class + n_test_per_class
-    offsets = np.arange(n_classes) * per_class
-    train_index = (offsets[:, None] + np.arange(n_train_per_class)).ravel()
-    test_index = (offsets[:, None] + n_train_per_class + np.arange(n_test_per_class)).ravel()
-    return _take(pool, train_index), _take(pool, test_index)
+    n_train_per_class = synth_setting("n_per_class", n_train_per_class)
+    n_test_per_class = synth_setting("n_test_per_class", n_test_per_class)
+    pool = synth_blobs_raw(n_train_per_class + n_test_per_class, n_classes, dim, separation, rng)
+    train = np.arange(pool.n_examples) % (n_train_per_class + n_test_per_class) < n_train_per_class
+    return _take(pool, train), _take(pool, ~train)
 
 
 def preprocess_pair(raw_train: RawDataset, raw_test: RawDataset,

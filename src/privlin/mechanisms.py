@@ -606,8 +606,8 @@ def load_predictor(path) -> PrivatePredictor:
     with a malformed calibration record (or one its parameters cannot apply) or
     none (the older layout of three noise fields, whose training-side files did
     not record their noise), without its kind's finite parameters (the 3-D
-    ensemble or the 2-D theta), or prediction-side without its budget and rng
-    records.
+    ensemble or the 2-D theta), prediction-side without its budget and rng
+    records, or with a privacy, budget or rng record its owner refuses.
 
     An ensemble's tie_table is rebuilt from the stored parameters. Ensembles
     saved before absent-class columns were made equal have those columns
@@ -638,15 +638,17 @@ def load_predictor(path) -> PrivatePredictor:
         prediction_side = KINDS[kind].prediction_side
         if prediction_side and not {"budget_total", "budget_used", "rng_state"} <= set(archive):
             raise ValueError(f"{path}: a {kind} predictor needs its budget and rng records")
-        privacy = PrivacySpec(epsilon=float(archive["epsilon"]),
-                              delta=float(archive["delta"]),
-                              budget=int(archive["spec_budget"]))
+        try:  # the stored scalars as saved, so a fractional count is refused, not truncated
+            privacy = PrivacySpec(epsilon=archive["epsilon"].item(), delta=archive["delta"].item(),
+                                  budget=archive["spec_budget"].item())
+            budget = rng = None
+            if prediction_side:
+                budget = BudgetState(archive["budget_total"].item(), archive["budget_used"].item())
+                rng = np.random.default_rng()
+                rng.bit_generator.state = json.loads(str(archive["rng_state"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed privacy, budget or rng record: {exc}") from exc
         if name == "ensemble":
             params = _feature_major(params)
-        predictor = PrivatePredictor(kind, privacy, calibration, **{name: params})
-        if prediction_side:
-            predictor.budget = BudgetState(int(archive["budget_total"]),
-                                           int(archive["budget_used"]))
-            predictor.rng = np.random.default_rng()
-            predictor.rng.bit_generator.state = json.loads(str(archive["rng_state"]))
-        return predictor
+        return PrivatePredictor(kind, privacy, calibration, budget=budget, rng=rng,
+                                **{name: params})

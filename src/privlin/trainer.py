@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, is_number
 # erm_objective, perturbed_objective and mc_logistic_hessian: profilers patch them here.
 from .losses import erm_objective, mc_logistic_hessian, perturbed_objective  # noqa: F401
 from .losses import class_leading_product, loss_remainder, objective_gradient, objective_hvp
@@ -37,15 +37,15 @@ class TrainConfig:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
+        if not (is_number(self.lam) and 0 < self.lam < math.inf):
             raise ValueError("lam must be positive and finite so the minimizer is unique, "
                              f"got {self.lam!r}")
-        if not 0 < self.grad_tolerance < math.inf:
+        if not (is_number(self.grad_tolerance) and 0 < self.grad_tolerance < math.inf):
             raise ValueError("grad_tolerance must be positive and finite, "
                              f"got {self.grad_tolerance!r}")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        if not is_number(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1: {self.max_iterations!r}")
-        if not 0 <= self.rho < math.inf:
+        if not (is_number(self.rho) and 0 <= self.rho < math.inf):
             raise ValueError(f"rho must be nonnegative and finite, got {self.rho!r}")
         if self.noise_b is not None and not np.isfinite(self.noise_b).all():
             raise ValueError("noise_b must be finite")

@@ -115,6 +115,27 @@ class TestSpecsValidation:
         with pytest.raises(ValueError, match="clip must be positive and finite, got inf"):
             DpSgdConfig(clip=math.inf, n_steps=5, sample_rate=0.1)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"clip": None}, "clip must be positive and finite, got None"),
+        ({"clip": "0.1"}, "clip must be positive and finite, got 0.1"),
+        ({"n_steps": True}, "n_steps must be an integer at least 1, got True"),
+        ({"sample_rate": "0.1"}, r"sample_rate must lie in \(0, 1\]"),
+        ({"learning_rate": True}, "learning_rate must be positive and finite, got True"),
+    ])
+    def test_dpsgd_config_refuses_what_is_no_number(self, settings, message):
+        # A null or string used to raise TypeError, and a bool to pass as 0 or 1.
+        with pytest.raises(ValueError, match=message):
+            DpSgdConfig(**{"clip": 0.1, "n_steps": 5, "sample_rate": 0.1, **settings})
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"epsilon": "1"}, "epsilon must be positive and finite, got 1"),
+        ({"delta": None}, r"delta must lie in \[0, 1\), got None"),
+        ({"budget": True}, "budget must be an integer at least 1, got True"),
+    ])
+    def test_privacy_spec_refuses_what_is_no_number(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            PrivacySpec(**{"epsilon": 1.0, **settings})
+
 
 class TestModelSensitivityBeta:
     def test_direct_substitution(self):

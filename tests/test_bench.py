@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import struct
 from dataclasses import asdict
 
@@ -116,13 +117,13 @@ class TestConfig:
         assert tiny_config(clips=[0.5]).clips == (0.5,)
 
     def test_synth_keys_checked_at_construction(self):
-        with pytest.raises(ValueError, match=r"missing synth keys: \['separation'\]"):
+        with pytest.raises(ValueError, match=r"missing \['separation'\], unknown \[\]"):
             tiny_config(synth={k: v for k, v in SYNTH.items() if k != "separation"})
-        with pytest.raises(ValueError, match=r"unknown synth keys: \['sep'\]"):
+        with pytest.raises(ValueError, match=r"missing \[\], unknown \['sep'\]"):
             tiny_config(synth={**SYNTH, "sep": 3.0})
         payload = json.loads(tiny_config().to_json())
         del payload["synth"]["dim"]
-        with pytest.raises(ValueError, match="missing synth keys"):
+        with pytest.raises(ValueError, match=r"optionally n_test_per_class; missing \['dim'\]"):
             SweepConfig.from_json(json.dumps(payload))
         optional = {k: v for k, v in SYNTH.items() if k != "n_test_per_class"}
         assert tiny_config(synth=optional).synth == optional
@@ -147,17 +148,41 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["max_iterations", "dpsgd_steps", "dpsgd_batch"])
     def test_solver_counts_must_be_whole_numbers(self, name):
-        # Fractional values used to construct and then fail every trial as a nan cell.
-        for bad in (2.5, 20.0, 0, -1):
-            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        # Fractional values used to construct and then fail every trial as a nan cell. The
+        # config that reads a setting words its message: DpSgdConfig calls dpsgd_steps n_steps.
+        message = {"dpsgd_steps": "n_steps must be an integer at least 1"}.get(
+            name, f"{name} must be an integer >= 1")
+        for bad in (2.5, 20.0, 0, -1, True):
+            with pytest.raises(ValueError, match=message):
                 tiny_config(**{name: bad})
         assert getattr(tiny_config(**{name: 3}), name) == 3
 
     @pytest.mark.parametrize("name", ["dpsgd_learning_rate", "grad_tolerance"])
     def test_solver_rates_must_be_positive(self, name):
-        for bad in (0.0, -1e-3, math.nan, "1e-6", math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be positive"):
+        # DpSgdConfig, which reads dpsgd_learning_rate, calls it learning_rate.
+        for bad in (0.0, -1e-3, math.nan, "1e-6", math.inf, True):
+            with pytest.raises(ValueError, match=f"{name.removeprefix('dpsgd_')} must be positive"):
                 tiny_config(**{name: bad})
+
+    @pytest.mark.parametrize("clip", [0.0, math.nan, "0.1", None])
+    def test_clip_checked_at_construction(self, clip):
+        # A zero clip used to construct and then fail every DP-SGD cell as a nan row.
+        with pytest.raises(ValueError, match="clip must be positive and finite"):
+            tiny_config(clips=[clip])
+
+    @pytest.mark.parametrize("name, value", [
+        # csv_path 3 used to make load_csv read, and then close, file descriptor 3.
+        ("csv_path", 3), ("idx_train_images", ["a"]), ("idx_test_labels", b"labels.idx")])
+    def test_paths_must_be_strings(self, name, value):
+        message = re.escape(f"{name} must be a path string, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(mechanisms=("nonprivate",), **{name: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_score_on_full_test_must_be_a_bool(self, value):
+        # The string "false" is truthy, so it used to select the full-test protocol.
+        with pytest.raises(ValueError, match="score_on_full_test must be true or false"):
+            tiny_config(score_on_full_test=value)
 
     def test_partial_idx_source_rejected(self):
         with pytest.raises(ValueError, match="idx"):

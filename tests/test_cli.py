@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import struct
 from dataclasses import replace
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import privlin
-from privlin import (KINDS, DpSgdConfig, PrivacySpec, SweepConfig, answer_queries, cli,
-                     dpsgd_sigma_for_target, load_predictor)
+from privlin import (KINDS, DpSgdConfig, PrivacySpec, RngStream, SweepConfig, answer_queries,
+                     cli, dpsgd_sigma_for_target, load_predictor, synth_blob_pair,
+                     synth_blobs_raw)
 from privlin.bench import RECORD_HEADER
 
 
@@ -231,6 +233,83 @@ def test_train_validates_its_data_source(tmp_path, capsys, source, message):
                                 "--out", str(tmp_path / "model.npz")], message)
 
 
+SYNTH_SETTINGS = {"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("separation", math.nan), ("separation", math.inf), ("separation", -1.0),
+    ("separation", "3"), ("separation", True),
+    ("n_per_class", 20.5), ("n_classes", 0), ("dim", True), ("n_test_per_class", 0),
+])
+def test_every_synth_reader_applies_one_rule(tmp_path, capsys, key, value):
+    # A NaN separation used to pass every check and write each sweep trial as a nan row;
+    # synth_blob_pair refused n_test_per_class 0 with a message that named no key.
+    rule = "nonnegative and finite" if key == "separation" else "a whole number >= 1"
+
+    def message(got):
+        return re.escape(f"synth {key} must be {rule}, got {got!r}")
+
+    settings = {**SYNTH_SETTINGS, key: value}
+    with pytest.raises(ValueError, match=message(value)):
+        SweepConfig(synth=settings)
+    with pytest.raises(ValueError, match=message(value)):
+        synth_blob_pair(settings["n_per_class"], settings.get("n_test_per_class", 5),
+                        settings["n_classes"], settings["dim"], settings["separation"],
+                        RngStream(1))
+    config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
+    config.write_text(json.dumps({"mechanisms": ["nonprivate"], "trials": 1, "synth": settings}))
+    assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials)],
+                       message(value))
+    assert not trials.exists()
+    if key == "n_test_per_class":
+        return  # only a sweep's test split reads it
+    with pytest.raises(ValueError, match=message(value)):
+        synth_blobs_raw(**settings, rng=RngStream(1))
+    if isinstance(value, float) or type(value) is int:  # the command line reads floats
+        text = ",".join(f"{name}={setting}" for name, setting in settings.items())
+        assert_input_error(capsys, ["train", "--mechanism", "nonprivate", "--synth", text,
+                                    "--out", str(tmp_path / "model.npz")],
+                           message(float(value)))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("clips", [0], "clip must be positive and finite, got 0"),
+    ("clips", ["0.1"], "clip must be positive and finite, got 0.1"),
+    ("dpsgd_learning_rate", True, "learning_rate must be positive and finite, got True"),
+    ("grad_tolerance", True, "grad_tolerance must be positive and finite, got True"),
+    ("max_iterations", True, "max_iterations must be an integer >= 1: True"),
+    ("score_on_full_test", "false", "score_on_full_test must be true or false, got 'false'"),
+    ("csv_path", 3, "csv_path must be a path string, got 3"),
+])
+def test_sweep_refuses_a_bad_setting_before_any_trial(tmp_path, capsys, key, value, message):
+    # Each of these used to run: a zero or string clip wrote every DP-SGD cell as a nan row,
+    # a JSON true passed as the number 1, "false" chose the full-test protocol, and csv_path
+    # 3 read file descriptor 3.
+    config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
+    config.write_text(json.dumps({"mechanisms": ["nonprivate", "dpsgd"], "deltas": [1e-5],
+                                  "budgets": [5], "trials": 1, "synth": SYNTH_SETTINGS,
+                                  key: value}))
+    assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials)],
+                       message)
+    assert not trials.exists()
+
+
+def test_predict_refuses_a_malformed_rng_record(tmp_path, capsys):
+    # A JSON list used to raise TypeError out of `privlin predict`.
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    with np.load(model) as archive:
+        payload = {**archive, "rng_state": np.array("[1, 2]")}
+    np.savez(model, **payload)
+    inputs = tmp_path / "queries.csv"
+    np.savetxt(inputs, np.full((2, 5), 0.1), delimiter=",")
+    assert_input_error(capsys, ["predict", "--model", str(model), "--inputs", str(inputs)],
+                       re.escape(f"{model}: malformed privacy, budget or rng record: "
+                                 "state must be a dict"))
+
+
 @pytest.mark.parametrize("options, message", [
     # 2K / (N lam) overflows to infinity, which no noise scale covers.
     (["--mechanism", "model_sensitivity", "--delta", "1e-5", "--lam", "1e-320"],
@@ -364,7 +443,7 @@ def test_sweep_rejects_a_fractional_solver_setting(tmp_path, capsys):
     config, trials = tmp_path / "sweep.json", tmp_path / "trials.csv"
     config.write_text(json.dumps(payload))
     assert_input_error(capsys, ["sweep", "--config", str(config), "--out", str(trials)],
-                       "dpsgd_steps must be an integer >= 1, got 20.5")
+                       "n_steps must be an integer at least 1, got 20.5")
     assert not trials.exists()
 
 

@@ -321,9 +321,9 @@ class TestSynthBlobs:
         assert abs(acc - 1 / 3) < 0.12
 
     @pytest.mark.parametrize("counts, separation, message", [
-        ((0, 3, 4), 1.0, "n_per_class, n_classes, and dim must be positive"),
-        ((5, 0, 4), 1.0, "n_per_class, n_classes, and dim must be positive"),
-        ((5, 3, 0), 1.0, "n_per_class, n_classes, and dim must be positive"),
+        ((0, 3, 4), 1.0, "synth n_per_class must be a whole number >= 1, got 0"),
+        ((5, 0, 4), 1.0, "synth n_classes must be a whole number >= 1, got 0"),
+        ((5, 3, 0), 1.0, "synth dim must be a whole number >= 1, got 0"),
         ((5, 3, 4), -1.0, "separation must be nonnegative"),
     ])
     def test_rejects_bad_settings(self, counts, separation, message):

@@ -927,6 +927,16 @@ class TestSerialization:
         ("prediction_sensitivity", {"delta": None}, "epsilon, delta and spec_budget"),
         ("subsample_aggregate", {"spec_budget": None}, "epsilon, delta and spec_budget"),
         ("nonprivate", {"kind": None}, "needs its kind"),
+        # Stored scalars reach their owners as saved: a fractional count used to be truncated,
+        # giving back a spent query (2.9 read as 2) or a budget (5.7 read as 5).
+        ("prediction_sensitivity", {"budget_used": np.array(2.9)}, "used must be an integer"),
+        ("subsample_aggregate", {"budget_total": np.array(5.7)}, "budget must be an integer"),
+        ("model_sensitivity", {"spec_budget": np.array(5.7)}, "budget must be an integer"),
+        # These used to raise TypeError, or a ValueError that named no file.
+        ("prediction_sensitivity", {"rng_state": np.array("[1, 2]")},
+         "malformed privacy, budget or rng record: state must be a dict"),
+        ("model_sensitivity", {"epsilon": np.array("one")},
+         "epsilon must be positive and finite, got one"),
     ])
     def test_file_that_cannot_answer_is_refused(self, kind, changes, message, tmp_path):
         train, _ = blob_splits(33, n_train_per_class=20)

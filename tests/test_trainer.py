@@ -103,7 +103,7 @@ class TestMinimizeErm:
         assert err.value.grad_norm > 0
 
     def test_lambda_must_be_positive(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, "0.1", None):
             with pytest.raises(ValueError, match="lam must be positive and finite"):
                 TrainConfig(lam=bad)
 
@@ -118,13 +118,16 @@ class TestMinimizeErm:
         ({"noise_b": np.full((6, 3), -math.inf)}, "noise_b must be finite"),
         # An infinite tolerance let the solver stop at theta = 0 and report success.
         ({"grad_tolerance": math.inf}, "grad_tolerance must be positive and finite, got inf"),
+        # A string or bool is no number: a string used to raise TypeError, a bool to pass.
+        ({"grad_tolerance": "1e-6"}, "grad_tolerance must be positive and finite, got '1e-6'"),
+        ({"rho": True}, "rho must be nonnegative and finite, got True"),
     ])
     def test_settings_must_lie_in_range(self, settings, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(lam=0.1, **{"rho": 1.0, "noise_b": np.zeros((6, 3)), **settings})
 
     def test_max_iterations_must_be_a_whole_number(self):
-        for bad in (2.5, 3.0, 0):
+        for bad in (2.5, 3.0, 0, True):
             with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
                 TrainConfig(lam=0.1, max_iterations=bad)
         assert TrainConfig(lam=0.1, max_iterations=np.int64(3)).max_iterations == 3
