@@ -417,9 +417,9 @@ class BudgetState:
     """
 
     def __init__(self, budget: int, used: int = 0):
-        if not isinstance(budget, numbers.Integral) or budget < 1:
+        if not is_number(budget, numbers.Integral) or budget < 1:
             raise ValueError(f"budget must be an integer at least 1, got {budget!r}")
-        if not isinstance(used, numbers.Integral) or not 0 <= used <= budget:
+        if not is_number(used, numbers.Integral) or not 0 <= used <= budget:
             raise ValueError(f"used must be an integer in [0, {budget}], got {used!r}")
         self.budget = int(budget)
         self.used = int(used)
@@ -430,7 +430,7 @@ class BudgetState:
         return self.budget - self.used
 
     def reserve(self, k: int):
-        if not isinstance(k, numbers.Integral) or k < 0:
+        if not is_number(k, numbers.Integral) or k < 0:
             raise ValueError(f"can reserve only a nonnegative integer count, got {k!r}")
         self._spend(k)
 

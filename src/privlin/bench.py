@@ -23,6 +23,7 @@ from .data import (
     load_csv,
     load_idx,
     preprocess_pair,
+    split_fraction,
     subsample_train,
     synth_blob_pair,
     synth_settings,
@@ -122,6 +123,7 @@ class SweepConfig:
             raise ValueError("configure exactly one data source (synth, idx, or csv)")
         if self.synth is not None:
             synth_settings(self.synth, optional=("n_test_per_class",))
+        split_fraction(self.test_fraction)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

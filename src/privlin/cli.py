@@ -36,7 +36,10 @@ def _parse_synth(text: str) -> dict:
         key = key.strip()
         if key in out:
             raise ValueError(f"synth key {key!r} is given more than once")
-        out[key] = float(value)
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise ValueError(f"synth {key} must be a number, got {value!r}") from None
     return out
 
 

@@ -326,10 +326,16 @@ def subsample_train(data: RawDataset, target_n: int, rng) -> RawDataset:
     return _take(data, index)
 
 
+def split_fraction(value) -> float:
+    """value as a float, if it is a number in (0, 1): the one rule of a split's test_fraction."""
+    if not (is_number(value) and 0.0 < value < 1.0):
+        raise ValueError(f"test_fraction must lie in (0, 1), got {value!r}")
+    return float(value)
+
+
 def train_test_split(data: RawDataset, test_fraction: float, rng) -> tuple[RawDataset, RawDataset]:
-    """Seeded shuffle-and-split; returns (train, test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    """Seeded shuffle-and-split; returns (train, test). test_fraction must pass split_fraction."""
+    test_fraction = split_fraction(test_fraction)
     rng = as_generator(rng)
     n = data.n_examples
     n_test = max(1, int(round(n * test_fraction)))

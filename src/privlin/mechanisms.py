@@ -16,8 +16,10 @@ its calibration rules for delta = 0 and delta > 0, fit, answer, parameters and f
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
+import mmap
 import numbers
 import os
 import secrets
@@ -42,7 +44,7 @@ from .accounting import (
     prediction_sensitivity_beta,
     subsample_beta,
 )
-from .data import LabeledDataset, check_rows, check_vector
+from .data import LabeledDataset, check_rows, check_vector, is_number
 from .noise import as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
@@ -65,9 +67,9 @@ class MechanismSpec:
             self.train_config()
         elif self.dpsgd is None:
             raise ValueError("dpsgd requires a DpSgdConfig")
-        elif not 0 <= self.lam < math.inf:
+        elif not (is_number(self.lam) and 0 <= self.lam < math.inf):
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam!r}")
-        if not isinstance(self.n_models, numbers.Integral) or self.n_models < 1:
+        if not is_number(self.n_models, numbers.Integral) or self.n_models < 1:
             raise ValueError(f"n_models must be an integer at least 1, got {self.n_models!r}")
 
     def train_config(self, **overrides) -> TrainConfig:
@@ -367,9 +369,10 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     A sub-model's classes that none of its examples carry enter its
     objective symmetrically, so its exact minimiser has their columns equal;
     they are set to their mean, which makes them equal bit for bit, and
-    tie_table groups them. The sub-models are stored in (D, T, C) memory and
-    `ensemble` is that buffer's (T, D, C) transposed view, so
-    ensemble_vote_counts can treat them as one (D, T*C) matrix without a copy.
+    tie_table groups them. The sub-models are stored in class-major (D, C, T)
+    memory and `ensemble` is that buffer's (T, D, C) transposed view, so
+    ensemble_vote_counts can treat them as one (D, C*T) matrix without a copy
+    and find each sub-model's winner along a leading class axis.
     """
     parts = partition_indices(data.n_examples, spec.n_models, rng)
     # A row gather, then one transposing copy into the solver's layout, features
@@ -384,9 +387,36 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     return _feature_major(thetas)
 
 
+_HUGE_PAGE = 2 << 20  # bytes in one transparent huge page on x86-64 and arm64 Linux
+
+
+def _huge_page_empty(shape, dtype) -> np.ndarray:
+    """An uninitialised array of shape and dtype, which Linux is asked to back with
+    transparent huge pages if it spans a quarter of one or more; np.empty otherwise.
+
+    A one-vector vote reads the whole ensemble per query. On a 2-core Xeon VM with
+    2 MiB of L2 per core, a 1 MB ensemble in 4 KiB pages took 13-15 us per
+    matrix-vector product on some allocations and 23-27 us on others; in 2 MiB pages,
+    which are physically contiguous, it took 13.7-17.3 us on each of 12."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes < _HUGE_PAGE // 4 or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(shape, dtype)
+    region = mmap.mmap(-1, -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE + _HUGE_PAGE,
+                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(OSError):  # a kernel without huge pages keeps 4 KiB ones
+        region.madvise(mmap.MADV_HUGEPAGE)
+    raw = np.frombuffer(region, dtype=np.uint8)
+    start = -raw.ctypes.data % _HUGE_PAGE  # the first huge-page boundary
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def _feature_major(ensemble: np.ndarray) -> np.ndarray:
-    """The (T, D, C) view of a copy of ensemble stored in (D, T, C) memory."""
-    return np.ascontiguousarray(ensemble.transpose(1, 0, 2)).transpose(1, 0, 2)
+    """The (T, D, C) view of a copy of ensemble stored in class-major (D, C, T) memory,
+    from _huge_page_empty."""
+    t, d, c = ensemble.shape
+    memory = _huge_page_empty((d, c, t), ensemble.dtype)
+    np.copyto(memory, ensemble.transpose(1, 2, 0))
+    return memory.transpose(2, 0, 1)
 
 
 def tie_table(ensemble: np.ndarray) -> np.ndarray:
@@ -403,17 +433,43 @@ def tie_table(ensemble: np.ndarray) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _class_ranks(c: int) -> np.ndarray:
+    """(C, 1) ranks C, ..., 1 in the smallest unsigned dtype that holds C."""
+    ranks = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None]
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _class_winners(scores: np.ndarray) -> np.ndarray:
+    """(..., T) index of each sub-model's winning class in (..., C, T) scores: the first
+    class of maximum score, or the first NaN, as argmax along the class axis would give.
+
+    numpy reduces along a short trailing axis several times slower than along a leading
+    one (losses.py), so the classes lead: the maximum, then the highest rank C - c among
+    the classes equal to it. A NaN maximum equals no class, so its column takes the
+    highest rank among its NaNs."""
+    c = scores.shape[-2]
+    rank = _class_ranks(c)
+    top = np.maximum.reduce(scores, axis=-2, keepdims=True)
+    hit = np.maximum.reduce((scores == top) * rank, axis=-2)
+    if not hit.all():  # a NaN column has no rank
+        hit = np.maximum(hit, np.maximum.reduce(np.isnan(scores) * rank, axis=-2))
+    return np.subtract(c, hit, dtype=np.intp)
+
+
 def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.ndarray:
-    """(n, C) votes per class for (n, D) rows: each sub-model casts its argmax,
-    mapped through ties = tie_table(ensemble), so each row's counts sum to T.
+    """(n, C) votes per class for (n, D) rows: each sub-model casts its winning
+    class (_class_winners), mapped through ties = tie_table(ensemble), so each
+    row's counts sum to T.
 
     All T sub-models score the rows in one matrix product against the
-    (D, T*C) matrix of their parameters; that reshape is free for the
-    (D, T, C) memory of the subsample-and-aggregate fit and copies any other
-    layout once per call. BLAS scores one row with a matrix-vector product
-    and a batch with a matrix-matrix product, and the two can round a
-    sub-model's equal columns apart differently. Each winner is therefore
-    mapped to the lowest class of its tie group, so equal columns tie
+    (D, C*T) matrix of their parameters, giving (n, C, T) scores; that reshape
+    is free for the (D, C, T) memory of the subsample-and-aggregate fit and
+    copies any other layout once per call. BLAS scores one row with a
+    matrix-vector product and a batch with a matrix-matrix product, and the two
+    can round a sub-model's equal columns apart differently. Each winner is
+    therefore mapped to the lowest class of its tie group, so equal columns tie
     exactly and a batch answers as its rows would one by one.
     """
     rows = np.asarray(rows, dtype=np.float64)
@@ -421,8 +477,8 @@ def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.nda
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ValueError(f"rows must have shape (n, {d}), got {rows.shape}")
     n = rows.shape[0]
-    weights = ensemble.transpose(1, 0, 2).reshape(d, t * c)
-    winners = (rows @ weights).reshape(n, t, c).argmax(axis=2)  # (n, t)
+    weights = ensemble.transpose(1, 2, 0).reshape(d, c * t)
+    winners = _class_winners((rows @ weights).reshape(n, c, t))  # (n, t)
     winners += np.arange(0, t * c, c)  # flat indices into ties
     votes = ties.take(winners)
     votes += np.arange(0, n * c, c)[:, None]  # each row's votes into its own C bins
@@ -442,26 +498,27 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 
     Inverse-CDF sampling with one uniform per row, in row order: the same
     arithmetic and draws as rng.choice(C, p=probs) called row by row. Family
-    "none" answers the plurality vote (ties to the lowest class), drawing nothing.
+    "none" answers the plurality vote (_class_winners of the counts, so ties go to the
+    lowest class), drawing nothing.
     Rows are counted by ensemble_vote_counts; a vector's counts are its matrix-vector
-    product, argmax, tie map and bincount.
+    product as (C, T) scores, _class_winners, tie map and bincount.
     """
     ensemble, ties, calibration = predictor.ensemble, predictor.ties, predictor.calibration
     if rows.ndim == 2:
         counts = ensemble_vote_counts(ensemble, rows, ties)
         if calibration.family == "none":
-            return counts.argmax(axis=1)
+            return _class_winners(counts.T)
         cdf = np.add.accumulate(vote_distribution(counts, calibration.scale), axis=1)
         cdf /= cdf[:, -1:]
         uniforms = predictor.rng.random(rows.shape[0])
         return np.add.reduce(cdf <= uniforms[:, None], axis=1)
     t, d, c = ensemble.shape
-    scores = rows @ ensemble.transpose(1, 0, 2).reshape(d, t * c)
-    winners = scores.reshape(t, c).argmax(axis=1)
+    scores = rows @ ensemble.transpose(1, 2, 0).reshape(d, c * t)
+    winners = _class_winners(scores.reshape(c, t))
     winners += np.arange(0, t * c, c)
     counts = np.bincount(ties.take(winners), minlength=c)
     if calibration.family == "none":
-        return counts.argmax()
+        return _class_winners(counts[:, None])[0]
     cdf = np.add.accumulate(vote_distribution(counts, calibration.scale))
     cdf /= cdf[-1]
     # cdf does not decrease, so the entries <= the uniform are a prefix: counting them

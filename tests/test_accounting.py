@@ -658,6 +658,17 @@ class TestBudgetState:
         state.reserve(np.int64(2))
         assert (state.budget, state.used) == (5, 3)
 
+    def test_rejects_bool_counts(self):
+        # A bool is no count, though Python would read True as 1.
+        with pytest.raises(ValueError, match="budget must be an integer at least 1, got True"):
+            BudgetState(True)
+        with pytest.raises(ValueError, match=r"used must be an integer in \[0, 5\], got True"):
+            BudgetState(5, used=True)
+        state = BudgetState(5)
+        with pytest.raises(ValueError, match="nonnegative integer count, got True"):
+            state.reserve(True)
+        assert state.used == 0
+
     def test_single_budget(self):
         state = BudgetState(1)
         state.consume()

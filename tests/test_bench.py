@@ -137,6 +137,17 @@ class TestConfig:
                 tiny_config(synth={**SYNTH, key: bad})
         assert tiny_config(synth={**SYNTH, key: 20.0}).synth[key] == 20.0
 
+    @pytest.mark.parametrize("fraction", ["0.25", 1.5, 0.0, True, math.nan])
+    def test_test_fraction_checked_at_construction(self, fraction):
+        # "0.25" used to pass and die in train_test_split with a TypeError, and 1.5
+        # was refused only once a csv source loaded.
+        message = re.escape(f"test_fraction must lie in (0, 1), got {fraction!r}")
+        with pytest.raises(ValueError, match=message):
+            tiny_config(test_fraction=fraction)
+        payload = {**json.loads(tiny_config().to_json()), "test_fraction": fraction}
+        with pytest.raises(ValueError, match=message):
+            SweepConfig.from_json(json.dumps(payload))
+
     def test_trials_and_base_seed_must_be_whole_numbers(self):
         # Fractional values used to construct and then crash run_sweep with a TypeError.
         for bad in (0, 2.5):

@@ -233,6 +233,18 @@ def test_train_validates_its_data_source(tmp_path, capsys, source, message):
                                 "--out", str(tmp_path / "model.npz")], message)
 
 
+@pytest.mark.parametrize("item, message", [
+    ("separation=True", "synth separation must be a number, got 'True'"),
+    ("dim=five", "synth dim must be a number, got 'five'"),
+])
+def test_synth_value_that_is_no_number_names_its_key(tmp_path, capsys, item, message):
+    # float('True') used to fail with a message that named no key.
+    key = item.split("=")[0]
+    text = ",".join(item if part.startswith(key + "=") else part for part in SYNTH.split(","))
+    assert_input_error(capsys, ["train", "--mechanism", "nonprivate", "--synth", text,
+                                "--out", str(tmp_path / "model.npz")], message)
+
+
 SYNTH_SETTINGS = {"n_per_class": 20, "n_classes": 3, "dim": 5, "separation": 3.0}
 
 

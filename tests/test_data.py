@@ -362,6 +362,13 @@ class TestSplitsAndLeakage:
         with pytest.raises(ValueError, match="split would leave no training examples"):
             train_test_split(single, 0.5, RngStream(31))
 
+    @pytest.mark.parametrize("fraction", ["0.25", True, None])
+    def test_split_refuses_a_fraction_that_is_no_number(self, fraction):
+        # "0.25" and None used to raise TypeError from the comparison.
+        ds = synth_blobs_raw(5, 2, 3, 1.0, RngStream(29))
+        with pytest.raises(ValueError, match=r"test_fraction must lie in \(0, 1\)"):
+            train_test_split(ds, fraction, RngStream(30))
+
     def test_splits_must_share_a_label_space(self):
         raw_train, raw_test = synth_blob_pair(5, 5, 3, 4, 3.0, RngStream(32))
         raw_test.n_classes = 4

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ class TestMechanismSpec:
         cfg = DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1)
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
             MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 1e-5), lam=lam, dpsgd=cfg)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"lam": "0.1"}, "lam must be nonnegative and finite"),
+        ({"lam": True}, "lam must be nonnegative and finite"),
+        ({"n_models": True}, "n_models must be an integer at least 1"),
+        ({"n_models": "16"}, "n_models must be an integer at least 1"),
+    ])
+    def test_numeric_settings_refuse_bools_and_strings(self, settings, message):
+        # A string lambda used to raise TypeError from the comparison, and True passed as 1.
+        cfg = DpSgdConfig(clip=0.1, n_steps=5, sample_rate=0.1)
+        with pytest.raises(ValueError, match=message):
+            MechanismSpec(kind="dpsgd", privacy=PrivacySpec(1.0, 1e-5), dpsgd=cfg, **settings)
 
     @pytest.mark.parametrize("settings, message", [
         ({"lam": 0.0}, "lam must be positive and finite"),
@@ -1289,4 +1302,58 @@ class TestBatchAnswering:
         save_predictor(path, predictor)
         for ensemble in (predictor.ensemble, load_predictor(path).ensemble):
             assert ensemble.shape == (6, 20, 10)
-            assert ensemble.transpose(1, 0, 2).flags.c_contiguous
+            assert ensemble.transpose(1, 2, 0).flags.c_contiguous  # (D, C, T) memory
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="Linux huge pages only")
+    def test_large_ensembles_start_on_a_huge_page(self):
+        ensemble = np.random.default_rng(3).standard_normal((256, 64, 10))  # 1.3 MB
+        for given in (ensemble, ensemble.astype(np.float32)):
+            stored = mechanisms._feature_major(given)
+            assert stored.dtype == given.dtype
+            np.testing.assert_array_equal(stored, given)
+            assert stored.transpose(1, 2, 0).flags.c_contiguous and stored.flags.writeable
+            assert stored.ctypes.data % (2 << 20) == 0
+
+
+def first_max(scores):
+    """np.argmax along the class axis of (..., C, T) scores: the first maximum, or first NaN."""
+    return np.moveaxis(scores, -2, -1).argmax(axis=-1)
+
+
+class TestClassWinners:
+    @pytest.mark.parametrize("pool", [
+        [0.0, 1.0, 2.0],  # exact ties across classes
+        [-0.0, 0.0, -1.0],
+        [-math.inf, math.inf, 0.0, 1.0],
+        [math.nan, 1.0, 2.0, math.inf],
+        [math.nan, -math.inf],
+    ])
+    @pytest.mark.parametrize("shape", [(10, 256), (6, 10, 256), (300, 7), (3, 300, 7),
+                                       (4, 1), (5, 4, 1)])
+    def test_matches_argmax(self, pool, shape):
+        scores = np.random.default_rng(len(pool)).choice(pool, size=shape)
+        winners = mechanisms._class_winners(scores)
+        assert winners.dtype == np.intp
+        np.testing.assert_array_equal(winners, first_max(scores))
+
+    def test_classes_past_a_byte(self):
+        # A rank of one byte cannot tell 300 classes apart.
+        scores = np.zeros((2, 300, 5))
+        scores[:, 299] = 1.0
+        scores[0, 280, 2] = scores[1, 257, 4] = 2.0
+        scores[1, :, 0] = 0.0
+        scores[1, 299, 1] = math.nan
+        expected = [[299, 299, 280, 299, 299], [0, 299, 299, 299, 257]]
+        np.testing.assert_array_equal(mechanisms._class_winners(scores), expected)
+        np.testing.assert_array_equal(first_max(scores), expected)
+        np.testing.assert_array_equal(mechanisms._class_winners(scores[1]), expected[1])
+
+    def test_nan_row_votes_as_argmax_does(self):
+        # A NaN row scores NaN in every class; argmax votes each sub-model's first class.
+        predictor, test = degenerate_ensemble(38)
+        rows = test.features[:3].copy()
+        rows[1, 4] = math.nan
+        counts = ensemble_vote_counts(predictor.ensemble, rows, predictor.ties)
+        np.testing.assert_array_equal(counts[1], [40] + [0] * 9)
+        np.testing.assert_array_equal(counts[[0, 2]], ensemble_vote_counts(
+            predictor.ensemble, rows[[0, 2]], predictor.ties))
