@@ -441,9 +441,19 @@ def _class_ranks(c: int) -> np.ndarray:
     return ranks
 
 
+@functools.lru_cache(maxsize=None)
+def _tie_offsets(t: int, c: int) -> np.ndarray:
+    """(T,) offsets 0, C, ..., (T - 1) * C that turn T sub-models' winners into flat
+    indices into their (T, C) tie table."""
+    offsets = np.arange(0, t * c, c)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _class_winners(scores: np.ndarray) -> np.ndarray:
-    """(..., T) index of each sub-model's winning class in (..., C, T) scores: the first
-    class of maximum score, or the first NaN, as argmax along the class axis would give.
+    """(..., T) index of each sub-model's winning class in (..., C, T) scores: the batch
+    vote's winner search. It finds the first class of maximum score, or the first NaN,
+    as argmax along the class axis would give.
 
     numpy reduces along a short trailing axis several times slower than along a leading
     one (losses.py), so the classes lead: the maximum, then the highest rank C - c among
@@ -479,7 +489,7 @@ def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.nda
     n = rows.shape[0]
     weights = ensemble.transpose(1, 2, 0).reshape(d, c * t)
     winners = _class_winners((rows @ weights).reshape(n, c, t))  # (n, t)
-    winners += np.arange(0, t * c, c)  # flat indices into ties
+    winners += _tie_offsets(t, c)  # flat indices into ties
     votes = ties.take(winners)
     votes += np.arange(0, n * c, c)[:, None]  # each row's votes into its own C bins
     return np.bincount(votes.ravel(), minlength=n * c).reshape(n, c)
@@ -498,10 +508,12 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 
     Inverse-CDF sampling with one uniform per row, in row order: the same
     arithmetic and draws as rng.choice(C, p=probs) called row by row. Family
-    "none" answers the plurality vote (_class_winners of the counts, so ties go to the
-    lowest class), drawing nothing.
-    Rows are counted by ensemble_vote_counts; a vector's counts are its matrix-vector
-    product as (C, T) scores, _class_winners, tie map and bincount.
+    "none" answers the plurality vote (the first class of maximum count, so ties go
+    to the lowest class), drawing nothing.
+    Rows are counted by ensemble_vote_counts. A vector's winners come from argmax on
+    its matrix-vector product as (C, T) scores: one numpy call, the same first maximum
+    or first NaN as the batch's _class_winners. Its counts are the winners mapped
+    through ties and bincounted.
     """
     ensemble, ties, calibration = predictor.ensemble, predictor.ties, predictor.calibration
     if rows.ndim == 2:
@@ -514,11 +526,11 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
         return np.add.reduce(cdf <= uniforms[:, None], axis=1)
     t, d, c = ensemble.shape
     scores = rows @ ensemble.transpose(1, 2, 0).reshape(d, c * t)
-    winners = _class_winners(scores.reshape(c, t))
-    winners += np.arange(0, t * c, c)
+    winners = scores.reshape(c, t).argmax(axis=0)
+    winners += _tie_offsets(t, c)
     counts = np.bincount(ties.take(winners), minlength=c)
     if calibration.family == "none":
-        return _class_winners(counts[:, None])[0]
+        return counts.argmax()
     cdf = np.add.accumulate(vote_distribution(counts, calibration.scale))
     cdf /= cdf[-1]
     # cdf does not decrease, so the entries <= the uniform are a prefix: counting them

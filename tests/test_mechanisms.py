@@ -48,7 +48,7 @@ from privlin import (
     vote_distribution,
 )
 from privlin import mechanisms
-from privlin.data import preprocess_pair
+from privlin.data import _MAX_SQ_NORM, preprocess_pair
 from privlin.mechanisms import partition_indices, poisson_batches, privatise, solve
 
 
@@ -1074,6 +1074,7 @@ class TestOneRowPath:
 
         monkeypatch.setattr(mechanisms, "ensemble_vote_counts", batch_only)
         monkeypatch.setattr(mechanisms, "predict_logits", batch_only)
+        monkeypatch.setattr(mechanisms, "_class_winners", batch_only)  # one argmax per vector
         for name in SERVE_PREDICTORS:
             twin(predictors[name], 1).predict(rows[0])
 
@@ -1130,11 +1131,29 @@ class TestBatchAnswering:
         # Rows scaled to norm 1 + 1e-9 land on both sides of the tolerance by
         # rounding; a training row and a query pass or fail the rule together,
         # whether predict checks the vector on its one-row path or answer_queries
-        # checks the row. An entry of 1e200, whose square overflows, is refused
-        # with its norm and no warning.
+        # checks the row. Vectors stepped by np.nextafter through the band
+        # (1 +- 1e-12) * _MAX_SQ_NORM, in single ulps where they cross the bound,
+        # are the ones predict's np.vdot pre-screen leaves to check_rows. Entries of
+        # NaN, +-inf and 1e200 (whose square overflows) are refused with check_rows'
+        # messages and no warning.
         train, _ = blob_splits(34, d=3)
         rows = np.random.default_rng(0).standard_normal((1000, 3))
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True) * (1 + 1e-9)
+        walk, band = rows[:8] * (1 - 6e-13), []
+        for k in range(8000):
+            walk = np.nextafter(walk, 2 * walk)
+            sq = np.einsum("ij,ij->i", walk, walk)
+            band.append(walk[(k % 100 == 0)
+                             | (abs(sq - _MAX_SQ_NORM) <= 4 * np.spacing(_MAX_SQ_NORM))])
+        band = np.concatenate(band)
+        in_band = slice(-len(band), None)
+        rows = np.concatenate([rows, band])
+        sq = np.einsum("ij,ij->i", rows, rows)  # check_rows' sums
+        vdot_sq = np.array([np.vdot(x, x) for x in rows])
+        assert sq[in_band].min() < _MAX_SQ_NORM * (1 - 1e-12)
+        assert sq[in_band].max() > _MAX_SQ_NORM * (1 + 1e-12)
+        assert ((vdot_sq <= _MAX_SQ_NORM) != (sq <= _MAX_SQ_NORM)).any()
+        assert (vdot_sq[in_band] != sq[in_band]).any()
 
         def accepts(call, *args):
             try:
@@ -1145,21 +1164,25 @@ class TestBatchAnswering:
             return True
 
         for kind in ("prediction_sensitivity", "subsample_aggregate"):
-            predictor = fit_predictor(train, spec_for(kind, budget=5000), RngStream(35))
+            predictor = fit_predictor(train, spec_for(kind, budget=10_000), RngStream(35))
             verdicts = np.array([(accepts(LabeledDataset, row[None], one_hot([0], 3)),
                                   accepts(predictor.predict, row),
                                   accepts(answer_queries, predictor, row[None]))
                                  for row in rows])
             assert 0 < verdicts[:, 0].sum() < len(rows)
+            assert 0 < verdicts[in_band, 0].sum() < len(band)
             np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
             np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
             assert predictor.budget.used == 2 * verdicts[:, 0].sum()
-            huge = np.array([1e200, 0.0, 0.0])
-            for call in (lambda: LabeledDataset(huge[None], one_hot([0], 3)),
-                         lambda: predictor.predict(huge),
-                         lambda: answer_queries(predictor, huge[None])):
-                with pytest.raises(ValueError, match=r"unit L2 ball; max norm 1e\+200$"):
-                    call()
+            for entry, message in ((1e200, r"unit L2 ball; max norm 1e\+200$"),
+                                   (math.nan, "must be finite$"), (math.inf, "must be finite$"),
+                                   (-math.inf, "must be finite$")):
+                bad = np.array([entry, 0.5, 0.0])
+                for call in (lambda: LabeledDataset(bad[None], one_hot([0], 3)),
+                             lambda: predictor.predict(bad),
+                             lambda: answer_queries(predictor, bad[None])):
+                    with pytest.raises(ValueError, match=message):
+                        call()
             assert predictor.budget.used == 2 * verdicts[:, 0].sum()
 
     def test_query_refusal_reports_the_max_norm(self):
