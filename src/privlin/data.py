@@ -16,7 +16,8 @@ from .noise import as_generator
 
 NORM_TOLERANCE = 1e-9
 _MAX_SQ_NORM = (1.0 + NORM_TOLERANCE) ** 2
-_PRESCREEN_SQ_NORM = _MAX_SQ_NORM * (1 - 1e-12)
+# check_vector's margin per entry: four units of roundoff (2**-53 each) of the bound.
+_PRESCREEN_SLACK = _MAX_SQ_NORM * 2.0 ** -51
 
 
 def is_number(value, kind=numbers.Real) -> bool:
@@ -46,12 +47,14 @@ def check_rows(rows: np.ndarray, in_ball: bool, name: str) -> np.ndarray:
 def check_vector(x: np.ndarray, name: str) -> np.ndarray:
     """x, if the (D,) vector passes check_rows(x[None], True, name), by a pre-screen that
     check_rows decides near the bound. np.vdot's squared norm (which overflows to inf
-    without a warning) passes x when it is below the bound by a margin of 1e-12 relative.
-    Two summation orders of D nonnegative squares differ by less than that for D up to
-    about 4,500 (each order errs by at most (D - 1) units of roundoff), so such a vector
-    passes check_rows too. Every other vector, near the bound or non-finite, goes to
-    check_rows, which gives the verdict and raises its error."""
-    if not np.vdot(x, x) <= _PRESCREEN_SQ_NORM:
+    without a warning) passes x when it is below the bound by a margin of 4 D units of
+    roundoff u = 2**-53, relative. Any summation order of D rounded or fused squares,
+    nonnegative, errs by at most gamma_D = D u / (1 - D u) relative, so two orders differ
+    by about 2 D u, and the margin covers that and the rounding of the threshold for any
+    D below about 10**12: such a vector passes check_rows too. Every other vector, near
+    the bound or non-finite, goes to check_rows, which gives the verdict and raises its
+    error."""
+    if not np.vdot(x, x) <= _MAX_SQ_NORM - x.shape[0] * _PRESCREEN_SLACK:
         check_rows(x[None, :], True, name)
     return x
 

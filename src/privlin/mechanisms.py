@@ -15,8 +15,10 @@ its calibration rules for delta = 0 and delta > 0, fit, answer, parameters and f
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
+import itertools
 import json
 import math
 import mmap
@@ -45,7 +47,7 @@ from .accounting import (
     subsample_beta,
 )
 from .data import LabeledDataset, check_rows, check_vector, is_number
-from .noise import as_generator, sample_gaussian, sample_radial_exponential
+from .noise import _radial_draw, as_generator, sample_gaussian, sample_radial_exponential
 from .trainer import TrainConfig, minimize_erm, minimize_erm_stack, predict_logits
 
 
@@ -125,7 +127,8 @@ class PrivatePredictor:
     ensemble's tie_table, built when a predictor is made with an ensemble and
     no table, and None without an ensemble; dataclasses.replace keeps it, so
     a replace that swaps the ensemble passes ties=None. ValueError if the
-    calibration's family is not one that _FAMILIES lists for the parameters.
+    calibration's family is not one that _FAMILIES lists for the parameters,
+    or if a prediction-side predictor has no budget or no rng.
     """
 
     kind: str
@@ -139,6 +142,9 @@ class PrivatePredictor:
 
     def __post_init__(self):
         _check_family("theta" if self.ensemble is None else "ensemble", self.calibration.family)
+        if KINDS[self.kind].prediction_side and (self.budget is None or self.rng is None):
+            raise ValueError(f"a {self.kind} predictor spends a budget and draws from an rng; "
+                             f"got budget {self.budget!r} and rng {self.rng!r}")
         if self.ensemble is not None and self.ties is None:
             self.ties = tie_table(self.ensemble)
 
@@ -333,13 +339,24 @@ def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     """(k, C) noisy logits for (k, D) rows, or (C,) for a (D,) vector.
 
     Raw noisy logits (not probabilities); consumers may post-process freely.
-    Each row takes one (1, C) noise draw, in row order.
+    Each row takes one (1, C) noise draw, in row order. A vector's (C,) draw
+    comes straight from predictor.rng, with the arithmetic and draws of _noise's
+    one-row block but none of its checks, which the predictor's Calibration
+    passed when it was made. Family "none" adds zeros, so a -0.0 logit becomes
+    0.0 on both paths.
     """
     logits = rows @ predictor.theta
-    if rows.ndim == 1:
-        return logits + _noise(predictor.calibration, 1, (1, logits.shape[0]), predictor.rng)[0]
-    k, c = logits.shape
-    return logits + _noise(predictor.calibration, k, (1, c), predictor.rng)
+    if rows.ndim == 2:
+        k, c = logits.shape
+        return logits + _noise(predictor.calibration, k, (1, c), predictor.rng)
+    family, scale = predictor.calibration.family, predictor.calibration.scale
+    if family == "gaussian":
+        logits += predictor.rng.standard_normal(logits.shape[0]) * scale
+    elif family == "radial_exponential":
+        logits += _radial_draw(np.empty(logits.shape[0]), scale, predictor.rng)
+    else:
+        logits += 0.0
+    return logits
 
 
 def partition_indices(n: int, t: int, rng) -> np.ndarray:
@@ -513,7 +530,7 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     Rows are counted by ensemble_vote_counts. A vector's winners come from argmax on
     its matrix-vector product as (C, T) scores: one numpy call, the same first maximum
     or first NaN as the batch's _class_winners. Its counts are the winners mapped
-    through ties and bincounted.
+    through ties and bincounted, and its label is a binary search of _vote_cdf.
     """
     ensemble, ties, calibration = predictor.ensemble, predictor.ties, predictor.calibration
     if rows.ndim == 2:
@@ -531,11 +548,27 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     counts = np.bincount(ties.take(winners), minlength=c)
     if calibration.family == "none":
         return counts.argmax()
-    cdf = np.add.accumulate(vote_distribution(counts, calibration.scale))
-    cdf /= cdf[-1]
-    # cdf does not decrease, so the entries <= the uniform are a prefix: counting them
-    # is a binary search.
-    return cdf.searchsorted(predictor.rng.random(), "right")
+    # The CDF does not decrease, so the entries <= the uniform are a prefix: counting
+    # them is a binary search.
+    return bisect.bisect_right(_vote_cdf(counts.tolist(), calibration.scale),
+                               predictor.rng.random())
+
+
+def _vote_cdf(counts: list, beta: float) -> list:
+    """The vote CDF of C integer counts at inverse temperature beta, as C floats equal bit
+    for bit to np.add.accumulate(vote_distribution(counts, beta)) divided by its last entry.
+
+    At C of ten, numpy's per-call cost outweighs its arithmetic, so this takes one np.exp
+    (whose rounding Python's math.exp need not share) and numpy's pairwise sum of the
+    exponentials; every other step is one IEEE product, difference or quotient per entry,
+    or the sequential running sum that add.accumulate makes. Rounding is monotone and
+    beta > 0, so beta times the largest count is the largest score."""
+    top = beta * max(counts)
+    weights = np.exp([beta * count - top for count in counts])
+    total = float(np.add.reduce(weights))
+    cdf = list(itertools.accumulate([weight / total for weight in weights.tolist()]))
+    last = cdf[-1]
+    return [value / last for value in cdf]
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +627,10 @@ def privatise(data: LabeledDataset, spec: MechanismSpec, minimiser,
     the fit draws from rng, and only once the kind's parameters can apply calibration."""
     kind, rng = KINDS[spec.kind], as_generator(rng)
     _check_family(kind.params, calibration.family)
-    predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
-                                 **{kind.params: kind.fit(data, spec, minimiser, calibration, rng)})
+    params = {kind.params: kind.fit(data, spec, minimiser, calibration, rng)}
     if kind.prediction_side:
-        predictor.budget, predictor.rng = BudgetState(spec.privacy.budget), rng
-    return predictor
+        params.update(budget=BudgetState(spec.privacy.budget), rng=rng)
+    return PrivatePredictor(spec.kind, spec.privacy, calibration, **params)
 
 
 def fit_predictor(data: LabeledDataset, spec: MechanismSpec, rng) -> PrivatePredictor:

@@ -59,16 +59,24 @@ def sample_radial_exponential(shape, beta: float, rng, count: int = 1) -> np.nda
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count!r}")
     rng = as_generator(rng)
-    n = rows * cols
-    out = np.empty((count, n))
+    out = np.empty((count, rows * cols))
     for direction in out:
-        rng.standard_normal(out=direction)
-        norm = math.sqrt(direction.dot(direction))
-        while norm == 0.0:
-            rng.standard_normal(out=direction)
-            norm = math.sqrt(direction.dot(direction))
-        direction *= rng.gamma(shape=n, scale=1.0 / beta) / norm
+        _radial_draw(direction, beta, rng)
     return out.reshape(count * rows, cols)
+
+
+def _radial_draw(out: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
+    """Fill the 1-D out with one draw from the density proportional to
+    exp(-beta * ||b||) in n = len(out) dimensions, and return it: a Gamma(n,
+    rate beta) radius times the direction of a nonzero standard normal vector.
+    The arguments are not checked."""
+    rng.standard_normal(out=out)
+    norm = math.sqrt(out.dot(out))
+    while norm == 0.0:
+        rng.standard_normal(out=out)
+        norm = math.sqrt(out.dot(out))
+    out *= rng.gamma(shape=out.shape[0], scale=1.0 / beta) / norm
+    return out
 
 
 def sample_gaussian(shape, sigma: float, rng) -> np.ndarray:

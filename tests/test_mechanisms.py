@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import mmap
@@ -48,7 +49,7 @@ from privlin import (
     vote_distribution,
 )
 from privlin import mechanisms
-from privlin.data import _MAX_SQ_NORM, preprocess_pair
+from privlin.data import _MAX_SQ_NORM, check_rows, preprocess_pair
 from privlin.mechanisms import partition_indices, poisson_batches, privatise, solve
 
 
@@ -1078,6 +1079,68 @@ class TestOneRowPath:
         for name in SERVE_PREDICTORS:
             twin(predictors[name], 1).predict(rows[0])
 
+    @pytest.mark.parametrize("c", [2, 7, 8, 10, 129, 300])
+    @pytest.mark.parametrize("beta", [1e-300, 0.002, 1.0, 60.0])
+    def test_vote_cdf_is_numpys_bit_for_bit(self, c, beta):
+        # numpy's pairwise sum adds fewer than 8 entries in order, up to 128 in eight
+        # interleaved partial sums, and more in halves: C covers each regime.
+        rng = np.random.default_rng(c)
+        cases = [rng.integers(0, high, c) for high in (2, 5, 40, 300) for _ in range(5)]
+        for counts in cases + [np.zeros(c, dtype=np.int64)]:
+            expected = np.add.accumulate(vote_distribution(counts, beta))
+            expected /= expected[-1]
+            got = np.array(mechanisms._vote_cdf(counts.tolist(), beta))
+            assert got.tobytes() == expected.tobytes()
+
+
+# sha256 of each prediction-side predictor's 2,000 predict labels (the argmax of its logits)
+# and its final rng state, as commit d504b3d answered them, so that a change moving the
+# one-vector and batch answers alike still shows.
+PINNED_SINGLE_ANSWERS = {"gaussian": "87ea166a1cf9ee95", "radial": "09054b471dde9fdd",
+                         "vote": "689c177fedcb5e25"}
+
+
+class TestPinnedSingleAnswers:
+    @pytest.mark.parametrize("name", sorted(PINNED_SINGLE_ANSWERS))
+    def test_single_answers_match_the_recorded_ones(self, name):
+        # About 62 rows per sub-model, so each sub-model sees every class and no vote
+        # turns on a rounding-level tie.
+        train, test = blob_splits(80, n_train_per_class=400, n_test_per_class=400,
+                                  c=5, d=20, sep=3.0)
+        kind = "subsample_aggregate" if name == "vote" else "prediction_sensitivity"
+        spec = spec_for(kind, eps=50.0, delta=0.0 if name == "radial" else 1e-5,
+                        budget=test.n_examples, lam=0.01, n_models=32)
+        predictor = fit_predictor(train, spec, RngStream(81))
+        if name == "vote":
+            assert (predictor.ties == np.arange(5)).all()
+        labels = [predictor.predict(x) for x in test.features]
+        if name != "vote":
+            labels = [np.argmax(logits) for logits in labels]
+        digest = hashlib.sha256(np.array(labels, dtype=np.int64).tobytes())
+        digest.update(json.dumps(predictor.rng.bit_generator.state, sort_keys=True).encode())
+        assert len(set(labels)) == 5
+        assert digest.hexdigest()[:16] == PINNED_SINGLE_ANSWERS[name]
+
+
+class TestPredictionSideState:
+    @pytest.mark.parametrize("kind", ["prediction_sensitivity", "subsample_aggregate"])
+    def test_a_prediction_side_predictor_needs_a_budget_and_an_rng(self, kind):
+        train, _ = blob_splits(62)
+        predictor = fit_predictor(train, spec_for(kind, n_models=8), RngStream(63))
+        assert isinstance(predictor.budget, BudgetState)
+        assert isinstance(predictor.rng, np.random.Generator)
+        message = "spends a budget and draws from an rng"
+        for missing in ({"rng": None}, {"budget": None}, {"budget": None, "rng": None}):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(predictor, **missing)
+        name = KINDS[kind].params
+        with pytest.raises(ValueError, match=message):
+            PrivatePredictor(kind, predictor.privacy, predictor.calibration,
+                             **{name: getattr(predictor, name)})
+        with pytest.raises(ValueError, match=message):
+            PrivatePredictor(kind, predictor.privacy, predictor.calibration,
+                             budget=BudgetState(3), **{name: getattr(predictor, name)})
+
 
 class TestBatchAnswering:
     @pytest.mark.parametrize("kind", ["prediction_sensitivity", "subsample_aggregate"])
@@ -1184,6 +1247,55 @@ class TestBatchAnswering:
                     with pytest.raises(ValueError, match=message):
                         call()
             assert predictor.budget.used == 2 * verdicts[:, 0].sum()
+
+    @pytest.mark.parametrize("kind, d, heavy, steps", [
+        ("prediction_sensitivity", 10_000, 0, 3), ("subsample_aggregate", 10_000, 0, 3),
+        ("prediction_sensitivity", 10_000, 32, 3),
+        # A fixed pre-screen margin of 1e-12 passed the refused vectors of this case: with
+        # OpenBLAS 0.3.31 on x86-64, np.vdot summed them 1.5e-12 below check_rows' einsum.
+        ("prediction_sensitivity", 1_000_000, 32, 0)])
+    def test_long_vectors_near_the_bound_get_check_rows_verdict(self, kind, d, heavy, steps):
+        # A random direction, or `heavy` equal entries followed by entries whose squares
+        # each fall just under half an ulp of one heavy square, so that summation orders
+        # that mix them differently round far apart. Each vector is scaled to a relative
+        # offset from the bound, then stepped by np.nextafter up to `steps` ulps per entry.
+        rng = np.random.default_rng(d + heavy)
+        if heavy:
+            x = np.full(d, math.sqrt(0.99 * 2.0 ** -53 / heavy))
+            x[:heavy] = math.sqrt(1.0 / heavy)
+        else:
+            x = rng.standard_normal(d)
+        x *= math.sqrt(_MAX_SQ_NORM / np.einsum("i,i->", x, x))
+        vectors = []
+        for offset in (-6e-12, -3e-12, -1.5e-12, -5e-13, 0.0, 1e-13, 5e-13, 1.5e-12, 3e-12):
+            up = down = x * (1 + offset)
+            vectors.append(up)
+            for _ in range(steps):
+                up, down = np.nextafter(up, 2 * up), np.nextafter(down, 0 * down)
+                vectors += [up, down]
+        c = 2
+        params = ({"theta": rng.standard_normal((d, c)),
+                   "calibration": Calibration("gaussian", 1.0)}
+                  if kind == "prediction_sensitivity" else
+                  {"ensemble": rng.standard_normal((3, d, c)),
+                   "calibration": Calibration("exponential_mechanism", 1.0)})
+        predictor = PrivatePredictor(kind, PrivacySpec(1.0, 0.0, 1000), budget=BudgetState(1000),
+                                     rng=np.random.default_rng(0), **params)
+
+        def accepts(call, *args):
+            try:
+                call(*args)
+            except ValueError as exc:
+                assert "unit L2 ball" in str(exc)
+                return False
+            return True
+
+        verdicts = np.array([(accepts(check_rows, v[None], True, "query"),
+                              accepts(predictor.predict, v),
+                              accepts(answer_queries, predictor, v[None])) for v in vectors])
+        assert 0 < verdicts[:, 0].sum() < len(vectors)
+        np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
+        np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
 
     def test_query_refusal_reports_the_max_norm(self):
         train, _ = blob_splits(36)
