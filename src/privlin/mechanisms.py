@@ -79,8 +79,8 @@ class MechanismSpec:
                            grad_tolerance=self.grad_tolerance, **overrides)
 
 
-# The noise families each parameter array can apply: _noise's for a theta, _vote_labels' for
-# an ensemble. "none" adds no noise; every other family is noisy.
+# The noise families each parameter array can apply: _noise's and _noisy_logits' for a theta,
+# _vote_labels' for an ensemble. "none" adds no noise; every other family is noisy.
 _FAMILIES = {"theta": ("gaussian", "radial_exponential", "none"),
              "ensemble": ("exponential_mechanism", "none")}
 
@@ -339,21 +339,20 @@ def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     """(k, C) noisy logits for (k, D) rows, or (C,) for a (D,) vector.
 
     Raw noisy logits (not probabilities); consumers may post-process freely.
-    Each row takes one (1, C) noise draw, in row order. A vector's (C,) draw
-    comes straight from predictor.rng, with the arithmetic and draws of _noise's
-    one-row block but none of its checks, which the predictor's Calibration
-    passed when it was made. Family "none" adds zeros, so a -0.0 logit becomes
-    0.0 on both paths.
+    Each row takes one C-vector noise draw, in row order, straight from
+    predictor.rng: the draws and arithmetic of _noise's (k * 1, C) block but
+    none of its checks, which the predictor's Calibration passed when it was
+    made. Family "none" adds zeros, so a -0.0 logit becomes 0.0.
     """
     logits = rows @ predictor.theta
-    if rows.ndim == 2:
-        k, c = logits.shape
-        return logits + _noise(predictor.calibration, k, (1, c), predictor.rng)
     family, scale = predictor.calibration.family, predictor.calibration.scale
     if family == "gaussian":
-        logits += predictor.rng.standard_normal(logits.shape[0]) * scale
+        logits += predictor.rng.standard_normal(logits.shape) * scale
     elif family == "radial_exponential":
-        logits += _radial_draw(np.empty(logits.shape[0]), scale, predictor.rng)
+        noise = np.empty(logits.shape)
+        for row in noise.reshape(-1, logits.shape[-1]):
+            _radial_draw(row, scale, predictor.rng)
+        logits += noise
     else:
         logits += 0.0
     return logits

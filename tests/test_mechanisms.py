@@ -1142,6 +1142,25 @@ class TestPredictionSideState:
                              budget=BudgetState(3), **{name: getattr(predictor, name)})
 
 
+def _query_verdicts(predictor, vectors, reference) -> np.ndarray:
+    """Whether reference(v) accepts each vector, asserting that predictor.predict(v) and
+    answer_queries on v as one row give the same verdicts, and that both occur."""
+    def accepts(call, *args):
+        try:
+            call(*args)
+        except ValueError as exc:
+            assert "unit L2 ball" in str(exc)
+            return False
+        return True
+
+    verdicts = np.array([(accepts(reference, v), accepts(predictor.predict, v),
+                          accepts(answer_queries, predictor, v[None])) for v in vectors])
+    assert 0 < verdicts[:, 0].sum() < len(vectors)
+    np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
+    np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
+    return verdicts[:, 0]
+
+
 class TestBatchAnswering:
     @pytest.mark.parametrize("kind", ["prediction_sensitivity", "subsample_aggregate"])
     def test_rejected_batch_spends_nothing(self, kind):
@@ -1194,10 +1213,12 @@ class TestBatchAnswering:
         # Rows scaled to norm 1 + 1e-9 land on both sides of the tolerance by
         # rounding; a training row and a query pass or fail the rule together,
         # whether predict checks the vector on its one-row path or answer_queries
-        # checks the row. Vectors stepped by np.nextafter through the band
-        # (1 +- 1e-12) * _MAX_SQ_NORM, in single ulps where they cross the bound,
-        # are the ones predict's np.vdot pre-screen leaves to check_rows. Entries of
-        # NaN, +-inf and 1e200 (whose square overflows) are refused with check_rows'
+        # checks the row. Vectors are stepped by np.nextafter through the band
+        # (1 +- 1e-12) * _MAX_SQ_NORM, in single ulps where they cross the bound.
+        # Most of the band below the bound passes predict's np.vdot pre-screen
+        # directly; the single-ulp steps within its margin of 4 D units of roundoff
+        # (about 1.3e-15 relative at D = 3) go on to check_rows. Entries of NaN,
+        # +-inf and 1e200 (whose square overflows) are refused with check_rows'
         # messages and no warning.
         train, _ = blob_splits(34, d=3)
         rows = np.random.default_rng(0).standard_normal((1000, 3))
@@ -1218,25 +1239,12 @@ class TestBatchAnswering:
         assert ((vdot_sq <= _MAX_SQ_NORM) != (sq <= _MAX_SQ_NORM)).any()
         assert (vdot_sq[in_band] != sq[in_band]).any()
 
-        def accepts(call, *args):
-            try:
-                call(*args)
-            except ValueError as exc:
-                assert "unit L2 ball" in str(exc)
-                return False
-            return True
-
         for kind in ("prediction_sensitivity", "subsample_aggregate"):
             predictor = fit_predictor(train, spec_for(kind, budget=10_000), RngStream(35))
-            verdicts = np.array([(accepts(LabeledDataset, row[None], one_hot([0], 3)),
-                                  accepts(predictor.predict, row),
-                                  accepts(answer_queries, predictor, row[None]))
-                                 for row in rows])
-            assert 0 < verdicts[:, 0].sum() < len(rows)
-            assert 0 < verdicts[in_band, 0].sum() < len(band)
-            np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
-            np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
-            assert predictor.budget.used == 2 * verdicts[:, 0].sum()
+            verdicts = _query_verdicts(
+                predictor, rows, lambda row: LabeledDataset(row[None], one_hot([0], 3)))
+            assert 0 < verdicts[in_band].sum() < len(band)
+            assert predictor.budget.used == 2 * verdicts.sum()
             for entry, message in ((1e200, r"unit L2 ball; max norm 1e\+200$"),
                                    (math.nan, "must be finite$"), (math.inf, "must be finite$"),
                                    (-math.inf, "must be finite$")):
@@ -1246,7 +1254,7 @@ class TestBatchAnswering:
                              lambda: answer_queries(predictor, bad[None])):
                     with pytest.raises(ValueError, match=message):
                         call()
-            assert predictor.budget.used == 2 * verdicts[:, 0].sum()
+            assert predictor.budget.used == 2 * verdicts.sum()
 
     @pytest.mark.parametrize("kind, d, heavy, steps", [
         ("prediction_sensitivity", 10_000, 0, 3), ("subsample_aggregate", 10_000, 0, 3),
@@ -1281,21 +1289,7 @@ class TestBatchAnswering:
                    "calibration": Calibration("exponential_mechanism", 1.0)})
         predictor = PrivatePredictor(kind, PrivacySpec(1.0, 0.0, 1000), budget=BudgetState(1000),
                                      rng=np.random.default_rng(0), **params)
-
-        def accepts(call, *args):
-            try:
-                call(*args)
-            except ValueError as exc:
-                assert "unit L2 ball" in str(exc)
-                return False
-            return True
-
-        verdicts = np.array([(accepts(check_rows, v[None], True, "query"),
-                              accepts(predictor.predict, v),
-                              accepts(answer_queries, predictor, v[None])) for v in vectors])
-        assert 0 < verdicts[:, 0].sum() < len(vectors)
-        np.testing.assert_array_equal(verdicts[:, 1], verdicts[:, 0])
-        np.testing.assert_array_equal(verdicts[:, 2], verdicts[:, 0])
+        _query_verdicts(predictor, vectors, lambda v: check_rows(v[None], True, "query"))
 
     def test_query_refusal_reports_the_max_norm(self):
         train, _ = blob_splits(36)
