@@ -29,7 +29,16 @@ from .data import (
     synth_settings,
     train_test_split,
 )
-from .mechanisms import KINDS, MechanismSpec, answer_queries, calibrate, privatise, solve
+from .mechanisms import (
+    KINDS,
+    MechanismSpec,
+    PrivatePredictor,
+    answer_queries,
+    calibrate,
+    fit_dpsgd_lockstep,
+    privatise,
+    solve,
+)
 # Re-exported: profilers patch fit_predictor here as well as in mechanisms.
 from .mechanisms import fit_predictor  # noqa: F401
 from .noise import RngStream
@@ -41,6 +50,11 @@ from .trainer import TrainConfig
 _TRIAL_SHIFT = 24
 _QUERY_BIT = 1 << 23
 _MAX_TRIALS = _QUERY_BIT
+# DP-SGD trials that one lockstep fit advances at most. Past about 8 the time per trial
+# stops falling (0.68x a lone fit's at 6 trials, 0.63x at 8, 0.61x at 16, for 200 steps
+# of batch 64 on N = 5000, D = 30, C = 10 blobs on a 2-core Xeon VM), while memory grows
+# by one noise block, 256 x D x C floats, per trial.
+_LOCKSTEP_TRIALS = 8
 
 # The SweepConfig grid axes, one per SweepCell field and in the same order.
 _AXES = ("mechanisms", "epsilons", "deltas", "budgets", "n_train", "dims", "classes",
@@ -254,29 +268,53 @@ def _calibrated_spec(cfg: SweepConfig, split, cell: SweepCell):
 
 
 def _group_key(cell: SweepCell, calibrated):
-    """The (split key, lambda) group whose minimiser the cell privatises, or
-    None: the cell's kind does not use one, or its spec or calibration failed."""
-    if isinstance(calibrated, Exception) or not KINDS[cell.mechanism].uses_minimiser:
+    """The shared stage the cell's trials take their parameters from, or None: the
+    cell's kind uses none, or its spec or calibration failed. A stage is keyed by
+    (kind of stage, split key, lambda): "solve", the ERM minimiser that the kinds with
+    uses_minimiser privatise, or "dpsgd", the lockstep fit of the DP-SGD trials."""
+    if isinstance(calibrated, Exception):
         return None
-    return _split_key(cell), cell.lam
+    if KINDS[cell.mechanism].uses_minimiser:
+        return "solve", _split_key(cell), cell.lam
+    if cell.mechanism == "dpsgd":
+        return "dpsgd", _split_key(cell), cell.lam
+    return None
+
+
+def _stream_id(config_index: int, trial: int) -> int:
+    return ((config_index + 1) << _TRIAL_SHIFT) + trial
+
+
+def _fit_in_lockstep(cfg, train, spec, members):
+    """fit_dpsgd_lockstep of the DP-SGD trials members, (config index, trial,
+    calibration) triples on train at spec, each with its trial's stream."""
+    return fit_dpsgd_lockstep(
+        train, spec, [calibration for _, _, calibration in members],
+        [RngStream(cfg.base_seed, _stream_id(index, trial)).generator()
+         for index, trial, _ in members])
 
 
 def _run_trial(cfg, stages, config_index, cell, trial):
     """One trial: privatise the cell's shared stages with the trial's stream
-    and score the predictor. stages is (split, (spec, calibration), minimiser),
-    each stage a value or the exception that computing it raised."""
-    stream_id = ((config_index + 1) << _TRIAL_SHIFT) + trial
+    and score the predictor. stages is (split, (spec, calibration), minimiser,
+    theta), each stage a value or the exception that computing it raised; a
+    DP-SGD trial's theta comes from its lockstep fit, and for other kinds it is None."""
+    stream_id = _stream_id(config_index, trial)
     start = time.perf_counter()
     resolved = dict(n_train=0, dim=0, classes=0)
     try:
-        split, calibrated, minimiser = stages
+        split, calibrated, minimiser, theta = stages
         train, test = _ready(split)
         resolved = dict(n_train=train.n_examples, dim=train.n_features,
                         classes=train.n_classes)
         spec, calibration = _ready(calibrated)
-        rng = RngStream(cfg.base_seed, stream_id).generator()
         kind = KINDS[spec.kind]
-        predictor = privatise(train, spec, _ready(minimiser), calibration, rng)
+        if theta is None:
+            rng = RngStream(cfg.base_seed, stream_id).generator()
+            predictor = privatise(train, spec, _ready(minimiser), calibration, rng)
+        else:
+            predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
+                                         theta=_ready(theta))
 
         truth = test.label_ints()
         if kind.prediction_side and not cfg.score_on_full_test:
@@ -309,15 +347,20 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
     and calibration per grid cell, and the ERM minimiser per (split key,
     lambda) group, which nonprivate, model_sensitivity and
     prediction_sensitivity privatise at every epsilon, delta, budget and
-    trial. Each trial privatises with its own stream (base_seed, config << 24
-    | trial) and is scored; its wall_time_s excludes the shared work. A
-    failed input is stored, and every trial that depends on it records its
-    error with accuracy = nan; the sweep continues. Records are deterministic
-    given the config except for wall_time_s. threads > 1 runs the
-    calibrations, the solves and the trials on a pool of that many threads.
+    trial. The DP-SGD trials of a (split key, lambda) group, at every
+    epsilon, delta and budget, are fit together by fit_dpsgd_lockstep, in
+    runs of at most _LOCKSTEP_TRIALS, each trial with its own calibration.
+    Each trial privatises with its own stream (base_seed, config << 24 |
+    trial), or takes its theta from its lockstep fit, which draws from that
+    stream, and is scored; its wall_time_s excludes the shared work, the
+    lockstep fit included. A failed input is stored, and every trial that
+    depends on it records its error with accuracy = nan; the sweep continues.
+    Records are deterministic given the config except for wall_time_s.
+    threads > 1 runs the calibrations, the solves and lockstep fits, and the
+    trials on a pool of that many threads.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not is_number(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be at least 1 and an integer, got {threads!r}")
     splits = _prepare_splits(cfg)
     grid = itertools.product(*(getattr(cfg, axis) for axis in _AXES))
     cells = [SweepCell(*values) for values in grid]
@@ -326,20 +369,33 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
         cell_splits = [splits[_split_key(cell)] for cell in cells]
         calibrated = list(run(lambda split, cell: _attempt(_calibrated_spec, cfg, split, cell),
                               cell_splits, cells))
-        # One solve per group, from the group's first cell; the solve's other
-        # inputs (tolerance, iteration cap) are sweep-wide.
+        # Shared stages. A "solve" group solves once, from its first cell: the solve's
+        # other inputs (tolerance, iteration cap) are sweep-wide. A "dpsgd" group fits in
+        # runs of at most _LOCKSTEP_TRIALS trials, at its first cell's spec: the DP-SGD
+        # settings are sweep-wide too, and each trial keeps its cell's calibration.
         group_keys = list(map(_group_key, cells, calibrated))
-        groups = {}
-        for key, split, stage in zip(group_keys, cell_splits, calibrated):
+        firsts, members = {}, {}
+        for index, (key, split, stage) in enumerate(zip(group_keys, cell_splits, calibrated)):
             if key is not None:
-                groups.setdefault(key, (split[0], stage[0]))
-        solved = dict(zip(groups, run(lambda inputs: _attempt(solve, *inputs),
-                                      groups.values())))
-        stages = [(split, stage, solved.get(key))
-                  for key, split, stage in zip(group_keys, cell_splits, calibrated)]
+                firsts.setdefault(key, (split[0], stage[0]))
+                members.setdefault(key, []).extend(
+                    (index, trial, stage[1]) for trial in range(cfg.trials))
+        solves = [key for key in firsts if key[0] == "solve"]
+        lots = [(key, members[key][at:at + _LOCKSTEP_TRIALS]) for key in firsts
+                if key[0] == "dpsgd" for at in range(0, len(members[key]), _LOCKSTEP_TRIALS)]
+        done = list(run(lambda task: _attempt(*task),
+                        [(solve, *firsts[key]) for key in solves]
+                        + [(_fit_in_lockstep, cfg, *firsts[key], lot) for key, lot in lots]))
+        solved = dict(zip(solves, done))
+        thetas = {}
+        for (_, lot), fitted in zip(lots, done[len(solves):]):
+            for at, (index, trial, _) in enumerate(lot):
+                thetas[index, trial] = fitted if isinstance(fitted, Exception) else fitted[at]
         tasks = [(index, cell, trial) for index, cell in enumerate(cells)
                  for trial in range(cfg.trials)]
-        return list(run(lambda task: _run_trial(cfg, stages[task[0]], *task), tasks))
+        return list(run(lambda task: _run_trial(
+            cfg, (cell_splits[task[0]], calibrated[task[0]], solved.get(group_keys[task[0]]),
+                  thetas.get((task[0], task[2]))), *task), tasks))
 
 
 def summarize(records) -> list[SummaryRecord]:

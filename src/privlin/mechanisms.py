@@ -242,6 +242,8 @@ def _fit_loss_perturbation(data: LabeledDataset, spec: MechanismSpec, _minimiser
 # O(block (qN + D C)) however many steps a fit runs.
 _BLOCK_STEPS = 256
 
+_DIVERGED = "dpsgd diverged: theta is not finite"
+
 
 def poisson_batches(n: int, q: float, n_steps: int, rng):
     """Poisson-subsampled batches of n rows for n_steps steps: each row joins
@@ -288,7 +290,6 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
 
     x, y = data.features, data.labels
     d, c = data.n_features, data.n_classes
-    lam = spec.lam
     step_size = cfg.learning_rate / (cfg.sample_rate * n)
     theta = np.zeros((d, c))
     x_sq = np.einsum("nd,nd->n", x, x)
@@ -298,26 +299,129 @@ def _fit_dpsgd(data: LabeledDataset, spec: MechanismSpec, _minimiser,
         noise = _noise(step_noise, steps, (d, c), rng).reshape(steps, d, c)
         bounds = bounds.tolist()
         for j in range(steps):
-            idx = rows[bounds[j]:bounds[j + 1]]
-            xb = x.take(idx, axis=0)
-            # Class-major (C, |batch|) arrays, for the reason losses.py gives.
-            logits = theta.T @ xb.T
-            e = np.exp(logits - np.maximum.reduce(logits))
-            residual = e / np.add.reduce(e) - y.take(idx, axis=0).T  # softmax - y, unchecked
-            # ||x r^T + lam theta||_F^2 without materializing per-example matrices
-            sq_norms = x_sq[idx] * np.add.reduce(residual * residual)
-            sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
-            sq_norms += lam * lam * float(np.vdot(theta, theta))
-            scales = cfg.clip / np.maximum(cfg.clip, np.sqrt(sq_norms))
-            residual *= scales
-            summed = xb.T @ residual.T
-            summed += lam * float(scales.sum()) * theta
+            summed = _clipped_sum(theta, x, y, x_sq, rows[bounds[j]:bounds[j + 1]], spec.lam,
+                                  cfg.clip)
             summed += noise[j]
             theta -= step_size * summed
 
     if not np.isfinite(theta).all():
-        raise ValueError("dpsgd diverged: theta is not finite")
+        raise ValueError(_DIVERGED)
     return theta
+
+
+def _clipped_sum(theta, x, y, x_sq, idx, lam: float, clip: float) -> np.ndarray:
+    """(D, C) sum over the batch rows idx of their per-example gradients at theta, each
+    clipped to norm at most clip; x_sq holds the rows' squared norms."""
+    xb = x.take(idx, axis=0)
+    # Class-major (C, |batch|) arrays, for the reason losses.py gives.
+    logits = theta.T @ xb.T
+    e = np.exp(logits - np.maximum.reduce(logits))
+    residual = e / np.add.reduce(e) - y.take(idx, axis=0).T  # softmax - y, unchecked
+    # ||x r^T + lam theta||_F^2 without materializing per-example matrices
+    sq_norms = x_sq[idx] * np.add.reduce(residual * residual)
+    sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
+    sq_norms += lam * lam * float(np.vdot(theta, theta))
+    scales = clip / np.maximum(clip, np.sqrt(sq_norms))
+    residual *= scales
+    summed = xb.T @ residual.T
+    summed += lam * float(scales.sum()) * theta
+    return summed
+
+
+def fit_dpsgd_lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> list:
+    """One DP-SGD fit of data at spec per (calibration, rng) pair, all advanced by one
+    step loop. Entry r is _fit_dpsgd(data, spec, None, calibrations[r], rngs[r]) bit for
+    bit, or the ValueError that call raises; one trial's divergence touches no other
+    trial, and no floating-point warning is raised. One trial runs through _fit_dpsgd
+    itself, which is faster than the lockstep loop at R = 1."""
+    with np.errstate(all="ignore"):
+        if len(rngs) == 1:
+            try:
+                return [_fit_dpsgd(data, spec, None, calibrations[0], rngs[0])]
+            except ValueError as exc:
+                return [exc]
+        thetas = _lockstep(data, spec, calibrations, rngs)
+    return [theta if np.isfinite(theta).all() else ValueError(_DIVERGED) for theta in thetas]
+
+
+def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> np.ndarray:
+    """The (R, D, C) thetas of fit_dpsgd_lockstep, unchecked.
+
+    A sweep-size fit's cost is its per-step numpy calls, not their arithmetic, so each
+    step serves every trial: each trial's batch rows lie side by side (_side_by_side) as
+    the columns of one class-major (C, total batch) array, on which every elementwise step
+    and class reduction of _clipped_sum runs once. Each trial draws from its own rng in
+    _fit_dpsgd's order, a block's batches and then its one _noise block. Kept per trial:
+    the two matrix products, each on the trial's own rows, since a BLAS may round a column
+    of a product differently in a wider product (OpenBLAS 0.3.31 does at D = 784); the
+    np.vdot(theta, theta) and the sum of the clip scales, whose summation orders set the
+    bits; and a one-row batch, whose class sums numpy takes pairwise rather than in order,
+    so _clipped_sum computes it. Memory grows as R blocks of _fit_dpsgd's.
+    """
+    cfg, lam, clip = spec.dpsgd, spec.lam, spec.dpsgd.clip
+    x, y = data.features, data.labels
+    n, d, c = data.n_examples, data.n_features, data.n_classes
+    step_size = cfg.learning_rate / (cfg.sample_rate * n)
+    y_t = np.ascontiguousarray(y.T)
+    x_sq = np.einsum("nd,nd->n", x, x)
+    trials = range(len(rngs))
+    thetas = np.zeros((len(rngs), d, c))
+    summed = np.empty_like(thetas)
+    thetas_t = [theta.T for theta in thetas]
+    step_noise = [replace(calibration, scale=calibration.scale * clip)
+                  for calibration in calibrations]
+    samplers = [poisson_batches(n, cfg.sample_rate, cfg.n_steps, rng) for rng in rngs]
+
+    for start in range(0, cfg.n_steps, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, cfg.n_steps - start)
+        blocks, noise = [], np.empty((len(rngs), steps, d, c))
+        for r in trials:
+            blocks.append(next(samplers[r]))
+            noise[r] = _noise(step_noise[r], steps, (d, c), rngs[r]).reshape(steps, d, c)
+        columns, starts, sizes, spans = _side_by_side(blocks)
+        for j in range(steps):
+            idx, size, span = columns[starts[j]:starts[j + 1]], sizes[j], spans[j]
+            xb = x.take(idx, axis=0)
+            logits = np.empty((c, len(idx)))
+            for r in trials:
+                np.matmul(thetas_t[r], xb[span[r]].T, out=logits[:, span[r]])
+            e = np.exp(logits - np.maximum.reduce(logits))
+            residual = e / np.add.reduce(e) - y_t.take(idx, axis=1)
+            sq_norms = x_sq.take(idx) * np.add.reduce(residual * residual)
+            sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
+            sq_norms += np.repeat([lam * lam * float(np.vdot(theta, theta))
+                                   for theta in thetas], size)
+            scales = clip / np.maximum(clip, np.sqrt(sq_norms))
+            residual *= scales
+            for r in trials:
+                np.matmul(xb[span[r]].T, residual[:, span[r]].T, out=summed[r])
+            scale_sums = np.array([np.add.reduce(scales[rows]) for rows in span])
+            summed += (lam * scale_sums)[:, None, None] * thetas
+            if 1 in size:
+                for r in [r for r in trials if size[r] == 1]:
+                    summed[r] = _clipped_sum(thetas[r], x, y, x_sq, idx[span[r]], lam, clip)
+            summed += noise[:, j]
+            thetas -= step_size * summed
+    return thetas
+
+
+def _side_by_side(blocks) -> tuple:
+    """R trials' poisson_batches blocks of equal step count, step by step: (columns,
+    starts, sizes, spans), where step j's rows of every trial are
+    columns[starts[j]:starts[j + 1]], and trial r's are the slice spans[j][r] of those,
+    sizes[j][r] rows, in trial order."""
+    counts = np.array([np.diff(bounds) for _, bounds in blocks])  # (R, steps)
+    before = np.cumsum(counts, axis=0) - counts  # earlier trials' rows in each step
+    starts = np.concatenate([[0], np.cumsum(counts.sum(axis=0))])
+    columns = np.empty(starts[-1], dtype=np.intp)
+    step_ids = np.arange(counts.shape[1])
+    for (rows, bounds), count, ahead in zip(blocks, counts, before):
+        step = np.repeat(step_ids, count)
+        columns[starts[step] + ahead[step] + np.arange(len(rows)) - bounds[step]] = rows
+    sizes = counts.T.tolist()
+    spans = [[slice(a, a + b) for a, b in zip(ahead, size)]
+             for ahead, size in zip(before.T.tolist(), sizes)]
+    return columns, starts.tolist(), sizes, spans
 
 
 def _released_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:

@@ -231,6 +231,11 @@ class TestRunSweep:
         parallel = run_sweep(cfg, threads=4)
         assert strip_wall_time(serial) == strip_wall_time(parallel)
 
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2", None])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1 and an integer"):
+            run_sweep(tiny_config(trials=1), threads=threads)
+
     def test_failed_rows_recorded_and_sweep_continues(self):
         cfg = tiny_config(mechanisms=("dpsgd", "nonprivate"), deltas=(0.0,), trials=2)
         records = run_sweep(cfg)
@@ -401,6 +406,47 @@ class TestSharedStages:
         lp_trials = [r for r in records if r.mechanism == "loss_perturbation"]
         assert len(solves) - len(shared) == len(lp_trials) == 2 * 2 * 2 * cfg.trials
         assert len(calibrations) == len(records) // cfg.trials == 6 * 2 * 2 * 2
+
+    @pytest.mark.parametrize("threads, lot", [(1, 8), (2, 8), (1, 3), (2, 3)])
+    def test_dpsgd_trials_fit_in_lockstep_as_per_trial_fits(self, monkeypatch, threads, lot):
+        """A DP-SGD group over two epsilons and two budgets, 300 steps (two sampler
+        blocks), in lockstep runs of at most lot trials."""
+        sizes = []
+        lockstep = bench.fit_dpsgd_lockstep
+
+        def counted(data, spec, calibrations, rngs):
+            sizes.append(len(rngs))
+            return lockstep(data, spec, calibrations, rngs)
+
+        monkeypatch.setattr(bench, "fit_dpsgd_lockstep", counted)
+        monkeypatch.setattr(bench, "_LOCKSTEP_TRIALS", lot)
+        cfg = self.six_kinds(deltas=(1e-5,), epsilons=(0.5, 2.0), dpsgd_steps=300)
+        records = run_sweep(cfg, threads=threads)
+        assert all(r.error is None for r in records)
+        assert sorted(sizes) == sorted([8] if lot == 8 else [3, 3, 2])
+        assert comparable(records) == comparable(reference_sweep(cfg))
+
+    def test_a_diverged_dpsgd_trial_records_its_own_error(self, monkeypatch):
+        """The epsilon = 0.5 cell's noise overflows: its trials record the error of their
+        single fits, and their group-mates at epsilon = 2 equal theirs."""
+        calibrate = mechanisms.calibrate
+
+        def overflowing(spec, data):
+            if spec.kind == "dpsgd" and spec.privacy.epsilon == 0.5:
+                return mechanisms.Calibration("gaussian", 1e308)
+            return calibrate(spec, data)
+
+        monkeypatch.setattr(bench, "calibrate", overflowing)
+        monkeypatch.setattr(mechanisms, "calibrate", overflowing)
+        cfg = tiny_config(mechanisms=("dpsgd",), deltas=(1e-5,), epsilons=(0.5, 2.0),
+                          clips=(1.0,), dpsgd_batch=8, dpsgd_steps=20)
+        records = run_sweep(cfg)
+        assert [r.error for r in records if r.epsilon == 0.5] == [
+            "ValueError: dpsgd diverged: theta is not finite"] * 2
+        assert all(r.error is None for r in records if r.epsilon == 2.0)
+        with np.errstate(all="ignore"):  # the single fits warn as they overflow
+            reference = reference_sweep(cfg)
+        assert comparable(records) == comparable(reference)
 
     def test_failed_solve_is_recorded_by_every_trial_that_shares_it(self):
         cfg = self.six_kinds(deltas=(1e-5,), max_iterations=1)

@@ -28,6 +28,7 @@ from privlin import (
     train_test_split,
     unit_ball_scale,
 )
+from privlin.data import check_rows
 
 
 def write_idx_images(path, images):
@@ -403,6 +404,18 @@ class TestLabeledDatasetValidation:
             with pytest.raises(ValueError, match=message):
                 LabeledDataset(features=np.array([[0.6, 0.0], [3.0, 4.0]]) * scale,
                                labels=one_hot([0, 1], 2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e200, -1e200])
+    def test_reported_norm_matches_linalg_norm(self, scale):
+        """The refusal's norm equals the largest row norm to its six printed digits; rows
+        near 1e200, whose squared norms overflow, are compared on a copy scaled by 1e-200."""
+        rows = np.random.default_rng(5).standard_normal((40, 300)) * scale
+        rows[7, :3] = np.array([2e3, -1e3, 5e2]) * scale
+        down = 1e-200 if abs(scale) > 1e100 else 1.0
+        expected = np.linalg.norm(rows * down, axis=1).max() / down
+        with pytest.raises(ValueError, match=re.escape(f"max norm {expected:.6g}")):
+            check_rows(rows, True, "rows")
 
     @pytest.mark.parametrize("features, labels, message", [
         (np.zeros(2), np.eye(2), "features and labels must be 2-D arrays"),

@@ -50,7 +50,14 @@ from privlin import (
 )
 from privlin import mechanisms
 from privlin.data import _MAX_SQ_NORM, check_rows, preprocess_pair
-from privlin.mechanisms import partition_indices, poisson_batches, privatise, solve
+from privlin.mechanisms import (
+    _fit_dpsgd,
+    fit_dpsgd_lockstep,
+    partition_indices,
+    poisson_batches,
+    privatise,
+    solve,
+)
 
 
 def blob_splits(seed=0, n_train_per_class=60, n_test_per_class=30, c=3, d=6, sep=3.5):
@@ -441,6 +448,57 @@ class TestDpSgd:
         spec = spec_for("dpsgd", delta=1e-5, dpsgd=cfg)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             fit_predictor(train, spec, RngStream(46))
+
+
+class TestDpSgdLockstep:
+    """fit_dpsgd_lockstep runs R DP-SGD trials in one step loop, each trial equal to its
+    own _fit_dpsgd bit for bit."""
+
+    @staticmethod
+    def fits(train, spec, calibrations, seed):
+        rngs = [RngStream(seed, r).generator() for r in range(len(calibrations))]
+        return fit_dpsgd_lockstep(train, spec, calibrations, rngs)
+
+    @pytest.mark.parametrize("n_per_class, d, batch, steps", [
+        (20, 6, 1, 300),  # empty and one-row batches, over two sampler blocks
+        (20, 6, 3, 40),
+        (60, 784, 110, 4),  # batches near OpenBLAS's kernel switch for a 10 x 784 product
+    ])
+    @pytest.mark.parametrize("n_trials", [1, 4])
+    def test_each_trial_equals_its_single_fit(self, n_per_class, d, batch, steps, n_trials):
+        train, _ = blob_splits(21, n_train_per_class=n_per_class, c=10, d=d)
+        cfg = DpSgdConfig.for_dataset(train.n_examples, batch, steps, clip=0.1)
+        spec = spec_for("dpsgd", delta=1e-5, lam=0.05, dpsgd=cfg)
+        calibrations = [Calibration("gaussian", sigma) for sigma in (0.8, 3.0, 3.0, 0.8)]
+        calibrations = calibrations[:n_trials]
+        fits = self.fits(train, spec, calibrations, 22)
+        assert len(fits) == n_trials
+        for r, calibration in enumerate(calibrations):
+            single = _fit_dpsgd(train, spec, None, calibration, RngStream(22, r).generator())
+            assert fits[r].tobytes() == single.tobytes()
+        if batch == 1:  # the first block's batch sizes, drawn before its noise
+            _, bounds = next(poisson_batches(train.n_examples, cfg.sample_rate, steps,
+                                             RngStream(22, 0).generator()))
+            assert {0, 1} <= set(np.diff(bounds).tolist())
+
+    @pytest.mark.parametrize("sigmas", [(1e308,), (2.0, 1e308, 0.5)])
+    def test_a_diverged_trial_fails_alone(self, sigmas):
+        """The sigma = 1e308 trial's noise overflows; it gets the ValueError its single
+        fit raises, and no floating-point warning (an error under tier-1) stops its mates."""
+        train, _ = blob_splits(23, n_train_per_class=20, c=10)
+        cfg = DpSgdConfig.for_dataset(train.n_examples, 4, 30, clip=1.0)
+        spec = spec_for("dpsgd", delta=1e-5, dpsgd=cfg)
+        calibrations = [Calibration("gaussian", sigma) for sigma in sigmas]
+        fits = self.fits(train, spec, calibrations, 24)
+        for r, calibration in enumerate(calibrations):
+            rng = RngStream(24, r).generator()
+            if calibration.scale == 1e308:
+                assert isinstance(fits[r], ValueError) and "not finite" in str(fits[r])
+                with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+                    _fit_dpsgd(train, spec, None, calibration, rng)
+            else:
+                assert fits[r].tobytes() == _fit_dpsgd(train, spec, None, calibration,
+                                                       rng).tobytes()
 
 
 class TestPoissonBatches:
