@@ -376,13 +376,15 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
         group_keys = list(map(_group_key, cells, calibrated))
         firsts, members = {}, {}
         for index, (key, split, stage) in enumerate(zip(group_keys, cell_splits, calibrated)):
-            if key is not None:
-                firsts.setdefault(key, (split[0], stage[0]))
+            if key is None:
+                continue
+            firsts.setdefault(key, (split[0], stage[0]))
+            if key[0] == "dpsgd":
                 members.setdefault(key, []).extend(
                     (index, trial, stage[1]) for trial in range(cfg.trials))
-        solves = [key for key in firsts if key[0] == "solve"]
-        lots = [(key, members[key][at:at + _LOCKSTEP_TRIALS]) for key in firsts
-                if key[0] == "dpsgd" for at in range(0, len(members[key]), _LOCKSTEP_TRIALS)]
+        solves = [key for key in firsts if key not in members]
+        lots = [(key, group[at:at + _LOCKSTEP_TRIALS]) for key, group in members.items()
+                for at in range(0, len(group), _LOCKSTEP_TRIALS)]
         done = list(run(lambda task: _attempt(*task),
                         [(solve, *firsts[key]) for key in solves]
                         + [(_fit_in_lockstep, cfg, *firsts[key], lot) for key, lot in lots]))
@@ -393,9 +395,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
                 thetas[index, trial] = fitted if isinstance(fitted, Exception) else fitted[at]
         tasks = [(index, cell, trial) for index, cell in enumerate(cells)
                  for trial in range(cfg.trials)]
-        return list(run(lambda task: _run_trial(
-            cfg, (cell_splits[task[0]], calibrated[task[0]], solved.get(group_keys[task[0]]),
-                  thetas.get((task[0], task[2]))), *task), tasks))
+        stages = [(cell_splits[index], calibrated[index], solved.get(group_keys[index]),
+                   thetas.get((index, trial))) for index, _, trial in tasks]
+        return list(run(lambda task, stage: _run_trial(cfg, stage, *task), tasks, stages))
 
 
 def summarize(records) -> list[SummaryRecord]:

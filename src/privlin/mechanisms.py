@@ -395,6 +395,7 @@ def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> 
             residual *= scales
             for r in trials:
                 np.matmul(xb[span[r]].T, residual[:, span[r]].T, out=summed[r])
+            # np.add.reduce is scales.sum()'s own reduction, without its Python wrapper.
             scale_sums = np.array([np.add.reduce(scales[rows]) for rows in span])
             summed += (lam * scale_sums)[:, None, None] * thetas
             if 1 in size:
