@@ -51,7 +51,7 @@ _TRIAL_SHIFT = 24
 _QUERY_BIT = 1 << 23
 _MAX_TRIALS = _QUERY_BIT
 # DP-SGD trials that one lockstep fit advances at most. Past about 8 the time per trial
-# stops falling (0.68x a lone fit's at 6 trials, 0.63x at 8, 0.61x at 16, for 200 steps
+# stops falling (0.66x a lone fit's at 6 trials, 0.62x at 8, 0.60x at 16, for 200 steps
 # of batch 64 on N = 5000, D = 30, C = 10 blobs on a 2-core Xeon VM), while memory grows
 # by one noise block, 256 x D x C floats, per trial.
 _LOCKSTEP_TRIALS = 8
