@@ -56,9 +56,9 @@ class PrivacySpec:
 
     def __post_init__(self):
         if not (is_number(self.epsilon) and 0 < self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not (is_number(self.delta) and 0.0 <= self.delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+            raise ValueError(f"delta must lie in [0, 1), got {self.delta!r}")
         if not is_number(self.budget, numbers.Integral) or self.budget < 1:
             raise ValueError(f"budget must be an integer at least 1, got {self.budget!r}")
 
@@ -93,13 +93,14 @@ class DpSgdConfig:
 
     def __post_init__(self):
         if not (is_number(self.clip) and 0 < self.clip < math.inf):
-            raise ValueError(f"clip must be positive and finite, got {self.clip}")
+            raise ValueError(f"clip must be positive and finite, got {self.clip!r}")
         if not is_number(self.n_steps, numbers.Integral) or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer at least 1, got {self.n_steps!r}")
         if not (is_number(self.sample_rate) and 0.0 < self.sample_rate <= 1.0):
-            raise ValueError(f"sample_rate must lie in (0, 1], got {self.sample_rate}")
+            raise ValueError(f"sample_rate must lie in (0, 1], got {self.sample_rate!r}")
         if not (is_number(self.learning_rate) and 0 < self.learning_rate < math.inf):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+            raise ValueError("learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
 
     @classmethod
     def for_dataset(cls, n_train: int, batch_size: int, n_steps: int, clip: float,

@@ -112,6 +112,9 @@ class SweepConfig:
             if not value or not all(v is None or isinstance(v, str) or is_number(v) for v in value):
                 raise ValueError(f"grid {name} must list one or more strings, numbers or nulls, "
                                  f"got {list(value)}")
+            if name in ("n_train", "dims", "classes") and not all(
+                    v is None or (is_number(v, numbers.Integral) and v >= 1) for v in value):
+                raise ValueError(f"grid {name} must list integers >= 1 or nulls, got {list(value)}")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
         if not is_number(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
@@ -272,65 +275,49 @@ def _group_key(cell: SweepCell, calibrated):
     cell's kind uses none, or its spec or calibration failed. A stage is keyed by
     (kind of stage, split key, lambda): "solve", the ERM minimiser that the kinds with
     uses_minimiser privatise, or "dpsgd", the lockstep fit of the DP-SGD trials."""
-    if isinstance(calibrated, Exception):
+    if isinstance(calibrated, Exception):  # also an unknown kind's, which KINDS lacks
         return None
-    if KINDS[cell.mechanism].uses_minimiser:
-        return "solve", _split_key(cell), cell.lam
-    if cell.mechanism == "dpsgd":
-        return "dpsgd", _split_key(cell), cell.lam
-    return None
+    stage = "solve" if KINDS[cell.mechanism].uses_minimiser else cell.mechanism
+    return (stage, _split_key(cell), cell.lam) if stage in ("solve", "dpsgd") else None
 
 
 def _stream_id(config_index: int, trial: int) -> int:
     return ((config_index + 1) << _TRIAL_SHIFT) + trial
 
 
-def _fit_in_lockstep(cfg, train, spec, members):
-    """fit_dpsgd_lockstep of the DP-SGD trials members, (config index, trial,
-    calibration) triples on train at spec, each with its trial's stream."""
-    return fit_dpsgd_lockstep(
-        train, spec, [calibration for _, _, calibration in members],
-        [RngStream(cfg.base_seed, _stream_id(index, trial)).generator()
-         for index, trial, _ in members])
-
-
 def _run_trial(cfg, stages, config_index, cell, trial):
     """One trial: privatise the cell's shared stages with the trial's stream
-    and score the predictor. stages is (split, (spec, calibration), minimiser,
-    theta), each stage a value or the exception that computing it raised; a
-    DP-SGD trial's theta comes from its lockstep fit, and for other kinds it is None."""
+    and score the predictor. stages is (split, (spec, calibration), shared),
+    each stage a value or the exception that computing it raised; shared is
+    the trial's minimiser, its DP-SGD theta, or None for kinds that share neither."""
     stream_id = _stream_id(config_index, trial)
     start = time.perf_counter()
     resolved = dict(n_train=0, dim=0, classes=0)
     try:
-        split, calibrated, minimiser, theta = stages
+        split, calibrated, shared = stages
         train, test = _ready(split)
         resolved = dict(n_train=train.n_examples, dim=train.n_features,
                         classes=train.n_classes)
         spec, calibration = _ready(calibrated)
-        kind = KINDS[spec.kind]
-        if theta is None:
-            rng = RngStream(cfg.base_seed, stream_id).generator()
-            predictor = privatise(train, spec, _ready(minimiser), calibration, rng)
-        else:
+        if spec.kind == "dpsgd":
             predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
-                                         theta=_ready(theta))
-
-        truth = test.label_ints()
-        if kind.prediction_side and not cfg.score_on_full_test:
-            query_rng = RngStream(
-                cfg.base_seed, ((config_index + 1) << _TRIAL_SHIFT) + _QUERY_BIT).generator()
-            index = query_rng.choice(test.n_examples, size=cell.budget,
-                                     replace=cell.budget > test.n_examples)
-            answers = answer_queries(predictor, test.features[index])
-            accuracy = float(np.mean(answers == truth[index]))
+                                         theta=_ready(shared))
         else:
-            if kind.prediction_side:
+            rng = RngStream(cfg.base_seed, stream_id).generator()
+            predictor = privatise(train, spec, _ready(shared), calibration, rng)
+        index = slice(None)
+        if KINDS[spec.kind].prediction_side:
+            if cfg.score_on_full_test:
                 # Alternative protocol: noise stays calibrated for B, but the
                 # gate is widened so the whole test set can be scored.
                 predictor.budget = BudgetState(test.n_examples)
-            answers = answer_queries(predictor, test.features)
-            accuracy = float(np.mean(answers == truth))
+            else:
+                query_rng = RngStream(cfg.base_seed,
+                                      _stream_id(config_index, _QUERY_BIT)).generator()
+                index = query_rng.choice(test.n_examples, size=cell.budget,
+                                         replace=cell.budget > test.n_examples)
+        answers = answer_queries(predictor, test.features[index])
+        accuracy = float(np.mean(answers == test.label_ints()[index]))
         error = None
     except Exception as exc:  # noqa: BLE001 - sweep must continue past bad rows
         accuracy, error = float("nan"), f"{type(exc).__name__}: {exc}"
@@ -344,19 +331,18 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
 
     One call computes each deterministic input once, before any trial, and
     shares it: the split per (n_train, dim, classes) key, the MechanismSpec
-    and calibration per grid cell, and the ERM minimiser per (split key,
-    lambda) group, which nonprivate, model_sensitivity and
-    prediction_sensitivity privatise at every epsilon, delta, budget and
-    trial. The DP-SGD trials of a (split key, lambda) group, at every
-    epsilon, delta and budget, are fit together by fit_dpsgd_lockstep, in
-    runs of at most _LOCKSTEP_TRIALS, each trial with its own calibration.
-    Each trial privatises with its own stream (base_seed, config << 24 |
-    trial), or takes its theta from its lockstep fit, which draws from that
-    stream, and is scored; its wall_time_s excludes the shared work, the
-    lockstep fit included. A failed input is stored, and every trial that
-    depends on it records its error with accuracy = nan; the sweep continues.
-    Records are deterministic given the config except for wall_time_s.
-    threads > 1 runs the calibrations, the solves and lockstep fits, and the
+    and calibration per grid cell, and each trial's shared stage. The ERM
+    minimiser is solved once per (split key, lambda) group, and nonprivate,
+    model_sensitivity and prediction_sensitivity privatise it at every
+    epsilon, delta, budget and trial. The DP-SGD trials of a (split key,
+    lambda) group, at every epsilon, delta and budget, are fit by
+    fit_dpsgd_lockstep in lots of at most _LOCKSTEP_TRIALS, each at its
+    cell's calibration. Every trial draws from its own stream (base_seed, config
+    << 24 | trial), in its lockstep fit or as it privatises, and is scored;
+    its wall_time_s excludes the shared work. A failed input is stored, and
+    every trial that depends on it records its error with accuracy = nan; the
+    sweep continues. Records are deterministic given the config except for
+    wall_time_s. threads > 1 runs the calibrations, the shared stages and the
     trials on a pool of that many threads.
     """
     if not is_number(threads, numbers.Integral) or threads < 1:
@@ -369,35 +355,35 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
         cell_splits = [splits[_split_key(cell)] for cell in cells]
         calibrated = list(run(lambda split, cell: _attempt(_calibrated_spec, cfg, split, cell),
                               cell_splits, cells))
-        # Shared stages. A "solve" group solves once, from its first cell: the solve's
-        # other inputs (tolerance, iteration cap) are sweep-wide. A "dpsgd" group fits in
-        # runs of at most _LOCKSTEP_TRIALS trials, at its first cell's spec: the DP-SGD
-        # settings are sweep-wide too, and each trial keeps its cell's calibration.
-        group_keys = list(map(_group_key, cells, calibrated))
-        firsts, members = {}, {}
-        for index, (key, split, stage) in enumerate(zip(group_keys, cell_splits, calibrated)):
-            if key is None:
-                continue
-            firsts.setdefault(key, (split[0], stage[0]))
-            if key[0] == "dpsgd":
-                members.setdefault(key, []).extend(
-                    (index, trial, stage[1]) for trial in range(cfg.trials))
-        solves = [key for key in firsts if key not in members]
-        lots = [(key, group[at:at + _LOCKSTEP_TRIALS]) for key, group in members.items()
-                for at in range(0, len(group), _LOCKSTEP_TRIALS)]
-        done = list(run(lambda task: _attempt(*task),
-                        [(solve, *firsts[key]) for key in solves]
-                        + [(_fit_in_lockstep, cfg, *firsts[key], lot) for key, lot in lots]))
-        solved = dict(zip(solves, done))
-        thetas = {}
-        for (_, lot), fitted in zip(lots, done[len(solves):]):
-            for at, (index, trial, _) in enumerate(lot):
-                thetas[index, trial] = fitted if isinstance(fitted, Exception) else fitted[at]
-        tasks = [(index, cell, trial) for index, cell in enumerate(cells)
-                 for trial in range(cfg.trials)]
-        stages = [(cell_splits[index], calibrated[index], solved.get(group_keys[index]),
-                   thetas.get((index, trial))) for index, _, trial in tasks]
-        return list(run(lambda task, stage: _run_trial(cfg, stage, *task), tasks, stages))
+        # A group's stage is computed from its first cell's train split and spec: the
+        # solve's other inputs (tolerance, iteration cap) and the DP-SGD settings are
+        # sweep-wide, and each DP-SGD trial keeps its cell's calibration.
+        groups = {}
+        for index, (key, split, stage) in enumerate(zip(map(_group_key, cells, calibrated),
+                                                        cell_splits, calibrated)):
+            if key is not None:
+                groups.setdefault(key, (split[0], stage[0], []))[2].extend(
+                    (index, trial) for trial in range(cfg.trials))
+        lots, tasks = [], []
+        for (stage, *_), (train, spec, members) in groups.items():
+            size = len(members) if stage == "solve" else _LOCKSTEP_TRIALS
+            for at in range(0, len(members), size):
+                lot = members[at:at + size]
+                lots.append(lot)
+                tasks.append((solve, train, spec) if stage == "solve" else (
+                    fit_dpsgd_lockstep, train, spec, [calibrated[i][1] for i, _ in lot],
+                    [RngStream(cfg.base_seed, _stream_id(*member)).generator()
+                     for member in lot]))
+        # A solve lot gives its one minimiser to every member, a lockstep lot each
+        # member its own theta; a failed stage is every member's.
+        shared = {}
+        for lot, done in zip(lots, run(lambda task: _attempt(*task), tasks)):
+            shared.update(zip(lot, done if isinstance(done, list) else itertools.repeat(done)))
+        trials = [(index, cell, trial) for index, cell in enumerate(cells)
+                  for trial in range(cfg.trials)]
+        stages = [(cell_splits[index], calibrated[index], shared.get((index, trial)))
+                  for index, _, trial in trials]
+        return list(run(lambda task, stage: _run_trial(cfg, stage, *task), trials, stages))
 
 
 def summarize(records) -> list[SummaryRecord]:

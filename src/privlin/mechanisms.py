@@ -103,10 +103,10 @@ class Calibration:
         if not any(self.family in families for families in _FAMILIES.values()):
             raise ValueError(f"unknown noise family {self.family!r}")
         noisy = self.family != "none"
-        if not (math.isfinite(self.scale) and (self.scale > 0 if noisy else self.scale == 0)
-                and self.rho >= 0):
+        if not (is_number(self.scale) and (0 < self.scale < math.inf if noisy else self.scale == 0)
+                and is_number(self.rho) and 0 <= self.rho < math.inf):
             raise ValueError(f"{self.family} calibration needs a finite "
-                             f"{'positive' if noisy else 'zero'} scale and rho >= 0; "
+                             f"{'positive' if noisy else 'zero'} scale and a finite rho >= 0; "
                              f"got scale {self.scale!r}, rho {self.rho!r}")
 
 
@@ -314,18 +314,26 @@ def _clipped_sum(theta, x, y, x_sq, idx, lam: float, clip: float) -> np.ndarray:
     clipped to norm at most clip; x_sq holds the rows' squared norms."""
     xb = x.take(idx, axis=0)
     # Class-major (C, |batch|) arrays, for the reason losses.py gives.
-    logits = theta.T @ xb.T
+    residual, scales = _clip(theta.T @ xb.T, y.take(idx, axis=0).T, x_sq[idx],
+                             lam * lam * float(np.vdot(theta, theta)), lam, clip)
+    summed = xb.T @ residual.T
+    summed += lam * float(np.add.reduce(scales)) * theta
+    return summed
+
+
+def _clip(logits, labels_t, x_sq, ridge_sq, lam: float, clip: float) -> tuple:
+    """DP-SGD's clip rule on the class-major (C, k) logits and labels of k rows at theta:
+    softmax - labels and the (k,) scales that clip each x r^T + lam theta to norm clip.
+    x_sq holds the rows' squared norms; ridge_sq is ||lam theta||^2, a scalar or per row."""
     e = np.exp(logits - np.maximum.reduce(logits))
-    residual = e / np.add.reduce(e) - y.take(idx, axis=0).T  # softmax - y, unchecked
+    residual = e / np.add.reduce(e) - labels_t  # softmax - y, unchecked
     # ||x r^T + lam theta||_F^2 without materializing per-example matrices
-    sq_norms = x_sq[idx] * np.add.reduce(residual * residual)
+    sq_norms = x_sq * np.add.reduce(residual * residual)
     sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
-    sq_norms += lam * lam * float(np.vdot(theta, theta))
+    sq_norms += ridge_sq
     scales = clip / np.maximum(clip, np.sqrt(sq_norms))
     residual *= scales
-    summed = xb.T @ residual.T
-    summed += lam * float(scales.sum()) * theta
-    return summed
+    return residual, scales
 
 
 def fit_dpsgd_lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> list:
@@ -349,14 +357,15 @@ def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> 
 
     A sweep-size fit's cost is its per-step numpy calls, not their arithmetic, so each
     step serves every trial: each trial's batch rows lie side by side (_side_by_side) as
-    the columns of one class-major (C, total batch) array, on which every elementwise step
-    and class reduction of _clipped_sum runs once. Each trial draws from its own rng in
-    _fit_dpsgd's order, a block's batches and then its one _noise block. Kept per trial:
-    the two matrix products, each on the trial's own rows, since a BLAS may round a column
-    of a product differently in a wider product (OpenBLAS 0.3.31 does at D = 784); the
-    np.vdot(theta, theta) and the sum of the clip scales, whose summation orders set the
-    bits; and a one-row batch, whose class sums numpy takes pairwise rather than in order,
-    so _clipped_sum computes it. Memory grows as R blocks of _fit_dpsgd's.
+    the columns of one class-major (C, total batch) array, on which _clip, the clip rule
+    that _clipped_sum applies too, runs once, each column with its trial's ||lam theta||^2.
+    Each trial draws from its own rng in _fit_dpsgd's order, a block's batches and then
+    its one _noise block. Kept per trial: the two matrix products, each on the trial's own
+    rows, since a BLAS may round a column of a product differently in a wider product
+    (OpenBLAS 0.3.31 does at D = 784); the np.vdot(theta, theta) and the sum of the clip
+    scales, whose summation orders set the bits; and a one-row batch, whose class sums
+    numpy takes pairwise rather than in order, so _clipped_sum computes it. Memory grows
+    as R blocks of _fit_dpsgd's.
     """
     cfg, lam, clip = spec.dpsgd, spec.lam, spec.dpsgd.clip
     x, y = data.features, data.labels
@@ -385,17 +394,12 @@ def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> 
             logits = np.empty((c, len(idx)))
             for r in trials:
                 np.matmul(thetas_t[r], xb[span[r]].T, out=logits[:, span[r]])
-            e = np.exp(logits - np.maximum.reduce(logits))
-            residual = e / np.add.reduce(e) - y_t.take(idx, axis=1)
-            sq_norms = x_sq.take(idx) * np.add.reduce(residual * residual)
-            sq_norms += 2.0 * lam * np.add.reduce(logits * residual)
-            sq_norms += np.repeat([lam * lam * float(np.vdot(theta, theta))
-                                   for theta in thetas], size)
-            scales = clip / np.maximum(clip, np.sqrt(sq_norms))
-            residual *= scales
+            ridge_sq = np.repeat([lam * lam * float(np.vdot(theta, theta)) for theta in thetas],
+                                 size)
+            residual, scales = _clip(logits, y_t.take(idx, axis=1), x_sq.take(idx), ridge_sq,
+                                     lam, clip)
             for r in trials:
                 np.matmul(xb[span[r]].T, residual[:, span[r]].T, out=summed[r])
-            # np.add.reduce is scales.sum()'s own reduction, without its Python wrapper.
             scale_sums = np.array([np.add.reduce(scales[rows]) for rows in span])
             summed += (lam * scale_sums)[:, None, None] * thetas
             if 1 in size:

@@ -117,10 +117,11 @@ class TestSpecsValidation:
 
     @pytest.mark.parametrize("settings, message", [
         ({"clip": None}, "clip must be positive and finite, got None"),
-        ({"clip": "0.1"}, "clip must be positive and finite, got 0.1"),
+        ({"clip": "0.1"}, "clip must be positive and finite, got '0.1'"),
         ({"n_steps": True}, "n_steps must be an integer at least 1, got True"),
-        ({"sample_rate": "0.1"}, r"sample_rate must lie in \(0, 1\]"),
+        ({"sample_rate": "0.1"}, r"sample_rate must lie in \(0, 1\], got '0.1'"),
         ({"learning_rate": True}, "learning_rate must be positive and finite, got True"),
+        ({"learning_rate": "1"}, "learning_rate must be positive and finite, got '1'"),
     ])
     def test_dpsgd_config_refuses_what_is_no_number(self, settings, message):
         # A null or string used to raise TypeError, and a bool to pass as 0 or 1.
@@ -128,8 +129,9 @@ class TestSpecsValidation:
             DpSgdConfig(**{"clip": 0.1, "n_steps": 5, "sample_rate": 0.1, **settings})
 
     @pytest.mark.parametrize("settings, message", [
-        ({"epsilon": "1"}, "epsilon must be positive and finite, got 1"),
+        ({"epsilon": "1"}, "epsilon must be positive and finite, got '1'"),
         ({"delta": None}, r"delta must lie in \[0, 1\), got None"),
+        ({"delta": "0"}, r"delta must lie in \[0, 1\), got '0'"),
         ({"budget": True}, "budget must be an integer at least 1, got True"),
     ])
     def test_privacy_spec_refuses_what_is_no_number(self, settings, message):

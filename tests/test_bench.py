@@ -101,6 +101,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             SweepConfig.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_train", "5"), ("n_train", 0), ("dims", 1.5), ("dims", 3.0), ("classes", -2)])
+    def test_size_axes_take_integers_of_at_least_one(self, name, value):
+        # "5" used to fail every cell with a TypeError about '<', and 1.5 with one about
+        # slice indices; neither named the axis.
+        message = re.escape(f"grid {name} must list integers >= 1 or nulls, got [None, {value!r}]")
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{name: [None, value]})
+        payload = {**json.loads(tiny_config().to_json()), name: [None, value]}
+        with pytest.raises(ValueError, match=message):
+            SweepConfig.from_json(json.dumps(payload))
+        assert getattr(tiny_config(**{name: [None, np.int64(2)]}), name) == (None, 2)
+
     def test_grid_values_may_be_any_json_scalar(self):
         cfg = tiny_config(n_train=[None, 30], epsilons=np.array([0.5, 1.0]))
         assert cfg.n_train == (None, 30) and cfg.epsilons == (0.5, 1.0)
@@ -170,9 +183,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["dpsgd_learning_rate", "grad_tolerance"])
     def test_solver_rates_must_be_positive(self, name):
-        # DpSgdConfig, which reads dpsgd_learning_rate, calls it learning_rate.
+        # DpSgdConfig, which reads dpsgd_learning_rate, calls it learning_rate. Its message
+        # used to show the string "1e-6" as 1e-6.
         for bad in (0.0, -1e-3, math.nan, "1e-6", math.inf, True):
-            with pytest.raises(ValueError, match=f"{name.removeprefix('dpsgd_')} must be positive"):
+            message = f"{name.removeprefix('dpsgd_')} must be positive and finite, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 tiny_config(**{name: bad})
 
     @pytest.mark.parametrize("clip", [0.0, math.nan, "0.1", None])

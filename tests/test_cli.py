@@ -286,7 +286,7 @@ def test_every_synth_reader_applies_one_rule(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value, message", [
     ("clips", [0], "clip must be positive and finite, got 0"),
-    ("clips", ["0.1"], "clip must be positive and finite, got 0.1"),
+    ("clips", ["0.1"], "clip must be positive and finite, got '0.1'"),
     ("dpsgd_learning_rate", True, "learning_rate must be positive and finite, got True"),
     ("grad_tolerance", True, "grad_tolerance must be positive and finite, got True"),
     ("max_iterations", True, "max_iterations must be an integer >= 1: True"),

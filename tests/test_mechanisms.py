@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import mmap
+import re
 
 import numpy as np
 import pytest
@@ -465,7 +466,17 @@ class TestDpSgdLockstep:
         (60, 784, 110, 4),  # batches near OpenBLAS's kernel switch for a 10 x 784 product
     ])
     @pytest.mark.parametrize("n_trials", [1, 4])
-    def test_each_trial_equals_its_single_fit(self, n_per_class, d, batch, steps, n_trials):
+    def test_each_trial_equals_its_single_fit(self, monkeypatch, n_per_class, d, batch, steps,
+                                              n_trials):
+        step_sizes = []  # each lockstep step's batch size per trial
+        side_by_side = mechanisms._side_by_side
+
+        def recorded(blocks):
+            laid = side_by_side(blocks)
+            step_sizes.extend(laid[2])
+            return laid
+
+        monkeypatch.setattr(mechanisms, "_side_by_side", recorded)
         train, _ = blob_splits(21, n_train_per_class=n_per_class, c=10, d=d)
         cfg = DpSgdConfig.for_dataset(train.n_examples, batch, steps, clip=0.1)
         spec = spec_for("dpsgd", delta=1e-5, lam=0.05, dpsgd=cfg)
@@ -480,6 +491,12 @@ class TestDpSgdLockstep:
             _, bounds = next(poisson_batches(train.n_examples, cfg.sample_rate, steps,
                                              RngStream(22, 0).generator()))
             assert {0, 1} <= set(np.diff(bounds).tolist())
+        if batch == 1 and n_trials == 4:
+            assert len(step_sizes) == steps
+            # A one-row batch beside other trials' rows, which _clipped_sum recomputes...
+            assert any(1 in sizes and sum(sizes) > 1 for sizes in step_sizes)
+            # ...and a step whose only row is one trial's.
+            assert any(sum(sizes) == 1 for sizes in step_sizes)
 
     @pytest.mark.parametrize("sigmas", [(1e308,), (2.0, 1e308, 0.5)])
     def test_a_diverged_trial_fails_alone(self, sigmas):
@@ -904,6 +921,11 @@ class TestSerialization:
         {"family": "none", "scale": 0.5},
         {"family": "gaussian", "scale": 1.0, "rho": -1.0},
         {"family": "gaussian", "scale": "1.0"},
+        # A JSON true used to load as scale True, and an infinite rho to load at all.
+        {"family": "gaussian", "scale": True},
+        {"family": "none", "scale": False},
+        {"family": "gaussian", "scale": 1.0, "rho": float("inf")},
+        {"family": "gaussian", "scale": 1.0, "rho": True},
     ])
     def test_malformed_calibration_record_is_refused(self, record, tmp_path):
         train, _ = blob_splits(31, n_train_per_class=20)
@@ -919,6 +941,20 @@ class TestSerialization:
             load_predictor(path)
         with pytest.raises((TypeError, ValueError)):
             Calibration(**record)
+
+    @pytest.mark.parametrize("family, scale, rho", [
+        ("gaussian", True, 0.0), ("none", False, 0.0), ("gaussian", "1.0", 0.0),
+        ("gaussian", None, 0.0), ("gaussian", 1.0, math.inf), ("gaussian", 1.0, math.nan),
+        ("gaussian", 1.0, True), ("radial_exponential", 1.0, "0"),
+    ])
+    def test_calibration_refuses_what_is_no_finite_number(self, family, scale, rho):
+        # A bool scale and an infinite rho used to construct, and a string scale to raise
+        # TypeError.
+        message = re.escape(f"got scale {scale!r}, rho {rho!r}")
+        with pytest.raises(ValueError, match="needs a finite .* scale and a finite rho >= 0; "
+                                             + message):
+            Calibration(family, scale, rho)
+        assert Calibration(family, 0.0 if family == "none" else 2.5, 0.5).rho == 0.5
 
     @pytest.mark.parametrize("kind, family", [
         ("prediction_sensitivity", "exponential_mechanism"),
@@ -1008,7 +1044,7 @@ class TestSerialization:
         ("prediction_sensitivity", {"rng_state": np.array("[1, 2]")},
          "malformed privacy, budget or rng record: state must be a dict"),
         ("model_sensitivity", {"epsilon": np.array("one")},
-         "epsilon must be positive and finite, got one"),
+         "epsilon must be positive and finite, got 'one'"),
     ])
     def test_file_that_cannot_answer_is_refused(self, kind, changes, message, tmp_path):
         train, _ = blob_splits(33, n_train_per_class=20)
