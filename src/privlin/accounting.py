@@ -72,12 +72,15 @@ class ProblemDims:
     n_classes: int
 
     def __post_init__(self):
-        for name in ("n_train", "lam", "n_classes"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, kind in (("n_train", numbers.Integral), ("lam", numbers.Real),
+                           ("n_classes", numbers.Integral)):
+            value = getattr(self, name)
+            if not (is_number(value, kind) and 0 < value < math.inf):
+                noun = "integer" if kind is numbers.Integral else "finite number"
+                raise ValueError(f"{name} must be a positive {noun}, got {value!r}")
         if not math.isfinite(minimizer_sensitivity(self)):
-            raise ValueError(f"2K / (n_train lam) must be finite; n_train {self.n_train}, "
-                             f"lam {self.lam}")
+            raise ValueError(f"2K / (n_train lam) must be finite; n_train {self.n_train!r}, "
+                             f"lam {self.lam!r}")
 
 
 @dataclass(frozen=True)

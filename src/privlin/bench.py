@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 import time
 import warnings
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -115,6 +116,18 @@ class SweepConfig:
             if name in ("n_train", "dims", "classes") and not all(
                     v is None or (is_number(v, numbers.Integral) and v >= 1) for v in value):
                 raise ValueError(f"grid {name} must list integers >= 1 or nulls, got {list(value)}")
+        # A value no kind accepts would fail every cell of its row. A lam of 0 stays, as
+        # DP-SGD takes it; the other kinds' lam = 0 cells fail one by one.
+        for name, key in (("epsilons", "epsilon"), ("deltas", "delta"), ("budgets", "budget")):
+            for value in getattr(self, name):
+                try:
+                    PrivacySpec(**{"epsilon": 1.0, key: value})
+                except ValueError as exc:
+                    raise ValueError(f"grid {name}: {exc}") from None
+        if not all(is_number(v, numbers.Integral) and v >= 1 for v in self.n_models):
+            raise ValueError(f"grid n_models must list integers >= 1, got {list(self.n_models)}")
+        if not all(is_number(v) and 0 <= v < math.inf for v in self.lambdas):
+            raise ValueError(f"grid lambdas must list finite numbers >= 0, got {list(self.lambdas)}")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
         if not is_number(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
@@ -254,8 +267,9 @@ def _prepare_splits(cfg: SweepConfig) -> dict:
     return splits
 
 
-def _calibrated_spec(cfg: SweepConfig, split, cell: SweepCell):
-    """The MechanismSpec of one grid cell and its calibration on the cell's split."""
+def _calibrated_spec(cfg: SweepConfig, split, cell: SweepCell, twin=None):
+    """The MechanismSpec of one grid cell and its calibration on the cell's split, or that
+    of twin, the stored stage of a cell with the same _calibration_key."""
     train, _ = _ready(split)
     privacy = PrivacySpec(epsilon=cell.epsilon, delta=cell.delta, budget=cell.budget)
     dpsgd = None
@@ -267,7 +281,14 @@ def _calibrated_spec(cfg: SweepConfig, split, cell: SweepCell):
                          n_models=cell.n_models, dpsgd=dpsgd,
                          grad_tolerance=cfg.grad_tolerance,
                          max_iterations=cfg.max_iterations)
-    return spec, calibrate(spec, train)
+    return spec, calibrate(spec, train) if twin is None else _ready(twin)[1]
+
+
+def _calibration_key(cell: SweepCell) -> tuple:
+    """Cells of one key share a calibration: a training-side kind's noise does not read the
+    inference budget, so its cells that differ only in budget share one."""
+    training_side = cell.mechanism in KINDS and not KINDS[cell.mechanism].prediction_side
+    return replace(cell, budget=None).config_key() if training_side else cell.config_key()
 
 
 def _group_key(cell: SweepCell, calibrated):
@@ -331,19 +352,20 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
 
     One call computes each deterministic input once, before any trial, and
     shares it: the split per (n_train, dim, classes) key, the MechanismSpec
-    and calibration per grid cell, and each trial's shared stage. The ERM
-    minimiser is solved once per (split key, lambda) group, and nonprivate,
-    model_sensitivity and prediction_sensitivity privatise it at every
-    epsilon, delta, budget and trial. The DP-SGD trials of a (split key,
-    lambda) group, at every epsilon, delta and budget, are fit by
-    fit_dpsgd_lockstep in lots of at most _LOCKSTEP_TRIALS, each at its
-    cell's calibration. Every trial draws from its own stream (base_seed, config
-    << 24 | trial), in its lockstep fit or as it privatises, and is scored;
-    its wall_time_s excludes the shared work. A failed input is stored, and
-    every trial that depends on it records its error with accuracy = nan; the
-    sweep continues. Records are deterministic given the config except for
-    wall_time_s. threads > 1 runs the calibrations, the shared stages and the
-    trials on a pool of that many threads.
+    per grid cell, the calibration per _calibration_key (per cell, but one for
+    a training-side kind's cells that differ only in budget), and each trial's
+    shared stage. The ERM minimiser is solved once per (split key, lambda)
+    group, and nonprivate, model_sensitivity and prediction_sensitivity
+    privatise it at every epsilon, delta, budget and trial. The DP-SGD trials
+    of a (split key, lambda) group, at every epsilon, delta and budget, are fit
+    by fit_dpsgd_lockstep in lots of at most _LOCKSTEP_TRIALS, each at its
+    cell's calibration. Every trial draws from its own stream (base_seed,
+    config << 24 | trial), in its lockstep fit or as it privatises, and is
+    scored; its wall_time_s excludes the shared work. A failed input is
+    stored, and every trial that depends on it records its error with
+    accuracy = nan; the sweep continues. Records are deterministic given the
+    config except for wall_time_s. threads > 1 runs the calibrations, the
+    shared stages and the trials on a pool of that many threads.
     """
     if not is_number(threads, numbers.Integral) or threads < 1:
         raise ValueError(f"threads must be at least 1 and an integer, got {threads!r}")
@@ -353,8 +375,14 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         cell_splits = [splits[_split_key(cell)] for cell in cells]
-        calibrated = list(run(lambda split, cell: _attempt(_calibrated_spec, cfg, split, cell),
-                              cell_splits, cells))
+        # Each cell's twin is the first cell of its _calibration_key, which calibrates.
+        firsts = {}
+        twins = [firsts.setdefault(_calibration_key(cell), index) for index, cell in enumerate(cells)]
+        own = dict(zip(firsts.values(), run(
+            lambda i: _attempt(_calibrated_spec, cfg, cell_splits[i], cells[i]), firsts.values())))
+        calibrated = [own[index] if twin == index else _attempt(
+            _calibrated_spec, cfg, cell_splits[index], cells[index], own[twin])
+            for index, twin in enumerate(twins)]
         # A group's stage is computed from its first cell's train split and spec: the
         # solve's other inputs (tolerance, iteration cap) and the DP-SGD settings are
         # sweep-wide, and each DP-SGD trial keeps its cell's calibration.

@@ -453,7 +453,7 @@ def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     none of its checks, which the predictor's Calibration passed when it was
     made. Family "none" adds zeros, so a -0.0 logit becomes 0.0.
     """
-    logits = rows @ predictor.theta
+    logits = rows.dot(predictor.theta)  # ndarray.dot skips matmul's gufunc dispatch
     family, scale = predictor.calibration.family, predictor.calibration.scale
     if family == "gaussian":
         logits += predictor.rng.standard_normal(logits.shape) * scale
@@ -494,10 +494,10 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     A sub-model's classes that none of its examples carry enter its
     objective symmetrically, so its exact minimiser has their columns equal;
     they are set to their mean, which makes them equal bit for bit, and
-    tie_table groups them. The sub-models are stored in class-major (D, C, T)
-    memory and `ensemble` is that buffer's (T, D, C) transposed view, so
-    ensemble_vote_counts can treat them as one (D, C*T) matrix without a copy
-    and find each sub-model's winner along a leading class axis.
+    tie_table groups them. The sub-models are stored in (D, T, C) memory
+    (_feature_major) and `ensemble` is that buffer's (T, D, C) transposed view,
+    so both votes treat them as one (D, T*C) matrix without a copy: a single
+    query's scores are contiguous (T, C) rows, and a batch's are (T, C, n).
     """
     parts = partition_indices(data.n_examples, spec.n_models, rng)
     # A row gather, then one transposing copy into the solver's layout, features
@@ -536,23 +536,43 @@ def _huge_page_empty(shape, dtype) -> np.ndarray:
 
 
 def _feature_major(ensemble: np.ndarray) -> np.ndarray:
-    """The (T, D, C) view of a copy of ensemble stored in class-major (D, C, T) memory,
-    from _huge_page_empty."""
+    """The (T, D, C) view of a copy of ensemble stored in (D, T, C) memory, from
+    _huge_page_empty: each feature's row of the (D, T*C) weight matrix holds every
+    sub-model's C classes side by side."""
     t, d, c = ensemble.shape
-    memory = _huge_page_empty((d, c, t), ensemble.dtype)
-    np.copyto(memory, ensemble.transpose(1, 2, 0))
-    return memory.transpose(2, 0, 1)
+    memory = _huge_page_empty((d, t, c), ensemble.dtype)
+    np.copyto(memory, ensemble.transpose(1, 0, 2))
+    return memory.transpose(1, 0, 2)
+
+
+def _weights(ensemble: np.ndarray) -> np.ndarray:
+    """The (D, T*C) matrix of a (T, D, C) ensemble: a view of _feature_major's memory, a
+    copy of any other layout."""
+    t, d, c = ensemble.shape
+    return ensemble.transpose(1, 0, 2).reshape(d, t * c)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_pairs(c: int) -> tuple:
+    """The (low, high) class pairs, low < high, of C classes as two index arrays."""
+    pairs = np.triu_indices(c, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def tie_table(ensemble: np.ndarray) -> np.ndarray:
     """(T, C) table: for each sub-model and class, the lowest class whose
     parameter column in that sub-model is bitwise equal to the class's own.
-    Only column pairs equal in their first entry are compared in full."""
-    bits = np.asarray(ensemble, dtype=np.float64).view(np.uint64)  # (T, D, C)
-    t, _, c = bits.shape
-    first = bits[:, 0, :]
-    model, low, high = np.nonzero(np.triu(first[:, :, None] == first[:, None, :], 1))
-    same = (bits[model, :, low] == bits[model, :, high]).all(axis=1)
+    Only column pairs equal in their first entry, which the contiguous (T, C)
+    first row of the (D, T*C) weights holds, are compared in full."""
+    t, _, c = ensemble.shape
+    bits = _weights(np.asarray(ensemble, dtype=np.float64)).view(np.uint64)
+    low, high = _class_pairs(c)
+    first = bits[0].reshape(t, c)
+    model, pair = np.nonzero(first[:, low] == first[:, high])
+    low, high = low[pair], high[pair]
+    same = (bits[:, model * c + low] == bits[:, model * c + high]).all(axis=0)
     table = np.tile(np.arange(c), (t, 1))
     np.minimum.at(table, (model[same], high[same]), low[same])
     return table
@@ -569,21 +589,22 @@ def _class_ranks(c: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _tie_offsets(t: int, c: int) -> np.ndarray:
     """(T,) offsets 0, C, ..., (T - 1) * C that turn T sub-models' winners into flat
-    indices into their (T, C) tie table."""
+    indices into their (T, C) tie table; a batch's (T, n) winners take them as a column."""
     offsets = np.arange(0, t * c, c)
     offsets.flags.writeable = False
     return offsets
 
 
 def _class_winners(scores: np.ndarray) -> np.ndarray:
-    """(..., T) index of each sub-model's winning class in (..., C, T) scores: the batch
-    vote's winner search. It finds the first class of maximum score, or the first NaN,
-    as argmax along the class axis would give.
+    """(..., n) index of each column's winning class in (..., C, n) scores: the batch
+    vote's winner search over its (T, C, n) scores, one column per sub-model and row. It
+    finds the first class of maximum score, or the first NaN, as argmax along the class
+    axis would give.
 
     numpy reduces along a short trailing axis several times slower than along a leading
-    one (losses.py), so the classes lead: the maximum, then the highest rank C - c among
-    the classes equal to it. A NaN maximum equals no class, so its column takes the
-    highest rank among its NaNs."""
+    one (losses.py), so the classes lead and the rows trail: the maximum, then the
+    highest rank C - c among the classes equal to it. A NaN maximum equals no class, so
+    its column takes the highest rank among its NaNs."""
     c = scores.shape[-2]
     rank = _class_ranks(c)
     top = np.maximum.reduce(scores, axis=-2, keepdims=True)
@@ -598,25 +619,24 @@ def ensemble_vote_counts(ensemble: np.ndarray, rows, ties: np.ndarray) -> np.nda
     class (_class_winners), mapped through ties = tie_table(ensemble), so each
     row's counts sum to T.
 
-    All T sub-models score the rows in one matrix product against the
-    (D, C*T) matrix of their parameters, giving (n, C, T) scores; that reshape
-    is free for the (D, C, T) memory of the subsample-and-aggregate fit and
-    copies any other layout once per call. BLAS scores one row with a
-    matrix-vector product and a batch with a matrix-matrix product, and the two
-    can round a sub-model's equal columns apart differently. Each winner is
-    therefore mapped to the lowest class of its tie group, so equal columns tie
-    exactly and a batch answers as its rows would one by one.
+    All T sub-models score the rows in one matrix product of the transposed
+    (D, T*C) matrix of their parameters (_weights) and the transposed rows,
+    giving (T, C, n) scores with the classes ahead of the rows, as
+    _class_winners wants them. BLAS scores one row with a matrix-vector product
+    and a batch with a matrix-matrix product, and the two can round a
+    sub-model's equal columns apart differently. Each winner is therefore
+    mapped to the lowest class of its tie group, so equal columns tie exactly
+    and a batch answers as its rows would one by one.
     """
     rows = np.asarray(rows, dtype=np.float64)
     t, d, c = ensemble.shape
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ValueError(f"rows must have shape (n, {d}), got {rows.shape}")
     n = rows.shape[0]
-    weights = ensemble.transpose(1, 2, 0).reshape(d, c * t)
-    winners = _class_winners((rows @ weights).reshape(n, c, t))  # (n, t)
-    winners += _tie_offsets(t, c)  # flat indices into ties
+    winners = _class_winners((_weights(ensemble).T @ rows.T).reshape(t, c, n))  # (t, n)
+    winners += _tie_offsets(t, c)[:, None]  # flat indices into ties
     votes = ties.take(winners)
-    votes += np.arange(0, n * c, c)[:, None]  # each row's votes into its own C bins
+    votes += np.arange(0, n * c, c)  # each row's votes into its own C bins
     return np.bincount(votes.ravel(), minlength=n * c).reshape(n, c)
 
 
@@ -635,10 +655,8 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
     arithmetic and draws as rng.choice(C, p=probs) called row by row. Family
     "none" answers the plurality vote (the first class of maximum count, so ties go
     to the lowest class), drawing nothing.
-    Rows are counted by ensemble_vote_counts. A vector's winners come from argmax on
-    its matrix-vector product as (C, T) scores: one numpy call, the same first maximum
-    or first NaN as the batch's _class_winners. Its counts are the winners mapped
-    through ties and bincounted, and its label is a binary search of _vote_cdf.
+    Rows are counted by ensemble_vote_counts and a vector by _vector_vote_counts; a
+    vector's label is a binary search of _vote_cdf.
     """
     ensemble, ties, calibration = predictor.ensemble, predictor.ties, predictor.calibration
     if rows.ndim == 2:
@@ -649,17 +667,24 @@ def _vote_labels(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
         cdf /= cdf[:, -1:]
         uniforms = predictor.rng.random(rows.shape[0])
         return np.add.reduce(cdf <= uniforms[:, None], axis=1)
-    t, d, c = ensemble.shape
-    scores = rows @ ensemble.transpose(1, 2, 0).reshape(d, c * t)
-    winners = scores.reshape(c, t).argmax(axis=0)
-    winners += _tie_offsets(t, c)
-    counts = np.bincount(ties.take(winners), minlength=c)
+    counts = _vector_vote_counts(ensemble, rows, ties)
     if calibration.family == "none":
         return counts.argmax()
     # The CDF does not decrease, so the entries <= the uniform are a prefix: counting
     # them is a binary search.
     return bisect.bisect_right(_vote_cdf(counts.tolist(), calibration.scale),
                                predictor.rng.random())
+
+
+def _vector_vote_counts(ensemble: np.ndarray, x: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """(C,) votes per class for one (D,) vector, equal to ensemble_vote_counts' row for
+    x[None]. The winners come from argmax along the rows of x's matrix-vector product with
+    _weights, contiguous (T, C) scores: one numpy call, the same first maximum or first NaN
+    as the batch's _class_winners, then mapped through ties and bincounted."""
+    t, _, c = ensemble.shape
+    winners = x.dot(_weights(ensemble)).reshape(t, c).argmax(axis=1)
+    winners += _tie_offsets(t, c)
+    return np.bincount(ties.take(winners), minlength=c)
 
 
 def _vote_cdf(counts: list, beta: float) -> list:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -86,6 +87,24 @@ class TestSpecsValidation:
             ProblemDims(n_train=0, lam=0.1, n_classes=2)
         with pytest.raises(ValueError):
             ProblemDims(n_train=10, lam=0.0, n_classes=2)
+
+    @pytest.mark.parametrize("dims, message", [
+        # True used to pass as one example, and "5" to raise a TypeError from '>'.
+        ((True, 1.0, 3), "n_train must be a positive integer, got True"),
+        (("5", 1.0, 3), "n_train must be a positive integer, got '5'"),
+        ((5.0, 1.0, 3), "n_train must be a positive integer, got 5.0"),
+        ((5, "1.0", 3), "lam must be a positive finite number, got '1.0'"),
+        ((5, math.nan, 3), "lam must be a positive finite number, got nan"),
+        ((5, False, 3), "lam must be a positive finite number, got False"),
+        # An infinite lam made the minimiser's sensitivity 0 and the radial noise scale inf.
+        ((5, math.inf, 3), "lam must be a positive finite number, got inf"),
+        ((5, 1.0, 2.5), "n_classes must be a positive integer, got 2.5"),
+        ((5, 1.0, None), "n_classes must be a positive integer, got None"),
+    ])
+    def test_dims_check_their_types(self, dims, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProblemDims(*dims)
+        assert ProblemDims(np.int64(5), np.float64(0.5), np.int32(3)).n_train == 5
 
     def test_dims_reject_an_infinite_minimizer_sensitivity(self):
         # N lam = 6e-319 is subnormal, so 2K / (N lam) overflows to inf and every

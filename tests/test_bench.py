@@ -114,6 +114,42 @@ class TestConfig:
             SweepConfig.from_json(json.dumps(payload))
         assert getattr(tiny_config(**{name: [None, np.int64(2)]}), name) == (None, 2)
 
+    @pytest.mark.parametrize("name, value, message", [
+        # Each used to construct and then fail every trial of its cells.
+        ("epsilons", "1", "grid epsilons: epsilon must be positive and finite, got '1'"),
+        ("epsilons", 0.0, "grid epsilons: epsilon must be positive and finite, got 0.0"),
+        ("epsilons", math.inf, "grid epsilons: epsilon must be positive and finite, got inf"),
+        ("epsilons", None, "grid epsilons: epsilon must be positive and finite, got None"),
+        ("deltas", 1.0, "grid deltas: delta must lie in [0, 1), got 1.0"),
+        ("deltas", -1e-5, "grid deltas: delta must lie in [0, 1), got -1e-05"),
+        ("deltas", "1e-5", "grid deltas: delta must lie in [0, 1), got '1e-5'"),
+        ("budgets", 2.5, "grid budgets: budget must be an integer at least 1, got 2.5"),
+        ("budgets", 10.0, "grid budgets: budget must be an integer at least 1, got 10.0"),
+        ("budgets", 0, "grid budgets: budget must be an integer at least 1, got 0"),
+        ("n_models", 0, "grid n_models must list integers >= 1, got [4, 0]"),
+        ("n_models", 4.5, "grid n_models must list integers >= 1, got [4, 4.5]"),
+        ("n_models", None, "grid n_models must list integers >= 1, got [4, None]"),
+        ("lambdas", "0.1", "grid lambdas must list finite numbers >= 0, got [0.1, '0.1']"),
+        ("lambdas", -0.1, "grid lambdas must list finite numbers >= 0, got [0.1, -0.1]"),
+        ("lambdas", math.nan, "grid lambdas must list finite numbers >= 0, got [0.1, nan]"),
+        ("lambdas", math.inf, "grid lambdas must list finite numbers >= 0, got [0.1, inf]"),
+    ])
+    def test_privacy_and_model_axes_refuse_values_no_kind_accepts(self, name, value, message):
+        grid = [{"deltas": 0.0, "lambdas": 0.1}.get(name, 4), value]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**{name: grid})
+        payload = {**json.loads(tiny_config().to_json()), name: grid}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig.from_json(json.dumps(payload))
+
+    def test_lambda_zero_stays_a_per_cell_error(self):
+        cfg = tiny_config(mechanisms=("dpsgd", "nonprivate"), deltas=(1e-5,), lambdas=(0.0,),
+                          trials=1)
+        records = {r.mechanism: r for r in run_sweep(cfg)}
+        assert records["dpsgd"].error is None
+        assert records["nonprivate"].error is not None
+        assert math.isnan(records["nonprivate"].accuracy)
+
     def test_grid_values_may_be_any_json_scalar(self):
         cfg = tiny_config(n_train=[None, 30], epsilons=np.array([0.5, 1.0]))
         assert cfg.n_train == (None, 30) and cfg.epsilons == (0.5, 1.0)
@@ -398,7 +434,8 @@ class TestSharedStages:
         assert comparable(records) == comparable(reference_sweep(cfg))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_solve_per_group_and_one_calibration_per_cell(self, monkeypatch, threads):
+    def test_one_solve_per_group_and_one_calibration_per_budget_free_cell(self, monkeypatch,
+                                                                          threads):
         solves, calibrations = [], []
         minimize_erm, calibrate = mechanisms.minimize_erm, bench.calibrate
 
@@ -420,7 +457,10 @@ class TestSharedStages:
         assert sorted(shared) == sorted(groups)
         lp_trials = [r for r in records if r.mechanism == "loss_perturbation"]
         assert len(solves) - len(shared) == len(lp_trials) == 2 * 2 * 2 * cfg.trials
-        assert len(calibrations) == len(records) // cfg.trials == 6 * 2 * 2 * 2
+        # Per (dim, lambda): one calibration per training-side kind, whose noise does not
+        # read the budget, and one per budget for each prediction-side kind.
+        assert len(records) // cfg.trials == 6 * 2 * 2 * 2
+        assert len(calibrations) == (4 + 2 * 2) * 2 * 2
 
     @pytest.mark.parametrize("threads, lot", [(1, 8), (2, 8), (1, 3), (2, 3)])
     def test_dpsgd_trials_fit_in_lockstep_as_per_trial_fits(self, monkeypatch, threads, lot):

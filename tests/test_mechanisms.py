@@ -1189,31 +1189,55 @@ class TestOneRowPath:
 
 # sha256 of each prediction-side predictor's 2,000 predict labels (the argmax of its logits)
 # and its final rng state, as commit d504b3d answered them, so that a change moving the
-# one-vector and batch answers alike still shows.
+# one-vector and batch answers alike still shows. A batch answers as its rows would one by
+# one, rng included (Kind), so answer_queries in batches of PINNED_BATCH_SIZES gives the
+# same digests; commit ece1f59 gave them.
 PINNED_SINGLE_ANSWERS = {"gaussian": "87ea166a1cf9ee95", "radial": "09054b471dde9fdd",
                          "vote": "689c177fedcb5e25"}
+PINNED_BATCH_SIZES = (1, 7, 1, 491, 1500)
+
+
+def pinned_predictor(name):
+    """One of the pinned tests' predictors, fit on 2,000 rows of five blob classes, and its
+    2,000 test rows. About 62 rows per sub-model, so each sub-model sees every class and
+    no vote turns on a rounding-level tie."""
+    train, test = blob_splits(80, n_train_per_class=400, n_test_per_class=400,
+                              c=5, d=20, sep=3.0)
+    kind = "subsample_aggregate" if name == "vote" else "prediction_sensitivity"
+    spec = spec_for(kind, eps=50.0, delta=0.0 if name == "radial" else 1e-5,
+                    budget=test.n_examples, lam=0.01, n_models=32)
+    predictor = fit_predictor(train, spec, RngStream(81))
+    if name == "vote":
+        assert (predictor.ties == np.arange(5)).all()
+    return predictor, test
+
+
+def answers_digest(labels, predictor) -> str:
+    digest = hashlib.sha256(np.array(labels, dtype=np.int64).tobytes())
+    digest.update(json.dumps(predictor.rng.bit_generator.state, sort_keys=True).encode())
+    assert len(set(labels)) == 5
+    return digest.hexdigest()[:16]
 
 
 class TestPinnedSingleAnswers:
     @pytest.mark.parametrize("name", sorted(PINNED_SINGLE_ANSWERS))
     def test_single_answers_match_the_recorded_ones(self, name):
-        # About 62 rows per sub-model, so each sub-model sees every class and no vote
-        # turns on a rounding-level tie.
-        train, test = blob_splits(80, n_train_per_class=400, n_test_per_class=400,
-                                  c=5, d=20, sep=3.0)
-        kind = "subsample_aggregate" if name == "vote" else "prediction_sensitivity"
-        spec = spec_for(kind, eps=50.0, delta=0.0 if name == "radial" else 1e-5,
-                        budget=test.n_examples, lam=0.01, n_models=32)
-        predictor = fit_predictor(train, spec, RngStream(81))
-        if name == "vote":
-            assert (predictor.ties == np.arange(5)).all()
+        predictor, test = pinned_predictor(name)
         labels = [predictor.predict(x) for x in test.features]
         if name != "vote":
             labels = [np.argmax(logits) for logits in labels]
-        digest = hashlib.sha256(np.array(labels, dtype=np.int64).tobytes())
-        digest.update(json.dumps(predictor.rng.bit_generator.state, sort_keys=True).encode())
-        assert len(set(labels)) == 5
-        assert digest.hexdigest()[:16] == PINNED_SINGLE_ANSWERS[name]
+        assert answers_digest(labels, predictor) == PINNED_SINGLE_ANSWERS[name]
+
+
+class TestPinnedBatchAnswers:
+    @pytest.mark.parametrize("name", sorted(PINNED_SINGLE_ANSWERS))
+    def test_batch_answers_match_the_recorded_ones(self, name):
+        predictor, test = pinned_predictor(name)
+        ends = np.cumsum(PINNED_BATCH_SIZES)
+        assert ends[-1] == test.n_examples
+        labels = np.concatenate([answer_queries(predictor, test.features[end - size:end])
+                                 for size, end in zip(PINNED_BATCH_SIZES, ends)])
+        assert answers_digest(labels, predictor) == PINNED_SINGLE_ANSWERS[name]
 
 
 class TestPredictionSideState:
@@ -1445,6 +1469,21 @@ class TestBatchAnswering:
                                  for x in test.features])
         np.testing.assert_array_equal(batch, single)
 
+    @pytest.mark.parametrize("size", [1, 7, 500])
+    def test_tied_batch_counts_equal_the_one_vector_counts(self, size):
+        # At T = 33 both batch products round some equal columns apart from the one-vector
+        # product (33 of these rows at n = 1, one at n = 500, without the tie table).
+        predictor, _ = degenerate_ensemble(62, n_models=33)
+        ensemble, ties = predictor.ensemble, predictor.ties
+        assert (ties != np.arange(10)).any(axis=1).all()
+        rng = np.random.default_rng(62)
+        rows = rng.standard_normal((1000, 20))
+        rows *= rng.random((1000, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+        single = [mechanisms._vector_vote_counts(ensemble, x, ties) for x in rows]
+        batch = np.concatenate([ensemble_vote_counts(ensemble, rows[i:i + size], ties)
+                                for i in range(0, len(rows), size)])
+        np.testing.assert_array_equal(batch, single)
+
     def test_ensemble_is_the_stacked_solve_of_the_partition(self):
         train, _ = blob_splits(39, n_train_per_class=40, c=3, d=5)
         spec = spec_for("subsample_aggregate", n_models=8)
@@ -1525,7 +1564,7 @@ class TestBatchAnswering:
         save_predictor(path, predictor)
         for ensemble in (predictor.ensemble, load_predictor(path).ensemble):
             assert ensemble.shape == (6, 20, 10)
-            assert ensemble.transpose(1, 2, 0).flags.c_contiguous  # (D, C, T) memory
+            assert ensemble.transpose(1, 0, 2).flags.c_contiguous  # (D, T, C) memory
 
     @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="Linux huge pages only")
     def test_large_ensembles_start_on_a_huge_page(self):
@@ -1534,7 +1573,7 @@ class TestBatchAnswering:
             stored = mechanisms._feature_major(given)
             assert stored.dtype == given.dtype
             np.testing.assert_array_equal(stored, given)
-            assert stored.transpose(1, 2, 0).flags.c_contiguous and stored.flags.writeable
+            assert stored.transpose(1, 0, 2).flags.c_contiguous and stored.flags.writeable
             assert stored.ctypes.data % (2 << 20) == 0
 
 
