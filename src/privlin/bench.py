@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 import time
 import warnings
@@ -116,18 +115,8 @@ class SweepConfig:
             if name in ("n_train", "dims", "classes") and not all(
                     v is None or (is_number(v, numbers.Integral) and v >= 1) for v in value):
                 raise ValueError(f"grid {name} must list integers >= 1 or nulls, got {list(value)}")
-        # A value no kind accepts would fail every cell of its row. A lam of 0 stays, as
-        # DP-SGD takes it; the other kinds' lam = 0 cells fail one by one.
-        for name, key in (("epsilons", "epsilon"), ("deltas", "delta"), ("budgets", "budget")):
-            for value in getattr(self, name):
-                try:
-                    PrivacySpec(**{"epsilon": 1.0, key: value})
-                except ValueError as exc:
-                    raise ValueError(f"grid {name}: {exc}") from None
-        if not all(is_number(v, numbers.Integral) and v >= 1 for v in self.n_models):
-            raise ValueError(f"grid n_models must list integers >= 1, got {list(self.n_models)}")
-        if not all(is_number(v) and 0 <= v < math.inf for v in self.lambdas):
-            raise ValueError(f"grid lambdas must list finite numbers >= 0, got {list(self.lambdas)}")
+        if not all(isinstance(v, str) for v in self.mechanisms):
+            raise ValueError(f"grid mechanisms must list kind names, got {list(self.mechanisms)}")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
         if not is_number(self.trials, numbers.Integral) or not 1 <= self.trials < _MAX_TRIALS:
@@ -139,7 +128,20 @@ class SweepConfig:
             raise ValueError(f"dpsgd_batch must be an integer >= 1, got {self.dpsgd_batch!r}")
         # The configs that read these settings check them; lam and sample rate are stand-ins.
         TrainConfig(lam=1.0, max_iterations=self.max_iterations, grad_tolerance=self.grad_tolerance)
-        DpSgdConfig(self.clips[0], self.dpsgd_steps, 1.0, self.dpsgd_learning_rate)
+        dpsgd = DpSgdConfig(self.clips[0], self.dpsgd_steps, 1.0, self.dpsgd_learning_rate)
+        # A value no kind accepts would fail every cell of its row, so its owner checks it: a
+        # PrivacySpec, or a DP-SGD MechanismSpec, which takes lam = 0 (the other kinds'
+        # lam = 0 cells fail one by one).
+        for name, key in (("epsilons", "epsilon"), ("deltas", "delta"), ("budgets", "budget"),
+                          ("lambdas", "lam"), ("n_models", "n_models")):
+            for value in getattr(self, name):
+                try:
+                    if name in ("lambdas", "n_models"):
+                        MechanismSpec("dpsgd", PrivacySpec(1.0, 0.5), dpsgd=dpsgd, **{key: value})
+                    else:
+                        PrivacySpec(**{"epsilon": 1.0, key: value})
+                except ValueError as exc:
+                    raise ValueError(f"grid {name}: {exc}") from None
         for name in _IDX_PATHS + ("csv_path",):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
@@ -267,21 +269,15 @@ def _prepare_splits(cfg: SweepConfig) -> dict:
     return splits
 
 
-def _calibrated_spec(cfg: SweepConfig, split, cell: SweepCell, twin=None):
-    """The MechanismSpec of one grid cell and its calibration on the cell's split, or that
-    of twin, the stored stage of a cell with the same _calibration_key."""
+def _cell_spec(cfg: SweepConfig, split, cell: SweepCell) -> MechanismSpec:
+    """The MechanismSpec of one grid cell on the cell's split."""
     train, _ = _ready(split)
-    privacy = PrivacySpec(epsilon=cell.epsilon, delta=cell.delta, budget=cell.budget)
-    dpsgd = None
-    if cell.mechanism == "dpsgd":
-        dpsgd = DpSgdConfig.for_dataset(
-            train.n_examples, min(cfg.dpsgd_batch, train.n_examples),
-            cfg.dpsgd_steps, cfg.clips[0], cfg.dpsgd_learning_rate)
-    spec = MechanismSpec(kind=cell.mechanism, privacy=privacy, lam=cell.lam,
-                         n_models=cell.n_models, dpsgd=dpsgd,
-                         grad_tolerance=cfg.grad_tolerance,
-                         max_iterations=cfg.max_iterations)
-    return spec, calibrate(spec, train) if twin is None else _ready(twin)[1]
+    dpsgd = DpSgdConfig.for_dataset(
+        train.n_examples, min(cfg.dpsgd_batch, train.n_examples), cfg.dpsgd_steps,
+        cfg.clips[0], cfg.dpsgd_learning_rate) if cell.mechanism == "dpsgd" else None
+    return MechanismSpec(kind=cell.mechanism, lam=cell.lam, n_models=cell.n_models, dpsgd=dpsgd,
+                         privacy=PrivacySpec(cell.epsilon, cell.delta, cell.budget),
+                         grad_tolerance=cfg.grad_tolerance, max_iterations=cfg.max_iterations)
 
 
 def _calibration_key(cell: SweepCell) -> tuple:
@@ -291,41 +287,40 @@ def _calibration_key(cell: SweepCell) -> tuple:
     return replace(cell, budget=None).config_key() if training_side else cell.config_key()
 
 
-def _group_key(cell: SweepCell, calibrated):
-    """The shared stage the cell's trials take their parameters from, or None: the
-    cell's kind uses none, or its spec or calibration failed. A stage is keyed by
-    (kind of stage, split key, lambda): "solve", the ERM minimiser that the kinds with
-    uses_minimiser privatise, or "dpsgd", the lockstep fit of the DP-SGD trials."""
-    if isinstance(calibrated, Exception):  # also an unknown kind's, which KINDS lacks
-        return None
-    stage = "solve" if KINDS[cell.mechanism].uses_minimiser else cell.mechanism
-    return (stage, _split_key(cell), cell.lam) if stage in ("solve", "dpsgd") else None
+def _once_per_key(run, keys, compute) -> list:
+    """Each index's value of a stage shared by key: compute(i) runs once on run, for the
+    first index i of each distinct key, and is stored as _attempt stores it; an index
+    whose key is None gets None."""
+    firsts = {}
+    for index, key in enumerate(keys):
+        if key is not None:
+            firsts.setdefault(key, index)
+    done = dict(zip(firsts, run(lambda index: _attempt(compute, index), firsts.values())))
+    return [None if key is None else done[key] for key in keys]
 
 
 def _stream_id(config_index: int, trial: int) -> int:
     return ((config_index + 1) << _TRIAL_SHIFT) + trial
 
 
-def _run_trial(cfg, stages, config_index, cell, trial):
-    """One trial: privatise the cell's shared stages with the trial's stream
-    and score the predictor. stages is (split, (spec, calibration), shared),
-    each stage a value or the exception that computing it raised; shared is
-    the trial's minimiser, its DP-SGD theta, or None for kinds that share neither."""
+def _run_trial(cfg, config_index, cell, trial, split, spec, calibration, shared):
+    """One trial: privatise the cell's stages with the trial's stream and score
+    the predictor. split, spec, calibration and shared are each a value or the
+    exception that computing it raised; shared is the trial's minimiser, its
+    DP-SGD theta, or None for kinds that share neither."""
     stream_id = _stream_id(config_index, trial)
     start = time.perf_counter()
     resolved = dict(n_train=0, dim=0, classes=0)
     try:
-        split, calibrated, shared = stages
         train, test = _ready(split)
         resolved = dict(n_train=train.n_examples, dim=train.n_features,
                         classes=train.n_classes)
-        spec, calibration = _ready(calibrated)
+        spec, calibration, shared = _ready(spec), _ready(calibration), _ready(shared)
         if spec.kind == "dpsgd":
-            predictor = PrivatePredictor(spec.kind, spec.privacy, calibration,
-                                         theta=_ready(shared))
+            predictor = PrivatePredictor(spec.kind, spec.privacy, calibration, theta=shared)
         else:
             rng = RngStream(cfg.base_seed, stream_id).generator()
-            predictor = privatise(train, spec, _ready(shared), calibration, rng)
+            predictor = privatise(train, spec, shared, calibration, rng)
         index = slice(None)
         if KINDS[spec.kind].prediction_side:
             if cfg.score_on_full_test:
@@ -350,22 +345,20 @@ def _run_trial(cfg, stages, config_index, cell, trial):
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
     """Run every (configuration, trial) cell and return records in grid order.
 
-    One call computes each deterministic input once, before any trial, and
-    shares it: the split per (n_train, dim, classes) key, the MechanismSpec
-    per grid cell, the calibration per _calibration_key (per cell, but one for
-    a training-side kind's cells that differ only in budget), and each trial's
-    shared stage. The ERM minimiser is solved once per (split key, lambda)
-    group, and nonprivate, model_sensitivity and prediction_sensitivity
-    privatise it at every epsilon, delta, budget and trial. The DP-SGD trials
-    of a (split key, lambda) group, at every epsilon, delta and budget, are fit
-    by fit_dpsgd_lockstep in lots of at most _LOCKSTEP_TRIALS, each at its
-    cell's calibration. Every trial draws from its own stream (base_seed,
-    config << 24 | trial), in its lockstep fit or as it privatises, and is
-    scored; its wall_time_s excludes the shared work. A failed input is
-    stored, and every trial that depends on it records its error with
-    accuracy = nan; the sweep continues. Records are deterministic given the
-    config except for wall_time_s. threads > 1 runs the calibrations, the
-    shared stages and the trials on a pool of that many threads.
+    Each cell builds its own MechanismSpec. Before any trial, each shared
+    stage is computed once per key: the split per (n_train, dim, classes);
+    the calibration per _calibration_key (one for a training-side kind's
+    cells that differ only in budget); the ERM minimiser per (split key,
+    lambda), which the kinds with uses_minimiser privatise; and the DP-SGD
+    thetas per (split key, lambda), fit by fit_dpsgd_lockstep in lots of at
+    most _LOCKSTEP_TRIALS trials, each at its cell's calibration. Every
+    trial draws from its own stream (base_seed, config << 24 | trial), in
+    its lockstep fit or as it privatises, and is scored; its wall_time_s
+    excludes the shared work. A failed stage is stored, and every trial that
+    depends on it records its error with accuracy = nan; the sweep
+    continues. Records are deterministic given the config except for
+    wall_time_s. threads > 1 runs the stages and the trials on a pool of
+    that many threads.
     """
     if not is_number(threads, numbers.Integral) or threads < 1:
         raise ValueError(f"threads must be at least 1 and an integer, got {threads!r}")
@@ -375,43 +368,35 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialRecord]:
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         cell_splits = [splits[_split_key(cell)] for cell in cells]
-        # Each cell's twin is the first cell of its _calibration_key, which calibrates.
-        firsts = {}
-        twins = [firsts.setdefault(_calibration_key(cell), index) for index, cell in enumerate(cells)]
-        own = dict(zip(firsts.values(), run(
-            lambda i: _attempt(_calibrated_spec, cfg, cell_splits[i], cells[i]), firsts.values())))
-        calibrated = [own[index] if twin == index else _attempt(
-            _calibrated_spec, cfg, cell_splits[index], cells[index], own[twin])
-            for index, twin in enumerate(twins)]
-        # A group's stage is computed from its first cell's train split and spec: the
-        # solve's other inputs (tolerance, iteration cap) and the DP-SGD settings are
-        # sweep-wide, and each DP-SGD trial keeps its cell's calibration.
-        groups = {}
-        for index, (key, split, stage) in enumerate(zip(map(_group_key, cells, calibrated),
-                                                        cell_splits, calibrated)):
-            if key is not None:
-                groups.setdefault(key, (split[0], stage[0], []))[2].extend(
-                    (index, trial) for trial in range(cfg.trials))
-        lots, tasks = [], []
-        for (stage, *_), (train, spec, members) in groups.items():
-            size = len(members) if stage == "solve" else _LOCKSTEP_TRIALS
-            for at in range(0, len(members), size):
-                lot = members[at:at + size]
-                lots.append(lot)
-                tasks.append((solve, train, spec) if stage == "solve" else (
-                    fit_dpsgd_lockstep, train, spec, [calibrated[i][1] for i, _ in lot],
-                    [RngStream(cfg.base_seed, _stream_id(*member)).generator()
-                     for member in lot]))
-        # A solve lot gives its one minimiser to every member, a lockstep lot each
-        # member its own theta; a failed stage is every member's.
-        shared = {}
-        for lot, done in zip(lots, run(lambda task: _attempt(*task), tasks)):
-            shared.update(zip(lot, done if isinstance(done, list) else itertools.repeat(done)))
+        specs = [_attempt(_cell_spec, cfg, split, cell) for split, cell in zip(cell_splits, cells)]
+        calibrations = _once_per_key(run, [_calibration_key(cell) for cell in cells],
+                                     lambda i: calibrate(_ready(specs[i]), cell_splits[i][0]))
+        # A cell whose calibration succeeded shares its minimiser or DP-SGD lots with the
+        # cells of its (split key, lambda); the other solver and DP-SGD settings are sweep-wide.
+        groups = [None if isinstance(stage, Exception) else (_split_key(cell), cell.lam)
+                  for cell, stage in zip(cells, calibrations)]
+        minimisers = _once_per_key(run, [
+            group if group and KINDS[cell.mechanism].uses_minimiser else None
+            for group, cell in zip(groups, cells)], lambda i: solve(cell_splits[i][0], specs[i]))
+        dpsgd = {}
+        for index, (group, cell) in enumerate(zip(groups, cells)):
+            if group and cell.mechanism == "dpsgd":
+                dpsgd.setdefault(group, []).extend((index, trial) for trial in range(cfg.trials))
+        lots = [members[at:at + _LOCKSTEP_TRIALS] for members in dpsgd.values()
+                for at in range(0, len(members), _LOCKSTEP_TRIALS)]
+        fits = run(lambda lot: _attempt(
+            fit_dpsgd_lockstep, cell_splits[lot[0][0]][0], specs[lot[0][0]],
+            [calibrations[i] for i, _ in lot],
+            [RngStream(cfg.base_seed, _stream_id(*member)).generator() for member in lot]), lots)
+        # A lot gives each trial its own theta; a failed lot is every trial's.
+        thetas = {}
+        for lot, done in zip(lots, fits):
+            thetas.update(zip(lot, done if isinstance(done, list) else itertools.repeat(done)))
         trials = [(index, cell, trial) for index, cell in enumerate(cells)
                   for trial in range(cfg.trials)]
-        stages = [(cell_splits[index], calibrated[index], shared.get((index, trial)))
-                  for index, _, trial in trials]
-        return list(run(lambda task, stage: _run_trial(cfg, stage, *task), trials, stages))
+        stages = [(cell_splits[index], specs[index], calibrations[index],
+                   thetas.get((index, trial), minimisers[index])) for index, _, trial in trials]
+        return list(run(lambda task, stage: _run_trial(cfg, *task, *stage), trials, stages))
 
 
 def summarize(records) -> list[SummaryRecord]:

@@ -126,13 +126,13 @@ class TestConfig:
         ("budgets", 2.5, "grid budgets: budget must be an integer at least 1, got 2.5"),
         ("budgets", 10.0, "grid budgets: budget must be an integer at least 1, got 10.0"),
         ("budgets", 0, "grid budgets: budget must be an integer at least 1, got 0"),
-        ("n_models", 0, "grid n_models must list integers >= 1, got [4, 0]"),
-        ("n_models", 4.5, "grid n_models must list integers >= 1, got [4, 4.5]"),
-        ("n_models", None, "grid n_models must list integers >= 1, got [4, None]"),
-        ("lambdas", "0.1", "grid lambdas must list finite numbers >= 0, got [0.1, '0.1']"),
-        ("lambdas", -0.1, "grid lambdas must list finite numbers >= 0, got [0.1, -0.1]"),
-        ("lambdas", math.nan, "grid lambdas must list finite numbers >= 0, got [0.1, nan]"),
-        ("lambdas", math.inf, "grid lambdas must list finite numbers >= 0, got [0.1, inf]"),
+        ("n_models", 0, "grid n_models: n_models must be an integer at least 1, got 0"),
+        ("n_models", 4.5, "grid n_models: n_models must be an integer at least 1, got 4.5"),
+        ("n_models", None, "grid n_models: n_models must be an integer at least 1, got None"),
+        ("lambdas", "0.1", "grid lambdas: lam must be nonnegative and finite, got '0.1'"),
+        ("lambdas", -0.1, "grid lambdas: lam must be nonnegative and finite, got -0.1"),
+        ("lambdas", math.nan, "grid lambdas: lam must be nonnegative and finite, got nan"),
+        ("lambdas", math.inf, "grid lambdas: lam must be nonnegative and finite, got inf"),
     ])
     def test_privacy_and_model_axes_refuse_values_no_kind_accepts(self, name, value, message):
         grid = [{"deltas": 0.0, "lambdas": 0.1}.get(name, 4), value]
@@ -140,6 +140,17 @@ class TestConfig:
             tiny_config(**{name: grid})
         payload = {**json.loads(tiny_config().to_json()), name: grid}
         with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [3, None, 1.5])
+    def test_mechanisms_must_be_kind_names(self, value):
+        # Each used to construct and then fail every trial of its cells, and the trial CSV
+        # wrote 3 or None in the mechanism column.
+        message = re.escape(f"grid mechanisms must list kind names, got [{value!r}, 'nonprivate']")
+        with pytest.raises(ValueError, match=message):
+            tiny_config(mechanisms=(value, "nonprivate"))
+        payload = {**json.loads(tiny_config().to_json()), "mechanisms": [value, "nonprivate"]}
+        with pytest.raises(ValueError, match=message):
             SweepConfig.from_json(json.dumps(payload))
 
     def test_lambda_zero_stays_a_per_cell_error(self):
@@ -522,6 +533,53 @@ class TestSharedStages:
                    for r in lp)
         assert all(r.error is None for r in records if r.mechanism == "dpsgd")
         assert comparable(records) == comparable(reference_sweep(cfg))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_dpsgd_calibration_is_shared_and_kept_out_of_the_lots(self, monkeypatch,
+                                                                         threads):
+        """The epsilon = 0.5 calibration fails once for both budgets; its trials record that
+        error and no lockstep fit takes them."""
+        calibrated, fitted = [], []
+        calibrate, lockstep = bench.calibrate, bench.fit_dpsgd_lockstep
+
+        def failing(spec, data):
+            calibrated.append(spec.privacy.epsilon)
+            if spec.privacy.epsilon == 0.5:
+                raise ValueError("no sigma meets the target")
+            return calibrate(spec, data)
+
+        def counted(data, spec, calibrations, rngs):
+            fitted.append((spec.privacy.epsilon, len(rngs)))
+            return lockstep(data, spec, calibrations, rngs)
+
+        monkeypatch.setattr(bench, "calibrate", failing)
+        monkeypatch.setattr(bench, "fit_dpsgd_lockstep", counted)
+        cfg = tiny_config(mechanisms=("dpsgd",), deltas=(1e-5,), epsilons=(0.5, 2.0),
+                          budgets=(3, 40), dpsgd_batch=8, dpsgd_steps=5)
+        records = run_sweep(cfg, threads=threads)
+        assert [r.error for r in records if r.epsilon == 0.5] == [
+            "ValueError: no sigma meets the target"] * 2 * cfg.trials
+        assert all(r.error is None for r in records if r.epsilon == 2.0)
+        assert sorted(calibrated) == [0.5, 2.0]
+        assert fitted == [(2.0, 2 * cfg.trials)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lambda_zero_erm_group_records_its_spec_error_and_never_solves(self, monkeypatch,
+                                                                          threads):
+        solves = []
+        minimize_erm = mechanisms.minimize_erm
+
+        def counted(data, cfg):
+            solves.append(cfg.lam)
+            return minimize_erm(data, cfg)
+
+        monkeypatch.setattr(mechanisms, "minimize_erm", counted)
+        cfg = tiny_config(mechanisms=ERM_KINDS, lambdas=(0.0,), budgets=(3, 5))
+        records = run_sweep(cfg, threads=threads)
+        assert len(records) == 3 * 2 * cfg.trials
+        assert all(r.error == "ValueError: lam must be positive and finite so the minimizer "
+                   "is unique, got 0.0" and math.isnan(r.accuracy) for r in records)
+        assert solves == []
 
     def test_shared_minimiser_is_read_only(self, monkeypatch):
         solved = []
