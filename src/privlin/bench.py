@@ -67,7 +67,8 @@ class SweepConfig:
     """Grids, trial count, and data source of one sweep.
 
     Every grid axis is a CSV column and multiplies the configuration count,
-    even for mechanisms that ignore it. The DP-SGD clip norm has no column,
+    even for mechanisms that ignore it, and takes no value twice, since
+    summarize would merge the repeats. The DP-SGD clip norm has no column,
     so `clips` takes exactly one value.
     """
 
@@ -112,6 +113,8 @@ class SweepConfig:
             if not value or not all(v is None or isinstance(v, str) or is_number(v) for v in value):
                 raise ValueError(f"grid {name} must list one or more strings, numbers or nulls, "
                                  f"got {list(value)}")
+            if repeats := [v for i, v in enumerate(value) if v in value[:i]]:
+                raise ValueError(f"grid {name} repeats {repeats[0]!r}")
             if name in ("n_train", "dims", "classes") and not all(
                     v is None or (is_number(v, numbers.Integral) and v >= 1) for v in value):
                 raise ValueError(f"grid {name} must list integers >= 1 or nulls, got {list(value)}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, replace
@@ -12,8 +11,8 @@ import numpy as np
 
 from .accounting import CalibrationError, DpSgdConfig, PrivacySpec
 from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
-from .data import (load_csv, load_idx, normalize_unit_ball, project_to_unit_ball, synth_blobs_raw,
-                   synth_settings)
+from .data import (load_csv, load_idx, normalize_unit_ball, project_to_unit_ball,
+                   read_numeric_csv, synth_blobs_raw, synth_settings)
 from .mechanisms import (
     KINDS,
     MechanismSpec,
@@ -82,20 +81,10 @@ def _cmd_train(args) -> int:
 
 
 def _read_query_rows(path) -> np.ndarray:
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    header = None
-    if rows:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            header, rows = rows[0], rows[1:]
-    if not rows:
+    header, table = read_numeric_csv(path)
+    if not len(table):
         raise ValueError(f"{path}: no rows")
-    table = np.asarray(rows, dtype=np.float64)
-    if header is not None and header[-1] == "label":
-        table = table[:, :-1]
-    return table
+    return table[:, :-1] if header is not None and header[-1] == "label" else table
 
 
 def _cmd_predict(args) -> int:

@@ -223,17 +223,27 @@ def load_idx(images_path, labels_path) -> RawDataset:
     return RawDataset(features=features, labels=labels)
 
 
+def read_numeric_csv(path) -> tuple:
+    """(header, table) of a CSV of numbers, blank lines skipped: header is the first row, or
+    None if its first field is a number; table is the float64 array of the other rows."""
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    header = None
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            header, rows = rows[0], rows[1:]
+    return header, np.asarray(rows, dtype=np.float64)
+
+
 def load_csv(path) -> RawDataset:
     """Read a feature CSV with header f0,...,fD-1,label into a RawDataset."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[-1] != "label":
-            raise ValueError(f"{path}: expected header ending in 'label'")
-        rows = [row for row in reader if row]
-    if not rows:
+    header, table = read_numeric_csv(path)
+    if header is None or header[-1] != "label":
+        raise ValueError(f"{path}: expected header ending in 'label'")
+    if not len(table):
         raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
     return RawDataset(features=table[:, :-1], labels=table[:, -1])
 
 

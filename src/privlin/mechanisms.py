@@ -123,12 +123,11 @@ class PrivatePredictor:
 
     budget is None for model-releasing mechanisms (post-processing answers
     unlimited queries); prediction-side mechanisms consume one unit per query
-    and refuse afterwards. rng drives the fresh per-query noise. ties is the
-    ensemble's tie_table, built when a predictor is made with an ensemble and
-    no table, and None without an ensemble; dataclasses.replace keeps it, so
-    a replace that swaps the ensemble passes ties=None. ValueError if the
-    calibration's family is not one that _FAMILIES lists for the parameters,
-    or if a prediction-side predictor has no budget or no rng.
+    and refuse afterwards. rng drives the fresh per-query noise. Each
+    construction, dataclasses.replace's too, stores an ensemble in (D, T, C)
+    memory (_feature_major) and derives ties, its tie_table (None without one).
+    ValueError if the calibration's family is not one that _FAMILIES lists for
+    the parameters, or if a prediction-side predictor has no budget or no rng.
     """
 
     kind: str
@@ -138,14 +137,15 @@ class PrivatePredictor:
     ensemble: np.ndarray | None = None
     budget: BudgetState | None = None
     rng: np.random.Generator | None = field(default=None, repr=False)
-    ties: np.ndarray | None = field(default=None, repr=False, compare=False)
+    ties: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_family("theta" if self.ensemble is None else "ensemble", self.calibration.family)
         if KINDS[self.kind].prediction_side and (self.budget is None or self.rng is None):
             raise ValueError(f"a {self.kind} predictor spends a budget and draws from an rng; "
                              f"got budget {self.budget!r} and rng {self.rng!r}")
-        if self.ensemble is not None and self.ties is None:
+        if self.ensemble is not None:
+            self.ensemble = _feature_major(self.ensemble)
             self.ties = tie_table(self.ensemble)
 
     @property
@@ -449,17 +449,17 @@ def _noisy_logits(predictor: PrivatePredictor, rows: np.ndarray) -> np.ndarray:
 
     Raw noisy logits (not probabilities); consumers may post-process freely.
     Each row takes one C-vector noise draw, in row order, straight from
-    predictor.rng: the draws and arithmetic of _noise's (k * 1, C) block but
-    none of its checks, which the predictor's Calibration passed when it was
-    made. Family "none" adds zeros, so a -0.0 logit becomes 0.0.
+    predictor.rng: _noise's draws without its checks, which the predictor's
+    Calibration passed when it was made. Gaussian noise is 0.0 + scale * z and
+    family "none" adds zeros, so a -0.0 logit may become 0.0.
     """
     logits = rows.dot(predictor.theta)  # ndarray.dot skips matmul's gufunc dispatch
     family, scale = predictor.calibration.family, predictor.calibration.scale
     if family == "gaussian":
-        logits += predictor.rng.standard_normal(logits.shape) * scale
+        logits += predictor.rng.normal(0.0, scale, logits.shape)
     elif family == "radial_exponential":
         noise = np.empty(logits.shape)
-        for row in noise.reshape(-1, logits.shape[-1]):
+        for row in noise if noise.ndim == 2 else (noise,):
             _radial_draw(row, scale, predictor.rng)
         logits += noise
     else:
@@ -494,10 +494,7 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     A sub-model's classes that none of its examples carry enter its
     objective symmetrically, so its exact minimiser has their columns equal;
     they are set to their mean, which makes them equal bit for bit, and
-    tie_table groups them. The sub-models are stored in (D, T, C) memory
-    (_feature_major) and `ensemble` is that buffer's (T, D, C) transposed view,
-    so both votes treat them as one (D, T*C) matrix without a copy: a single
-    query's scores are contiguous (T, C) rows, and a batch's are (T, C, n).
+    tie_table groups them. Returns the solve's (T, D, C) stack, which the predictor stores.
     """
     parts = partition_indices(data.n_examples, spec.n_models, rng)
     # A row gather, then one transposing copy into the solver's layout, features
@@ -509,7 +506,7 @@ def _fit_subsample_ensemble(data: LabeledDataset, spec: MechanismSpec, _minimise
     absent = ~yc.any(axis=2).T  # (T, C): classes a sub-model never saw
     mean = thetas @ (absent / np.maximum(absent.sum(axis=1, keepdims=True), 1))[:, :, None]
     np.copyto(thetas, mean, where=absent[:, None, :])
-    return _feature_major(thetas)
+    return thetas
 
 
 _HUGE_PAGE = 2 << 20  # bytes in one transparent huge page on x86-64 and arm64 Linux
@@ -536,9 +533,11 @@ def _huge_page_empty(shape, dtype) -> np.ndarray:
 
 
 def _feature_major(ensemble: np.ndarray) -> np.ndarray:
-    """The (T, D, C) view of a copy of ensemble stored in (D, T, C) memory, from
-    _huge_page_empty: each feature's row of the (D, T*C) weight matrix holds every
-    sub-model's C classes side by side."""
+    """ensemble as the (T, D, C) view of (D, T, C) memory: itself if it is one, else a copy
+    from _huge_page_empty. Each feature's row of the (D, T*C) weights then holds every
+    sub-model's C classes, so one query's scores are contiguous (T, C) rows."""
+    if ensemble.transpose(1, 0, 2).flags.c_contiguous:
+        return ensemble
     t, d, c = ensemble.shape
     memory = _huge_page_empty((d, t, c), ensemble.dtype)
     np.copyto(memory, ensemble.transpose(1, 0, 2))
@@ -882,7 +881,5 @@ def load_predictor(path) -> PrivatePredictor:
                 rng.bit_generator.state = json.loads(str(archive["rng_state"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed privacy, budget or rng record: {exc}") from exc
-        if name == "ensemble":
-            params = _feature_major(params)
         return PrivatePredictor(kind, privacy, calibration, budget=budget, rng=rng,
                                 **{name: params})

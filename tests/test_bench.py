@@ -153,6 +153,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             SweepConfig.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("name, grid, message", [
+        # A repeat used to run its cells twice, and summarize merged their trials.
+        ("epsilons", (1.0, 1), "grid epsilons repeats 1"),
+        ("mechanisms", ("nonprivate", "nonprivate"), "grid mechanisms repeats 'nonprivate'"),
+        ("n_train", (None, 30, None), "grid n_train repeats None"),
+        ("budgets", (10, 20, 10), "grid budgets repeats 10"),
+    ])
+    def test_repeated_grid_values_rejected(self, name, grid, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**{name: grid})
+        payload = {**json.loads(tiny_config().to_json()), name: list(grid)}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig.from_json(json.dumps(payload))
+
     def test_lambda_zero_stays_a_per_cell_error(self):
         cfg = tiny_config(mechanisms=("dpsgd", "nonprivate"), deltas=(1e-5,), lambdas=(0.0,),
                           trials=1)

@@ -206,6 +206,17 @@ def test_predict_drops_a_label_column_and_writes_to_stdout(tmp_path, capsys):
         f"{i},answered,{label}\n" for i, label in enumerate(expected))
 
 
+@pytest.mark.parametrize("text, columns", [
+    ("0.5,1.5,0\n-0.25,2.0,1\n", 3),  # no header: every column is a feature
+    ("f0,f1,label\n0.5,1.5,0\n-0.25,2.0,1\n", 2),
+    ("f0,f1,f2\n0.5,1.5,0\n-0.25,2.0,1\n", 3)])
+def test_query_rows_drop_only_a_named_label_column(tmp_path, text, columns):
+    path = tmp_path / "queries.csv"
+    path.write_text(text)
+    table = np.array([[0.5, 1.5, 0.0], [-0.25, 2.0, 1.0]])
+    np.testing.assert_array_equal(cli._read_query_rows(path), table[:, :columns])
+
+
 SYNTH = "n_per_class=20,n_classes=3,dim=5,separation=3.0"
 
 

@@ -28,6 +28,7 @@ from privlin import (
     train_test_split,
     unit_ball_scale,
 )
+from privlin.data import read_numeric_csv
 from privlin.data import check_rows
 
 
@@ -165,6 +166,24 @@ class TestLoadCsv:
         path.write_text("f0,f1,label\n\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
+
+    def test_rows_without_header(self, tmp_path):
+        # The numeric reader takes the first row as data, so no header is found.
+        path = tmp_path / "bare.csv"
+        path.write_text("0.5,1.5,0\n-0.25,2.0,1\n")
+        with pytest.raises(ValueError, match="expected header ending in 'label'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text, header", [
+        ("0.5,1.5\n\n-0.25,2.0\n", None), ("f0,f1\n0.5,1.5\n\n-0.25,2.0\n", ["f0", "f1"])])
+    def test_numeric_reader_takes_an_optional_header(self, tmp_path, text, header):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        got, table = read_numeric_csv(path)
+        assert got == header
+        np.testing.assert_array_equal(table, [[0.5, 1.5], [-0.25, 2.0]])
+        path.write_text("" if header is None else "f0,f1\n")
+        assert read_numeric_csv(path)[1].size == 0
 
 
 class TestRawDatasetValidation:

@@ -768,7 +768,7 @@ class TestSubsampleAggregate:
         # Two sub-models vote classes 2 and 1 on e1: the tie goes to class 1.
         tie = np.zeros((2, train.n_features, 3))
         tie[0, 0, 2] = tie[1, 0, 1] = 1.0
-        tied = dataclasses.replace(predictor, ensemble=tie, ties=None)
+        tied = dataclasses.replace(predictor, ensemble=tie)
         x = np.eye(train.n_features)[0]
         np.testing.assert_array_equal(ensemble_vote_counts(tie, x[None], tied.ties), [[0, 1, 1]])
         assert tied.predict(x) == 1
@@ -1556,7 +1556,38 @@ class TestBatchAnswering:
         assert (predictor.ties != np.arange(10)).any()
         save_predictor(tmp_path / "ens.npz", predictor)
         np.testing.assert_array_equal(load_predictor(tmp_path / "ens.npz").ties, predictor.ties)
-        assert twin(predictor, 5).ties is predictor.ties
+        np.testing.assert_array_equal(twin(predictor, 5).ties, predictor.ties)
+
+    def test_replacing_the_ensemble_answers_as_its_owner(self):
+        # The tie table used to carry over a replace that swapped the ensemble, and
+        # miscounted every one of these rows.
+        data = synth_blobs(17, 10, 20, 1.0, RngStream(5))
+        spec = spec_for("subsample_aggregate", eps=50.0, budget=400, n_models=33)
+        a, b = (fit_predictor(data, spec, RngStream(seed, 1)) for seed in (5, 6))
+        swapped = dataclasses.replace(a, ensemble=b.ensemble, rng=copy.deepcopy(b.rng))
+        rows = data.features
+        for answer in (lambda p: [p.predict(x) for x in rows],
+                       lambda p: answer_queries(p, rows)):
+            np.testing.assert_array_equal(answer(twin(swapped, len(rows))),
+                                          answer(twin(b, len(rows))))
+        assert swapped.ensemble is b.ensemble  # already in (D, T, C) memory: no copy
+        assert (a.ties != b.ties).any()
+        np.testing.assert_array_equal(swapped.ties, b.ties)
+
+    def test_plain_ensemble_is_stored_feature_major_and_answers_as_fitted(self):
+        predictor, test = degenerate_ensemble(37, n_models=6)
+        plain = np.ascontiguousarray(predictor.ensemble)
+        built = PrivatePredictor(predictor.kind, predictor.privacy, predictor.calibration,
+                                 ensemble=plain, budget=predictor.budget, rng=predictor.rng)
+        assert built.ensemble is not plain
+        np.testing.assert_array_equal(built.ensemble, plain)
+        assert built.ensemble.transpose(1, 0, 2).flags.c_contiguous  # (D, T, C) memory
+        np.testing.assert_array_equal(built.ties, predictor.ties)
+        np.testing.assert_array_equal(answer_queries(twin(built, 200), test.features),
+                                      answer_queries(twin(predictor, 200), test.features))
+        single, fitted = twin(built, 200), twin(predictor, 200)
+        assert [single.predict(x) for x in test.features] == [
+            fitted.predict(x) for x in test.features]
 
     def test_ensemble_is_stored_feature_major(self, tmp_path):
         predictor, _ = degenerate_ensemble(37, n_models=6)
