@@ -2,17 +2,16 @@
 
 Every noise-scale formula in the toolkit lives here: the closed-form beta/sigma formulas
 for the sensitivity and perturbation mechanisms, the exact Gaussian calibration, the
-advanced-composition search for per-query Gaussian noise, the vote inverse temperature
-for ensemble aggregation, and the Renyi accountant behind DP-SGD, which evaluates its
-whole curve (every order of RDP_ORDERS) in one call. Each row of mechanisms.KINDS picks
+per-query Gaussian noise of B answers, the vote inverse temperature for ensemble
+aggregation, and the Renyi accountant behind DP-SGD, which evaluates its whole curve
+(every order of RDP_ORDERS) in one call. Each row of mechanisms.KINDS picks
 its kind's formula for delta = 0 and for delta > 0, and that table alone decides the
 regime: a formula checks only the inputs it reads. A pure formula does not read delta; a
 Gaussian one refuses delta = 0 with its own domain ValueError. Every searched sigma comes
 from one bisection (_bisect) over an exact, monotone condition: the Gaussian delta curve
-or the Renyi accountant's epsilon. The advanced-composition search bisects only the
-delta' splits that can beat the best sigma found so far, so it returns the full scan's
-minimum at a fraction of its cost. The accountant's log-sum-exp repeats scipy 1.17's
-arithmetic in plain numpy, so its sigma does not depend on the installed scipy's logsumexp.
+or the Renyi accountant's epsilon. B Gaussian answers compose exactly, as one Gaussian
+mechanism. The accountant's log-sum-exp repeats scipy 1.17's arithmetic in plain numpy,
+so its sigma does not depend on the installed scipy's logsumexp.
 """
 
 from __future__ import annotations
@@ -143,10 +142,15 @@ def _bisect(meets, lo: float, hi: float) -> float:
 def _gaussian_delta(ratio: float, epsilon: float) -> tuple[float, float]:
     """delta(ratio) and a bound on its float rounding. The two terms nearly
     cancel at small eps and delta; Phi(x) = erfc(-x / sqrt 2) / 2 is within
-    (5 + 3x^2) ulps (measured against mpmath), and rounding x adds as much."""
+    (5 + 3x^2) ulps (measured against mpmath), and rounding x adds as much.
+    Where e^eps overflows (eps above about 709.78) the subtracted term is
+    dropped, so delta is an upper bound there, not the exact value."""
     b = -0.5 * ratio - epsilon / ratio
     upper = 0.5 * math.erfc((epsilon / ratio - 0.5 * ratio) * _SQRT_HALF)
-    lower = 0.5 * math.exp(epsilon) * math.erfc(-b * _SQRT_HALF)
+    try:
+        lower = 0.5 * math.exp(epsilon) * math.erfc(-b * _SQRT_HALF)
+    except OverflowError:
+        lower = 0.0
     return upper - lower, (10.0 + 6.0 * b * b) * 2.0**-53 * (upper + lower)
 
 
@@ -158,22 +162,12 @@ def gaussian_mechanism_delta(sensitivity: float, sigma: float, epsilon: float) -
     sensitivity. The mechanism is (epsilon, delta)-DP iff this value is <= delta.
     The two terms nearly cancel at small eps and delta, so the float can read
     below the exact value; a check against delta adds _gaussian_delta's
-    rounding bound, as calibrate_gaussian_sigma does.
+    rounding bound, as calibrate_gaussian_sigma does. Where e^eps overflows
+    the value is an upper bound (_gaussian_delta).
     """
     if not (sensitivity > 0 and sigma > 0 and epsilon > 0):
         raise ValueError("sensitivity, sigma, and epsilon must be positive")
     return _gaussian_delta(sensitivity / sigma, epsilon)[0]
-
-
-def _gaussian_meets(sensitivity: float, epsilon: float, delta: float):
-    """The exact condition "sigma is (epsilon, delta)-DP at this sensitivity",
-    float rounding added, as a predicate of sigma; false below its threshold."""
-
-    def meets(sigma):
-        value, rounding = _gaussian_delta(sensitivity / sigma, epsilon)
-        return value + rounding <= delta
-
-    return meets
 
 
 def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
@@ -187,7 +181,11 @@ def calibrate_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -
     if not (0 < sensitivity < math.inf and epsilon > 0 and 0.0 < delta < 1.0):
         raise ValueError("sensitivity must be positive and finite, epsilon positive and "
                          f"delta in (0, 1); got {sensitivity}, {epsilon}, {delta}")
-    meets = _gaussian_meets(sensitivity, epsilon, delta)
+
+    def meets(sigma):
+        value, rounding = _gaussian_delta(sensitivity / sigma, epsilon)
+        return value + rounding <= delta
+
     hi = sensitivity
     while not meets(hi):
         hi *= 2.0
@@ -246,57 +244,24 @@ def prediction_sensitivity_beta(dims: ProblemDims, spec: PrivacySpec) -> float:
     return dims.n_train * dims.lam * spec.epsilon / (2.0 * LIPSCHITZ_K * spec.budget)
 
 
-# Resolution of the linear search over the composition split delta'.
-_DELTA_SPLIT_GRID = 200
+def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
+    """Per-query Gaussian logit-noise scale for a budget of B queries.
+
+    Each answer has L2 sensitivity 2K/(N lam). B answers at one scale, even
+    adaptively chosen, form exactly one Gaussian mechanism of sensitivity
+    sqrt(B) 2K/(N lam) (Gaussian DP; Dong, Roth & Su 2019), so its exact
+    calibration is the smallest sigma whose B answers are (eps, delta)-DP.
+    That is sqrt(B) times the one-answer sigma, up to rounding; calibrating at
+    the B-fold sensitivity makes the B-fold condition hold in floats too.
+    """
+    return calibrate_gaussian_sigma(math.sqrt(spec.budget) * minimizer_sensitivity(dims),
+                                    spec.epsilon, spec.delta)
 
 
 def _advanced_composition_epsilon(epsilon: float, budget: int, delta: float) -> float:
     """The advanced-composition rate sqrt(2/B) (sqrt(ln(1/delta) + eps) - sqrt(ln(1/delta)))."""
     log_term = math.log(1.0 / delta)
     return math.sqrt(2.0 / budget) * (math.sqrt(log_term + epsilon) - math.sqrt(log_term))
-
-
-def gaussian_prediction_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
-    """Per-query Gaussian logit-noise scale for a budget of B queries.
-
-    Two candidates are calibrated against the minimizer sensitivity 2K/(N lam)
-    and the smaller wins:
-
-    * sigma' spends the budget by standard composition, i.e. per-query targets
-      (eps/B, delta/B);
-    * sigma'' uses advanced composition: for a split delta' in (0, delta), the
-      per-query targets are eps* = _advanced_composition_epsilon(eps, B,
-      delta') and delta* = (delta - delta')/B, and delta' is linearly
-      searched on a geometric grid to minimize sigma''. A split whose eps*
-      rounds to 0 (eps tiny against ln(1/delta')) offers no sigma and is skipped.
-
-    The search is pruned, not approximated. A split's sigma is the smallest
-    sigma meeting its condition, which holds at every larger sigma, so the split
-    beats the best sigma so far only if its condition holds at the float just
-    below that best; only such splits are bisected. The walk starts from sigma'
-    at the grid's high end, where the minimum lies in practice, so a few
-    bisections replace one per split, and the result is the full scan's minimum.
-
-    With B = 1 the advanced-composition interval is empty and sigma' is
-    returned unchanged.
-    """
-    sensitivity = minimizer_sensitivity(dims)
-    b = spec.budget
-
-    best = calibrate_gaussian_sigma(sensitivity, spec.epsilon / b, spec.delta / b)
-
-    lo, hi = spec.delta * 1e-6, spec.delta * (1.0 - 1.0 / b)
-    if not hi > lo:
-        return best
-
-    for delta_split in np.geomspace(lo, hi, _DELTA_SPLIT_GRID)[::-1]:
-        eps_star = _advanced_composition_epsilon(spec.epsilon, b, delta_split)
-        if not eps_star > 0.0:
-            continue
-        delta_star = (spec.delta - delta_split) / b
-        if _gaussian_meets(sensitivity, eps_star, delta_star)(math.nextafter(best, 0.0)):
-            best = min(best, calibrate_gaussian_sigma(sensitivity, eps_star, delta_star))
-    return best
 
 
 def subsample_beta(spec: PrivacySpec) -> float:

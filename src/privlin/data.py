@@ -223,17 +223,23 @@ def load_idx(images_path, labels_path) -> RawDataset:
     return RawDataset(features=features, labels=labels)
 
 
+def _reads_as_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_numeric_csv(path) -> tuple:
-    """(header, table) of a CSV of numbers, blank lines skipped: header is the first row, or
-    None if its first field is a number; table is the float64 array of the other rows."""
+    """(header, table) of a CSV of numbers, blank lines skipped: header is the first row if
+    none of its fields reads as a number, else None, so a first data row with a typo fails
+    to parse; table is the float64 array of the other rows."""
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
     header = None
-    if rows:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            header, rows = rows[0], rows[1:]
+    if rows and not any(map(_reads_as_number, rows[0])):
+        header, rows = rows[0], rows[1:]
     return header, np.asarray(rows, dtype=np.float64)
 
 

@@ -21,6 +21,7 @@ from .accounting import (
     calibrate_gaussian_sigma,
     dpsgd_epsilon,
     dpsgd_sigma_for_target,
+    gaussian_prediction_sigma,
     minimizer_sensitivity,
 )
 from .data import LabeledDataset, synth_blobs
@@ -57,19 +58,26 @@ def check_loss_bounds(n_samples: int = 20000, seed: int = 0):
 def check_calibration_tightness():
     """Gaussian sigma meets the exact inequality even with the float rounding
     of delta added; at 0.99 sigma it fails even with the rounding taken off.
-    The grid adds the per-query corner eps = 1e-3, delta = 1e-8 of a large
-    budget."""
+    The grid adds the corner eps = 1e-3, delta = 1e-8 and the B-fold case:
+    B = 10 and 1000 answers at gaussian_prediction_sigma, which compose to
+    one Gaussian mechanism of sensitivity sqrt(B) 2K/(N lam)."""
     grid = [(eps, delta) for eps in (0.1, 1.0, 5.0) for delta in (1e-6, 1e-3, 0.3)]
+    cases = [(1.0, eps, delta, calibrate_gaussian_sigma(1.0, eps, delta))
+             for eps, delta in grid + [(1e-3, 1e-8)]]
+    dims = ProblemDims(5000, 0.01, 10)
+    cases += [(math.sqrt(b) * minimizer_sensitivity(dims), 1.0, 1e-5,
+               gaussian_prediction_sigma(dims, PrivacySpec(1.0, 1e-5, b))) for b in (10, 1000)]
     worst_slack = -math.inf
-    for eps, delta in grid + [(1e-3, 1e-8)]:
-        sigma = calibrate_gaussian_sigma(1.0, eps, delta)
-        value, rounding = _gaussian_delta(1.0 / sigma, eps)
+    for sensitivity, eps, delta, sigma in cases:
+        value, rounding = _gaussian_delta(sensitivity / sigma, eps)
         at = value + rounding
-        value, rounding = _gaussian_delta(1.0 / (0.99 * sigma), eps)
+        value, rounding = _gaussian_delta(sensitivity / (0.99 * sigma), eps)
         if at > delta or value - rounding <= delta:
-            return False, f"calibration loose at eps={eps}, delta={delta}"
+            return False, (f"calibration loose at eps={eps}, delta={delta}, "
+                           f"sensitivity={sensitivity:g}")
         worst_slack = max(worst_slack, at - delta)
-    return True, f"tight on the 3x3 grid and the corner (max slack {worst_slack:.2e})"
+    return True, ("tight on the 3x3 grid, the corner and B = 10, 1000 answers "
+                  f"(max slack {worst_slack:.2e})")
 
 
 def check_dpsgd_accountant():

@@ -263,6 +263,17 @@ class TestAnalyticGaussianAlpha:
                 assert mp_gaussian_delta(mpmath, 1.0, sigma, eps) <= delta, (eps, delta)
                 assert mp_gaussian_delta(mpmath, 1.0, sigma * (1 - 1e-9), eps) > delta
 
+    @pytest.mark.parametrize("eps", (710.0, 800.0, 5000.0))
+    def test_overflowing_epsilon_against_mpmath_oracle(self, eps):
+        # e^eps overflows a float here, so the subtracted term of delta is dropped:
+        # sigma stays (eps, delta)-DP and within 0.1 % of the exact one.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for delta in PER_QUERY_DELTAS:
+                sigma = calibrate_gaussian_sigma(1.0, eps, delta)
+                assert mp_gaussian_delta(mpmath, 1.0, sigma, eps) <= delta, (eps, delta)
+                assert mp_gaussian_delta(mpmath, 1.0, sigma * 0.999, eps) > delta
+
     def test_bracket_grows_and_shrinks_with_the_sensitivity(self):
         unit = calibrate_gaussian_sigma(1.0, 1e-3, 1e-8)
         for sensitivity in (1e-9, 1e9):
@@ -347,6 +358,11 @@ class TestPredictionSensitivity:
         assert_reads_no_delta(prediction_sensitivity_beta, PrivacySpec(1.0, 0.0, budget=50))
 
 
+# (eps, delta, B) points the B-answer rule is checked on.
+PREDICTION_GRID = tuple(itertools.product(
+    (0.1, 1.0, 8.0), (1e-8, 1e-5, 1e-2), (1, 2, 10, 1000, 10_000)))
+
+
 class TestGaussianPredictionSigma:
     def test_budget_one_reduces_to_model_sigma(self):
         spec = PrivacySpec(1.0, 1e-5, budget=1)
@@ -374,22 +390,37 @@ class TestGaussianPredictionSigma:
         assert_domain_error(gaussian_prediction_sigma, dims(), PrivacySpec(1.0, 0.0, budget=5))
 
     @pytest.mark.parametrize("n, lam", [(5000, 0.01), (50, 0.1)])
-    def test_pruned_scan_equals_the_full_scan(self, n, lam):
-        for eps, delta, budget in itertools.product(
-                (0.1, 1.0, 8.0), (1e-8, 1e-5, 1e-2), (1, 2, 10, 1000, 10_000)):
-            d, spec = dims(n, lam), PrivacySpec(eps, delta, budget)
-            assert gaussian_prediction_sigma(d, spec) == full_split_scan(d, spec), spec
+    def test_is_root_budget_times_the_one_answer_sigma(self, n, lam):
+        # B answers of sensitivity Delta at scale sigma are one Gaussian mechanism of
+        # sensitivity sqrt(B) Delta, so sigma_B / sqrt(B) is the one-answer sigma, up to
+        # the float rounding of the condition each bisection stops on.
+        sensitivity = minimizer_sensitivity(dims(n, lam))
+        for eps, delta, budget in PREDICTION_GRID:
+            sigma = gaussian_prediction_sigma(dims(n, lam), PrivacySpec(eps, delta, budget))
+            assert sigma == pytest.approx(
+                math.sqrt(budget) * calibrate_gaussian_sigma(sensitivity, eps, delta),
+                rel=1e-9), (eps, delta, budget)
 
-    def test_bisects_few_splits(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("n, lam", [(5000, 0.01), (50, 0.1)])
+    def test_b_answers_meet_the_target_and_no_smaller_sigma_does(self, n, lam):
+        # The B-fold delta with its rounding added is at most delta at sigma_B; at
+        # 0.99 sigma_B it is above delta even with the rounding taken off.
+        sensitivity = minimizer_sensitivity(dims(n, lam))
+        for eps, delta, budget in PREDICTION_GRID:
+            sigma = gaussian_prediction_sigma(dims(n, lam), PrivacySpec(eps, delta, budget))
+            value, rounding = _gaussian_delta(math.sqrt(budget) * sensitivity / sigma, eps)
+            assert value + rounding <= delta, (eps, delta, budget)
+            value, rounding = _gaussian_delta(
+                math.sqrt(budget) * sensitivity / (0.99 * sigma), eps)
+            assert value - rounding > delta, (eps, delta, budget)
 
-        def counted(*args):
-            calls.append(args)
-            return calibrate_gaussian_sigma(*args)
-
-        monkeypatch.setattr(accounting, "calibrate_gaussian_sigma", counted)
-        gaussian_prediction_sigma(dims(5000, 0.01), PrivacySpec(1.0, 1e-5, 1000))
-        assert len(calls) <= 20  # the full scan bisects 201 times
+    def test_budget_one_is_the_one_answer_sigma_bit_for_bit(self):
+        for (n, lam), eps, delta in itertools.product(
+                ((5000, 0.01), (50, 0.1)), (0.1, 1.0, 8.0), (1e-8, 1e-5, 1e-2)):
+            d = dims(n, lam)
+            sigma = gaussian_prediction_sigma(d, PrivacySpec(eps, delta, 1))
+            assert sigma == calibrate_gaussian_sigma(minimizer_sensitivity(d), eps, delta)
+            assert sigma == gaussian_model_sigma(d, PrivacySpec(eps, delta))
 
     def test_split_whose_epsilon_rounds_to_zero_is_skipped(self):
         d = dims(5000, 0.01)
@@ -398,20 +429,6 @@ class TestGaussianPredictionSigma:
         standard = calibrate_gaussian_sigma(minimizer_sensitivity(d), 1e-16, 1e-6)
         assert math.isfinite(sigma)
         assert gaussian_prediction_sigma(d, PrivacySpec(1e-12, 1e-5, 10)) <= sigma <= standard
-
-
-def full_split_scan(d, spec):
-    """gaussian_prediction_sigma as one bisection per delta' split, the minimum kept."""
-    sensitivity, b = minimizer_sensitivity(d), spec.budget
-    sigma = calibrate_gaussian_sigma(sensitivity, spec.epsilon / b, spec.delta / b)
-    lo, hi = spec.delta * 1e-6, spec.delta * (1.0 - 1.0 / b)
-    if not hi > lo:
-        return sigma
-    for delta_split in np.geomspace(lo, hi, 200):
-        eps_star = _advanced_composition_epsilon(spec.epsilon, b, delta_split)
-        sigma = min(sigma, calibrate_gaussian_sigma(sensitivity, eps_star,
-                                                    (spec.delta - delta_split) / b))
-    return sigma
 
 
 class TestSubsampleBeta:

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ class TestConfig:
         cfg = tiny_config()
         again = SweepConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_every_committed_experiment_config_loads(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
+        assert paths
+        for path in paths:
+            cfg = SweepConfig.from_json(path.read_text())
+            assert set(cfg.mechanisms) <= set(KINDS), path.name
 
     def test_unknown_key_rejected(self):
         payload = json.loads(tiny_config().to_json())
@@ -774,7 +782,7 @@ class TestCsv:
                                        dpsgd_steps=50)), path)
         stripped = "\n".join(line.rsplit(",", 1)[0] for line in path.read_text().splitlines())
         assert hashlib.sha256(stripped.encode()).hexdigest() == (
-            "3517d3e4daecfd794fe33874d5b34714c7ccbf4cf7238d15954f149826a73935")
+            "41dc34d92d2bad80281f7b12c483ec453f5f30a28f6d83d51adbbfc876cfb47b")
 
 
 def strip_wall_time_no_error(records):

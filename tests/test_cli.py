@@ -163,6 +163,20 @@ def test_predict_refuses_a_query_file_without_rows(tmp_path, capsys, text):
     assert load_predictor(model).budget.used == 0
 
 
+def test_predict_refuses_a_first_row_with_a_typo(tmp_path, capsys):
+    # A first row that has a number in it is data, not a header, so a typo there fails
+    # the parse before any query is answered.
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
+                     "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
+                     "--out", str(model)]) == 0
+    inputs = tmp_path / "queries.csv"
+    inputs.write_text("x1,0.1\n0.2,0.3\n")
+    assert_input_error(capsys, ["predict", "--model", str(model), "--inputs", str(inputs)],
+                       "could not convert string to float: 'x1'")
+    assert load_predictor(model).budget.used == 0
+
+
 def test_predict_reports_a_missing_model_in_one_line(tmp_path, capsys):
     inputs = tmp_path / "queries.csv"
     inputs.write_text("f0,f1\n0.1,0.2\n")
@@ -359,6 +373,18 @@ def test_train_reports_a_solver_failure_in_one_line(tmp_path, capsys):
                                 "--max-iter", "1", "--grad-tol", "1e-12", "--out", str(model)],
                        "failed to reach gradient tolerance 1e-12 within 1 Newton iterations")
     assert not model.exists()
+
+
+@pytest.mark.parametrize("mechanism", ["model_sensitivity", "prediction_sensitivity"])
+def test_train_at_an_epsilon_whose_exponential_overflows(tmp_path, capsys, mechanism):
+    # e^800 is past the float range; the Gaussian calibration still returns a scale.
+    model = tmp_path / "model.npz"
+    assert cli.main(["train", "--mechanism", mechanism, "--delta", "1e-5", "--epsilon", "800",
+                     "--synth", SYNTH, "--out", str(model)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[:out.rindex("saved predictor to")])
+    assert report["family"] == "gaussian"
+    assert 0 < report["scale"] == load_predictor(model).calibration.scale < math.inf
 
 
 def test_train_reads_a_csv(tmp_path):
