@@ -38,10 +38,11 @@ from .data import (
     LabeledDataset,
     PcaModel,
     RawDataset,
+    Transform,
     filter_classes,
+    fit_transform,
     load_csv,
     load_idx,
-    normalize_unit_ball,
     one_hot,
     pca_fit,
     preprocess_pair,
@@ -51,7 +52,6 @@ from .data import (
     synth_blobs,
     synth_blobs_raw,
     train_test_split,
-    unit_ball_scale,
 )
 from .losses import (
     HESSIAN_EIG_BOUND,

@@ -143,14 +143,13 @@ def _gaussian_delta(ratio: float, epsilon: float) -> tuple[float, float]:
     """delta(ratio) and a bound on its float rounding. The two terms nearly
     cancel at small eps and delta; Phi(x) = erfc(-x / sqrt 2) / 2 is within
     (5 + 3x^2) ulps (measured against mpmath), and rounding x adds as much.
-    Where e^eps overflows (eps above about 709.78) the subtracted term is
-    dropped, so delta is an upper bound there, not the exact value."""
+    Where the subtracted term's erfc is subnormal (below 2^-1022) it has lost those
+    ulps, so it is dropped and delta is an upper bound, not the exact value: near a
+    calibrated sigma from eps of about 680 on, and at every eps where e^eps overflows."""
     b = -0.5 * ratio - epsilon / ratio
     upper = 0.5 * math.erfc((epsilon / ratio - 0.5 * ratio) * _SQRT_HALF)
-    try:
-        lower = 0.5 * math.exp(epsilon) * math.erfc(-b * _SQRT_HALF)
-    except OverflowError:
-        lower = 0.0
+    tail = math.erfc(-b * _SQRT_HALF)
+    lower = 0.5 * math.exp(epsilon) * tail if tail >= 2.0**-1022 else 0.0
     return upper - lower, (10.0 + 6.0 * b * b) * 2.0**-53 * (upper + lower)
 
 
@@ -162,8 +161,8 @@ def gaussian_mechanism_delta(sensitivity: float, sigma: float, epsilon: float) -
     sensitivity. The mechanism is (epsilon, delta)-DP iff this value is <= delta.
     The two terms nearly cancel at small eps and delta, so the float can read
     below the exact value; a check against delta adds _gaussian_delta's
-    rounding bound, as calibrate_gaussian_sigma does. Where e^eps overflows
-    the value is an upper bound (_gaussian_delta).
+    rounding bound, as calibrate_gaussian_sigma does. From eps of about 680 on
+    the value may be an upper bound (_gaussian_delta).
     """
     if not (sensitivity > 0 and sigma > 0 and epsilon > 0):
         raise ValueError("sensitivity, sigma, and epsilon must be positive")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .accounting import CalibrationError, DpSgdConfig, PrivacySpec
 from .bench import SweepConfig, emit_csv, emit_summary_csv, run_sweep, summarize
-from .data import (load_csv, load_idx, normalize_unit_ball, project_to_unit_ball,
+from .data import (fit_transform, load_csv, load_idx, project_to_unit_ball,
                    read_numeric_csv, synth_blobs_raw, synth_settings)
 from .mechanisms import (
     KINDS,
@@ -55,7 +55,7 @@ def _load_training_data(args):
         raw = load_idx(args.idx_images, args.idx_labels)
     else:
         raw = load_csv(args.csv)
-    return normalize_unit_ball(raw)
+    return fit_transform(raw).labeled(raw)
 
 
 def _cmd_train(args) -> int:

@@ -234,13 +234,20 @@ def _reads_as_number(field: str) -> bool:
 def read_numeric_csv(path) -> tuple:
     """(header, table) of a CSV of numbers, blank lines skipped: header is the first row if
     none of its fields reads as a number, else None, so a first data row with a typo fails
-    to parse; table is the float64 array of the other rows."""
+    to parse; table is the float64 array of the other rows. A ValueError names path and
+    the first row (counted over nonblank rows) with a non-number or another width."""
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
     header = None
     if rows and not any(map(_reads_as_number, rows[0])):
         header, rows = rows[0], rows[1:]
-    return header, np.asarray(rows, dtype=np.float64)
+    try:
+        return header, np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        bad = next(i for i, row in enumerate(rows)
+                   if len(row) != len(rows[0]) or not all(map(_reads_as_number, row)))
+        raise ValueError(f"{path}: row {bad + 1 + (header is not None)} "
+                         f"({','.join(rows[bad])}): {exc}") from None
 
 
 def load_csv(path) -> RawDataset:
@@ -254,16 +261,8 @@ def load_csv(path) -> RawDataset:
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing transforms (fit on train, applied to test)
+# The one row map into the unit ball: fit on a training split, applied to any split
 # ---------------------------------------------------------------------------
-
-def unit_ball_scale(features) -> float:
-    """The one global scale fit on a training split: 1 / max ||x||_2."""
-    max_norm = float(np.linalg.norm(np.asarray(features, dtype=np.float64), axis=1).max())
-    if max_norm == 0.0:
-        raise ValueError("cannot normalize an all-zero dataset")
-    return 1.0 / max_norm
-
 
 def project_to_unit_ball(rows: np.ndarray) -> np.ndarray:
     """Divide, in place, every row of norm above 1 by its norm; returns rows.
@@ -279,21 +278,10 @@ def project_to_unit_ball(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _labeled(features: np.ndarray, raw: RawDataset) -> LabeledDataset:
-    """Scaled feature rows projected into the unit ball, with raw's one-hot labels."""
-    return LabeledDataset(features=project_to_unit_ball(features),
-                          labels=one_hot(raw.labels, raw.n_classes))
-
-
-def normalize_unit_ball(data: RawDataset) -> LabeledDataset:
-    """Scale a raw dataset into the unit ball and attach one-hot labels."""
-    return _labeled(data.features * unit_ball_scale(data.features), data)
-
-
 @dataclass
 class PcaModel:
     """Mean and orthonormal projection directions; transform returns the centred
-    projection, which preprocess_pair scales by its one unit_ball_scale."""
+    projection, which a Transform then scales by its one fitted scale."""
 
     mean: np.ndarray
     components: np.ndarray  # (D_raw, D), orthonormal columns
@@ -321,6 +309,31 @@ def pca_fit(features, target_dim: int) -> PcaModel:
     signs = np.sign(components[anchor, np.arange(target_dim)])
     signs[signs == 0] = 1.0
     return PcaModel(mean=mean, components=components * signs)
+
+
+@dataclass(frozen=True)
+class Transform:
+    """The fitted map from raw rows to model rows; labeled(raw) applies PCA if any, then
+    x scale, then project_to_unit_ball, and attaches raw's one-hot labels."""
+
+    scale: float
+    pca: PcaModel | None = None
+
+    def labeled(self, raw: RawDataset) -> LabeledDataset:
+        features = raw.features if self.pca is None else self.pca.transform(raw.features)
+        return LabeledDataset(features=project_to_unit_ball(features * self.scale),
+                              labels=one_hot(raw.labels, raw.n_classes))
+
+
+def fit_transform(raw: RawDataset, target_dim: int | None = None) -> Transform:
+    """The one fit of a Transform, on the training split raw: PCA to target_dim unless
+    that is None or raw's width, then the global scale 1 / max ||x||_2 of the result."""
+    pca = None if target_dim in (None, raw.n_features) else pca_fit(raw.features, target_dim)
+    features = raw.features if pca is None else pca.transform(raw.features)
+    max_norm = float(np.linalg.norm(features, axis=1).max())
+    if max_norm == 0.0:
+        raise ValueError("cannot normalize an all-zero dataset")
+    return Transform(scale=1.0 / max_norm, pca=pca)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +438,8 @@ def synth_blobs_raw(n_per_class: int, n_classes: int, dim: int, separation: floa
 def synth_blobs(n_per_class: int, n_classes: int, dim: int, separation: float,
                 rng) -> LabeledDataset:
     """Unit-ball-normalized Gaussian blobs, ready for training."""
-    return normalize_unit_ball(synth_blobs_raw(n_per_class, n_classes, dim, separation, rng))
+    raw = synth_blobs_raw(n_per_class, n_classes, dim, separation, rng)
+    return fit_transform(raw).labeled(raw)
 
 
 def synth_blob_pair(n_train_per_class: int, n_test_per_class: int, n_classes: int,
@@ -440,19 +454,10 @@ def synth_blob_pair(n_train_per_class: int, n_test_per_class: int, n_classes: in
 
 def preprocess_pair(raw_train: RawDataset, raw_test: RawDataset,
                     target_dim: int | None = None):
-    """Fit PCA (optional) and the unit-ball scale on train; apply both to test.
-
-    Returns (train, test, pca_model, scale) with LabeledDataset splits. All
-    statistics come from the training split only.
-    """
+    """(train, test, pca_model, scale): the Transform fit on train (fit_transform) and the
+    LabeledDataset splits it maps, so all statistics come from the training split."""
     if raw_train.n_classes != raw_test.n_classes:
         raise ValueError("train and test must share a label space")
-    train_feats, test_feats = raw_train.features, raw_test.features
-    pca = None
-    if target_dim is not None and target_dim != raw_train.n_features:
-        pca = pca_fit(train_feats, target_dim)
-        train_feats = pca.transform(train_feats)
-        test_feats = pca.transform(test_feats)
-    scale = unit_ball_scale(train_feats)
-    return (_labeled(train_feats * scale, raw_train), _labeled(test_feats * scale, raw_test),
-            pca, scale)
+    transform = fit_transform(raw_train, target_dim)
+    return (transform.labeled(raw_train), transform.labeled(raw_test),
+            transform.pca, transform.scale)

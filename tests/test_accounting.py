@@ -274,6 +274,17 @@ class TestAnalyticGaussianAlpha:
                 assert mp_gaussian_delta(mpmath, 1.0, sigma, eps) <= delta, (eps, delta)
                 assert mp_gaussian_delta(mpmath, 1.0, sigma * 0.999, eps) > delta
 
+    @pytest.mark.parametrize("eps, delta", [(700.0, 1e-5), (705.0, 1e-12), (709.5, 1e-5),
+                                            (800.0, 1e-5)])
+    def test_subnormal_tail_against_mpmath_oracle(self, eps, delta):
+        # The subtracted term's erfc is subnormal here, so it is dropped rather than
+        # multiplied by e^eps with its lost digits: sigma stays (eps, delta)-DP.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            sigma = calibrate_gaussian_sigma(1.0, eps, delta)
+            assert mp_gaussian_delta(mpmath, 1.0, sigma, eps) <= delta
+            assert mp_gaussian_delta(mpmath, 1.0, sigma * 0.999, eps) > delta
+
     def test_bracket_grows_and_shrinks_with_the_sensitivity(self):
         unit = calibrate_gaussian_sigma(1.0, 1e-3, 1e-8)
         for sensitivity in (1e-9, 1e9):

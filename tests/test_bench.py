@@ -31,6 +31,7 @@ from privlin import (
 from privlin import bench, mechanisms
 from privlin.bench import RECORD_HEADER, SUMMARY_HEADER, read_records_csv
 
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 SYNTH = {"n_per_class": 60, "n_classes": 3, "dim": 5, "separation": 3.0,
          "n_test_per_class": 30}
 TRIAL_COLUMNS = ("mechanism,epsilon,delta,budget,n_train,dim,classes,lambda,ensemble,"
@@ -60,11 +61,23 @@ class TestConfig:
         assert again == cfg
 
     def test_every_committed_experiment_config_loads(self):
-        paths = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
+        paths = sorted(EXPERIMENTS.glob("*.json"))
         assert paths
         for path in paths:
             cfg = SweepConfig.from_json(path.read_text())
             assert set(cfg.mechanisms) <= set(KINDS), path.name
+
+    def test_every_committed_summary_is_reproduced(self, tmp_path):
+        # Each experiments/<name>.json with a <name>_summary.csv beside it re-runs, as
+        # privlin sweep --summary-out does, to that table byte for byte.
+        configs = [path for path in sorted(EXPERIMENTS.glob("*.json"))
+                   if path.with_name(f"{path.stem}_summary.csv").exists()]
+        assert configs
+        for path in configs:
+            records = run_sweep(SweepConfig.from_json(path.read_text()))
+            emit_summary_csv(summarize(records), tmp_path / "summary.csv")
+            assert ((tmp_path / "summary.csv").read_bytes()
+                    == path.with_name(f"{path.stem}_summary.csv").read_bytes()), path.name
 
     def test_unknown_key_rejected(self):
         payload = json.loads(tiny_config().to_json())

@@ -165,7 +165,7 @@ def test_predict_refuses_a_query_file_without_rows(tmp_path, capsys, text):
 
 def test_predict_refuses_a_first_row_with_a_typo(tmp_path, capsys):
     # A first row that has a number in it is data, not a header, so a typo there fails
-    # the parse before any query is answered.
+    # the parse, naming the file and the row, before any query is answered.
     model = tmp_path / "model.npz"
     assert cli.main(["train", "--mechanism", "prediction_sensitivity", "--budget", "3",
                      "--synth", "n_per_class=20,n_classes=3,dim=5,separation=3.0",
@@ -173,7 +173,8 @@ def test_predict_refuses_a_first_row_with_a_typo(tmp_path, capsys):
     inputs = tmp_path / "queries.csv"
     inputs.write_text("x1,0.1\n0.2,0.3\n")
     assert_input_error(capsys, ["predict", "--model", str(model), "--inputs", str(inputs)],
-                       "could not convert string to float: 'x1'")
+                       re.escape(f"{inputs}: row 1 (x1,0.1): could not convert string "
+                                 "to float: 'x1'"))
     assert load_predictor(model).budget.used == 0
 
 
@@ -396,7 +397,8 @@ def test_train_reads_a_csv(tmp_path):
     model = tmp_path / "model.npz"
     assert cli.main(["train", "--mechanism", "nonprivate", "--csv", str(data),
                      "--out", str(model)]) == 0
-    expected = privlin.fit_predictor(privlin.normalize_unit_ball(privlin.load_csv(data)),
+    raw = privlin.load_csv(data)
+    expected = privlin.fit_predictor(privlin.fit_transform(raw).labeled(raw),
                                      privlin.MechanismSpec("nonprivate", PrivacySpec(1.0)), 0)
     np.testing.assert_array_equal(load_predictor(model).theta, expected.theta)
 

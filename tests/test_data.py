@@ -15,9 +15,9 @@ from privlin import (
     answer_queries,
     filter_classes,
     fit_predictor,
+    fit_transform,
     load_csv,
     load_idx,
-    normalize_unit_ball,
     one_hot,
     pca_fit,
     preprocess_pair,
@@ -26,7 +26,6 @@ from privlin import (
     synth_blobs,
     synth_blobs_raw,
     train_test_split,
-    unit_ball_scale,
 )
 from privlin.data import read_numeric_csv
 from privlin.data import check_rows
@@ -185,6 +184,16 @@ class TestLoadCsv:
         path.write_text("" if header is None else "f0,f1\n")
         assert read_numeric_csv(path)[1].size == 0
 
+    @pytest.mark.parametrize("text, row", [
+        ("f0,f1\n0.5,1.5\n\n0.25,oops\n", "row 3 (0.25,oops): could not convert"),
+        ("0.5,1.5\n0.25\n1.0,2.0\n", "row 2 (0.25): setting an array element"),
+    ])
+    def test_numeric_reader_names_the_file_and_the_bad_row(self, tmp_path, text, row):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {row}")):
+            read_numeric_csv(path)
+
 
 class TestRawDatasetValidation:
     @pytest.mark.parametrize("features, labels, n_classes, message", [
@@ -204,15 +213,17 @@ class TestUnitBall:
     def test_single_row_scaled_to_unit(self):
         ds = RawDataset(features=np.array([[0.0, 2.0]]), labels=np.array([0]),
                         n_classes=2)
-        out = normalize_unit_ball(ds)
+        out = fit_transform(ds).labeled(ds)
         assert np.linalg.norm(out.features[0]) == pytest.approx(1.0)
 
     def test_idempotent_at_unit_scale(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(20, 4))
         feats /= np.linalg.norm(feats, axis=1).max()
-        assert unit_ball_scale(feats) == pytest.approx(1.0)
-        out = normalize_unit_ball(RawDataset(features=feats, labels=np.arange(20) % 2))
+        raw = RawDataset(features=feats, labels=np.arange(20) % 2)
+        transform = fit_transform(raw)
+        assert transform.scale == pytest.approx(1.0)
+        out = transform.labeled(raw)
         np.testing.assert_allclose(out.features, feats, atol=1e-12)
 
     def test_test_rows_hard_projected(self):
@@ -223,8 +234,8 @@ class TestUnitBall:
         np.testing.assert_allclose(test.features, [[0.6, 0.8]], atol=1e-15)
 
     def test_all_zero_dataset(self):
-        with pytest.raises(ValueError):
-            unit_ball_scale(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="cannot normalize an all-zero dataset"):
+            fit_transform(RawDataset(features=np.zeros((5, 3)), labels=np.arange(5) % 2))
 
 
 class TestPca:
@@ -350,6 +361,13 @@ class TestSynthBlobs:
         with pytest.raises(ValueError, match=message):
             synth_blobs_raw(*counts, separation, RngStream(22))
 
+    def test_is_the_fitted_transform_of_the_raw_blobs(self):
+        raw = synth_blobs_raw(20, 3, 4, 2.0, RngStream(22))
+        expected = fit_transform(raw).labeled(raw)
+        got = synth_blobs(20, 3, 4, 2.0, RngStream(22))
+        np.testing.assert_array_equal(got.features, expected.features)
+        np.testing.assert_array_equal(got.labels, expected.labels)
+
     def test_reproducible(self):
         a = synth_blobs(20, 3, 4, 2.0, RngStream(22))
         b = synth_blobs(20, 3, 4, 2.0, RngStream(22))
@@ -403,6 +421,18 @@ class TestSplitsAndLeakage:
         np.testing.assert_array_equal(pca_a.components, pca_b.components)
         np.testing.assert_array_equal(pca_a.mean, pca_b.mean)
         assert scale_a == scale_b
+
+    @pytest.mark.parametrize("dim", [None, 5, 10])
+    def test_preprocess_pair_is_the_transform_fit_on_train(self, dim):
+        raw_train, raw_test = synth_blob_pair(60, 30, 4, 10, 3.0, RngStream(28))
+        train, test, pca, scale = preprocess_pair(raw_train, raw_test, dim)
+        transform = fit_transform(raw_train, dim)
+        assert scale == transform.scale
+        assert (pca is None) == (transform.pca is None) == (dim in (None, 10))
+        for split, raw in ((train, raw_train), (test, raw_test)):
+            expected = transform.labeled(raw)
+            np.testing.assert_array_equal(split.features, expected.features)
+            np.testing.assert_array_equal(split.labels, expected.labels)
 
     def test_pipeline_output_satisfies_unit_ball(self):
         raw_train, raw_test = synth_blob_pair(60, 30, 4, 10, 3.0, RngStream(28))

@@ -29,6 +29,7 @@ from privlin import (
     dpsgd_sigma_for_target,
     ensemble_vote_counts,
     fit_predictor,
+    fit_transform,
     gaussian_loss_sigma,
     gaussian_model_sigma,
     gaussian_prediction_sigma,
@@ -41,6 +42,7 @@ from privlin import (
     one_hot,
     predict_logits,
     prediction_sensitivity_beta,
+    project_to_unit_ball,
     sample_gaussian,
     sample_radial_exponential,
     save_predictor,
@@ -1081,6 +1083,25 @@ def twin(predictor, budget):
     """A copy with a fresh budget and the same noise-stream position."""
     return dataclasses.replace(predictor, budget=BudgetState(budget),
                                rng=copy.deepcopy(predictor.rng))
+
+
+@pytest.mark.parametrize("kind", ["nonprivate", "model_sensitivity", "subsample_aggregate"])
+def test_labels_ignore_the_fitted_scale_of_raw_queries(kind):
+    """Raw queries only projected into the ball (as privlin predict reads them) get the
+    labels of the same rows through the Transform fit on train: a positive rescaling of a
+    row moves neither the argmax of x theta nor any sub-model's vote. So a predictor file
+    need not record its Transform until a fitted step that does move labels lands."""
+    raw_train, raw_test = synth_blob_pair(200, 100, 5, 10, 3.0, RngStream(3))
+    transform = fit_transform(raw_train)
+    projected = project_to_unit_ball(raw_test.features.copy())
+    fitted = transform.labeled(raw_test).features
+    assert not np.allclose(projected, fitted)
+    # At eps = 1000 the vote, not its noise, decides most answers (accuracy 0.93).
+    spec = spec_for(kind, eps=1000.0, budget=raw_test.n_examples)
+    predictor = fit_predictor(transform.labeled(raw_train), spec, RngStream(4))
+    other = twin(predictor, raw_test.n_examples) if KINDS[kind].prediction_side else predictor
+    np.testing.assert_array_equal(answer_queries(predictor, projected),
+                                  answer_queries(other, fitted))
 
 
 def degenerate_ensemble(seed, n_models=40):
