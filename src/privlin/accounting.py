@@ -215,7 +215,11 @@ def gaussian_model_sigma(dims: ProblemDims, spec: PrivacySpec) -> float:
 
 
 def loss_perturbation_rho(dims: ProblemDims, spec: PrivacySpec) -> float:
-    """Extra ridge coefficient 2 L C / eps (the minimum the guarantee permits)."""
+    """Loss perturbation's extra ridge rho = 2 L C / eps, in sum form: the
+    trainer's ridge is lam + rho / N. The guarantee (Chaudhuri, Monteleoni &
+    Sarwate 2011, arXiv 0912.0071) needs a total sum-form ridge of at least
+    rho, and the mean-form lam of every kind adds N lam >= 0 to it, so lam
+    changes neither this calibration nor the noise scale."""
     return 2.0 * HESSIAN_EIG_BOUND * dims.n_classes / spec.epsilon
 
 
@@ -363,9 +367,12 @@ def dpsgd_sigma_for_target(spec: PrivacySpec, cfg: DpSgdConfig) -> float:
         return dpsgd_epsilon(sigma, cfg, spec.delta) <= spec.epsilon
 
     if not meets(_SIGMA_HI):
+        floor = math.log(1.0 / spec.delta) / (RDP_ORDERS[-1] - 1)
         raise InfeasibleTargetError(
             f"epsilon = {spec.epsilon} unreachable with sigma <= {_SIGMA_HI} "
-            f"(accounted epsilon {dpsgd_epsilon(_SIGMA_HI, cfg, spec.delta):.4g})")
+            f"(accounted epsilon {dpsgd_epsilon(_SIGMA_HI, cfg, spec.delta):.4g})" + (
+                f": no sigma goes below log(1/delta) / {RDP_ORDERS[-1] - 1} = {floor:.4g}, "
+                f"since the largest Renyi order is {RDP_ORDERS[-1]}" if spec.epsilon < floor else ""))
     if meets(_SIGMA_LO):
         return _SIGMA_LO
     return _bisect(meets, _SIGMA_LO, _SIGMA_HI)

@@ -258,11 +258,10 @@ def _prepare_split(raw_train, raw_test, key, subsample_rng):
 
 def _prepare_splits(cfg: SweepConfig) -> dict:
     """Map each (n_train, dim, classes) key to its preprocessed (train, test)
-    splits, or to the exception that preparing them raised.
-
-    Keys are prepared once, in grid order; the k-th successful subsample
-    draws from stream (base_seed, 1000 + k).
-    """
+    splits, or to the exception that preparing them raised. Keys are prepared
+    once, in grid order; a key that subsamples draws from stream (base_seed,
+    1000 + j), j the number of earlier keys prepared without error, whether
+    or not they subsampled."""
     raw_train, raw_test = _load_source(cfg)
     splits, prepared = {}, 0
     for key in dict.fromkeys(itertools.product(cfg.n_train, cfg.dims, cfg.classes)):

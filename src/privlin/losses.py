@@ -1,16 +1,17 @@
 """The multi-class logistic loss has one implementation: the stacked
-regularized objective every fit runs. It is class-major, with logits,
-probabilities and labels (..., C, n) and features (..., D, n), because numpy
-reduces and broadcasts along a short trailing axis several times slower than
-along a leading one. The (..., C, n) arrays it makes are views of
-class-leading (C, ..., n) memory: a stack of T small problems, such as the
-ensemble's sub-models of a few dozen rows each, then reduces over C in loops
-of length T * n rather than n. Only leading dimensions move, so every GEMM
-sees the same operands in the same class order, and every class sum still
-adds in class order; with no stack axis, or T = 1, the memory is plain
-(C, n). (At n = 1 a C-order stack's class axis is contiguous, which numpy
-sums pairwise: there the two layouts agree to rounding only.) Per-row
-losses of logits a (n, C) are its one-feature case:
+regularized objective every fit runs, with one convention: lam is the
+mean-form ridge of every kind, to which loss perturbation adds rho / N. It
+is class-major, with logits, probabilities and labels (..., C, n) and
+features (..., D, n), because numpy reduces and broadcasts along a short
+trailing axis several times slower than along a leading one. The (..., C, n)
+arrays it makes are views of class-leading (C, ..., n) memory: a stack of T
+small problems, such as the ensemble's sub-models of a few dozen rows each,
+then reduces over C in loops of length T * n rather than n. Only leading
+dimensions move, so every GEMM sees the same operands in the same class
+order, and every class sum still adds in class order; with no stack axis, or
+T = 1, the memory is plain (C, n). (At n = 1 a C-order stack's class axis is
+contiguous, which numpy sums pairwise: there the two layouts agree to
+rounding only.) Per-row losses of logits a (n, C) are its one-feature case:
 regularized_objective(a[:, None, :], ones((n, 1, 1)), y[:, :, None], 0)
 gives l(a_i), p_i - y_i in grads[:, 0, :] and p_i in probs[:, :, 0]."""
 
@@ -76,7 +77,7 @@ def regularized_objective(theta, xt, yt, ridge, linear=0.0):
     features xt (..., D, n) and labels yt (..., C, n), the labels best in
     class-leading memory like the probabilities. The regularized
     empirical risk is (ridge, linear) = (lam, 0), the loss-perturbation
-    objective ((lam + rho) / N, B / N)."""
+    objective (lam + rho / N, B / N)."""
     grads, probs, shifted = objective_gradient(theta, xt, yt, ridge, linear)
     log_z = np.log(np.add.reduce(np.exp(shifted), axis=-2))
     values = ((log_z - np.add.reduce(shifted * yt, axis=-2)).mean(axis=-1)
@@ -118,34 +119,23 @@ def loss_remainder(probs, v, step: float):
         return np.log1p(np.add.reduce(probs * np.expm1(u), axis=-2)).mean(axis=-1)
 
 
-def erm_objective(theta, features, labels, lam: float):
-    """Regularized empirical risk: mean logistic loss + lam/2 * ||theta||_F^2.
-
-    Returns (value, gradient); the gradient has theta's (D, C) shape.
-    """
+def erm_objective(theta, features, labels, lam: float, noise_b=None, rho: float = 0.0):
+    """The training objective of every kind: mean loss + (lam + rho/N)/2 *
+    ||theta||_F^2 + (1/N) tr(noise_b^T theta) on N rows. Loss perturbation
+    sets rho and noise_b (see loss_perturbation_rho); without them it is the
+    regularized empirical risk. Returns (value, gradient of theta's shape)."""
     theta, x, y = _check_data(theta, features, labels)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    value, grad, _ = regularized_objective(theta, x.T, y.T, lam)
-    return float(value), grad
-
-
-def perturbed_objective(theta, features, labels, lam: float, noise_b, rho: float):
-    """Randomly perturbed objective used by loss-perturbation training.
-
-    mean loss + (lam/N) * ||theta||_F^2 / 2 + (1/N) tr(B^T theta)
-              + (rho / 2N) * ||theta||_F^2
-
-    The regularization terms carry the extra 1/N; with noise_b = 0, rho = 0
-    and lam' = N * lam this reduces to erm_objective(theta, ..., lam).
-    Returns (value, gradient).
-    """
-    theta, x, y = _check_data(theta, features, labels)
-    noise_b = _as_finite(noise_b, "noise_b")
-    if noise_b.shape != theta.shape:
-        raise ValueError(f"noise shape {noise_b.shape} does not match theta shape {theta.shape}")
+    n, linear = x.shape[0], 0.0
+    if noise_b is not None:
+        linear = _as_finite(noise_b, "noise_b") / n
+        if linear.shape != theta.shape:
+            raise ValueError(f"noise shape {linear.shape} does not match theta shape {theta.shape}")
     if lam < 0 or rho < 0:
-        raise ValueError("lam and rho must be nonnegative")
-    n = x.shape[0]
-    value, grad, _ = regularized_objective(theta, x.T, y.T, (lam + rho) / n, noise_b / n)
+        names = "lam" if noise_b is None and rho == 0 else "lam and rho"
+        raise ValueError(f"{names} must be nonnegative")
+    value, grad, _ = regularized_objective(theta, x.T, y.T, lam + rho / n, linear)
     return float(value), grad
+
+
+# Loss perturbation's name for the same objective.
+perturbed_objective = erm_objective

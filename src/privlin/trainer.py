@@ -24,11 +24,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Objective and stopping criteria for one training run.
-
-    With noise_b set, the perturbed objective is minimized (rho adds the
-    extra ridge); otherwise the plain regularized empirical risk.
-    """
+    """Stopping criteria for one training run, and its erm_objective: lam is
+    every kind's mean-form ridge, rho and noise_b loss perturbation's terms."""
 
     lam: float
     max_iterations: int = 500
@@ -117,8 +114,8 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
     change when the others do. Raises ConvergenceError with the worst gradient
     norm when a problem is above tolerance after max_iterations Newton
     iterations, or with the stack indices and worst norm of the problems whose
-    line search finds no decrease. With noise_b set, the loss-perturbation
-    objective has ridge (lam + rho) / n and linear term noise_b / n. The solve
+    line search finds no decrease. Every problem's ridge is lam + rho / n,
+    and its linear term noise_b / n when noise_b is set. The solve
     runs on class-major copies, so the caller's memory order cannot change the
     result; features whose (T, D, n) transpose and labels whose (C, T, n)
     transpose are C-contiguous are used without a copy."""
@@ -128,9 +125,9 @@ def minimize_erm_stack(features, labels, cfg: TrainConfig) -> np.ndarray:
         raise ValueError(f"features {x.shape} and labels {y.shape} must be nonempty "
                          "(T, n, D) and (T, n, C) stacks")
     t, n, d = x.shape
-    ridge, linear = cfg.lam, 0.0
+    ridge, linear = cfg.lam + cfg.rho / n, 0.0
     if cfg.noise_b is not None:
-        ridge, linear = (cfg.lam + cfg.rho) / n, np.asarray(cfg.noise_b, dtype=np.float64) / n
+        linear = np.asarray(cfg.noise_b, dtype=np.float64) / n
         if linear.shape != (d, y.shape[2]):
             raise ValueError(f"noise_b shape {linear.shape} does not match ({d}, {y.shape[2]})")
 

@@ -649,6 +649,18 @@ class TestDpSgdSigma:
         with pytest.raises(InfeasibleTargetError):
             dpsgd_sigma_for_target(PrivacySpec(1e-6, 1e-9), cfg)
 
+    def test_target_below_the_order_grid_floor_names_it(self):
+        # At delta = 1e-5 no sigma accounts below log(1e5) / 63 = 0.1827, since the
+        # largest order is 64; the error says so rather than only "unreachable".
+        cfg = DpSgdConfig(clip=0.1, n_steps=200, sample_rate=0.0128)
+        floor = math.log(1e5) / (RDP_ORDERS[-1] - 1)
+        assert dpsgd_epsilon(1e4, cfg, 1e-5) == pytest.approx(floor, rel=1e-6)
+        with pytest.raises(InfeasibleTargetError,
+                           match=r"epsilon = 0\.1 unreachable .*: no sigma goes below "
+                                 r"log\(1/delta\) / 63 = 0\.1827, since the largest "
+                                 r"Renyi order is 64"):
+            dpsgd_sigma_for_target(PrivacySpec(0.1, 1e-5), cfg)
+
     def test_easy_target_returns_the_sigma_floor(self):
         # One step at q = 0.001 spends about 1e4 at the floor, under the 2e4 target.
         cfg = DpSgdConfig(clip=0.1, n_steps=1, sample_rate=1e-3)

@@ -157,25 +157,24 @@ def mixed_stack(seed=12, n=30, d=20, c=4):
 
 
 def stack_configs(d=20, c=4, tol=1e-9):
-    """The ERM objective, and loss perturbation with a ridge of 1e-6. The
-    rows are separable, so a larger linear term would put the minimizer
-    deep where every softmax saturates."""
+    """The ERM objective, and loss perturbation with a ridge of 1e-6 on
+    mixed_stack's 30 rows (lam 5e-7 plus rho / 30). The rows are separable,
+    so a larger linear term would put the minimizer deep where every softmax
+    saturates."""
     noise = np.random.default_rng(13).normal(scale=0.01, size=(d, c))
     return {
         "erm": TrainConfig(lam=0.05, grad_tolerance=tol),
-        "loss_perturbation": TrainConfig(lam=1e-5, rho=2e-5, noise_b=noise,
+        "loss_perturbation": TrainConfig(lam=5e-7, rho=1.5e-5, noise_b=noise,
                                          grad_tolerance=tol),
     }
 
 
 def objective_grad(theta, features, labels, cfg):
-    if cfg.noise_b is None:
-        return erm_objective(theta, features, labels, cfg.lam)[1]
-    return perturbed_objective(theta, features, labels, cfg.lam, cfg.noise_b, cfg.rho)[1]
+    return erm_objective(theta, features, labels, cfg.lam, cfg.noise_b, cfg.rho)[1]
 
 
 def ridge_of(cfg, n):
-    return cfg.lam if cfg.noise_b is None else (cfg.lam + cfg.rho) / n
+    return cfg.lam + cfg.rho / n
 
 
 class TestMinimizeErmStack:
