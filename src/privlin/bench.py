@@ -118,7 +118,7 @@ class SweepConfig:
             if name in ("n_train", "dims", "classes") and not all(
                     v is None or (is_number(v, numbers.Integral) and v >= 1) for v in value):
                 raise ValueError(f"grid {name} must list integers >= 1 or nulls, got {list(value)}")
-        if not all(isinstance(v, str) for v in self.mechanisms):
+        if not all(v in KINDS for v in self.mechanisms):
             raise ValueError(f"grid mechanisms must list kind names, got {list(self.mechanisms)}")
         if len(self.clips) != 1:
             raise ValueError(f"clips takes exactly one value, got {self.clips}")
@@ -285,7 +285,7 @@ def _cell_spec(cfg: SweepConfig, split, cell: SweepCell) -> MechanismSpec:
 def _calibration_key(cell: SweepCell) -> tuple:
     """Cells of one key share a calibration: a training-side kind's noise does not read the
     inference budget, so its cells that differ only in budget share one."""
-    training_side = cell.mechanism in KINDS and not KINDS[cell.mechanism].prediction_side
+    training_side = not KINDS[cell.mechanism].prediction_side
     return replace(cell, budget=None).config_key() if training_side else cell.config_key()
 
 

@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--summary-out")
     sweep.add_argument("--trials", type=int)
     sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="pool threads; more than 1 pays only with BLAS pinned to one "
+                            "thread (OPENBLAS_NUM_THREADS=1)")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the invariant suites")

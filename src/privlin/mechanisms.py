@@ -126,8 +126,10 @@ class PrivatePredictor:
     and refuse afterwards. rng drives the fresh per-query noise. Each
     construction, dataclasses.replace's too, stores an ensemble in (D, T, C)
     memory (_feature_major) and derives ties, its tie_table (None without one).
-    ValueError if the calibration's family is not one that _FAMILIES lists for
-    the parameters, or if a prediction-side predictor has no budget or no rng.
+    ValueError if the kind is unknown, if it lacks the array that KINDS names as its
+    params or holds the other one too, if the calibration's family is not one that
+    _FAMILIES lists for that array, or if a prediction-side predictor has no budget or
+    no rng.
     """
 
     kind: str
@@ -140,7 +142,12 @@ class PrivatePredictor:
     ties: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_family("theta" if self.ensemble is None else "ensemble", self.calibration.family)
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown mechanism kind: {self.kind!r}")
+        name = KINDS[self.kind].params
+        if [n for n in ("theta", "ensemble") if getattr(self, n) is not None] != [name]:
+            raise ValueError(f"{self.kind} predictors hold one {name} array and no other")
+        _check_family(name, self.calibration.family)
         if KINDS[self.kind].prediction_side and (self.budget is None or self.rng is None):
             raise ValueError(f"a {self.kind} predictor spends a budget and draws from an rng; "
                              f"got budget {self.budget!r} and rng {self.rng!r}")
@@ -154,7 +161,7 @@ class PrivatePredictor:
 
     @property
     def n_features(self) -> int:
-        return self.theta.shape[0] if self.ensemble is None else self.ensemble.shape[1]
+        return getattr(self, KINDS[self.kind].params).shape[-2]  # D of (D, C) and (T, D, C)
 
     def predict(self, x):
         """Answer one (D,) query: (C,) logits, or an integer label for
@@ -340,20 +347,7 @@ def fit_dpsgd_lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, 
     """One DP-SGD fit of data at spec per (calibration, rng) pair, all advanced by one
     step loop. Entry r is _fit_dpsgd(data, spec, None, calibrations[r], rngs[r]) bit for
     bit, or the ValueError that call raises; one trial's divergence touches no other
-    trial, and no floating-point warning is raised. One trial runs through _fit_dpsgd
-    itself, which is faster than the lockstep loop at R = 1."""
-    with np.errstate(all="ignore"):
-        if len(rngs) == 1:
-            try:
-                return [_fit_dpsgd(data, spec, None, calibrations[0], rngs[0])]
-            except ValueError as exc:
-                return [exc]
-        thetas = _lockstep(data, spec, calibrations, rngs)
-    return [theta if np.isfinite(theta).all() else ValueError(_DIVERGED) for theta in thetas]
-
-
-def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> np.ndarray:
-    """The (R, D, C) thetas of fit_dpsgd_lockstep, unchecked.
+    trial, and no floating-point warning is raised.
 
     A sweep-size fit's cost is its per-step numpy calls, not their arithmetic, so each
     step serves every trial: each trial's batch rows lie side by side (_side_by_side) as
@@ -365,7 +359,8 @@ def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> 
     (OpenBLAS 0.3.31 does at D = 784); the np.vdot(theta, theta) and the sum of the clip
     scales, whose summation orders set the bits; and a one-row batch, whose class sums
     numpy takes pairwise rather than in order, so _clipped_sum computes it. Memory grows
-    as R blocks of _fit_dpsgd's.
+    as R blocks of _fit_dpsgd's. A lone fit (fit_predictor) runs _fit_dpsgd, which is
+    faster than this loop at R = 1.
     """
     cfg, lam, clip = spec.dpsgd, spec.lam, spec.dpsgd.clip
     x, y = data.features, data.labels
@@ -381,33 +376,34 @@ def _lockstep(data: LabeledDataset, spec: MechanismSpec, calibrations, rngs) -> 
                   for calibration in calibrations]
     samplers = [poisson_batches(n, cfg.sample_rate, cfg.n_steps, rng) for rng in rngs]
 
-    for start in range(0, cfg.n_steps, _BLOCK_STEPS):
-        steps = min(_BLOCK_STEPS, cfg.n_steps - start)
-        blocks, noise = [], np.empty((len(rngs), steps, d, c))
-        for r in trials:
-            blocks.append(next(samplers[r]))
-            noise[r] = _noise(step_noise[r], steps, (d, c), rngs[r]).reshape(steps, d, c)
-        columns, starts, sizes, spans = _side_by_side(blocks)
-        for j in range(steps):
-            idx, size, span = columns[starts[j]:starts[j + 1]], sizes[j], spans[j]
-            xb = x.take(idx, axis=0)
-            logits = np.empty((c, len(idx)))
+    with np.errstate(all="ignore"):
+        for start in range(0, cfg.n_steps, _BLOCK_STEPS):
+            steps = min(_BLOCK_STEPS, cfg.n_steps - start)
+            blocks, noise = [], np.empty((len(rngs), steps, d, c))
             for r in trials:
-                np.matmul(thetas_t[r], xb[span[r]].T, out=logits[:, span[r]])
-            ridge_sq = np.repeat([lam * lam * float(np.vdot(theta, theta)) for theta in thetas],
-                                 size)
-            residual, scales = _clip(logits, y_t.take(idx, axis=1), x_sq.take(idx), ridge_sq,
-                                     lam, clip)
-            for r in trials:
-                np.matmul(xb[span[r]].T, residual[:, span[r]].T, out=summed[r])
-            scale_sums = np.array([np.add.reduce(scales[rows]) for rows in span])
-            summed += (lam * scale_sums)[:, None, None] * thetas
-            if 1 in size:
-                for r in [r for r in trials if size[r] == 1]:
-                    summed[r] = _clipped_sum(thetas[r], x, y, x_sq, idx[span[r]], lam, clip)
-            summed += noise[:, j]
-            thetas -= step_size * summed
-    return thetas
+                blocks.append(next(samplers[r]))
+                noise[r] = _noise(step_noise[r], steps, (d, c), rngs[r]).reshape(steps, d, c)
+            columns, starts, sizes, spans = _side_by_side(blocks)
+            for j in range(steps):
+                idx, size, span = columns[starts[j]:starts[j + 1]], sizes[j], spans[j]
+                xb = x.take(idx, axis=0)
+                logits = np.empty((c, len(idx)))
+                for r in trials:
+                    np.matmul(thetas_t[r], xb[span[r]].T, out=logits[:, span[r]])
+                ridge_sq = np.repeat(
+                    [lam * lam * float(np.vdot(theta, theta)) for theta in thetas], size)
+                residual, scales = _clip(logits, y_t.take(idx, axis=1), x_sq.take(idx),
+                                         ridge_sq, lam, clip)
+                for r in trials:
+                    np.matmul(xb[span[r]].T, residual[:, span[r]].T, out=summed[r])
+                scale_sums = np.array([np.add.reduce(scales[rows]) for rows in span])
+                summed += (lam * scale_sums)[:, None, None] * thetas
+                if 1 in size:
+                    for r in [r for r in trials if size[r] == 1]:
+                        summed[r] = _clipped_sum(thetas[r], x, y, x_sq, idx[span[r]], lam, clip)
+                summed += noise[:, j]
+                thetas -= step_size * summed
+    return [theta if np.isfinite(theta).all() else ValueError(_DIVERGED) for theta in thetas]
 
 
 def _side_by_side(blocks) -> tuple:
@@ -551,15 +547,6 @@ def _weights(ensemble: np.ndarray) -> np.ndarray:
     return ensemble.transpose(1, 0, 2).reshape(d, t * c)
 
 
-@functools.lru_cache(maxsize=None)
-def _class_pairs(c: int) -> tuple:
-    """The (low, high) class pairs, low < high, of C classes as two index arrays."""
-    pairs = np.triu_indices(c, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 def tie_table(ensemble: np.ndarray) -> np.ndarray:
     """(T, C) table: for each sub-model and class, the lowest class whose
     parameter column in that sub-model is bitwise equal to the class's own.
@@ -567,7 +554,7 @@ def tie_table(ensemble: np.ndarray) -> np.ndarray:
     first row of the (D, T*C) weights holds, are compared in full."""
     t, _, c = ensemble.shape
     bits = _weights(np.asarray(ensemble, dtype=np.float64)).view(np.uint64)
-    low, high = _class_pairs(c)
+    low, high = np.triu_indices(c, 1)  # the class pairs, low < high
     first = bits[0].reshape(t, c)
     model, pair = np.nonzero(first[:, low] == first[:, high])
     low, high = low[pair], high[pair]
@@ -575,14 +562,6 @@ def tie_table(ensemble: np.ndarray) -> np.ndarray:
     table = np.tile(np.arange(c), (t, 1))
     np.minimum.at(table, (model[same], high[same]), low[same])
     return table
-
-
-@functools.lru_cache(maxsize=None)
-def _class_ranks(c: int) -> np.ndarray:
-    """(C, 1) ranks C, ..., 1 in the smallest unsigned dtype that holds C."""
-    ranks = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None]
-    ranks.flags.writeable = False
-    return ranks
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,7 +584,7 @@ def _class_winners(scores: np.ndarray) -> np.ndarray:
     highest rank C - c among the classes equal to it. A NaN maximum equals no class, so
     its column takes the highest rank among its NaNs."""
     c = scores.shape[-2]
-    rank = _class_ranks(c)
+    rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None]  # (C, 1) ranks C..1
     top = np.maximum.reduce(scores, axis=-2, keepdims=True)
     hit = np.maximum.reduce((scores == top) * rank, axis=-2)
     if not hit.all():  # a NaN column has no rank

@@ -342,11 +342,10 @@ class TestRunSweep:
         good_rows = [r for r in records if r.mechanism == "nonprivate"]
         assert all(r.error is None for r in good_rows)
 
-    def test_unknown_mechanism_recorded_and_sweep_continues(self):
-        records = run_sweep(tiny_config(mechanisms=("no_such_kind", "nonprivate")))
-        assert [r.error for r in records[:2]] == [
-            "ValueError: unknown mechanism kind: 'no_such_kind'"] * 2
-        assert all(r.error is None for r in records[2:]) and len(records) == 4
+    def test_unknown_mechanism_refused_when_the_config_is_built(self):
+        message = "grid mechanisms must list kind names, got ['no_such_kind', 'nonprivate']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(mechanisms=("no_such_kind", "nonprivate"))
 
     def test_prediction_side_scores_on_budget_queries(self):
         cfg = tiny_config(mechanisms=("prediction_sensitivity",), budgets=(9,),
@@ -508,10 +507,10 @@ class TestSharedStages:
         assert len(records) // cfg.trials == 6 * 2 * 2 * 2
         assert len(calibrations) == (4 + 2 * 2) * 2 * 2
 
-    @pytest.mark.parametrize("threads, lot", [(1, 8), (2, 8), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("threads, lot", [(1, 8), (2, 8), (1, 3), (2, 3), (1, 7), (2, 7)])
     def test_dpsgd_trials_fit_in_lockstep_as_per_trial_fits(self, monkeypatch, threads, lot):
         """A DP-SGD group over two epsilons and two budgets, 300 steps (two sampler
-        blocks), in lockstep runs of at most lot trials."""
+        blocks), in lockstep runs of at most lot trials; lot 7 leaves a run of one."""
         sizes = []
         lockstep = bench.fit_dpsgd_lockstep
 
@@ -524,7 +523,7 @@ class TestSharedStages:
         cfg = self.six_kinds(deltas=(1e-5,), epsilons=(0.5, 2.0), dpsgd_steps=300)
         records = run_sweep(cfg, threads=threads)
         assert all(r.error is None for r in records)
-        assert sorted(sizes) == sorted([8] if lot == 8 else [3, 3, 2])
+        assert sorted(sizes) == {8: [8], 7: [1, 7], 3: [2, 3, 3]}[lot]
         assert comparable(records) == comparable(reference_sweep(cfg))
 
     def test_a_diverged_dpsgd_trial_records_its_own_error(self, monkeypatch):

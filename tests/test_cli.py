@@ -506,6 +506,8 @@ def test_sweep_rejects_a_fractional_solver_setting(tmp_path, capsys):
      r"grid epsilons must list one or more strings, numbers or nulls, got \[\[1.0\]\]"),
     ('{"mechanisms": {"nonprivate": 1}}',
      "grid mechanisms must be a list of values, got {'nonprivate': 1}"),
+    ('{"mechanisms": ["no_such_kind", "nonprivate"]}',
+     r"grid mechanisms must list kind names, got \['no_such_kind', 'nonprivate'\]"),
 ])
 def test_sweep_rejects_a_malformed_config(tmp_path, capsys, text, message):
     payload = json.loads(text)

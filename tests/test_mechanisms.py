@@ -1282,6 +1282,25 @@ class TestPredictionSideState:
             PrivatePredictor(kind, predictor.privacy, predictor.calibration,
                              budget=BudgetState(3), **{name: getattr(predictor, name)})
 
+    def test_a_predictor_holds_exactly_the_array_its_kind_names(self):
+        # Each refusal is made before a predict could spend a unit of budget.
+        budget = BudgetState(3)
+        state = dict(budget=budget, rng=np.random.default_rng(0))
+        voter = PrivatePredictor("subsample_aggregate", PrivacySpec(1.0), Calibration(),
+                                 ensemble=np.zeros((2, 3, 4)), **state)
+        assert voter.n_features == 3
+        with pytest.raises(ValueError, match="subsample_aggregate predictors hold one ensemble"):
+            PrivatePredictor("subsample_aggregate", PrivacySpec(1.0), Calibration(),
+                             theta=np.zeros((3, 4)), **state)
+        with pytest.raises(ValueError, match="nonprivate predictors hold one theta array"):
+            PrivatePredictor("nonprivate", PrivacySpec(1.0), Calibration(),
+                             ensemble=np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="hold one ensemble array and no other"):
+            dataclasses.replace(voter, theta=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="unknown mechanism kind: 'laplace'"):
+            PrivatePredictor("laplace", PrivacySpec(1.0), Calibration(), theta=np.zeros((3, 4)))
+        assert budget.remaining == 3
+
 
 def _query_verdicts(predictor, vectors, reference) -> np.ndarray:
     """Whether reference(v) accepts each vector, asserting that predictor.predict(v) and
